@@ -2,6 +2,7 @@ package repro
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -160,7 +161,7 @@ func TestConfiguredBackendByteIdentical(t *testing.T) {
 		info := info
 		t.Run(fmt.Sprintf("%s/%s", info.Name, backend), func(t *testing.T) {
 			baseline, err := Synthesize(mustTopo(t, info.Name, info.DefaultSize),
-				SynthesizeOptions{DisableVerifierCache: true, FullConfigPipeline: true})
+				SynthesizeOptions{DisableVerifierCache: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -242,17 +243,16 @@ func (w *statusWriter) WriteHeader(status int) {
 
 // TestAcceleratedSynthesisByteIdentical is the acceptance gate for the
 // verification acceleration layer: on every registry scenario, the
-// incremental cache plus the concurrent suite scan plus the stanza-level
-// incremental config pipeline must produce a transcript (and configs, and
-// leverage) byte-identical to the pre-cache sequential loop rendering and
-// parsing whole configurations from scratch (FullConfigPipeline).
+// incremental cache plus the concurrent suite scan must produce a
+// transcript (and configs, and leverage) byte-identical to the pre-cache
+// sequential loop.
 func TestAcceleratedSynthesisByteIdentical(t *testing.T) {
 	for _, info := range Topologies() {
 		info := info
 		t.Run(info.Name, func(t *testing.T) {
 			topo := mustTopo(t, info.Name, info.DefaultSize)
 			baseline, err := Synthesize(topo,
-				SynthesizeOptions{DisableVerifierCache: true, FullConfigPipeline: true})
+				SynthesizeOptions{DisableVerifierCache: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -334,6 +334,37 @@ func TestAcceleratedSynthesisByteIdentical(t *testing.T) {
 				t.Errorf("trace records %d run spans, want 1", summary.Runs)
 			}
 		})
+	}
+}
+
+// TestParallelRunTracesRenders pins that forked models keep the run's trace
+// sink: a traced run with two repair lanes must report at least one render
+// span for every router, not just for the routers the unforked model saw.
+func TestParallelRunTracesRenders(t *testing.T) {
+	topo := mustTopo(t, "random", 12)
+	var buf bytes.Buffer
+	tracer := obs.NewTracer(&buf)
+	if _, err := Synthesize(topo, SynthesizeOptions{Parallelism: 2, Trace: tracer}); err != nil {
+		t.Fatal(err)
+	}
+	if err := tracer.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	rendered := map[string]bool{}
+	dec := json.NewDecoder(&buf)
+	for dec.More() {
+		var ev obs.Event
+		if err := dec.Decode(&ev); err != nil {
+			t.Fatal(err)
+		}
+		if ev.Stage == obs.StageRender {
+			rendered[ev.Router] = true
+		}
+	}
+	for _, r := range topo.Routers {
+		if !rendered[r.Name] {
+			t.Errorf("router %s: no render span in the trace", r.Name)
+		}
 	}
 }
 

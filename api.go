@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 
-	"repro/internal/batfish"
 	"repro/internal/core"
 	"repro/internal/durable"
 	"repro/internal/exampledata"
@@ -142,16 +141,6 @@ type SynthesizeOptions struct {
 	// restoring the paper's behaviour of re-verifying every router on
 	// every iteration.
 	DisableVerifierCache bool
-	// FullConfigPipeline disables the stanza-level incremental pipeline:
-	// the simulated LLM re-prints every configuration section from
-	// scratch instead of reusing unchanged stanzas, and the default
-	// in-process verifier parses whole configurations instead of
-	// reassembling cached stanza fragments. Transcripts and
-	// configurations are byte-identical either way — this is the baseline
-	// the equivalence suite and benchmarks compare the incremental
-	// pipeline against. Ignored when Verifier is set (a custom verifier
-	// brings its own parse strategy).
-	FullConfigPipeline bool
 	// ErrorPlan replaces the simulated LLM's default error scenario with
 	// an attachment-keyed injection plan (see internal/fuzz): which error
 	// classes fire at which (router, external-neighbor, direction) site.
@@ -205,18 +194,13 @@ func Synthesize(topo *topology.Topology, opts SynthesizeOptions) (*Result, error
 		cfg.Seed = opts.Seed
 	}
 	cfg.Plan = opts.ErrorPlan
-	cfg.FullRender = opts.FullConfigPipeline
-	verifier := opts.Verifier
-	if opts.FullConfigPipeline && verifier == nil {
-		verifier = core.LocalVerifier{Parses: batfish.NewWholeParseCache()}
-	}
 	mode := core.GlobalCheckSimulated
 	if opts.CompositionalGlobalCheck {
 		mode = core.GlobalCheckCompositional
 	}
 	copts := core.SynthOptions{
 		Model:            llm.NewSynthesizer(cfg),
-		Verifier:         verifier,
+		Verifier:         opts.Verifier,
 		NoIIP:            opts.DisableIIP,
 		Parallelism:      opts.Parallelism,
 		SuiteParallelism: opts.SuiteParallelism,

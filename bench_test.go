@@ -17,8 +17,6 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"reflect"
-	"runtime"
-	"strings"
 	"testing"
 	"time"
 
@@ -867,164 +865,6 @@ func BenchmarkPromptRender(b *testing.B) {
 		"prompt-bytes":    float64(bytes),
 		"wall-ms-per-run": wallMS,
 	})
-}
-
-// BenchmarkIncrementalConfig (E21, extension) measures the stanza-level
-// incremental config pipeline per repair iteration, cold vs incremental,
-// on the 200-router random graph and the fat-tree. One repair iteration
-// re-emits one router's configuration and re-verifies the new revision;
-// the benchmark isolates the two costs the pipeline attacks:
-//
-//	render — the model re-prints a router after a one-section fix. The
-//	FullRender baseline re-prints every section; the incremental renderer
-//	re-renders the changed section and joins the cached rest.
-//	parse — the verifier parses the new revision (fresh text every
-//	iteration, as in the real loop). The whole-text cache re-parses the
-//	full device; the stanza sub-cache re-parses only the changed stanza
-//	and reassembles the device from cached fragments.
-//
-// Results are pinned byte-identical elsewhere (render tests, stanza
-// round-trip tests, TestAcceleratedSynthesisByteIdentical). The acceptance
-// shape on random-200: ≥3× combined render+parse reduction per iteration.
-func BenchmarkIncrementalConfig(b *testing.B) {
-	for _, c := range []struct {
-		scenario string
-		size     int
-	}{{"random", 200}, {"fat-tree", 0}} {
-		c := c
-		name := c.scenario
-		if c.size > 0 {
-			name = fmt.Sprintf("%s-%d", c.scenario, c.size)
-		}
-		b.Run(name, func(b *testing.B) {
-			topo, err := netgen.Generate(c.scenario, c.size)
-			if err != nil {
-				b.Fatal(err)
-			}
-			tasks := modularizer.Tasks(topo)
-			errs := map[string][]llm.SynthError{}
-			for _, task := range tasks {
-				errs[task.Router] = []llm.SynthError{llm.SErrTopoWrongIP}
-			}
-			res, err := core.Synthesize(topo, core.SynthOptions{
-				Model: llm.NewSynthesizer(llm.SynthConfig{Seed: 1,
-					Errors: map[string][]llm.SynthError{}}),
-				SkipGlobalCheck: true,
-				Parallelism:     8,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			// The iteration target is the largest configuration — the shape
-			// of a hub repair, where incrementality matters most and the
-			// seed's whole-config costs are worst.
-			text := ""
-			for _, t := range res.Configs {
-				if len(t) > len(text) {
-					text = t
-				}
-			}
-			if !strings.HasSuffix(text, "\n") {
-				text += "\n"
-			}
-			// revision(i) is the target config with exactly one stanza
-			// changed: fresh text each iteration, so every cache tier sees a
-			// genuinely new revision, differing from its predecessor in one
-			// stanza — a repair iteration's output.
-			revision := func(i int) string {
-				return fmt.Sprintf("%s!\nip community-list 90 permit 900:%d\n",
-					text, i%60000+1)
-			}
-
-			const itersPerRun = 8
-			var renderFullNS, renderIncNS, parseFullNS, parseIncNS int64
-			var renderIters, parseIters int
-
-			b.ResetTimer()
-			for n := 0; n < b.N; n++ {
-				// Render: generate every router (untimed), then time one
-				// fix + re-print round per router on each model.
-				for _, full := range []bool{true, false} {
-					model := llm.NewSynthesizer(llm.SynthConfig{
-						Seed: 1, Errors: errs, FullRender: full})
-					for _, task := range tasks {
-						if _, err := model.Complete([]llm.Message{
-							{Role: llm.RoleAutomated, Content: task.Prompt}}); err != nil {
-							b.Fatal(err)
-						}
-					}
-					runtime.GC()
-					start := time.Now()
-					for _, task := range tasks {
-						fix := "The interface ip address does not match the topology on router " +
-							task.Router + "."
-						if _, err := model.Complete([]llm.Message{
-							{Role: llm.RoleAutomated, Content: fix}}); err != nil {
-							b.Fatal(err)
-						}
-						if _, err := model.Complete([]llm.Message{
-							{Role: llm.RoleAutomated, Content: llm.PrintRequest}}); err != nil {
-							b.Fatal(err)
-						}
-					}
-					ns := time.Since(start).Nanoseconds()
-					if full {
-						renderFullNS += ns
-					} else {
-						renderIncNS += ns
-					}
-				}
-				runtime.GC() // keep collector noise out of the sub-ms parse windows
-				renderIters += 2 * len(tasks)
-
-				// Parse: both caches warmed with the golden family, then each
-				// revision parsed cold (new text) through each cache.
-				incCache := batfish.NewParseCache()
-				fullCache := batfish.NewWholeParseCache()
-				for _, t := range res.Configs {
-					incCache.Parse(t)
-					fullCache.Parse(t)
-				}
-				base := n * (itersPerRun + 2)
-				for i := 0; i < itersPerRun; i++ {
-					rev := revision(base + 2 + i)
-					runtime.GC()
-					start := time.Now()
-					fullCache.Parse(rev)
-					parseFullNS += time.Since(start).Nanoseconds()
-					runtime.GC()
-					start = time.Now()
-					incCache.Parse(rev)
-					parseIncNS += time.Since(start).Nanoseconds()
-				}
-				parseIters += itersPerRun
-			}
-			b.StopTimer()
-
-			renderFullMS := float64(renderFullNS) / 1e6 / float64(renderIters)
-			renderIncMS := float64(renderIncNS) / 1e6 / float64(renderIters)
-			parseFullMS := float64(parseFullNS) / 1e6 / float64(parseIters)
-			parseIncMS := float64(parseIncNS) / 1e6 / float64(parseIters)
-			renderParseSpeedup := 0.0
-			if renderIncMS+parseIncMS > 0 {
-				renderParseSpeedup = (renderFullMS + parseFullMS) / (renderIncMS + parseIncMS)
-			}
-			if c.scenario == "random" && renderParseSpeedup < 3 {
-				b.Fatalf("shape violated: render+parse speedup %.1fx < 3x "+
-					"(full %.3f+%.3f ms, incremental %.3f+%.3f ms)",
-					renderParseSpeedup, renderFullMS, parseFullMS, renderIncMS, parseIncMS)
-			}
-			b.ReportMetric(renderParseSpeedup, "render+parse-speedup")
-			benchJSON(b, map[string]float64{
-				"routers":               float64(len(res.Configs)),
-				"render-full-ms":        renderFullMS,
-				"render-incremental-ms": renderIncMS,
-				"parse-full-ms":         parseFullMS,
-				"parse-incremental-ms":  parseIncMS,
-				"render-parse-speedup":  renderParseSpeedup,
-			})
-		})
-	}
 }
 
 // BenchmarkIncrementalPolicyAddition (E11, extension) runs the paper's §6

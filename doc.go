@@ -279,41 +279,23 @@
 // wall: prompts were re-deriving the O(V+E) topology description per
 // router, O(V·(V+E)) per run).
 //
-// # Incremental configuration pipeline
+// # Configuration pipeline
 //
-// The same once-per-iteration waste existed below the verifiers: a
-// repair iteration edits one stanza of one router's configuration, yet
-// the engine re-rendered every section of the prompt product, re-parsed
-// the whole revision, and re-shipped the full config text to every
-// shard. The configuration pipeline is now stanza-incremental end to
-// end, behind the same contract as every other accelerator — byte-
-// identical outputs, with a FullRender/WholeParseCache off-switch the
-// equivalence gates compare against.
-//
-// Segmentation (netcfg.Stanza, cisco.SplitStanzas, juniper.SplitStanzas)
-// is lossless by construction: JoinStanzas reproduces the text exactly,
-// property-tested across every registry scenario and every injected
-// LLM-error class. Each stanza carries a kind, a name, and a SHA-256
-// digest — the address the rest of the pipeline keys on.
-//
-// Rendering (internal/llm) memoizes per-section render products by a
-// section signature, so a fix that touches one router's BGP stanza
-// re-renders that stanza and reuses the rest. Parsing
-// (batfish.NewParseCache) answers a whole-config miss by splitting the
-// revision, looking up each stanza's fragment parse in a digest-keyed
-// sub-cache (with a durable disk tier via SetFragmentStore), and
-// reassembling; a split memo of recent revisions lets the splitter
-// resume from the longest common prefix of a prior split, so a one-line
-// edit re-splits and re-hashes only the changed tail. Any assembly the
-// dialect cannot prove safe — Junos entirely, or a merge the assembler
-// rejects — falls back to the whole parse, identical by construction.
-//
-// On the wire, configurations travel in full. Stanza deltas against a
-// revision the server held saved 1.5% of the bytes of a 75-router
-// sharded run and no measurable time, so they were removed; a shard's
-// shared parse cache still parses only the stanzas a revision changed.
-// Benchmark E21 (BenchmarkIncrementalConfig) measures the per-iteration
-// render+parse cost, incremental against full.
+// Each configuration revision is printed once and parsed once. The
+// simulated LLM prints the whole config from its transformed IR
+// (cisco.Print), and batfish.NewParseCache memoizes one whole-revision
+// parse per SHA-256 of the text, shared by the syntax, topology,
+// local-policy and simulation stages. A stanza-incremental layer (a
+// per-section render memo, a fragment parse sub-cache with a split-resume
+// memo, and a durable fragment tier) used to sit on both steps behind
+// off-switches. It was removed because it paid for nothing end to end:
+// with it off, the cobench synth and wire workloads moved by less than
+// their run-to-run spread (synth-random-75 median run 5.34 s against
+// 5.37 s), and warm restarts got faster (1.017 s to 0.931 s), because
+// decoding fragments from disk cost six times more than parsing the
+// text again. Parsing is under 0.5% of wall time on every synth and
+// wire workload either way. Transcripts are pinned to digests taken
+// before the removal (testdata/transcripts.json).
 //
 // # Fuzzing the LLM error space
 //
@@ -418,8 +400,8 @@
 // (CacheStats, ShardStat, durable.Stats) become views over the same
 // numbers a scrape sees. Naming scheme: `<system>_<subsystem>_<what>_
 // <unit>` with the `_total` suffix on counters — cosynth_verify_cache_
-// hits_total, cosynth_parse_fragment_disk_hits_total, cosynth_rest_
-// calls_total{endpoint="..."}, cosynth_durable_writes_total,
+// hits_total, cosynth_parse_cache_misses_total, cosynth_rest_calls_
+// total{endpoint="..."}, cosynth_durable_writes_total,
 // batfishd_batch_checks_total — and `_seconds` histograms for
 // latencies (cosynth_verify_dispatch_seconds, cosynth_rest_batch_
 // seconds, batfishd_batch_seconds).

@@ -20,7 +20,9 @@
 // and the server answers a POST whose header is missing or different with
 // HTTP 400 naming both versions. Client.Health fails on a mismatch too, so
 // a client and server built from different generations fail at startup
-// with a clear error instead of half-understanding each other.
+// with a clear error instead of half-understanding each other. A POST
+// body over the server's size bound gets HTTP 413 naming the bound; the
+// clients surface it as a served error, without retry or failover.
 package rest
 
 import (

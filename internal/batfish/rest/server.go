@@ -2,6 +2,7 @@ package rest
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"runtime"
@@ -39,9 +40,7 @@ type HandlerOptions struct {
 	// content-addressed store the engine's CachedVerifier mounts, so a
 	// restarted shard (or a whole fleet sharing a directory) comes back
 	// warm instead of re-verifying every revision it had already seen.
-	// Per-check errors are never cached. When Parses is also set, the
-	// store doubles as the stanza sub-cache's durable fragment tier, so a
-	// restarted shard re-parses only the stanzas it has never seen.
+	// Per-check errors are never cached.
 	Durable *durable.Cache
 	// Metrics, when set, is the registry behind the handler's
 	// observability surface: GET /metrics (Prometheus text exposition) and
@@ -62,11 +61,6 @@ func NewHandler() http.Handler {
 func NewHandlerOpts(opts HandlerOptions) http.Handler {
 	if opts.BatchWorkers <= 0 {
 		opts.BatchWorkers = runtime.GOMAXPROCS(0)
-	}
-	if opts.Durable != nil && opts.Parses != nil {
-		// The disk cache doubles as the stanza sub-cache's durable
-		// fragment tier: restarted shards re-parse only unseen stanzas.
-		opts.Parses.SetFragmentStore(opts.Durable)
 	}
 	if opts.Metrics == nil {
 		opts.Metrics = obs.NewRegistry()
@@ -242,9 +236,19 @@ func handleHealth(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, HealthResponse{Status: "ok", Version: BatchProtocolVersion})
 }
 
+// maxRequestBody bounds the POST body batfishd reads: 3 GiB, over 4x the
+// largest batch body measured. The measurements, on an x86-64 Linux host:
+// 49,003,551 bytes on cobench's wire-random-75 workload, and 732,479,790
+// bytes on `cosynth -mode notransit -topo random:200 -shards 2`, whose
+// batches carry the full topology with every check because that path arms
+// no scenario references.
+const maxRequestBody int64 = 3 << 30
+
 // decode reads a JSON POST body after checking the request speaks this
 // server's protocol version; it writes the error response itself and
-// reports whether decoding succeeded.
+// reports whether decoding succeeded. A body over maxRequestBody is refused
+// with 413 as soon as it is known to be over: up front when its declared
+// length is, otherwise once reading passes the limit.
 func decode(w http.ResponseWriter, r *http.Request, v interface{}) bool {
 	if r.Method != http.MethodPost {
 		writeJSON(w, http.StatusMethodNotAllowed, ErrorResponse{Error: "POST required"})
@@ -259,13 +263,28 @@ func decode(w http.ResponseWriter, r *http.Request, v interface{}) bool {
 			"protocol mismatch: client speaks %s, server speaks v%d", client, BatchProtocolVersion)})
 		return false
 	}
-	dec := json.NewDecoder(r.Body)
+	if r.ContentLength > maxRequestBody {
+		writeTooLarge(w)
+		return false
+	}
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
+		var mbe *http.MaxBytesError
+		if errors.As(err, &mbe) {
+			writeTooLarge(w)
+			return false
+		}
 		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: fmt.Sprintf("bad request: %v", err)})
 		return false
 	}
 	return true
+}
+
+// writeTooLarge answers a request whose body is over maxRequestBody.
+func writeTooLarge(w http.ResponseWriter) {
+	writeJSON(w, http.StatusRequestEntityTooLarge, ErrorResponse{Error: fmt.Sprintf(
+		"request body exceeds the %d-byte limit", maxRequestBody)})
 }
 
 func writeJSON(w http.ResponseWriter, status int, v interface{}) {

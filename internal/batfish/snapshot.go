@@ -61,51 +61,10 @@ func ParseAndCheck(text string) *netcfg.Parsed {
 }
 
 // NewParseCache returns a shared parse cache over both dialects, keyed by
-// configuration text, so each revision is parsed exactly once per cache no
-// matter how many verifier stages inspect it. The cache is stanza-enabled:
-// a whole-config miss on a Cisco configuration is answered by splitting
-// the text into stanzas and reassembling cached per-stanza fragment
-// parses, so an iteration that edits one route map re-parses one stanza
-// instead of the whole device. Junos configurations (whose parse resolves
-// cross-block references in a second pass) and any split the assembler
-// cannot prove safe fall back to the whole parse — results are identical
-// either way, only the cost changes.
+// the SHA-256 of the configuration text, so each revision is parsed exactly
+// once per cache no matter how many verifier stages inspect it.
 func NewParseCache() *netcfg.ParseCache {
-	c := NewWholeParseCache()
-	c.EnableStanzas(netcfg.StanzaSupport{
-		Split: func(text string) ([]netcfg.Stanza, bool) {
-			if DetectVendor(text) == netcfg.VendorJuniper {
-				return nil, false
-			}
-			return cisco.SplitStanzas(text), true
-		},
-		ParseFragment: cisco.ParseFragment,
-		Assemble:      cisco.AssembleFragments,
-		SplitResume: func(text string, atTop bool, startLine int) ([]netcfg.Stanza, []bool, bool) {
-			if DetectVendor(text) == netcfg.VendorJuniper {
-				return nil, nil, false
-			}
-			return cisco.SplitStanzasResume(text, atTop, startLine)
-		},
-	})
-	return c
-}
-
-// NewWholeParseCache returns a parse cache without the stanza sub-cache:
-// every distinct revision is parsed in full. This is the baseline the
-// incremental-parse equivalence tests compare against.
-func NewWholeParseCache() *netcfg.ParseCache {
 	return netcfg.NewParseCache(ParseAndCheck)
-}
-
-// SplitStanzas segments a configuration into addressable stanzas in either
-// dialect — the unit of the stanza-incremental parse cache. Lossless:
-// netcfg.JoinStanzas over the result reproduces the text exactly.
-func SplitStanzas(text string) []netcfg.Stanza {
-	if DetectVendor(text) == netcfg.VendorJuniper {
-		return juniper.SplitStanzas(text)
-	}
-	return cisco.SplitStanzas(text)
 }
 
 // Snapshot is a set of parsed device configurations, keyed by hostname —

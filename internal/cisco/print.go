@@ -44,78 +44,6 @@ func Print(d *netcfg.Device) string {
 	return b.String()
 }
 
-// The exported stanza printers below render exactly one section in the
-// same form Print emits it — the building blocks of the incremental
-// renderer, which re-prints only the sections whose inputs changed and
-// concatenates cached text for the rest. Keeping them as thin wrappers
-// over the private printers Print calls guarantees byte-identity between
-// the incremental and whole-config paths.
-
-// PrintHostname renders the hostname stanza ("" when the device has none).
-func PrintHostname(hostname string) string {
-	if hostname == "" {
-		return ""
-	}
-	return fmt.Sprintf("hostname %s\n!\n", hostname)
-}
-
-// PrintInterfaceStanza renders one interface block.
-func PrintInterfaceStanza(ifc *netcfg.Interface) string {
-	var b strings.Builder
-	printInterface(&b, ifc)
-	return b.String()
-}
-
-// PrintOSPFStanza renders the OSPF block.
-func PrintOSPFStanza(o *netcfg.OSPF) string {
-	var b strings.Builder
-	printOSPF(&b, o)
-	return b.String()
-}
-
-// PrintBGPStanza renders the BGP block.
-func PrintBGPStanza(bgp *netcfg.BGP) string {
-	var b strings.Builder
-	printBGP(&b, bgp)
-	return b.String()
-}
-
-// PrintPrefixListStanza renders one prefix list.
-func PrintPrefixListStanza(pl *netcfg.PrefixList) string {
-	var b strings.Builder
-	printPrefixList(&b, pl)
-	return b.String()
-}
-
-// PrintCommunityListStanza renders one community list.
-func PrintCommunityListStanza(cl *netcfg.CommunityList) string {
-	var b strings.Builder
-	printCommunityList(&b, cl)
-	return b.String()
-}
-
-// PrintStaticRoutes renders the static-route stanza (all routes plus the
-// closing "!"), or "" when there are none.
-func PrintStaticRoutes(routes []netcfg.StaticRoute) string {
-	if len(routes) == 0 {
-		return ""
-	}
-	var b strings.Builder
-	for _, sr := range routes {
-		fmt.Fprintf(&b, "ip route %s %s %s\n", netcfg.FormatIP(sr.Prefix.Addr),
-			sr.Prefix.MaskString(), netcfg.FormatIP(sr.NextHop))
-	}
-	b.WriteString("!\n")
-	return b.String()
-}
-
-// PrintRouteMapStanza renders one route map (all clauses).
-func PrintRouteMapStanza(rp *netcfg.RoutePolicy) string {
-	var b strings.Builder
-	printRouteMap(&b, rp)
-	return b.String()
-}
-
 func printInterface(b *strings.Builder, ifc *netcfg.Interface) {
 	fmt.Fprintf(b, "interface %s\n", ifc.Name)
 	if ifc.Description != "" {
@@ -198,7 +126,16 @@ func printPrefixList(b *strings.Builder, pl *netcfg.PrefixList) {
 	b.WriteString("!\n")
 }
 
+// printCommunityList and printRouteMap emit nothing for an empty object:
+// IOS has no syntax for one, and a bare "!" would not parse back to it. The
+// parser does produce them (a community-list line whose value is invalid
+// still names its list; a route-map line whose sequence number is invalid
+// still names its map), so printing them would break the Print∘Parse
+// fixpoint.
 func printCommunityList(b *strings.Builder, cl *netcfg.CommunityList) {
+	if len(cl.Entries) == 0 {
+		return
+	}
 	for _, e := range cl.Entries {
 		if _, err := strconv.Atoi(cl.Name); err == nil {
 			fmt.Fprintf(b, "ip community-list %s %s %s\n", cl.Name, e.Action, e.Community)
@@ -210,6 +147,9 @@ func printCommunityList(b *strings.Builder, cl *netcfg.CommunityList) {
 }
 
 func printRouteMap(b *strings.Builder, rp *netcfg.RoutePolicy) {
+	if len(rp.Clauses) == 0 {
+		return
+	}
 	for _, cl := range rp.Clauses {
 		fmt.Fprintf(b, "route-map %s %s %d\n", rp.Name, cl.Action, cl.Seq)
 		for _, m := range cl.Matches {

@@ -64,9 +64,11 @@ type CacheStats struct {
 	// roll-up the per-shard ShardStat lines previously kept to
 	// themselves. Populated by MergedStats.
 	RestRetries uint64
-	// FragmentHits/FragmentMisses/FragmentDiskHits are the stanza
-	// fragment sub-cache's tallies (zero when the parse cache has no
-	// stanza support mounted). Populated by MergedStats.
+	// FragmentHits, FragmentMisses and FragmentDiskHits are never set.
+	//
+	// Deprecated: the stanza sub-cache they counted is gone; they exist
+	// only so bench/cobench keeps compiling, and go at the next benchmark
+	// change.
 	FragmentHits     uint64
 	FragmentMisses   uint64
 	FragmentDiskHits uint64
@@ -78,10 +80,6 @@ func (s CacheStats) String() string {
 		s.Hits, s.Misses, s.Prefetches, s.BatchedChecks)
 	if s.DiskHits > 0 || s.DiskWrites > 0 {
 		base += fmt.Sprintf(", disk tier: %d hits / %d writes", s.DiskHits, s.DiskWrites)
-	}
-	if s.FragmentHits > 0 || s.FragmentMisses > 0 {
-		base += fmt.Sprintf(", fragments: %d hits / %d misses (%d disk)",
-			s.FragmentHits, s.FragmentMisses, s.FragmentDiskHits)
 	}
 	if s.RestRetries > 0 {
 		base += fmt.Sprintf(", transport: %d retries", s.RestRetries)
@@ -220,23 +218,15 @@ func (c *CachedVerifier) Batched() bool { return c.backend.Capabilities().Batche
 // byte-identical whether a result came from memory, disk, or the backend.
 func (c *CachedVerifier) SetDurable(d *durable.Cache) {
 	c.disk = d
-	// The same directory also backs the stanza sub-cache: fragment parses
-	// are content-addressed under a distinct key prefix, so one durable
-	// store serves check results and stanza parses side by side.
-	if d != nil {
-		if lv, ok := c.v.(LocalVerifier); ok && lv.Parses != nil {
-			lv.Parses.SetFragmentStore(d)
-		}
-	}
 }
 
 // SetObs binds the verifier's instruments to a metrics registry and/or a
 // trace sink; either may be nil. The existing counters are adopted into
 // the registry (counts preserved), and the binding propagates to every
-// layer the verifier owns: the parse cache (with its fragment sub-cache),
-// the durable disk tier, and a REST backend that itself carries a SetObs
-// method. runLabel names this run's trace events. Call it before the run
-// starts dispatching; telemetry never changes a result.
+// layer the verifier owns: the parse cache, the durable disk tier, and a
+// REST backend that itself carries a SetObs method. runLabel names this
+// run's trace events. Call it before the run starts dispatching; telemetry
+// never changes a result.
 func (c *CachedVerifier) SetObs(reg *obs.Registry, tr *obs.Tracer, runLabel string) {
 	c.tracer = tr
 	c.runLabel = runLabel
@@ -274,18 +264,14 @@ func (c *CachedVerifier) Stats() CacheStats {
 	}
 }
 
-// MergedStats returns Stats plus the counters no earlier surface rolled
-// up into the top-level result: REST transport retries (summed across
-// shards) and the stanza fragment sub-cache's memory/disk tallies.
+// MergedStats returns Stats plus the counter no earlier surface rolled up
+// into the top-level result: REST transport retries, summed across shards.
 func (c *CachedVerifier) MergedStats() CacheStats {
 	s := c.Stats()
 	if r, ok := c.backend.(interface{ Retries() int64 }); ok {
 		if n := r.Retries(); n > 0 {
 			s.RestRetries = uint64(n)
 		}
-	}
-	if lv, ok := c.v.(LocalVerifier); ok && lv.Parses != nil {
-		s.FragmentHits, s.FragmentMisses, s.FragmentDiskHits = lv.Parses.FragmentStats()
 	}
 	return s
 }

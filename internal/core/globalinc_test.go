@@ -4,7 +4,6 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/batfish"
 	"repro/internal/llm"
 	"repro/internal/netgen"
 )
@@ -59,41 +58,6 @@ func TestAddPolicyIncrementalUnchangedByIncrementalGlobal(t *testing.T) {
 		return res
 	}
 	requireSameOutcome(t, run(nil), run(plainVerifier{LocalVerifier{}}))
-}
-
-// TestAddPolicyIncrementalUnchangedByIncrementalPipeline pins the stanza-
-// level config pipeline against its off switch on the §6 experiment: a run
-// whose model reuses unchanged rendered sections and whose verifier
-// reassembles parses from cached stanza fragments must produce transcripts
-// and configurations byte-identical to a run re-printing and re-parsing
-// whole configurations from scratch. The policy-addition loop is the
-// pipeline's sharpest test: every repair touches one stanza of an
-// otherwise-stable config.
-func TestAddPolicyIncrementalUnchangedByIncrementalPipeline(t *testing.T) {
-	topo, err := netgen.Star(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := func(full bool) *Result {
-		cfg := llm.DefaultSynthConfig()
-		cfg.FullRender = full
-		model := llm.NewSynthesizer(cfg)
-		var v Verifier
-		if full {
-			v = LocalVerifier{Parses: batfish.NewWholeParseCache()}
-		}
-		base, err := Synthesize(topo, SynthOptions{Model: model, Verifier: v})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := AddPolicyIncremental(topo, base.Configs, IncrementalOptions{
-			Model: model, Verifier: v})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	requireSameOutcome(t, run(false), run(true))
 }
 
 // TestSynthesizeGlobalUnchangedByIncrementalGlobal does the same for the

@@ -222,8 +222,8 @@ func Synthesize(topo *topology.Topology, opts SynthOptions) (*Result, error) {
 	sess.tracer, sess.runLabel = opts.Trace, opts.RunLabel
 	if opts.Trace != nil {
 		// A model that can report where its render time went (the simulated
-		// synthesizer's stanza-incremental vs full re-prints) adopts the
-		// run's sink; outputs are byte-identical either way.
+		// synthesizer's config prints) adopts the run's sink; outputs are
+		// byte-identical either way.
 		if m, ok := opts.Model.(interface {
 			SetObs(*obs.Registry, *obs.Tracer)
 		}); ok {

@@ -17,6 +17,10 @@
 // index file: a cache directory written by a newer, incompatible layout is
 // refused at Open (the caller degrades to memory-only), never reused or
 // silently clobbered.
+//
+// Directories written before the stanza parse cache was removed still
+// hold its "cfg-stanza" fragment entries. Nothing reads them any more, so
+// they are never freshened and age out first under the size bound.
 package durable
 
 import (

@@ -275,7 +275,16 @@ func (in *interp) walkOSPF(ospf *Node) {
 				in.warn(ifn, "unsupported ospf area statement")
 				continue
 			}
-			ifc := in.dev.EnsureInterface(ifn.Key(1))
+			// A name without a unit means unit 0, as under interfaces.
+			name := ifn.Key(1)
+			if !strings.Contains(name, ".") {
+				name += ".0"
+			}
+			if phys, unit := SplitIfcName(name); phys == "" || unit == "" {
+				in.warn(ifn, "ospf interface requires a name and unit")
+				continue
+			}
+			ifc := in.dev.EnsureInterface(name)
 			ifc.OSPFArea = area
 			for _, attr := range ifn.Children {
 				switch attr.Key(0) {
@@ -288,7 +297,7 @@ func (in *interp) walkOSPF(ospf *Node) {
 					ifc.OSPFCost = cost
 				case "passive":
 					ifc.OSPFPassive = true
-					o.PassiveInterfaces = append(o.PassiveInterfaces, ifn.Key(1))
+					o.PassiveInterfaces = append(o.PassiveInterfaces, name)
 				default:
 					in.warn(attr, "unsupported ospf interface statement")
 				}
@@ -375,17 +384,19 @@ func (in *interp) walkCommunity(n *Node) {
 		in.warn(n, "community expects 'community <name> members <value>...'")
 		return
 	}
+	// The community is defined by its first valid member: one without any
+	// has no printable form ("members ;" does not parse).
 	name := n.Key(1)
-	cl := in.dev.CommunityLists[name]
-	if cl == nil {
-		cl = &netcfg.CommunityList{Name: name}
-		in.dev.CommunityLists[name] = cl
-	}
 	for _, tok := range n.Keys[3:] {
 		c, err := netcfg.ParseCommunity(tok)
 		if err != nil {
 			in.warn(n, "invalid community member")
 			continue
+		}
+		cl := in.dev.CommunityLists[name]
+		if cl == nil {
+			cl = &netcfg.CommunityList{Name: name}
+			in.dev.CommunityLists[name] = cl
 		}
 		cl.Entries = append(cl.Entries, netcfg.CommunityListEntry{Action: netcfg.Permit, Community: c})
 	}

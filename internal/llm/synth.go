@@ -102,11 +102,6 @@ type SynthConfig struct {
 	// the IIP-suppressed classes are only injected if the corresponding
 	// IIP entry is absent from the conversation.
 	RespectIIP bool
-	// FullRender disables the stanza-level incremental renderer: every
-	// response re-prints the whole configuration from the transformed
-	// device. The two paths are byte-identical (pinned by tests); the flag
-	// exists as the baseline for the equivalence suite and benchmarks.
-	FullRender bool
 }
 
 // DefaultSynthConfig is the paper's deterministic no-transit scenario.
@@ -162,13 +157,6 @@ type routerState struct {
 	// interfere: an incremental change accidentally dropped an existing
 	// neighbor attachment (the §6 non-interference hazard).
 	interfere bool
-	// sections / sectionRefs back the incremental renderer: rendered text
-	// per section keyed by "section\x00signature", plus the community
-	// lists each rendered route map still references (the input to the
-	// community-list section). Both are derived purely from golden + the
-	// error state; any golden mutation must reset them (see addPolicy).
-	sections    map[string]string
-	sectionRefs map[string][]string
 }
 
 // clearError reacts to a correction for an error class: when the prompt
@@ -231,9 +219,9 @@ type Synthesizer struct {
 	// replayed stochastic state the day a probabilistic knob is added.
 	draws int64
 	// tracer is the optional trace sink (nil = off), adopted through
-	// SetObs — the engine forwards its own sink when the run is traced.
-	// Rendering is deterministic; the tracer only reports where its time
-	// went (stanza-incremental vs full re-prints).
+	// SetObs — the engine forwards its own sink when the run is traced —
+	// and carried into forks. Rendering is deterministic; the tracer only
+	// reports where its time went.
 	tracer *obs.Tracer
 }
 
@@ -259,8 +247,13 @@ func NewSynthesizer(cfg SynthConfig) *Synthesizer {
 // byte-identically on any single router's conversation. The parallel
 // repair loop forks one session per router, which removes the shared-model
 // mutex and makes the per-worker "most recently addressed router" state
-// trivially private.
-func (s *Synthesizer) Fork() Model { return NewSynthesizer(s.cfg) }
+// trivially private. The fork shares the parent's trace sink (obs.Tracer
+// is safe for concurrent use), so parallel runs report their renders too.
+func (s *Synthesizer) Fork() Model {
+	f := NewSynthesizer(s.cfg)
+	f.tracer = s.tracer
+	return f
+}
 
 // RNGCursor reports how many random draws the model has made — the
 // stochastic position a checkpoint records and a resume's replay must land
@@ -562,10 +555,6 @@ func (s *Synthesizer) addPolicy(policy, community, neighborIP string) (string, e
 	st.golden.BGP.EnsureNeighbor(ip).ImportPolicy = policy
 	s.policyOwner[policy] = "R1"
 	st.interfere = true
-	// The golden device changed: every cached section rendered from it is
-	// stale (the new route map, and the BGP block if the neighbor is new).
-	st.sections = nil
-	st.sectionRefs = nil
 	return s.render(st), nil
 }
 
@@ -600,34 +589,13 @@ func (s *Synthesizer) target(content string) *routerState {
 	return nil
 }
 
-// render prints the router's config with its live errors applied. The
-// default path is the stanza-level incremental renderer (render.go),
-// which re-prints only the sections whose error state changed since the
-// previous render of this router; SynthConfig.FullRender selects the
-// whole-config print. The outputs are byte-identical.
+// render prints the router's config with its live errors applied: the
+// whole config, printed from a transformed clone of the golden device.
 func (s *Synthesizer) render(st *routerState) string {
 	var start time.Time
 	if s.tracer != nil {
 		start = time.Now()
 	}
-	var text string
-	outcome := "incremental"
-	if s.cfg.FullRender {
-		text = s.renderFull(st)
-		outcome = "full"
-	} else {
-		text = s.renderIncremental(st)
-	}
-	if s.tracer != nil {
-		s.tracer.Span(start, obs.Event{Stage: obs.StageRender, Router: st.name,
-			Bytes: int64(len(text)), Outcome: outcome})
-	}
-	return text
-}
-
-// renderFull prints the whole config from a transformed clone of the
-// golden device — the baseline the incremental renderer is pinned against.
-func (s *Synthesizer) renderFull(st *routerState) string {
 	dev := st.golden.Clone()
 	if st.active[SErrTopoWrongIP] {
 		if len(dev.Interfaces) > 0 {
@@ -700,6 +668,10 @@ func (s *Synthesizer) renderFull(st *routerState) string {
 	if st.active[SErrCLIKeywords] {
 		text = "configure terminal\n" + text + "exit\nwrite\nend\n"
 	}
+	if s.tracer != nil {
+		s.tracer.Span(start, obs.Event{Stage: obs.StageRender, Router: st.name,
+			Bytes: int64(len(text))})
+	}
 	return text
 }
 
@@ -717,19 +689,6 @@ func buildEgressPolicy(dev *netcfg.Device, name string, comms []netcfg.Community
 			}}
 		}
 	}
-	dev.RoutePolicies[name] = egressPolicyClauses(name, comms, andSemantics)
-}
-
-// egressListName is the community-list index per the paper: list k holds
-// (99+k):1, i.e. R2's tag 100:1 lives in list 1.
-func egressListName(c netcfg.Community) string {
-	return strconv.Itoa(int(uint32(c)>>16) - 99)
-}
-
-// egressPolicyClauses builds just the route-map half of buildEgressPolicy
-// — the piece the incremental renderer can rebuild per policy, since the
-// community lists it references already exist on the golden device.
-func egressPolicyClauses(name string, comms []netcfg.Community, andSemantics bool) *netcfg.RoutePolicy {
 	pol := &netcfg.RoutePolicy{Name: name}
 	if andSemantics {
 		cl := &netcfg.PolicyClause{Seq: 10, Action: netcfg.Deny}
@@ -749,7 +708,13 @@ func egressPolicyClauses(name string, comms []netcfg.Community, andSemantics boo
 		}
 		pol.Clauses = append(pol.Clauses, &netcfg.PolicyClause{Seq: seq, Action: netcfg.Permit})
 	}
-	return pol
+	dev.RoutePolicies[name] = pol
+}
+
+// egressListName is the community-list index per the paper: list k holds
+// (99+k):1, i.e. R2's tag 100:1 lives in list 1.
+func egressListName(c netcfg.Community) string {
+	return strconv.Itoa(int(uint32(c)>>16) - 99)
 }
 
 // stripAdditive removes the 'additive' keyword from every set-community

@@ -42,12 +42,6 @@ type Device struct {
 	RoutePolicies  map[string]*RoutePolicy
 
 	StaticRoutes []StaticRoute
-
-	// Stanzas records the provenance of an incrementally-assembled parse:
-	// one ref per stanza of the source text, in order. Empty for devices
-	// built by a whole parse or by hand; purely informational (semantic
-	// equality between devices ignores it).
-	Stanzas []StanzaRef
 }
 
 // NewDevice returns a Device with all maps initialized.
@@ -167,7 +161,6 @@ func (d *Device) Clone() *Device {
 		c.RoutePolicies[name] = rp.Clone()
 	}
 	c.StaticRoutes = append([]StaticRoute(nil), d.StaticRoutes...)
-	c.Stanzas = append([]StanzaRef(nil), d.Stanzas...)
 	return c
 }
 

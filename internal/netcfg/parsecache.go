@@ -52,18 +52,11 @@ type ParseCache struct {
 	hits   *obs.Counter
 	misses *obs.Counter
 	tracer *obs.Tracer
-
-	// Stanza-level sub-cache (see stanza.go): when a dialect mounts
-	// StanzaSupport, a whole-config miss is answered by splitting the text
-	// into stanzas and reassembling cached fragment parses, so an edit to
-	// one policy re-parses one stanza instead of the whole device.
-	stanzaFields
 }
 
 // NewParseCache returns an empty cache over the given parser.
 func NewParseCache(parse ParseFunc) *ParseCache {
 	c := &ParseCache{parse: parse, hits: &obs.Counter{}, misses: &obs.Counter{}}
-	c.fragHits, c.fragMisses, c.fragDiskHits = &obs.Counter{}, &obs.Counter{}, &obs.Counter{}
 	for i := range c.shards {
 		c.shards[i].entries = map[[sha256.Size]byte]*Parsed{}
 	}
@@ -73,8 +66,7 @@ func NewParseCache(parse ParseFunc) *ParseCache {
 // Parse returns the memoized parse product for the text, parsing on first
 // sight of the revision.
 func (c *ParseCache) Parse(text string) *Parsed {
-	b := []byte(text)
-	key := sha256.Sum256(b)
+	key := sha256.Sum256([]byte(text))
 	s := &c.shards[key[0]%parseShards]
 	s.mu.RLock()
 	p := s.entries[key]
@@ -87,14 +79,9 @@ func (c *ParseCache) Parse(text string) *Parsed {
 	if c.tracer != nil {
 		start = time.Now()
 	}
-	if c.stanza != nil {
-		p = c.stanzaParse(text, b)
-	}
-	if p == nil {
-		p = c.parse(text)
-	}
+	p = c.parse(text)
 	if c.tracer != nil {
-		c.tracer.Span(start, obs.Event{Stage: obs.StageParse, Bytes: int64(len(b))})
+		c.tracer.Span(start, obs.Event{Stage: obs.StageParse, Bytes: int64(len(text))})
 	}
 	s.mu.Lock()
 	if prev, ok := s.entries[key]; ok {
@@ -116,9 +103,15 @@ func (c *ParseCache) Stats() (hits, misses uint64) {
 	return c.hits.Value(), c.misses.Value()
 }
 
-// SetObs adopts the cache's counters — whole-config and fragment — into
-// a metrics registry and binds an optional trace sink; either may be
-// nil. Telemetry never changes a parse product.
+// FragmentStats always reports zeros.
+//
+// Deprecated: the stanza sub-cache it reported on is gone; it exists only
+// so bench/cobench keeps compiling, and goes at the next benchmark change.
+func (c *ParseCache) FragmentStats() (hits, misses, diskHits uint64) { return 0, 0, 0 }
+
+// SetObs adopts the cache's counters into a metrics registry and binds an
+// optional trace sink; either may be nil. Telemetry never changes a parse
+// product.
 func (c *ParseCache) SetObs(reg *obs.Registry, tr *obs.Tracer) {
 	c.tracer = tr
 	if reg == nil {
@@ -126,9 +119,6 @@ func (c *ParseCache) SetObs(reg *obs.Registry, tr *obs.Tracer) {
 	}
 	reg.RegisterCounter("cosynth_parse_cache_hits_total", c.hits)
 	reg.RegisterCounter("cosynth_parse_cache_misses_total", c.misses)
-	reg.RegisterCounter("cosynth_parse_fragment_hits_total", c.fragHits)
-	reg.RegisterCounter("cosynth_parse_fragment_misses_total", c.fragMisses)
-	reg.RegisterCounter("cosynth_parse_fragment_disk_hits_total", c.fragDiskHits)
 }
 
 // Len returns the number of cached revisions.

@@ -19,7 +19,7 @@ const (
 	// StageLLMCall is one model completion (session.send), including
 	// prompt rendering.
 	StageLLMCall = "llm_call"
-	// StageRender is one stanza/config render inside the model layer.
+	// StageRender is one config render inside the model layer.
 	StageRender = "render"
 	// StageParse is one cache-missing configuration parse.
 	StageParse = "parse"
