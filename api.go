@@ -148,16 +148,6 @@ type SynthesizeOptions struct {
 	// plan injects nothing. This is the seam cofuzz counterexamples
 	// replay through (`cosynth -errors plan.json`).
 	ErrorPlan []llm.SiteErrors
-	// CompositionalGlobalCheck replaces the final whole-network BGP
-	// simulation with the verified-local-specs fast path plus seeded
-	// sampled falsification (the scale configuration; see
-	// core.GlobalCheckCompositional). The default keeps the paper's full
-	// simulation. Falls back to the simulation automatically on topologies
-	// whose local spec coverage is incomplete.
-	CompositionalGlobalCheck bool
-	// FalsificationSeed keys the compositional check's falsification
-	// sampling (0 = seed 1). Ignored without CompositionalGlobalCheck.
-	FalsificationSeed int64
 	// CacheDir mounts a durable disk tier under the verification cache:
 	// results persist across process restarts, shared by every run pointed
 	// at the same directory (including concurrent cosynth/cofuzz processes
@@ -194,10 +184,6 @@ func Synthesize(topo *topology.Topology, opts SynthesizeOptions) (*Result, error
 		cfg.Seed = opts.Seed
 	}
 	cfg.Plan = opts.ErrorPlan
-	mode := core.GlobalCheckSimulated
-	if opts.CompositionalGlobalCheck {
-		mode = core.GlobalCheckCompositional
-	}
 	copts := core.SynthOptions{
 		Model:            llm.NewSynthesizer(cfg),
 		Verifier:         opts.Verifier,
@@ -205,8 +191,6 @@ func Synthesize(topo *topology.Topology, opts SynthesizeOptions) (*Result, error
 		Parallelism:      opts.Parallelism,
 		SuiteParallelism: opts.SuiteParallelism,
 		DisableCache:     opts.DisableVerifierCache,
-		GlobalCheck:      mode,
-		GlobalCheckSeed:  opts.FalsificationSeed,
 		Metrics:          opts.Metrics,
 		Trace:            opts.Trace,
 	}

@@ -20,14 +20,11 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/batfish"
 	"repro/internal/batfish/rest"
 	"repro/internal/core"
 	"repro/internal/fuzz"
-	"repro/internal/lightyear"
 	"repro/internal/llm"
 	"repro/internal/modularizer"
-	"repro/internal/netcfg"
 	"repro/internal/netgen"
 	"repro/internal/obs"
 )
@@ -599,38 +596,23 @@ func BenchmarkFuzzCampaignThroughput(b *testing.B) {
 }
 
 // BenchmarkScaleWall (E18, extension) sweeps the scale wall: synthesis
-// wall-clock across (routers × parallelism × global-check mode). The
-// paper-faithful configuration — sequential repair plus the full
-// whole-network BGP simulation — is the baseline; the scale configuration
-// runs the forked per-router workers with the compositional global check.
-// On the dense 16-router full mesh the full simulation IS the wall (the
-// CPU profile puts batfish.(*Sim).step at ~60% of the run), so the
-// mixed cells isolate how much each lever contributes; the random-200
-// rows take the same sweep two hundred routers up, where the sequential
-// simulated baseline is no longer worth benchmarking per iteration.
-// Every compositional cell asserts the fast path actually ran (no silent
-// fallback), and verdict agreement with the simulation is pinned
-// scenario-by-scenario in TestCompositionalAgreesWithSimulation.
+// wall-clock across routers and parallelism, every cell ending in the full
+// whole-network BGP simulation. The paper-faithful configuration —
+// sequential repair — is the baseline on the dense 16-router full mesh,
+// where the simulation is a large share of the run; the parallel cells
+// show what the forked per-router workers buy there and two hundred
+// routers up. The cell labels are kept from when the sweep also had
+// compositional cells, so the BENCH trajectory stays comparable.
 func BenchmarkScaleWall(b *testing.B) {
 	cells := []struct {
-		scenario      string
-		size          int
-		parallelism   int
-		compositional bool
-		label         string
+		scenario    string
+		size        int
+		parallelism int
+		label       string
 	}{
-		// The headline pair: the paper-faithful loop vs the scale
-		// configuration on the dense mesh.
-		{"full-mesh", 16, 1, false, "sequential"},
-		{"full-mesh", 16, 8, true, "parallel-8"},
-		// Mixed cells: one lever at a time.
-		{"full-mesh", 16, 1, true, "sequential-compositional"},
-		{"full-mesh", 16, 8, false, "parallel-8-simulated"},
-		// 100× the paper's scale (the paper's star has 7 routers; these
-		// graphs have hundreds of routers and attachments).
-		{"fat-tree", 8, 8, true, "parallel-8"},
-		{"random", 200, 8, false, "parallel-8-simulated"},
-		{"random", 200, 8, true, "parallel-8"},
+		{"full-mesh", 16, 1, "sequential"},
+		{"full-mesh", 16, 8, "parallel-8-simulated"},
+		{"random", 200, 8, "parallel-8-simulated"},
 	}
 	for _, c := range cells {
 		c := c
@@ -641,24 +623,13 @@ func BenchmarkScaleWall(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				res, err = Synthesize(topo, SynthesizeOptions{
-					Parallelism:              c.parallelism,
-					CompositionalGlobalCheck: c.compositional,
-					FalsificationSeed:        1,
-				})
+				res, err = Synthesize(topo, SynthesizeOptions{Parallelism: c.parallelism})
 				if err != nil {
 					b.Fatal(err)
 				}
 			}
-			if !res.Verified {
-				b.Fatalf("%s-%d did not verify", c.scenario, c.size)
-			}
-			wantMethod := "simulated"
-			if c.compositional {
-				wantMethod = "compositional"
-			}
-			if res.Global == nil || res.Global.Method != wantMethod {
-				b.Fatalf("global method = %+v, want %s", res.Global, wantMethod)
+			if !res.Verified || res.Global == nil {
+				b.Fatalf("%s-%d did not verify through the global check", c.scenario, c.size)
 			}
 			wallMS := float64(b.Elapsed().Milliseconds()) / float64(b.N)
 			b.ReportMetric(wallMS, "wall-ms-per-run")
@@ -666,7 +637,6 @@ func BenchmarkScaleWall(b *testing.B) {
 			benchJSON(b, map[string]float64{
 				"routers":           float64(len(res.Configs)),
 				"parallelism":       float64(c.parallelism),
-				"compositional":     boolMetric(c.compositional),
 				"wall-ms-per-run":   wallMS,
 				"automated-prompts": float64(a),
 				"human-prompts":     float64(h),
@@ -725,118 +695,7 @@ func BenchmarkWarmRestart(b *testing.B) {
 	})
 }
 
-// BenchmarkIncrementalGlobal (E20, extension) measures what the
-// persistent simulator session buys a repair loop's per-iteration global
-// check: one attachment router's egress filters are spliced to permit-all
-// and reverted — the shape of a repair iteration — and each network state
-// is verified both cold (CheckGlobalNoTransit, a fresh whole-network
-// simulation) and incrementally (GlobalSession.Check with the changed
-// router named, re-simulating only the flooding frontier). Verdicts are
-// pinned equal every iteration; the headline metric is the speedup.
-func BenchmarkIncrementalGlobal(b *testing.B) {
-	for _, c := range []struct {
-		scenario string
-		size     int
-	}{{"fat-tree", 0}, {"random", 200}} {
-		c := c
-		name := c.scenario
-		if c.size > 0 {
-			name = fmt.Sprintf("%s-%d", c.scenario, c.size)
-		}
-		b.Run(name, func(b *testing.B) {
-			topo, err := netgen.Generate(c.scenario, c.size)
-			if err != nil {
-				b.Fatal(err)
-			}
-			res, err := core.Synthesize(topo, core.SynthOptions{
-				Model: llm.NewSynthesizer(llm.SynthConfig{Seed: 1,
-					Errors: map[string][]llm.SynthError{}}),
-				SkipGlobalCheck: true,
-				Parallelism:     8,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			parse := func() map[string]*netcfg.Device {
-				devs := make(map[string]*netcfg.Device, len(res.Configs))
-				for rn, text := range res.Configs {
-					dev, _ := batfish.ParseConfig(text)
-					devs[rn] = dev
-				}
-				return devs
-			}
-			golden := parse()
-			atts := lightyear.ISPAttachments(topo)
-			if len(atts) == 0 {
-				b.Fatalf("%s has no ISP attachments to mutate", name)
-			}
-			target := atts[0].Router
-			mutant := parse()
-			for _, a := range atts {
-				if a.Router != target {
-					continue
-				}
-				mutant[target].RoutePolicies[a.EgressPolicy()] = &netcfg.RoutePolicy{
-					Name:    a.EgressPolicy(),
-					Clauses: []*netcfg.PolicyClause{{Seq: 10, Action: netcfg.Permit}},
-				}
-			}
-
-			sess := lightyear.NewGlobalSession(topo)
-			if _, err := sess.Check(golden, nil); err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			var coldNS, incNS int64
-			for i := 0; i < b.N; i++ {
-				start := time.Now()
-				coldMut, err := lightyear.CheckGlobalNoTransit(topo, mutant)
-				if err != nil {
-					b.Fatal(err)
-				}
-				coldRev, err := lightyear.CheckGlobalNoTransit(topo, golden)
-				if err != nil {
-					b.Fatal(err)
-				}
-				coldNS += time.Since(start).Nanoseconds()
-
-				start = time.Now()
-				incMut, err := sess.Check(mutant, []string{target})
-				if err != nil {
-					b.Fatal(err)
-				}
-				incRev, err := sess.Check(golden, []string{target})
-				if err != nil {
-					b.Fatal(err)
-				}
-				incNS += time.Since(start).Nanoseconds()
-
-				if !reflect.DeepEqual(coldMut, incMut) || !reflect.DeepEqual(coldRev, incRev) {
-					b.Fatal("incremental verdicts diverge from cold")
-				}
-			}
-			b.StopTimer()
-			checks := float64(2 * b.N)
-			coldMS := float64(coldNS) / 1e6 / checks
-			incMS := float64(incNS) / 1e6 / checks
-			speedup := 0.0
-			if incNS > 0 {
-				speedup = float64(coldNS) / float64(incNS)
-			}
-			b.ReportMetric(coldMS, "cold-ms-per-check")
-			b.ReportMetric(incMS, "incremental-ms-per-check")
-			b.ReportMetric(speedup, "speedup")
-			benchJSON(b, map[string]float64{
-				"routers":                  float64(len(res.Configs)),
-				"cold-ms-per-check":        coldMS,
-				"incremental-ms-per-check": incMS,
-				"speedup":                  speedup,
-			})
-		})
-	}
-}
-
-// BenchmarkPromptRender (E20's prompt-render series) measures the
+// BenchmarkPromptRender (E20, extension) measures the
 // modularizer's per-router prompt derivation on the 200-router random
 // graph: the spec is bucketed by router and every community tag is
 // formatted once, so rendering is linear in V+E instead of the seed's

@@ -9,8 +9,8 @@
 // these endpoints:
 //
 //	POST /v1/batch      syntax, topology, local-policy, and diff checks
-//	POST /v1/notransit  the global no-transit BGP simulation, with
-//	                    server-side simulator sessions
+//	POST /v1/notransit  the global no-transit check: one cold BGP
+//	                    simulation, stateless
 //	POST /v1/search     SearchRoutePolicies
 //	GET  /v1/health     liveness and the protocol version
 //	GET  /metrics       Prometheus text exposition of the request, batch,
@@ -18,8 +18,9 @@
 //	GET  /debug/vars    the same registry as a JSON snapshot
 //
 // A client on another version is refused with HTTP 400 naming both
-// versions. Batched checks parse through one parse cache shared across
-// requests, and -cache-dir mounts a durable result cache beneath them.
+// versions. Batched checks and no-transit checks parse through one parse
+// cache shared across requests, and -cache-dir mounts a durable result
+// cache beneath the batched checks.
 package main
 
 import (

@@ -146,10 +146,6 @@ func main() {
 	parallel := flag.Int("parallel", 0, "per-router repair workers for -mode notransit (<=1: sequential)")
 	suiteParallel := flag.Int("suite-parallel", 0, "per-iteration verifier-suite workers (<=1: sequential scan)")
 	noCache := flag.Bool("no-cache", false, "disable the incremental verification cache")
-	globalMode := flag.String("global", "simulated",
-		"global no-transit check for -mode notransit: simulated (full BGP simulation, the paper's default) | "+
-			"compositional (verified-local-specs fast path with seeded sampled falsification; "+
-			"falls back to the simulation when local spec coverage is incomplete)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	blockProfile := flag.String("blockprofile", "", "write a goroutine blocking profile to this file on exit")
@@ -193,14 +189,6 @@ func main() {
 		}
 	})
 
-	compositional := false
-	switch *globalMode {
-	case "simulated":
-	case "compositional":
-		compositional = true
-	default:
-		log.Fatalf("cosynth: -global must be simulated or compositional, got %q", *globalMode)
-	}
 	if *traceSummary != "" {
 		f, serr := os.Open(*traceSummary)
 		if serr != nil {
@@ -342,8 +330,7 @@ func main() {
 		res, err = repro.Synthesize(topo, repro.SynthesizeOptions{
 			Seed: *seed, Verifier: verifier, Parallelism: *parallel,
 			SuiteParallelism: *suiteParallel, DisableVerifierCache: *noCache,
-			ErrorPlan: plan, CompositionalGlobalCheck: compositional,
-			FalsificationSeed: *seed, CacheDir: *cacheDir,
+			ErrorPlan: plan, CacheDir: *cacheDir,
 			CheckpointPath: *checkpointPath, Resume: *resume,
 			Metrics: reg, Trace: tracer})
 	default:
@@ -368,13 +355,6 @@ func main() {
 		}
 	}
 	fmt.Println(repro.Summary(*mode, res))
-	if res.Global != nil && res.Global.Method != "" {
-		fmt.Printf("global check: %s", res.Global.Method)
-		if n := len(res.Global.FalsificationProbes); n > 0 {
-			fmt.Printf(" (%d falsification probes)", n)
-		}
-		fmt.Println()
-	}
 	if res.CacheStats != nil {
 		fmt.Println(res.CacheStats)
 	}

@@ -200,29 +200,8 @@
 // # Scaling past the paper
 //
 // The paper stops at a five-router star; the scale wall this library
-// pushes on is two orders of magnitude further out, and three changes
-// carry it there (benchmark E18, BenchmarkScaleWall, measures the
-// composite):
-//
-// Compositional global check. The full BGP simulation re-derives what
-// the verified local specs already guarantee: CoverageComplete is the
-// proof obligation that local obligations compose into the global
-// no-transit property. lightyear.CheckCompositionalNoTransit exploits
-// it — when coverage is complete and every local obligation verifies,
-// it checks the structural preconditions (BGP sessions on every
-// topology edge, networks announced, ingress liveness) instead of
-// simulating route propagation, and spends the saved time on seeded
-// sampled falsification: a handful of (router, egress-policy) sites get
-// a permit-all clause spliced into a shallow copy, and the local
-// checker must catch each one — a vacuous check cannot pass. The
-// simulation stays the default (cosynth -global simulated); -global
-// compositional selects the fast path, which falls back to the full
-// simulation whenever coverage is incomplete, and both record which
-// checker ran (GlobalResult.Method) plus the falsification probes.
-// TestCompositionalAgreesWithSimulation pins verdict agreement across
-// every registry scenario; transcripts are byte-identical by
-// construction, since the global check runs after the repair loop
-// finishes.
+// pushes on is two orders of magnitude further out (benchmark E18,
+// BenchmarkScaleWall, measures the composite):
 //
 // Wide addressing. Generated graphs address links as 10.<lo>.<hi>.0/24
 // and attachments as 20.<ord>.0.0 — schemes that exhaust an octet at
@@ -238,46 +217,29 @@
 // (internal/prof); profiling the fuzz campaign showed every worker
 // regenerating its case's topology and re-simulating the global check
 // mid-pipeline, so campaigns memoize generated topologies across cases
-// and run the compositional check in-pipeline — the oracle still
-// re-proves local-implies-global with the full simulation independently
-// per case.
+// and skip the pipeline's own global check: the oracle's independent
+// simulation is each case's global check. The modularizer renders the
+// O(V+E) topology description once per run instead of once per router
+// (benchmark E20, BenchmarkPromptRender).
 //
-// # Incremental verification
-//
-// The simulated global check was the demonstrated scale wall for runs
-// that keep -global simulated: every repair iteration re-simulates the
-// whole network from scratch even though a prompt changes exactly one
-// router. batfish.Sim is now a persistent session — Update(router, dev)
-// swaps one device in, RunIncremental() replays the flood from the
-// changed router's frontier outward, using the converged run's per-round
-// RIB history to prove which routers the change cannot reach. Any
-// condition the replay cannot prove equivalent — no history, prior
-// non-convergence, an interface address change, an unknown router —
-// falls back to a cold run inside the same session, so the answer is
-// the cold answer by construction, merely cheaper when cheapness is
-// provable (the equivalence suite pins byte-identical results across
-// every registry scenario, every injected LLM-error class, and
-// mutate/revert sequences).
-//
-// lightyear.GlobalSession carries the session across the no-transit
-// check: Check(devs, changed) with a nil change set rebuilds cold, an
-// explicit change list replays incrementally, and a change list naming
-// a missing device reports exactly the cold check's error. The repair
-// loops thread hints through suite.GlobalHint — the engine's
-// globalTracker diffs configuration text between iterations itself
-// (never trusting a caller's claim) and hands the changed-router set
-// plus the prior digest to any verifier advertising the
-// suite.IncrementalGlobal capability. core.CachedVerifier keeps an
-// in-process GlobalSession when the underlying verifier is local;
-// rest.Client ships the prior digest and batfishd keeps the sessions,
-// keyed by configuration digest, with server-side diffing and FIFO
-// eviction; a stale or empty digest runs cold and starts a session.
-// Transcripts are byte-identical with the session
-// on or off; benchmark E20 (BenchmarkIncrementalGlobal) measures the
-// per-iteration win, and the prompt-render series measures the
-// modularizer's one-pass preamble rendering (satellite of the same
-// wall: prompts were re-deriving the O(V+E) topology description per
-// router, O(V·(V+E)) per run).
+// One global check. The whole-network check runs once per run, after the
+// transcript is final: lightyear.CheckGlobalNoTransit builds a fresh
+// batfish.Sim and simulates to a fixpoint ("as a final step", §4.1),
+// reached through Verifier.GlobalNoTransit in process and through a
+// stateless POST /v1/notransit over the wire. Two faster variants used
+// to sit beside it and were removed, because neither paid end to end. A
+// compositional check (verified local specs plus sampled falsification)
+// ran in no benchmark workload and was the slower one where measured:
+// 368 s against 185 s for the simulated random:200 cell in BENCH_PR10. A
+// persistent simulator session, in process and inside batfishd,
+// re-simulated only the changed routers, but nothing re-checks per
+// iteration at scale: every cobench workload runs one cold check per
+// run, and on random:75 final configurations the session's first check
+// cost what a cold one does (861 ms and 159 MB against 878 ms and
+// 152 MB, on a 2-CPU machine). Only the global-prompting ablation and
+// the §6 add-policy run re-check, on 7- and 5-router stars where a cold
+// check takes 0.66 ms and 0.38 ms, so the session saved at most about
+// 4 ms per run.
 //
 // # Configuration pipeline
 //
@@ -414,7 +376,7 @@
 //
 // Traces: -trace streams one JSONL obs.Event per pipeline action —
 // llm_call, render, parse, local_check (outcome hit/check/prefetch),
-// global_check (simulated/incremental/cold/compositional), cache_hit
+// global_check (one cold simulation), cache_hit
 // and cache_miss (tier memory/disk), batch_rpc (per shard, with check
 // count and bytes), retry, failover, checkpoint_save,
 // checkpoint_restore, fuzz_case, and one closing run span — keyed by

@@ -344,24 +344,10 @@ func (c *Client) Health() error {
 	return nil
 }
 
-// GlobalNoTransit implements core.Verifier: a session check with no prior
-// digest, which the server runs cold.
+// GlobalNoTransit implements core.Verifier: the server runs one cold
+// whole-network simulation.
 func (c *Client) GlobalNoTransit(t *topology.Topology, configs map[string]string) (*lightyear.GlobalResult, error) {
-	return c.GlobalNoTransitIncremental(t, configs, nil)
-}
-
-// GlobalNoTransitIncremental implements the engine's incremental-global
-// capability (suite.IncrementalGlobal): the check carries the run's
-// prior-configuration digest so the server continues its simulator session
-// and re-simulates only the changed routers' flooding frontier. Results
-// are byte-identical to a cold check — the hint changes cost, never
-// verdicts.
-func (c *Client) GlobalNoTransitIncremental(t *topology.Topology, configs map[string]string,
-	hint *suite.GlobalHint) (*lightyear.GlobalResult, error) {
 	req := NoTransitRequest{Topology: t, Configs: configs}
-	if hint != nil {
-		req.PriorDigest = hint.PriorDigest
-	}
 	var resp NoTransitResponse
 	if _, err := c.post(context.Background(), PathNoTransit, req, &resp); err != nil {
 		return nil, err

@@ -10,7 +10,7 @@
 // these endpoints:
 //
 //	POST /v1/batch      syntax, topology, local-policy, and diff checks
-//	POST /v1/notransit  the global no-transit BGP simulation
+//	POST /v1/notransit  the global no-transit check: one cold BGP simulation
 //	POST /v1/search     a SearchRoutePolicies question about one config
 //	GET  /v1/health     liveness, echoing the server's protocol version
 //	GET  /metrics       Prometheus text exposition (see internal/obs)
@@ -23,6 +23,10 @@
 // with a clear error instead of half-understanding each other. A POST
 // body over the server's size bound gets HTTP 413 naming the bound; the
 // clients surface it as a served error, without retry or failover.
+//
+// Every endpoint is stateless apart from caches that never change an
+// answer: the parse cache, the durable result tier, and the memo of
+// scenario registries that body references resolve against.
 package rest
 
 import (
@@ -48,9 +52,12 @@ const (
 
 // BatchProtocolVersion is the one wire protocol client and server speak.
 // Version 5 dropped every older dialect: the per-check endpoints, the
-// stateless no-transit shape, the /v1/scenario pre-warm, and stanza
-// deltas. There is no negotiation; a peer on another version is refused.
-const BatchProtocolVersion = 5
+// /v1/scenario pre-warm, and stanza deltas. Version 6 made /v1/notransit
+// stateless: the request lost its prior-configuration digest, which
+// resumed a server-side simulation session, and the result lost its
+// checker name and falsification probes. There is no negotiation; a peer
+// on another version is refused.
+const BatchProtocolVersion = 6
 
 // ProtocolHeader is the request header carrying BatchProtocolVersion.
 const ProtocolHeader = "X-Batfishd-Protocol"
@@ -61,19 +68,12 @@ type HealthResponse struct {
 	Version int    `json:"version"`
 }
 
-// NoTransitRequest asks for the global BGP-simulation check. PriorDigest
-// is the suite.ConfigDigest of the configuration set the same run's
-// previous check verified. The server keeps the converged simulator state
-// of recent checks keyed by that digest, so a re-check re-simulates only
-// the routers whose configuration text changed since
-// (batfish.Sim.RunIncremental). An empty or unknown PriorDigest runs cold
-// and starts a session. The server derives the changed routers itself by
-// diffing against the session's stored configurations. Results are
-// byte-identical either way; the session only saves time.
+// NoTransitRequest asks for the global no-transit check of one
+// configuration set on one topology. The server simulates the whole
+// network from scratch on every request (lightyear.CheckGlobalNoTransit).
 type NoTransitRequest struct {
-	Topology    *topology.Topology `json:"topology"`
-	Configs     map[string]string  `json:"configs"`
-	PriorDigest string             `json:"prior_digest,omitempty"`
+	Topology *topology.Topology `json:"topology"`
+	Configs  map[string]string  `json:"configs"`
 }
 
 // NoTransitResponse carries the global result.

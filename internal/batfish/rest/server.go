@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"runtime"
 	"slices"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -29,8 +28,8 @@ type HandlerOptions struct {
 	// /v1/batch request concurrently; <= 0 uses GOMAXPROCS.
 	BatchWorkers int
 	// Parses, when set, is a parse cache shared across requests: batched
-	// checks parse through it instead of a request-scoped cache, so a
-	// revision one batch parsed is not parsed again by the next. It grows
+	// and no-transit checks parse through it instead of a request-scoped
+	// cache, so a revision one request parsed is not parsed again. It grows
 	// with every distinct configuration revision seen, so long-lived
 	// servers trade memory for parse time; leave nil to keep the
 	// request-scoped behaviour.
@@ -70,10 +69,6 @@ func NewHandlerOpts(opts HandlerOptions) http.Handler {
 	mux.Handle(obs.MetricsPath, obsHandler)
 	mux.Handle(obs.VarsPath, obsHandler)
 	mux.HandleFunc(PathHealth, handleHealth)
-	sessions := newFIFOStore[*globalSessEntry](maxGlobalSessions)
-	mux.HandleFunc(PathNoTransit, func(w http.ResponseWriter, r *http.Request) {
-		handleNoTransit(w, r, sessions)
-	})
 	mux.HandleFunc(PathSearch, handleSearch)
 	env := &batchEnv{
 		workers:   opts.BatchWorkers,
@@ -85,6 +80,9 @@ func NewHandlerOpts(opts HandlerOptions) http.Handler {
 	}
 	mux.HandleFunc(PathBatch, func(w http.ResponseWriter, r *http.Request) {
 		handleBatch(w, r, env)
+	})
+	mux.HandleFunc(PathNoTransit, func(w http.ResponseWriter, r *http.Request) {
+		handleNoTransit(w, r, env.parses)
 	})
 	// Per-path request accounting wraps the whole mux; the observability
 	// endpoints themselves are excluded so a scrape loop does not inflate
@@ -98,7 +96,8 @@ func NewHandlerOpts(opts HandlerOptions) http.Handler {
 	})
 }
 
-// batchEnv is the handler state every /v1/batch request is served with.
+// batchEnv is the handler state every /v1/batch request is served with;
+// /v1/notransit shares its parse cache.
 type batchEnv struct {
 	workers   int
 	parses    *netcfg.ParseCache
@@ -126,18 +125,6 @@ func (s *fifoStore[V]) get(key string) (V, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	v, ok := s.entries[key]
-	return v, ok
-}
-
-// take removes and returns the entry under key.
-func (s *fifoStore[V]) take(key string) (V, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	v, ok := s.entries[key]
-	if ok {
-		delete(s.entries, key)
-		s.order = slices.DeleteFunc(s.order, func(k string) bool { return k == key })
-	}
 	return v, ok
 }
 
@@ -293,54 +280,12 @@ func writeJSON(w http.ResponseWriter, status int, v interface{}) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-// maxGlobalSessions bounds the handler's simulator-session store: each
-// entry holds a whole network's converged RIB history, so an unbounded
-// store would let every distinct run (or an unauthenticated POST) pin
-// memory forever. Eviction is oldest-first; an evicted run's next check
-// simply runs cold and starts a fresh session.
-const maxGlobalSessions = 8
-
-// globalSessEntry is one stored simulator session, keyed in the store by
-// the suite.ConfigDigest of the last configuration set it verified, plus
-// what it verified, for server-side change derivation and topology
-// validation.
-type globalSessEntry struct {
-	topoDigest string
-	configs    map[string]string
-	sess       *lightyear.GlobalSession
-}
-
-// diffConfigs derives the changed-router set server-side: routers whose
-// text differs, appeared, or vanished between the session's stored set
-// and the incoming one. Always non-nil — an empty diff still means
-// "known: nothing changed", which the session serves without any
-// re-simulation.
-func diffConfigs(prev, next map[string]string) []string {
-	changed := []string{}
-	for name, text := range next {
-		if old, ok := prev[name]; !ok || old != text {
-			changed = append(changed, name)
-		}
-	}
-	for name := range prev {
-		if _, ok := next[name]; !ok {
-			changed = append(changed, name)
-		}
-	}
-	sort.Strings(changed)
-	return changed
-}
-
-// handleNoTransit serves the global BGP-simulation check. When
-// PriorDigest names a stored session for the same topology, only the
-// routers whose configuration text changed are re-simulated; otherwise —
-// no prior digest, evicted, different topology — the check runs cold and
-// seeds a fresh session. A request continuing a session takes the entry
-// out of the store for the duration of the check (GlobalSession is not
-// concurrency-safe, and taking it makes a concurrent request with the same
-// prior digest run cold rather than race), then stores it under the new
-// digest.
-func handleNoTransit(w http.ResponseWriter, r *http.Request, sessions *fifoStore[*globalSessEntry]) {
+// handleNoTransit serves the global no-transit check: one cold BGP
+// simulation through core.LocalVerifier, the verifier batched checks
+// evaluate through. parses is the handler's shared parse cache when one is
+// set, so a revision a batch already parsed is not parsed again; nothing
+// else outlives the request.
+func handleNoTransit(w http.ResponseWriter, r *http.Request, parses *netcfg.ParseCache) {
 	var req NoTransitRequest
 	if !decode(w, r, &req) {
 		return
@@ -349,35 +294,11 @@ func handleNoTransit(w http.ResponseWriter, r *http.Request, sessions *fifoStore
 		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "topology required"})
 		return
 	}
-	devs := map[string]*netcfg.Device{}
-	for name, text := range req.Configs {
-		dev, _ := batfish.ParseConfig(text)
-		devs[name] = dev
-	}
-	topoDig := suite.TopologyDigest(req.Topology)
-	var sess *lightyear.GlobalSession
-	var changed []string // nil: cold run
-	if req.PriorDigest != "" {
-		if e, ok := sessions.take(req.PriorDigest); ok && e.topoDigest == topoDig {
-			sess = e.sess
-			changed = diffConfigs(e.configs, req.Configs)
-		}
-	}
-	if sess == nil {
-		sess = lightyear.NewGlobalSession(req.Topology)
-	}
-	result, err := sess.Check(devs, changed)
+	result, err := core.LocalVerifier{Parses: parses}.GlobalNoTransit(req.Topology, req.Configs)
 	if err != nil {
-		// The session may hold half-updated state; drop it rather than
-		// re-store. The run's next check misses and runs cold.
 		writeJSON(w, http.StatusUnprocessableEntity, ErrorResponse{Error: err.Error()})
 		return
 	}
-	sessions.put(suite.ConfigDigest(req.Configs), &globalSessEntry{
-		topoDigest: topoDig,
-		configs:    req.Configs,
-		sess:       sess,
-	})
 	writeJSON(w, http.StatusOK, NoTransitResponse{Result: result})
 }
 

@@ -441,8 +441,9 @@ func (s *ShardedClient) withFailover(key string, fn func(c *Client) error) error
 }
 
 // globalKey routes whole-network calls: they have no single config, so
-// they hash on the topology name — stable for a run, and different
-// topologies spread across shards.
+// they hash on the topology name, which spreads different topologies
+// across shards. The check itself is stateless, so any shard answers it
+// identically; failover simply moves it to the next live owner.
 func globalKey(t *topology.Topology) string {
 	if t == nil {
 		return ""
@@ -452,22 +453,10 @@ func globalKey(t *topology.Topology) string {
 
 // GlobalNoTransit implements core.Verifier, with the ring's failover.
 func (s *ShardedClient) GlobalNoTransit(t *topology.Topology, configs map[string]string) (*lightyear.GlobalResult, error) {
-	return s.GlobalNoTransitIncremental(t, configs, nil)
-}
-
-// GlobalNoTransitIncremental implements the engine's incremental-global
-// capability (suite.IncrementalGlobal) over the ring: the check routes to
-// the topology's stable owner shard (globalKey), whose server keeps the
-// run's simulator session warm across iterations. A failover lands the
-// check on a shard without the session, which simply runs cold and starts
-// its own — results are identical, only the first check there pays full
-// price.
-func (s *ShardedClient) GlobalNoTransitIncremental(t *topology.Topology, configs map[string]string,
-	hint *suite.GlobalHint) (*lightyear.GlobalResult, error) {
 	var res *lightyear.GlobalResult
 	err := s.withFailover(globalKey(t), func(client *Client) error {
 		var callErr error
-		res, callErr = client.GlobalNoTransitIncremental(t, configs, hint)
+		res, callErr = client.GlobalNoTransit(t, configs)
 		return callErr
 	})
 	if err != nil {

@@ -20,49 +20,7 @@ import (
 type Sim struct {
 	nodes   map[string]*simNode
 	byAddr  map[uint32]*simNode
-	added   []string // node names in AddDevice/AddExternal order
 	maxIter int
-
-	// Persistent-session state (see RunIncremental). record turns on
-	// per-round history capture; history is the last run's round-by-round
-	// RIB trajectory; dirty names the routers Update replaced since that
-	// run; coldNeeded forces the next RunIncremental back onto the cold
-	// path (set when an update changes interface addressing, which can
-	// re-route other routers' neighbor declarations through byAddr in ways
-	// the flooding frontier does not track).
-	record     bool
-	history    *simHistory
-	dirty      map[string]bool
-	coldNeeded bool
-}
-
-// simHistory is one run's round-by-round trajectory: rounds[0] holds the
-// originated-routes-only initial state, rounds[k] the state after round k.
-// Unchanged nodes share their previous round's map pointer, so memory
-// cost is proportional to RIB churn, not rounds × nodes. The maps (and
-// the candidates inside, which are immutable once installed) are never
-// mutated after capture — the live per-node ribs are separate clones.
-type simHistory struct {
-	rounds     []historyRound
-	iterations int
-	converged  bool
-}
-
-type historyRound struct {
-	ribs map[string]map[netcfg.Prefix]*candidate
-	// changed names the nodes whose RIB changed in this round (empty for
-	// round 0).
-	changed map[string]bool
-}
-
-// ribAt returns a node's RIB after round k, reading past the recorded
-// end as the converged fixpoint (a round that changes nothing can never
-// resume changing, so the final state extends forever).
-func (h *simHistory) ribAt(k int, name string) map[netcfg.Prefix]*candidate {
-	if k >= len(h.rounds) {
-		k = len(h.rounds) - 1
-	}
-	return h.rounds[k].ribs[name]
 }
 
 type simNode struct {
@@ -106,23 +64,7 @@ func (s *Sim) AddDevice(name string, dev *netcfg.Device) error {
 	if _, dup := s.nodes[name]; dup {
 		return fmt.Errorf("duplicate node %s", name)
 	}
-	n := &simNode{name: name, rib: map[netcfg.Prefix]*candidate{}}
-	initDevice(n, dev)
-	for _, a := range n.addrs {
-		s.byAddr[a] = n
-	}
-	s.nodes[name] = n
-	s.added = append(s.added, name)
-	return nil
-}
-
-// initDevice (re)derives a node's device-dependent state: ASN, originated
-// routes, and interface addresses. byAddr maintenance is the caller's.
-func initDevice(n *simNode, dev *netcfg.Device) {
-	n.dev = dev
-	n.asn = 0
-	n.origin = nil
-	n.addrs = nil
+	n := &simNode{name: name, dev: dev, rib: map[netcfg.Prefix]*candidate{}}
 	if dev.BGP != nil {
 		n.asn = dev.BGP.ASN
 		for _, p := range dev.BGP.Networks {
@@ -134,8 +76,11 @@ func initDevice(n *simNode, dev *netcfg.Device) {
 	for _, ifc := range dev.Interfaces {
 		if ifc.HasAddress && !ifc.Shutdown {
 			n.addrs = append(n.addrs, ifc.Address.Addr)
+			s.byAddr[ifc.Address.Addr] = n
 		}
 	}
+	s.nodes[name] = n
+	return nil
 }
 
 // AddExternal adds an unconfigured stub speaker (an ISP or customer): it
@@ -152,13 +97,14 @@ func (s *Sim) AddExternal(name string, addr uint32, asn uint32, originates []net
 		n.origin = append(n.origin, r)
 	}
 	s.nodes[name] = n
-	s.added = append(s.added, name)
 	return nil
 }
 
 // connect resolves sessions. A device-device session requires both sides
 // to declare each other; a device-external session requires the device to
-// declare the external stub's address.
+// declare the external stub's address. A router with no usable interface
+// address opens no session: nothing could reach it, so its neighbor
+// declarations stay down and the verdict reports the lost reachability.
 func (s *Sim) connect() {
 	for _, n := range s.nodes {
 		n.sessions = nil
@@ -166,7 +112,7 @@ func (s *Sim) connect() {
 	names := s.nodeNames()
 	for _, name := range names {
 		n := s.nodes[name]
-		if n.dev == nil || n.dev.BGP == nil {
+		if n.dev == nil || n.dev.BGP == nil || len(n.addrs) == 0 {
 			continue
 		}
 		for _, nb := range n.dev.BGP.Neighbors {
@@ -243,8 +189,6 @@ type Result struct {
 }
 
 // Run propagates announcements to a fixpoint and returns per-node RIBs.
-// Outside a persistent session (see RunIncremental) it records nothing
-// and costs exactly what the seed's one-shot simulation cost.
 func (s *Sim) Run() *Result {
 	s.connect()
 	// Install originated routes.
@@ -254,46 +198,14 @@ func (s *Sim) Run() *Result {
 			n.rib[r.Prefix] = &candidate{route: r.Clone(), from: ""}
 		}
 	}
-	var hist *simHistory
-	if s.record {
-		hist = &simHistory{}
-		round0 := historyRound{ribs: make(map[string]map[netcfg.Prefix]*candidate, len(s.nodes))}
-		for name, n := range s.nodes {
-			round0.ribs[name] = cloneRib(n.rib)
-		}
-		hist.rounds = append(hist.rounds, round0)
-	}
 	iter := 0
 	converged := false
 	for ; iter < s.maxIter; iter++ {
-		changed := s.step()
-		if len(changed) == 0 {
+		if !s.step() {
 			converged = true
 			break
 		}
-		if hist != nil {
-			prev := hist.rounds[len(hist.rounds)-1].ribs
-			round := historyRound{
-				ribs:    make(map[string]map[netcfg.Prefix]*candidate, len(s.nodes)),
-				changed: changed,
-			}
-			for name, n := range s.nodes {
-				if changed[name] {
-					round.ribs[name] = cloneRib(n.rib)
-				} else {
-					round.ribs[name] = prev[name]
-				}
-			}
-			hist.rounds = append(hist.rounds, round)
-		}
 	}
-	if hist != nil {
-		hist.iterations = iter
-		hist.converged = converged
-	}
-	s.history = hist
-	s.dirty = nil
-	s.coldNeeded = false
 	res := &Result{RIB: map[string]map[netcfg.Prefix]*netcfg.Route{}, Iterations: iter, Converged: converged}
 	for name, n := range s.nodes {
 		ribs := map[netcfg.Prefix]*netcfg.Route{}
@@ -305,9 +217,9 @@ func (s *Sim) Run() *Result {
 	return res
 }
 
-// step performs one synchronous propagation round; it returns the set of
-// nodes whose RIB changed (nil/empty when the round reached a fixpoint).
-func (s *Sim) step() map[string]bool {
+// step performs one synchronous propagation round; it reports whether
+// any node's RIB changed (false once the round reached a fixpoint).
+func (s *Sim) step() bool {
 	type incoming struct {
 		to    *simNode
 		from  *simNode
@@ -324,30 +236,26 @@ func (s *Sim) step() map[string]bool {
 		prefixes := sortedPrefixes(n.rib)
 		for _, sess := range n.sessions {
 			sess := sess
-			announce(n, sess, n.rib, prefixes, func(r *netcfg.Route) {
+			announce(n, sess, prefixes, func(r *netcfg.Route) {
 				inbox = append(inbox, incoming{to: sess.peer, from: n, route: r})
 			})
 		}
 	}
-	var changed map[string]bool
+	changed := false
 	for _, msg := range inbox {
-		if deliver(msg.to, msg.to.rib, msg.from, msg.route) {
-			if changed == nil {
-				changed = map[string]bool{}
-			}
-			changed[msg.to.name] = true
+		if deliver(msg.to, msg.from, msg.route) {
+			changed = true
 		}
 	}
 	return changed
 }
 
-// announce generates the routes node n offers on one session from the
-// given round-start RIB snapshot, in sorted prefix order, calling emit
-// for each route that survives split horizon and the export policy.
-func announce(n *simNode, sess *session, rib map[netcfg.Prefix]*candidate,
-	prefixes []netcfg.Prefix, emit func(*netcfg.Route)) {
+// announce generates the routes node n offers on one session from its
+// round-start RIB, in sorted prefix order, calling emit for each route
+// that survives split horizon and the export policy.
+func announce(n *simNode, sess *session, prefixes []netcfg.Prefix, emit func(*netcfg.Route)) {
 	for _, p := range prefixes {
-		c := rib[p]
+		c := n.rib[p]
 		// Split horizon: do not send a route back to the peer that
 		// supplied it.
 		if c.from == sess.peer.name {
@@ -368,11 +276,10 @@ func announce(n *simNode, sess *session, rib map[netcfg.Prefix]*candidate,
 	}
 }
 
-// deliver processes one incoming announcement against a receiver RIB —
-// loop detection, import policy, best-path selection — and reports
-// whether the RIB changed. The RIB is passed explicitly so the frontier
-// replay can run the identical logic against a detached map.
-func deliver(to *simNode, rib map[netcfg.Prefix]*candidate, from *simNode, r *netcfg.Route) bool {
+// deliver processes one incoming announcement against the receiver's RIB
+// — loop detection, import policy, best-path selection — and reports
+// whether the RIB changed.
+func deliver(to *simNode, from *simNode, r *netcfg.Route) bool {
 	// AS-path loop detection.
 	if to.asn != 0 && r.HasASInPath(to.asn) {
 		return false
@@ -386,308 +293,18 @@ func deliver(to *simNode, rib map[netcfg.Prefix]*candidate, from *simNode, r *ne
 			r = res.Route
 		}
 	}
-	cur := rib[r.Prefix]
+	cur := to.rib[r.Prefix]
 	if cur != nil && cur.from == "" {
 		return false // locally originated always wins
 	}
 	cand := &candidate{route: r, from: from.name}
 	if cur == nil || better(cand, cur) {
 		if cur == nil || !routesEqual(cur.route, cand.route) || cur.from != cand.from {
-			rib[r.Prefix] = cand
+			to.rib[r.Prefix] = cand
 			return true
 		}
 	}
 	return false
-}
-
-// Update replaces one configured router's device inside a persistent
-// session and marks it dirty for the next RunIncremental. It returns an
-// error for a router the session does not know (a topology change —
-// callers rebuild the session instead). An update that changes the
-// router's interface addressing flags the session for a cold replay: an
-// address reassignment can re-route *other* routers' neighbor
-// declarations through the address table in ways the flooding frontier
-// does not track.
-func (s *Sim) Update(router string, dev *netcfg.Device) error {
-	n := s.nodes[router]
-	if n == nil || n.external {
-		return fmt.Errorf("unknown router %s", router)
-	}
-	if dev == nil {
-		return fmt.Errorf("nil device for %s", router)
-	}
-	oldAddrs := n.addrs
-	initDevice(n, dev)
-	if !addrsEqual(oldAddrs, n.addrs) {
-		s.coldNeeded = true
-		s.rebuildByAddr()
-	}
-	if s.dirty == nil {
-		s.dirty = map[string]bool{}
-	}
-	s.dirty[router] = true
-	return nil
-}
-
-// rebuildByAddr re-derives the address table in the original node-add
-// order, exactly reproducing what the same sequence of AddDevice and
-// AddExternal calls would have built.
-func (s *Sim) rebuildByAddr() {
-	s.byAddr = map[uint32]*simNode{}
-	for _, name := range s.added {
-		n := s.nodes[name]
-		for _, a := range n.addrs {
-			s.byAddr[a] = n
-		}
-	}
-}
-
-func addrsEqual(a, b []uint32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// RunIncremental is the persistent-session entry point: it propagates the
-// routers marked dirty by Update through the previous run's recorded
-// trajectory, recomputing only the flooding frontier, and returns a
-// Result byte-identical to what a cold Run over the same devices would
-// produce. The first call of a session (and any call without a usable
-// baseline — prior non-convergence, an addressing change, or no pending
-// updates recorded against a cleared history) pays one cold run, which
-// also records the round-by-round history the next call replays against.
-//
-// Correctness rests on exact replay, not route withdrawal: the simulator's
-// monotone no-withdrawal semantics make the converged RIB depend on the
-// whole announcement history, so the frontier replay recomputes each
-// affected node round by round with the cold step's exact per-receiver
-// message order, and reuses the recorded round state for every node whose
-// inputs provably match the previous run.
-func (s *Sim) RunIncremental() *Result {
-	s.record = true
-	if s.history == nil || !s.history.converged || s.coldNeeded {
-		return s.Run()
-	}
-	if len(s.dirty) == 0 {
-		return s.resultFromHistory()
-	}
-	return s.replay()
-}
-
-// replay recomputes the flooding frontier against the recorded history.
-//
-// Terminology: a node is *structurally dirty* when its own policies — or
-// a session touching a dirty router — may differ from the previous run
-// (the dirty routers plus their old and new session peers); it is *value
-// dirty* at round k when its round-k RIB differs from the recorded one.
-// Round k recomputes exactly the structurally dirty nodes, the nodes
-// value-dirty at k-1, and the session successors of the latter; every
-// other node's inputs are provably identical to the previous run, so its
-// recorded round-k state is reused verbatim (and the frontier contracts
-// again when a recomputed RIB re-converges onto the recorded one).
-func (s *Sim) replay() *Result {
-	old := s.history
-	// Structural dirt: the updated routers plus their session adjacency in
-	// the pre-update session graph (still in place) and the post-update
-	// one.
-	structDirty := map[string]bool{}
-	for name := range s.dirty {
-		structDirty[name] = true
-	}
-	s.addAdjacency(structDirty, s.dirty)
-	s.connect()
-	s.addAdjacency(structDirty, s.dirty)
-
-	names := s.nodeNames()
-	newHist := &simHistory{}
-	// Round 0: dirty routers re-install their originated routes; everyone
-	// else matches the recorded initial state.
-	round0 := historyRound{ribs: make(map[string]map[netcfg.Prefix]*candidate, len(s.nodes))}
-	for _, name := range names {
-		round0.ribs[name] = old.rounds[0].ribs[name]
-	}
-	valueDirty := map[string]bool{}
-	for name := range s.dirty {
-		n := s.nodes[name]
-		rib := map[netcfg.Prefix]*candidate{}
-		for _, r := range n.origin {
-			rib[r.Prefix] = &candidate{route: r.Clone(), from: ""}
-		}
-		round0.ribs[name] = rib
-		if !ribsEqual(rib, old.ribAt(0, name)) {
-			valueDirty[name] = true
-		}
-	}
-	newHist.rounds = append(newHist.rounds, round0)
-
-	iter := 0
-	converged := false
-	for k := 1; k <= s.maxIter; k++ {
-		prevRibs := newHist.rounds[len(newHist.rounds)-1].ribs
-		// The recompute set for this round.
-		recompute := map[string]bool{}
-		for name := range structDirty {
-			recompute[name] = true
-		}
-		for name := range valueDirty {
-			recompute[name] = true
-			for _, sess := range s.nodes[name].sessions {
-				recompute[sess.peer.name] = true
-			}
-		}
-		roundChanged := map[string]bool{}
-		curNew := map[string]map[netcfg.Prefix]*candidate{}
-		for _, name := range names {
-			if !recompute[name] {
-				continue
-			}
-			rib := s.replayReceive(s.nodes[name], names, prevRibs)
-			curNew[name] = rib
-			if !ribsEqual(rib, prevRibs[name]) {
-				roundChanged[name] = true
-			}
-		}
-		// Nodes outside the recompute set follow the recorded trajectory
-		// verbatim, including whether they changed this round.
-		if k < len(old.rounds) {
-			for name := range old.rounds[k].changed {
-				if !recompute[name] {
-					roundChanged[name] = true
-				}
-			}
-		}
-		if len(roundChanged) == 0 {
-			converged = true
-			break
-		}
-		iter = k
-		round := historyRound{
-			ribs:    make(map[string]map[netcfg.Prefix]*candidate, len(s.nodes)),
-			changed: roundChanged,
-		}
-		nextDirty := map[string]bool{}
-		for _, name := range names {
-			switch {
-			case curNew[name] != nil:
-				round.ribs[name] = curNew[name]
-				if !ribsEqual(curNew[name], old.ribAt(k, name)) {
-					nextDirty[name] = true
-				}
-			case k < len(old.rounds):
-				round.ribs[name] = old.rounds[k].ribs[name]
-			default:
-				round.ribs[name] = prevRibs[name]
-			}
-		}
-		newHist.rounds = append(newHist.rounds, round)
-		valueDirty = nextDirty
-	}
-	if !converged {
-		iter = s.maxIter
-	}
-	newHist.iterations = iter
-	newHist.converged = converged
-	s.history = newHist
-	s.dirty = nil
-	// Re-materialize the live ribs (detached from the shared history maps).
-	final := newHist.rounds[len(newHist.rounds)-1].ribs
-	for _, name := range names {
-		s.nodes[name].rib = cloneRib(final[name])
-	}
-	return s.resultFromHistory()
-}
-
-// replayReceive recomputes one node's next-round RIB exactly as the cold
-// step would: messages from every in-neighbor, generated from the
-// senders' round-start RIBs, processed in the cold inbox's per-receiver
-// order (senders sorted by name, each sender's sessions in declaration
-// order, prefixes sorted). Per-receiver processing is independent in the
-// cold step — a round's inbox is built entirely from round-start state and
-// only the receiver's own RIB mutates while its messages apply — which is
-// what makes recomputing one receiver in isolation exact.
-func (s *Sim) replayReceive(x *simNode, names []string,
-	startRibs map[string]map[netcfg.Prefix]*candidate) map[netcfg.Prefix]*candidate {
-	rib := cloneRib(startRibs[x.name])
-	for _, yname := range names {
-		y := s.nodes[yname]
-		var prefixes []netcfg.Prefix
-		for _, sess := range y.sessions {
-			if sess.peer != x {
-				continue
-			}
-			if prefixes == nil {
-				prefixes = sortedPrefixes(startRibs[yname])
-			}
-			announce(y, sess, startRibs[yname], prefixes, func(r *netcfg.Route) {
-				deliver(x, rib, y, r)
-			})
-		}
-	}
-	return rib
-}
-
-// addAdjacency adds every session peer of the dirty set — in either
-// direction — to out, reading the session graph as currently connected.
-func (s *Sim) addAdjacency(out map[string]bool, dirty map[string]bool) {
-	for name, n := range s.nodes {
-		for _, sess := range n.sessions {
-			if dirty[name] {
-				out[sess.peer.name] = true
-			}
-			if dirty[sess.peer.name] {
-				out[name] = true
-			}
-		}
-	}
-}
-
-// resultFromHistory rebuilds the Result of the session's recorded run.
-func (s *Sim) resultFromHistory() *Result {
-	h := s.history
-	final := h.rounds[len(h.rounds)-1].ribs
-	res := &Result{
-		RIB:        map[string]map[netcfg.Prefix]*netcfg.Route{},
-		Iterations: h.iterations,
-		Converged:  h.converged,
-	}
-	for name := range s.nodes {
-		ribs := map[netcfg.Prefix]*netcfg.Route{}
-		for p, c := range final[name] {
-			ribs[p] = c.route.Clone()
-		}
-		res.RIB[name] = ribs
-	}
-	return res
-}
-
-func cloneRib(rib map[netcfg.Prefix]*candidate) map[netcfg.Prefix]*candidate {
-	out := make(map[netcfg.Prefix]*candidate, len(rib))
-	for p, c := range rib {
-		out[p] = c
-	}
-	return out
-}
-
-// ribsEqual compares two RIBs by content: same prefixes, and per prefix
-// the same supplying peer and route attributes — the same equality the
-// cold step's change detection uses.
-func ribsEqual(a, b map[netcfg.Prefix]*candidate) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for p, ca := range a {
-		cb := b[p]
-		if cb == nil || ca.from != cb.from || !routesEqual(ca.route, cb.route) {
-			return false
-		}
-	}
-	return true
 }
 
 func (n *simNode) sessionTo(peer *simNode) *session {

@@ -209,3 +209,31 @@ func TestSimDuplicateNodeRejected(t *testing.T) {
 		t.Error("duplicate external accepted")
 	}
 }
+
+// TestSimAddresslessRouterOpensNoSession declares an external neighbor on
+// a router without any usable interface address: the router must open no
+// BGP session, so neither side learns the other's routes and the run
+// still converges.
+func TestSimAddresslessRouterOpensNoSession(t *testing.T) {
+	a, _ := twoNodeConfigs(t, "", "")
+	a.Interfaces = nil
+	a.BGP.EnsureNeighbor(mustIP(t, "1.0.0.2")).RemoteAS = 99
+	sim := NewSim()
+	if err := sim.AddDevice("A", a); err != nil {
+		t.Fatal(err)
+	}
+	if err := sim.AddExternal("E", mustIP(t, "1.0.0.2"), 99,
+		[]netcfg.Prefix{netcfg.MustPrefix("99.0.0.0/8")}); err != nil {
+		t.Fatal(err)
+	}
+	res := sim.Run()
+	if !res.Converged {
+		t.Fatal("did not converge")
+	}
+	if res.RIB["E"][netcfg.MustPrefix("10.0.0.0/8")] != nil {
+		t.Error("the external stub learned a route from a router it cannot reach")
+	}
+	if res.RIB["A"][netcfg.MustPrefix("99.0.0.0/8")] != nil {
+		t.Error("an address-less router learned the external stub's route")
+	}
+}

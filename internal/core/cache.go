@@ -144,13 +144,6 @@ type CachedVerifier struct {
 	tracer        *obs.Tracer
 	runLabel      string
 	verifySeconds *obs.Histogram
-
-	// globalMu guards the in-process incremental global session (see
-	// GlobalNoTransitIncremental): simulator sessions are stateful and
-	// single-threaded, so concurrent global checks serialize here.
-	globalMu   sync.Mutex
-	globalSess *lightyear.GlobalSession
-	globalTopo *topology.Topology
 }
 
 // cacheShards is the stripe count of the memoized-result map. 64 shards
@@ -535,66 +528,6 @@ func (c *CachedVerifier) GlobalNoTransit(t *topology.Topology, configs map[strin
 	}
 	start := time.Now()
 	res, err := c.v.GlobalNoTransit(t, configs)
-	c.tracer.Span(start, obs.Event{Stage: obs.StageGlobalCheck, Outcome: "simulated",
-		Run: c.runLabel, Checks: len(configs)})
+	c.tracer.Span(start, obs.Event{Stage: obs.StageGlobalCheck, Run: c.runLabel, Checks: len(configs)})
 	return res, err
-}
-
-// GlobalNoTransitIncremental implements IncrementalGlobalVerifier. An
-// underlying verifier with the capability (rest.Client, ShardedClient)
-// receives the hint verbatim; over a LocalVerifier the cache keeps an
-// in-process lightyear.GlobalSession per topology, so a repair loop's
-// per-iteration global check re-simulates only the flooding frontier of
-// the router the hint names. Any other underlying verifier — including
-// test fakes that count or stub the global check — falls back to its own
-// plain GlobalNoTransit: the hint must never change whose simulation
-// answers, only its cost.
-func (c *CachedVerifier) GlobalNoTransitIncremental(t *topology.Topology,
-	configs map[string]string, hint *GlobalHint) (*lightyear.GlobalResult, error) {
-	var start time.Time
-	if c.tracer != nil {
-		start = time.Now()
-	}
-	res, outcome, err := c.globalNoTransitIncremental(t, configs, hint)
-	if c.tracer != nil {
-		ev := obs.Event{Stage: obs.StageGlobalCheck, Outcome: outcome,
-			Run: c.runLabel, Checks: len(configs)}
-		if hint != nil && len(hint.Changed) == 1 {
-			ev.Router = hint.Changed[0]
-		}
-		c.tracer.Span(start, ev)
-	}
-	return res, err
-}
-
-// globalNoTransitIncremental is GlobalNoTransitIncremental minus the
-// tracing; the outcome string records which path answered — the
-// incremental-vs-cold distinction the trace surfaces.
-func (c *CachedVerifier) globalNoTransitIncremental(t *topology.Topology,
-	configs map[string]string, hint *GlobalHint) (*lightyear.GlobalResult, string, error) {
-	if ig, ok := c.v.(IncrementalGlobalVerifier); ok {
-		res, err := ig.GlobalNoTransitIncremental(t, configs, hint)
-		return res, "incremental", err
-	}
-	lv, ok := c.v.(LocalVerifier)
-	if !ok || hint == nil {
-		res, err := c.v.GlobalNoTransit(t, configs)
-		return res, "cold", err
-	}
-	c.globalMu.Lock()
-	defer c.globalMu.Unlock()
-	if c.globalSess == nil || c.globalTopo != t {
-		c.globalSess = lightyear.NewGlobalSession(t)
-		c.globalTopo = t
-	}
-	devs := make(map[string]*netcfg.Device, len(configs))
-	for name, text := range configs {
-		devs[name] = lv.parsed(text).Device
-	}
-	outcome := "incremental"
-	if hint.Changed == nil {
-		outcome = "cold"
-	}
-	res, err := c.globalSess.Check(devs, hint.Changed)
-	return res, outcome, err
 }

@@ -133,10 +133,6 @@ type routerSnapshot struct {
 	Punted     []string   `json:"punted,omitempty"`
 	Iterations int        `json:"iterations"`
 	Verified   bool       `json:"verified"`
-	// Repaired reports the repair loop rewrote the first draft; absent in
-	// checkpoints from older builds, which conservatively read as false
-	// (the router merely loses the falsification bias, never correctness).
-	Repaired bool `json:"repaired,omitempty"`
 }
 
 // checkpointFile is the on-disk snapshot. Sequential phases carry the

@@ -97,10 +97,9 @@ type Result struct {
 	// CacheStats reports the incremental verification cache's counters for
 	// the run; nil when the cache was disabled.
 	CacheStats *CacheStats
-	// Global is the final whole-network check's result; its Method field
-	// records whether the BGP simulation or the compositional fast path
-	// produced the verdict. nil when the run never reached the global
-	// check (local repair failed, SkipGlobalCheck, or translation mode).
+	// Global is the final whole-network BGP simulation's result. nil when
+	// the run never reached the global check (local repair failed,
+	// SkipGlobalCheck, or translation mode).
 	Global *lightyear.GlobalResult
 }
 

@@ -30,10 +30,6 @@ func SynthesizeGlobal(topo *topology.Topology, opts GlobalSynthOptions) (*Result
 	if opts.Verifier == nil {
 		opts.Verifier = LocalVerifier{}
 	}
-	// The cached wrapper carries the incremental-global capability: each
-	// counterexample round re-simulates only the routers the model's last
-	// response actually changed.
-	opts.Verifier = NewCachedVerifier(opts.Verifier)
 	if opts.MaxAttempts == 0 {
 		opts.MaxAttempts = 6
 	}
@@ -46,9 +42,8 @@ func SynthesizeGlobal(topo *topology.Topology, opts GlobalSynthOptions) (*Result
 	configs := llm.SplitConfigs(resp)
 
 	verified := false
-	var tracker globalTracker
 	for attempt := 0; attempt < opts.MaxAttempts; attempt++ {
-		global, err := globalNoTransit(opts.Verifier, topo, configs, tracker.hint(configs))
+		global, err := opts.Verifier.GlobalNoTransit(topo, configs)
 		if err != nil {
 			return nil, err
 		}

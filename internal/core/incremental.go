@@ -74,13 +74,9 @@ func AddPolicyIncremental(topo *topology.Topology, configs map[string]string,
 	})
 
 	verified := false
-	// Each attempt changes only R1's configuration; the tracker turns that
-	// into a change-locality hint so an incremental verifier re-simulates
-	// only R1's flooding frontier on the non-interference global re-check.
-	var tracker globalTracker
 	for attempt := 0; attempt < opts.MaxAttempts; attempt++ {
 		sess.iterations++
-		prompt, done, err := nextIncrementalFinding(opts.Verifier, topo, reqs, current, &tracker)
+		prompt, done, err := nextIncrementalFinding(opts.Verifier, topo, reqs, current)
 		if err != nil {
 			return nil, err
 		}
@@ -101,8 +97,7 @@ func AddPolicyIncremental(topo *topology.Topology, configs map[string]string,
 // nextIncrementalFinding checks syntax on R1, every local requirement,
 // and finally the global simulation — the non-interference re-check.
 func nextIncrementalFinding(v Verifier, topo *topology.Topology,
-	reqs []lightyear.Requirement, configs map[string]string,
-	tracker *globalTracker) (string, bool, error) {
+	reqs []lightyear.Requirement, configs map[string]string) (string, bool, error) {
 	warns, err := v.CheckSyntax(configs["R1"])
 	if err != nil {
 		return "", false, err
@@ -122,7 +117,7 @@ func nextIncrementalFinding(v Verifier, topo *topology.Topology,
 				"corrected configuration.", false, nil
 		}
 	}
-	global, err := globalNoTransit(v, topo, configs, tracker.hint(configs))
+	global, err := v.GlobalNoTransit(topo, configs)
 	if err != nil {
 		return "", false, err
 	}

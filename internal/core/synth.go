@@ -1,18 +1,15 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"time"
 
-	"repro/internal/batfish"
 	"repro/internal/durable"
 	"repro/internal/humanizer"
 	"repro/internal/lightyear"
 	"repro/internal/llm"
 	"repro/internal/modularizer"
-	"repro/internal/netcfg"
 	"repro/internal/obs"
 	"repro/internal/topology"
 )
@@ -76,18 +73,6 @@ type SynthOptions struct {
 	// atomically-written file so a killed run can resume (see
 	// CheckpointOptions). Nil disables checkpointing.
 	Checkpoint *CheckpointOptions
-	// GlobalCheck selects the final whole-network check (see
-	// GlobalCheckMode). The zero value runs the paper-faithful full BGP
-	// simulation; GlobalCheckCompositional runs the verified-local-specs
-	// fast path with seeded sampled falsification, falling back to the
-	// simulation on topologies whose local spec coverage is incomplete.
-	// The repair loop's transcript is finished before either check runs,
-	// so the mode never changes a byte of the transcript — only how the
-	// final verdict is computed.
-	GlobalCheck GlobalCheckMode
-	// GlobalCheckSeed keys the compositional check's falsification
-	// sampling (0 = seed 1). Ignored under GlobalCheckSimulated.
-	GlobalCheckSeed int64
 	// Metrics is an optional observability registry: the run's cache,
 	// parse, durable-tier, and transport instruments register themselves
 	// into it so a live /metrics endpoint (or /debug/vars) can watch the
@@ -103,21 +88,6 @@ type SynthOptions struct {
 	// RunLabel names this run's trace spans; "synth" when empty.
 	RunLabel string
 }
-
-// GlobalCheckMode selects Synthesize's final whole-network check.
-type GlobalCheckMode int
-
-const (
-	// GlobalCheckSimulated is the paper's global check: simulate the whole
-	// network's BGP and test reachability pairwise. The default.
-	GlobalCheckSimulated GlobalCheckMode = iota
-	// GlobalCheckCompositional replaces the simulation with the
-	// verified-local-specs fast path (lightyear.CheckCompositionalNoTransit)
-	// when every attachment's local spec verified — the scale configuration
-	// for networks whose simulation cost is the bottleneck. Falls back to
-	// the simulation when coverage is incomplete.
-	GlobalCheckCompositional
-)
 
 func (o *SynthOptions) fill() {
 	if o.Verifier == nil {
@@ -266,15 +236,14 @@ func Synthesize(topo *topology.Topology, opts SynthOptions) (*Result, error) {
 	}
 
 	var verified bool
-	var recent []string
 	if opts.Parallelism > 1 {
 		if resumed != nil && resumed.Phase != phaseSynthParallel {
 			return nil, fmt.Errorf("resume: checkpoint is a %s snapshot, this run is %s",
 				resumed.Phase, phaseSynthParallel)
 		}
-		configs, recent, verified, err = synthesizeParallel(sess, topo, tasks, opts, ck, resumed)
+		configs, verified, err = synthesizeParallel(sess, topo, tasks, opts, ck, resumed)
 	} else {
-		configs, recent, verified, err = synthesizeSequential(sess, topo, tasks, opts, ck, configs, ps)
+		configs, verified, err = synthesizeSequential(sess, topo, tasks, opts, ck, configs, ps)
 	}
 	if err != nil {
 		return nil, err
@@ -282,7 +251,7 @@ func Synthesize(topo *topology.Topology, opts SynthOptions) (*Result, error) {
 
 	var global *lightyear.GlobalResult
 	if verified && !opts.SkipGlobalCheck {
-		global, err = globalCheck(topo, configs, opts, recent)
+		global, err = opts.Verifier.GlobalNoTransit(topo, configs)
 		if err != nil {
 			return nil, err
 		}
@@ -305,110 +274,31 @@ func Synthesize(topo *topology.Topology, opts SynthOptions) (*Result, error) {
 	return res, nil
 }
 
-// globalCheck runs the whole-network check SynthOptions.GlobalCheck
-// selects. The compositional mode reuses the run's parse cache (every
-// final configuration was just verified, so its device is already parsed)
-// and falls back to the full simulation on topologies whose local spec
-// coverage is incomplete — the simulation stays the authority wherever
-// the compositional argument does not apply. recent names the routers the
-// repair loop actually rewrote, steering the compositional check's
-// falsification budget toward the filters likeliest to have regressed.
-func globalCheck(topo *topology.Topology, configs map[string]string,
-	opts SynthOptions, recent []string) (*lightyear.GlobalResult, error) {
-	if opts.GlobalCheck == GlobalCheckCompositional {
-		var start time.Time
-		if opts.Trace != nil {
-			start = time.Now()
-		}
-		devs, err := parseDevices(opts.Verifier, topo, configs)
-		if err != nil {
-			return nil, err
-		}
-		global, err := lightyear.CheckCompositionalNoTransit(topo, devs,
-			lightyear.CompositionalOptions{Seed: opts.GlobalCheckSeed, RecentRouters: recent})
-		if err == nil {
-			opts.Trace.Span(start, obs.Event{Stage: obs.StageGlobalCheck,
-				Outcome: "compositional", Run: opts.RunLabel, Checks: len(configs)})
-			return global, nil
-		}
-		if !errors.Is(err, lightyear.ErrCoverageIncomplete) {
-			return nil, err
-		}
-		// Coverage fell through to the simulation; the verifier's own
-		// global_check span records that run.
-	}
-	return opts.Verifier.GlobalNoTransit(topo, configs)
-}
-
-// parseDevices parses the final configurations into devices for the
-// compositional check, going through the run's parse cache when the
-// verifier carries one (cache hits for every revision the repair loop
-// already verified). Remote verifiers parse locally: the compositional
-// check is a client-side fast path, not a suite round-trip.
-func parseDevices(v Verifier, topo *topology.Topology,
-	configs map[string]string) (map[string]*netcfg.Device, error) {
-	parse := batfish.ParseAndCheck
-	switch t := v.(type) {
-	case *CachedVerifier:
-		if lv, ok := t.v.(LocalVerifier); ok {
-			parse = lv.parsed
-		}
-	case LocalVerifier:
-		parse = t.parsed
-	}
-	devs := make(map[string]*netcfg.Device, len(configs))
-	for i := range topo.Routers {
-		name := topo.Routers[i].Name
-		text, ok := configs[name]
-		if !ok {
-			return nil, fmt.Errorf("router %s has no configuration", name)
-		}
-		devs[name] = parse(text).Device
-	}
-	return devs, nil
-}
-
 // synthesizeSequential is the paper's loop: modularizer prompts for every
 // router first, then one repair pipeline scanning all routers per stage.
 // A resume arrives with the checkpointed configurations (resumedConfigs)
 // and loop position (ps) already unpacked — the modularizer prompts are
-// part of the restored conversation and are not re-sent. The second
-// return value names the routers whose configuration the repair loop
-// rewrote after its first draft (unknowable — and nil — on a resume,
-// whose pre-crash drafts are gone).
+// part of the restored conversation and are not re-sent.
 func synthesizeSequential(sess *session, topo *topology.Topology,
 	tasks []modularizer.Task, opts SynthOptions, ck *checkpointer,
-	resumedConfigs map[string]string, ps *pipelineState) (map[string]string, []string, bool, error) {
+	resumedConfigs map[string]string, ps *pipelineState) (map[string]string, bool, error) {
 	configs := resumedConfigs
-	var initial map[string]string
 	if configs == nil {
 		// Modularizer prompts: one automated prompt per router (§2).
 		configs = map[string]string{}
 		for _, task := range tasks {
 			resp, _, err := sess.send(Automated, StageTask, task.Router, task.Prompt)
 			if err != nil {
-				return nil, nil, false, err
+				return nil, false, err
 			}
 			configs[task.Router] = resp
-		}
-		initial = make(map[string]string, len(configs))
-		for k, v := range configs {
-			initial[k] = v
 		}
 	}
 	p := synthPipeline(opts.Verifier, topo, tasks, opts)
 	p.saver = ck.sequentialSaver(phaseSynthSequential, sess, configs)
 	p.resume = ps
 	verified, err := RunPipeline(sess, configs, p)
-	var recent []string
-	if initial != nil {
-		for _, task := range tasks {
-			if configs[task.Router] != initial[task.Router] {
-				recent = append(recent, task.Router)
-			}
-		}
-	}
-	return configs, recent, verified, err
+	return configs, verified, err
 }
 
 // routerOutcome is one worker's result: the router's final configuration
@@ -419,11 +309,7 @@ type routerOutcome struct {
 	punted     []string
 	iterations int
 	verified   bool
-	// repaired reports the final configuration differs from the model's
-	// first draft — the router was actually rewritten by the repair loop,
-	// which steers the compositional check's falsification bias.
-	repaired bool
-	err      error
+	err        error
 }
 
 // synthesizeParallel repairs each router concurrently: every worker runs
@@ -439,7 +325,7 @@ type routerOutcome struct {
 // human-oracle give-up are scoped per router here (see SynthOptions).
 func synthesizeParallel(sess *session, topo *topology.Topology,
 	tasks []modularizer.Task, opts SynthOptions, ck *checkpointer,
-	resumed *checkpointFile) (map[string]string, []string, bool, error) {
+	resumed *checkpointFile) (map[string]string, bool, error) {
 	forker, _ := sess.model.(llm.Forker)
 	var shared llm.Model
 	if forker == nil {
@@ -448,7 +334,7 @@ func synthesizeParallel(sess *session, topo *topology.Topology,
 			// order; skipping checkpointed routers would silently shift the
 			// remaining conversations. Refuse rather than checkpoint
 			// something that cannot be resumed faithfully.
-			return nil, nil, false, fmt.Errorf("checkpoint: parallel synthesis requires a forkable model")
+			return nil, false, fmt.Errorf("checkpoint: parallel synthesis requires a forkable model")
 		}
 		shared = &lockedModel{model: sess.model}
 	}
@@ -481,7 +367,6 @@ func synthesizeParallel(sess *session, topo *topology.Topology,
 			Punted:     out.punted,
 			Iterations: out.iterations,
 			Verified:   out.verified,
-			Repaired:   out.repaired,
 		}
 		snap := make(map[string]routerSnapshot, len(completed.m))
 		for k, v := range completed.m {
@@ -509,7 +394,6 @@ func synthesizeParallel(sess *session, topo *topology.Topology,
 						punted:     snap.Punted,
 						iterations: snap.Iterations,
 						verified:   snap.Verified,
-						repaired:   snap.Repaired,
 					}
 					continue
 				}
@@ -532,17 +416,13 @@ func synthesizeParallel(sess *session, topo *topology.Topology,
 	wg.Wait()
 
 	configs := map[string]string{}
-	var recent []string
 	verified := true
 	for i, task := range tasks {
 		out := outcomes[i]
 		if out.err != nil {
-			return nil, nil, false, fmt.Errorf("router %s: %w", task.Router, out.err)
+			return nil, false, fmt.Errorf("router %s: %w", task.Router, out.err)
 		}
 		configs[task.Router] = out.config
-		if out.repaired {
-			recent = append(recent, task.Router)
-		}
 		sess.transcript = append(sess.transcript, out.transcript...)
 		sess.punted = append(sess.punted, out.punted...)
 		sess.iterations += out.iterations
@@ -550,7 +430,7 @@ func synthesizeParallel(sess *session, topo *topology.Topology,
 			verified = false
 		}
 	}
-	return configs, recent, verified, nil
+	return configs, verified, nil
 }
 
 // repairRouter runs one router's private loop: the modularizer prompt,
@@ -575,7 +455,6 @@ func repairRouter(model llm.Model, topo *topology.Topology,
 		punted:     wsess.punted,
 		iterations: wsess.iterations,
 		verified:   verified,
-		repaired:   configs[task.Router] != resp,
 	}
 }
 

@@ -383,18 +383,15 @@ func (c *Campaign) RunCase(cs Case) CaseResult {
 	if err != nil {
 		return fail(PropError, err.Error())
 	}
-	// The pipeline-internal global check runs compositionally: the
-	// oracle's independent full simulation below re-proves
-	// local-implies-global on every case anyway, so the in-pipeline
-	// simulation was pure duplication — on profile it was half of every
-	// passing case's simulation time.
+	// The pipeline skips its own global check: the oracle's independent
+	// simulation below is the case's global check, so running one inside
+	// the pipeline as well would do the same work twice.
 	res, err := core.Synthesize(topo, core.SynthOptions{
 		Model:           llm.NewSynthesizer(llm.SynthConfig{Seed: 1, RespectIIP: true, Plan: sites}),
 		Verifier:        c.Verifier,
 		MaxIterations:   c.MaxIterations,
+		SkipGlobalCheck: true,
 		DurableCache:    c.DurableCache,
-		GlobalCheck:     core.GlobalCheckCompositional,
-		GlobalCheckSeed: cs.Seed,
 		Metrics:         c.Metrics,
 		Trace:           c.Tracer,
 		RunLabel:        "fuzz:" + cs.String(),
@@ -433,8 +430,11 @@ func (c *Campaign) RunCase(cs Case) CaseResult {
 		return fail(PropError, err.Error())
 	}
 	if !global.OK() {
-		return fail(PropGlobal, fmt.Sprintf("verified configs fail the global check: %+v",
-			global.Violations))
+		// The pipeline skipped its own global check, so this is the only
+		// place a reachability loss surfaces: report it with the leaks.
+		return fail(PropGlobal, fmt.Sprintf(
+			"verified configs fail the global check: violations %v, missing reachability %v, converged %v",
+			global.Violations, global.MissingReachability, global.Converged))
 	}
 	if c.Falsify && !netgen.IsStar(topo) {
 		if f := falsify(topo, devs); f != nil {

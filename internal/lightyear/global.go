@@ -9,38 +9,16 @@ import (
 	"repro/internal/topology"
 )
 
-// Global check methods, recorded on GlobalResult.Method.
-const (
-	// MethodSimulated is the paper-faithful whole-network BGP simulation.
-	MethodSimulated = "simulated"
-	// MethodCompositional is the verified-local-specs fast path plus
-	// seeded sampled falsification (CheckCompositionalNoTransit).
-	MethodCompositional = "compositional"
-)
-
 // GlobalResult reports the whole-network check of the global no-transit
-// policy — produced either by the full BGP simulation
-// (CheckGlobalNoTransit) or by the compositional fast path
-// (CheckCompositionalNoTransit); Method records which.
+// policy, produced by the full BGP simulation (CheckGlobalNoTransit).
 type GlobalResult struct {
 	// Violations lists transit paths that must not exist (ISP i reaches
-	// ISP j's prefix through the customer network). The compositional
-	// checker reports unmet local obligations and failed falsification
-	// probes here instead of simulated transit paths.
+	// ISP j's prefix through the customer network).
 	Violations []string
 	// MissingReachability lists required connectivity that is absent
 	// (an ISP cannot reach the customer, or vice versa).
 	MissingReachability []string
 	Converged           bool
-	// Method is the checker that produced this result (MethodSimulated or
-	// MethodCompositional); empty on results from servers predating the
-	// compositional check.
-	Method string
-	// FalsificationProbes lists the egress filters the compositional
-	// checker's seeded sampling neutralized to prove the local obligations
-	// non-vacuous, as "router:policy" in topology order. Empty for
-	// simulated results.
-	FalsificationProbes []string
 }
 
 // OK reports whether the global policy holds.
@@ -67,28 +45,16 @@ type externalStub struct {
 // (CUSTOMER originates CustomerPrefix, ISP behind Ri originates
 // ISPPrefix(i)) when the field is absent.
 func CheckGlobalNoTransit(t *topology.Topology, devs map[string]*netcfg.Device) (*GlobalResult, error) {
-	sim, isps, customers, err := buildNoTransitSim(t, devs)
-	if err != nil {
-		return nil, err
-	}
-	return evalNoTransit(sim.Run(), isps, customers), nil
-}
-
-// buildNoTransitSim assembles the simulator for a topology: every
-// configured router plus the external stubs its dictionary declares,
-// partitioned into ISPs and customers for the verdict evaluation.
-func buildNoTransitSim(t *topology.Topology, devs map[string]*netcfg.Device) (
-	*batfish.Sim, []externalStub, []externalStub, error) {
 	sim := batfish.NewSim()
 	var stubs []externalStub
 	for i := range t.Routers {
 		spec := &t.Routers[i]
 		dev := devs[spec.Name]
 		if dev == nil {
-			return nil, nil, nil, fmt.Errorf("router %s has no configuration", spec.Name)
+			return nil, fmt.Errorf("router %s has no configuration", spec.Name)
 		}
 		if err := sim.AddDevice(spec.Name, dev); err != nil {
-			return nil, nil, nil, err
+			return nil, err
 		}
 		ispPeers := 0
 		for _, nb := range spec.Neighbors {
@@ -102,7 +68,7 @@ func buildNoTransitSim(t *topology.Topology, devs map[string]*netcfg.Device) (
 			}
 			stub, err := stubFor(spec, nb, ispPeers)
 			if err != nil {
-				return nil, nil, nil, err
+				return nil, err
 			}
 			stubs = append(stubs, stub)
 		}
@@ -110,7 +76,7 @@ func buildNoTransitSim(t *topology.Topology, devs map[string]*netcfg.Device) (
 	var isps, customers []externalStub
 	for _, s := range stubs {
 		if err := sim.AddExternal(s.name, s.addr, s.asn, s.prefixes); err != nil {
-			return nil, nil, nil, err
+			return nil, err
 		}
 		if s.customer {
 			customers = append(customers, s)
@@ -118,12 +84,12 @@ func buildNoTransitSim(t *topology.Topology, devs map[string]*netcfg.Device) (
 			isps = append(isps, s)
 		}
 	}
-	return sim, isps, customers, nil
+	return evalNoTransit(sim.Run(), isps, customers), nil
 }
 
 // evalNoTransit derives the global verdict from a converged simulation.
 func evalNoTransit(res *batfish.Result, isps, customers []externalStub) *GlobalResult {
-	out := &GlobalResult{Converged: res.Converged, Method: MethodSimulated}
+	out := &GlobalResult{Converged: res.Converged}
 	for _, isp := range isps {
 		// Positive requirements: every ISP and every customer reach each
 		// other.
@@ -158,72 +124,6 @@ func evalNoTransit(res *batfish.Result, isps, customers []externalStub) *GlobalR
 	return out
 }
 
-// GlobalSession is the incremental counterpart of CheckGlobalNoTransit:
-// it keeps the BGP simulator's converged state alive between checks of
-// the same topology, so a repair iteration that changed one router's
-// configuration re-simulates only the flooding frontier instead of the
-// whole network (batfish.Sim.RunIncremental). Results are byte-identical
-// to the cold check — the simulator's equivalence gate guarantees the
-// RIBs, and the verdict evaluation is shared code.
-//
-// A GlobalSession is not safe for concurrent use; callers serialize.
-type GlobalSession struct {
-	topo            *topology.Topology
-	sim             *batfish.Sim
-	isps, customers []externalStub
-}
-
-// NewGlobalSession returns a session for one topology. The first Check
-// pays a full cold simulation; later Checks replay incrementally.
-func NewGlobalSession(t *topology.Topology) *GlobalSession {
-	return &GlobalSession{topo: t}
-}
-
-// Check verifies the global no-transit policy against the given devices.
-// changed names the routers whose device differs from the previous Check
-// of this session; nil means unknown (or first call), which rebuilds the
-// simulator and runs cold. A changed router the session cannot update in
-// place (a topology drift) also falls back to a cold rebuild, so the
-// session never returns a result the cold path would not.
-func (gs *GlobalSession) Check(devs map[string]*netcfg.Device, changed []string) (*GlobalResult, error) {
-	if gs.sim == nil || changed == nil {
-		if err := gs.rebuild(devs); err != nil {
-			return nil, err
-		}
-	} else {
-		for _, r := range changed {
-			dev := devs[r]
-			if dev == nil {
-				// A router vanished from the config set: rebuild, so the
-				// session errors (or not) exactly as the cold check would.
-				if rerr := gs.rebuild(devs); rerr != nil {
-					return nil, rerr
-				}
-				break
-			}
-			if err := gs.sim.Update(r, dev); err != nil {
-				// Unknown router: the topology drifted under the session.
-				if rerr := gs.rebuild(devs); rerr != nil {
-					return nil, rerr
-				}
-				break
-			}
-		}
-	}
-	return evalNoTransit(gs.sim.RunIncremental(), gs.isps, gs.customers), nil
-}
-
-// rebuild constructs a fresh simulator for the session's topology; the
-// next RunIncremental runs cold and records a new baseline.
-func (gs *GlobalSession) rebuild(devs map[string]*netcfg.Device) error {
-	sim, isps, customers, err := buildNoTransitSim(gs.topo, devs)
-	if err != nil {
-		return err
-	}
-	gs.sim, gs.isps, gs.customers = sim, isps, customers
-	return nil
-}
-
 // stubFor derives the external speaker behind one external neighbor.
 // ispPeers is the number of ISP attachments on the router: the
 // index-keyed star fallback prefix is only safe when the router has a
@@ -249,14 +149,15 @@ func stubFor(spec *topology.RouterSpec, nb topology.NeighborSpec, ispPeers int) 
 	}
 	if len(s.prefixes) == 0 {
 		// Star-generator conventions; for hand-built dictionaries (names
-		// not of the R<i> form, or several ISPs on one router) key the
-		// fallback prefix on the peer AS so distinct ISPs never share a
-		// stub prefix.
+		// not of the R<i> form with i fitting an address octet, or several
+		// ISPs on one router) key the fallback prefix on the peer AS so
+		// distinct ISPs never share a stub prefix.
+		idx := indexOf(spec.Name)
 		switch {
 		case s.customer:
 			s.prefixes = []netcfg.Prefix{netgen.CustomerPrefix()}
-		case indexOf(spec.Name) > 0 && ispPeers == 1:
-			s.prefixes = []netcfg.Prefix{netgen.ISPPrefix(indexOf(spec.Name))}
+		case idx > 0 && idx <= 255 && ispPeers == 1:
+			s.prefixes = []netcfg.Prefix{netgen.ISPPrefix(idx)}
 		default:
 			s.prefixes = []netcfg.Prefix{netcfg.MustPrefix(fmt.Sprintf(
 				"150.%d.%d.0/24", (nb.PeerAS>>8)&0xff, nb.PeerAS&0xff))}

@@ -9,6 +9,7 @@ import (
 	"repro/internal/llm"
 	"repro/internal/netcfg"
 	"repro/internal/netgen"
+	"repro/internal/topology"
 )
 
 // goldenStarConfigs produces verified star configurations by running the
@@ -19,6 +20,14 @@ func goldenStarConfigs(t *testing.T, n int) (map[string]*netcfg.Device, map[stri
 	if err != nil {
 		t.Fatal(err)
 	}
+	return goldenConfigs(t, topo)
+}
+
+// goldenConfigs produces verified configurations for any topology by
+// running the pipeline with an error-free synthesizer, without the global
+// check.
+func goldenConfigs(t *testing.T, topo *topology.Topology) (map[string]*netcfg.Device, map[string]string) {
+	t.Helper()
 	res, err := core.Synthesize(topo, core.SynthOptions{
 		Model:           llm.NewSynthesizer(llm.SynthConfig{Seed: 1, Errors: map[string][]llm.SynthError{}}),
 		SkipGlobalCheck: true,
@@ -50,6 +59,85 @@ func TestGlobalNoTransitHoldsOnGoldenConfigs(t *testing.T) {
 	if !res.OK() {
 		t.Fatalf("violations=%v missing=%v converged=%v",
 			res.Violations, res.MissingReachability, res.Converged)
+	}
+}
+
+// TestGlobalNoTransitVerdictsAcrossScenarios checks the global verdict on
+// every registry scenario: golden configs pass, a deny-all export on the
+// first ISP attachment's router loses reachability, and stripping the
+// egress filters the spec obligates (the hub's on the star, each
+// attachment router's elsewhere) leaks transit.
+func TestGlobalNoTransitVerdictsAcrossScenarios(t *testing.T) {
+	for _, s := range netgen.Scenarios() {
+		s := s
+		t.Run(s.Name, func(t *testing.T) {
+			topo, err := s.Generate(s.DefaultSize)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, configs := goldenConfigs(t, topo)
+			check := func(mutate func(devs map[string]*netcfg.Device)) *lightyear.GlobalResult {
+				t.Helper()
+				devs := map[string]*netcfg.Device{}
+				for name, text := range configs {
+					devs[name], _ = batfish.ParseConfig(text)
+				}
+				if mutate != nil {
+					mutate(devs)
+				}
+				res, err := lightyear.CheckGlobalNoTransit(topo, devs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
+			}
+
+			if res := check(nil); !res.OK() {
+				t.Errorf("golden configs fail the global check: %+v", res)
+			}
+
+			atts := lightyear.ISPAttachments(topo)
+			if len(atts) == 0 {
+				t.Fatal("no ISP attachment to mutate")
+			}
+			denied := check(func(devs map[string]*netcfg.Device) {
+				dev := devs[atts[0].Router]
+				dev.RoutePolicies["DENY_ALL"] = &netcfg.RoutePolicy{Name: "DENY_ALL",
+					Clauses: []*netcfg.PolicyClause{{Seq: 10, Action: netcfg.Deny}}}
+				for _, nb := range dev.BGP.Neighbors {
+					nb.ExportPolicy = "DENY_ALL"
+				}
+			})
+			if len(denied.MissingReachability) == 0 {
+				t.Errorf("deny-all export on %s lost no reachability: %+v", atts[0].Router, denied)
+			}
+
+			egress := map[string]map[string]bool{}
+			for _, r := range lightyear.SpecFor(topo) {
+				if r.Kind != lightyear.EgressDropsCommunity {
+					continue
+				}
+				if egress[r.Router] == nil {
+					egress[r.Router] = map[string]bool{}
+				}
+				egress[r.Router][r.Policy] = true
+			}
+			if len(egress) == 0 {
+				t.Fatal("the spec obligates no egress filter")
+			}
+			stripped := check(func(devs map[string]*netcfg.Device) {
+				for router, pols := range egress {
+					for _, nb := range devs[router].BGP.Neighbors {
+						if pols[nb.ExportPolicy] {
+							nb.ExportPolicy = ""
+						}
+					}
+				}
+			})
+			if len(stripped.Violations) == 0 {
+				t.Errorf("stripping the spec's egress filters leaked no transit: %+v", stripped)
+			}
+		})
 	}
 }
 

@@ -27,8 +27,8 @@ const (
 	// verifier — a single check or a prefetch batch (Outcome "check" or
 	// "prefetch"); cache lookups, parses and batch RPCs nest inside it.
 	StageLocalCheck = "local_check"
-	// StageGlobalCheck is one global no-transit check; Outcome records
-	// the method ("incremental", "cold", "compositional", "simulated").
+	// StageGlobalCheck is one global no-transit check: one cold
+	// whole-network BGP simulation.
 	StageGlobalCheck = "global_check"
 	// StageCacheHit / StageCacheMiss are point events from the
 	// verification result cache; Outcome is the tier ("memory", "disk").

@@ -80,7 +80,7 @@ func traceFixture() string {
 		{TS: ts, Stage: StageRun, DurNS: int64(10 * time.Second), Run: "synth"},
 		{TS: ts, Stage: StageLLMCall, DurNS: int64(4 * time.Second), Iter: 1, Router: "r1"},
 		{TS: ts, Stage: StageLocalCheck, DurNS: int64(3 * time.Second), Outcome: "prefetch", Checks: 20},
-		{TS: ts, Stage: StageGlobalCheck, DurNS: int64(2 * time.Second), Outcome: "incremental"},
+		{TS: ts, Stage: StageGlobalCheck, DurNS: int64(2 * time.Second)},
 		{TS: ts, Stage: StageCheckpointSave, DurNS: int64(500 * time.Millisecond)},
 		// Nested detail: inside local_check and llm_call above.
 		{TS: ts, Stage: StageBatchRPC, DurNS: int64(2 * time.Second), Shard: "http://a", Checks: 20, Bytes: 999},

@@ -8,19 +8,16 @@ import (
 
 // TextDigest content-addresses one configuration text: the hex SHA-256 of
 // its bytes. It is the per-revision identity everything digest-keyed in
-// the pipeline shares — check keys (KeyD), shard routing (ShardKeyD),
-// config-set digests (ConfigDigestD), and the global tracker's change
-// detection.
+// the pipeline shares: check keys (KeyD) and shard routing (ShardKeyD).
 func TextDigest(text string) string {
 	sum := sha256.Sum256([]byte(text))
 	return hex.EncodeToString(sum[:])
 }
 
 // Digests memoizes TextDigest per distinct text, so a configuration
-// revision is hashed once no matter how many checks, shard routings, and
-// digests of the whole config set consult it. Safe for concurrent use. A
-// nil *Digests is valid everywhere one is accepted and simply computes
-// without memoizing.
+// revision is hashed once no matter how many checks and shard routings
+// consult it. Safe for concurrent use. A nil *Digests is valid everywhere
+// one is accepted and simply computes without memoizing.
 type Digests struct {
 	mu sync.RWMutex
 	m  map[string]string

@@ -1,11 +1,9 @@
 package repro
 
 import (
-	"reflect"
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/lightyear"
 	"repro/internal/llm"
 	"repro/internal/netgen"
 )
@@ -16,49 +14,6 @@ func synthModel() llm.Model {
 	cfg := llm.DefaultSynthConfig()
 	cfg.Seed = 1
 	return llm.NewSynthesizer(cfg)
-}
-
-// TestCompositionalAgreesWithSimulation is the acceptance gate for the
-// compositional global check: on every registry scenario, synthesis under
-// GlobalCheckCompositional must reach the same verdict as the default
-// full-simulation run, with byte-identical transcripts and
-// configurations (the mode only changes how the final verdict is
-// computed, never the repair loop), and must actually have taken the
-// compositional path — a silent fallback to the simulation would make
-// the agreement vacuous.
-func TestCompositionalAgreesWithSimulation(t *testing.T) {
-	for _, s := range netgen.Scenarios() {
-		s := s
-		t.Run(s.Name, func(t *testing.T) {
-			topo := mustTopo(t, s.Name, s.DefaultSize)
-			run := func(mode core.GlobalCheckMode) *Result {
-				res, err := core.Synthesize(topo, core.SynthOptions{
-					Model:           synthModel(),
-					GlobalCheck:     mode,
-					GlobalCheckSeed: 1,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				return res
-			}
-			sim := run(core.GlobalCheckSimulated)
-			comp := run(core.GlobalCheckCompositional)
-			requireSameRun(t, s.Name, sim, comp)
-			if sim.Global == nil || sim.Global.Method != lightyear.MethodSimulated {
-				t.Errorf("default run's global method = %+v, want %q",
-					sim.Global, lightyear.MethodSimulated)
-			}
-			if comp.Global == nil || comp.Global.Method != lightyear.MethodCompositional {
-				t.Errorf("compositional run's global method = %+v, want %q",
-					comp.Global, lightyear.MethodCompositional)
-			}
-			if comp.Global != nil && comp.Global.Method == lightyear.MethodCompositional &&
-				len(comp.Global.FalsificationProbes) == 0 {
-				t.Errorf("compositional run sampled no falsification probes")
-			}
-		})
-	}
 }
 
 // opaqueModel hides a model's Forker capability, forcing the parallel
@@ -98,39 +53,5 @@ func TestForkedParallelSynthesisByteIdentical(t *testing.T) {
 			}
 			requireSameRun(t, s.Name, locked, forked)
 		})
-	}
-}
-
-// TestFalsificationSamplingDeterministic pins the compositional check's
-// sampled falsification: the same seed must neutralize the same egress
-// filters in the same order on repeated runs (replayability of a scale
-// run's verdict), and the sample must respect the configured bound.
-func TestFalsificationSamplingDeterministic(t *testing.T) {
-	topo := mustTopo(t, "random", 20)
-	run := func(seed int64) []string {
-		res, err := core.Synthesize(topo, core.SynthOptions{
-			Model:           synthModel(),
-			GlobalCheck:     core.GlobalCheckCompositional,
-			GlobalCheckSeed: seed,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Global == nil || res.Global.Method != lightyear.MethodCompositional {
-			t.Fatalf("run did not take the compositional path: %+v", res.Global)
-		}
-		return res.Global.FalsificationProbes
-	}
-	first := run(7)
-	again := run(7)
-	if !reflect.DeepEqual(first, again) {
-		t.Errorf("same seed sampled different probes:\n%v\n%v", first, again)
-	}
-	if len(first) == 0 || len(first) > 4 {
-		t.Errorf("probe count %d outside the default bound of 4", len(first))
-	}
-	other := run(8)
-	if len(other) == 0 || len(other) > 4 {
-		t.Errorf("probe count %d outside the default bound of 4", len(other))
 	}
 }
