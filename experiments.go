@@ -181,7 +181,7 @@ func Table3RectificationPrompts() ([]GeneratedPrompt, error) {
 		if req.Kind != lightyear.EgressDropsCommunity {
 			continue
 		}
-		if v, bad := lightyear.Check(dev, req); bad {
+		if v, bad := lightyear.Check(&netcfg.Parsed{Device: dev}, req); bad {
 			out = append(out, GeneratedPrompt{Type: "Semantic error",
 				Prompt: humanizer.Semantic(v)})
 			break

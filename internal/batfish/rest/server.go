@@ -29,10 +29,11 @@ type HandlerOptions struct {
 	BatchWorkers int
 	// Parses, when set, is a parse cache shared across requests: batched
 	// and no-transit checks parse through it instead of a request-scoped
-	// cache, so a revision one request parsed is not parsed again. It grows
-	// with every distinct configuration revision seen, so long-lived
-	// servers trade memory for parse time; leave nil to keep the
-	// request-scoped behaviour.
+	// cache, so a revision one request parsed is not parsed again, nor are
+	// the route-maps its local checks compiled. It grows with every
+	// distinct configuration revision seen, so long-lived servers trade
+	// memory for parse time; leave nil to keep the request-scoped
+	// behaviour.
 	Parses *netcfg.ParseCache
 	// Durable, when set, answers batched checks from a disk cache keyed by
 	// suite.Key and persists computed results into it — the same
@@ -451,7 +452,7 @@ func handleSearch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	dev, _ := batfish.ParseConfig(req.Config)
-	result, err := batfish.SearchRoutePolicies(dev, req.Query)
+	result, err := batfish.SearchRoutePolicies(&netcfg.Parsed{Device: dev}, req.Query)
 	if err != nil {
 		writeJSON(w, http.StatusUnprocessableEntity, ErrorResponse{Error: err.Error()})
 		return

@@ -93,10 +93,17 @@ type SearchResult struct {
 	WitnessProtocol    string   `json:"witness_protocol,omitempty"`
 }
 
-// SearchRoutePolicies answers a query against a device, mirroring the
-// Batfish question of the same name the paper uses as its semantic
-// verifier for local policies (§4.1).
-func SearchRoutePolicies(dev *netcfg.Device, q SearchQuery) (SearchResult, error) {
+// SearchRoutePolicies answers a query against one configuration revision,
+// mirroring the Batfish question of the same name the paper uses as its
+// semantic verifier for local policies (§4.1). Like Batfish's one symbolic
+// encoding per route-map, each policy of a revision is compiled into its
+// accept space on the first query that names it, kept in the revision's
+// slot (netcfg.Parsed.CompiledPolicy), and every later query on that
+// revision is answered from the compiled form. A bare device is searched
+// as a fresh revision, &netcfg.Parsed{Device: dev}, which compiles on
+// every call.
+func SearchRoutePolicies(rev *netcfg.Parsed, q SearchQuery) (SearchResult, error) {
+	dev := rev.Device
 	pol := dev.RoutePolicies[q.Policy]
 	if pol == nil {
 		return SearchResult{}, fmt.Errorf("policy %q is not defined on %s", q.Policy, dev.Hostname)
@@ -114,7 +121,10 @@ func SearchRoutePolicies(dev *netcfg.Device, q SearchQuery) (SearchResult, error
 	default:
 		return SearchResult{}, fmt.Errorf("action must be permit or deny, got %q", q.Action)
 	}
-	witness, found := symbolic.SearchPolicy(pol, dev, symbolic.Query{Input: input, Action: action})
+	accept := rev.CompiledPolicy(q.Policy, func() any {
+		return symbolic.AcceptSpace(pol, dev)
+	}).(symbolic.Space)
+	witness, found := symbolic.Search(accept, symbolic.Query{Input: input, Action: action})
 	if !found {
 		return SearchResult{Found: false}, nil
 	}

@@ -8,7 +8,7 @@ import (
 	"repro/internal/netcfg"
 )
 
-func searchDevice() *netcfg.Device {
+func searchRevision() *netcfg.Parsed {
 	d := netcfg.NewDevice("r", netcfg.VendorCisco)
 	d.CommunityLists["1"] = &netcfg.CommunityList{Name: "1", Entries: []netcfg.CommunityListEntry{
 		{Action: netcfg.Permit, Community: netcfg.MustCommunity("100:1")},
@@ -26,13 +26,13 @@ func searchDevice() *netcfg.Device {
 				Matches: []netcfg.Match{netcfg.MatchCommunityList{List: "1"}}},
 			{Seq: 20, Action: netcfg.Permit},
 		}}
-	return d
+	return &netcfg.Parsed{Device: d}
 }
 
 func TestSearchFindsTable3Violation(t *testing.T) {
 	// Table 3 semantic error: "The route-map DROP_COMMUNITY permits routes
 	// that have the community 100:1. However, they should be denied."
-	res, err := SearchRoutePolicies(searchDevice(), SearchQuery{
+	res, err := SearchRoutePolicies(searchRevision(), SearchQuery{
 		Policy: "DROP_COMMUNITY",
 		Action: "permit",
 		Constraints: RouteConstraints{
@@ -51,7 +51,7 @@ func TestSearchFindsTable3Violation(t *testing.T) {
 }
 
 func TestSearchCleanOnCorrectPolicy(t *testing.T) {
-	res, err := SearchRoutePolicies(searchDevice(), SearchQuery{
+	res, err := SearchRoutePolicies(searchRevision(), SearchQuery{
 		Policy: "GOOD",
 		Action: "permit",
 		Constraints: RouteConstraints{
@@ -67,7 +67,7 @@ func TestSearchCleanOnCorrectPolicy(t *testing.T) {
 }
 
 func TestSearchPrefixConstraint(t *testing.T) {
-	res, err := SearchRoutePolicies(searchDevice(), SearchQuery{
+	res, err := SearchRoutePolicies(searchRevision(), SearchQuery{
 		Policy:      "GOOD",
 		Action:      "permit",
 		Constraints: RouteConstraints{Prefix: "1.2.3.0/24"},
@@ -81,22 +81,22 @@ func TestSearchPrefixConstraint(t *testing.T) {
 }
 
 func TestSearchValidation(t *testing.T) {
-	if _, err := SearchRoutePolicies(searchDevice(), SearchQuery{Policy: "nope", Action: "permit"}); err == nil {
+	if _, err := SearchRoutePolicies(searchRevision(), SearchQuery{Policy: "nope", Action: "permit"}); err == nil {
 		t.Error("undefined policy should error")
 	}
-	if _, err := SearchRoutePolicies(searchDevice(), SearchQuery{Policy: "GOOD", Action: "maybe"}); err == nil {
+	if _, err := SearchRoutePolicies(searchRevision(), SearchQuery{Policy: "GOOD", Action: "maybe"}); err == nil {
 		t.Error("bad action should error")
 	}
-	if _, err := SearchRoutePolicies(searchDevice(), SearchQuery{Policy: "GOOD", Action: "permit",
+	if _, err := SearchRoutePolicies(searchRevision(), SearchQuery{Policy: "GOOD", Action: "permit",
 		Constraints: RouteConstraints{Prefix: "garbage"}}); err == nil {
 		t.Error("bad prefix constraint should error")
 	}
-	if _, err := SearchRoutePolicies(searchDevice(), SearchQuery{Policy: "GOOD", Action: "permit",
+	if _, err := SearchRoutePolicies(searchRevision(), SearchQuery{Policy: "GOOD", Action: "permit",
 		Constraints: RouteConstraints{HasCommunities: []string{"100:1"},
 			LacksCommunities: []string{"100:1"}}}); err == nil {
 		t.Error("inconsistent constraints should error")
 	}
-	if _, err := SearchRoutePolicies(searchDevice(), SearchQuery{Policy: "GOOD", Action: "permit",
+	if _, err := SearchRoutePolicies(searchRevision(), SearchQuery{Policy: "GOOD", Action: "permit",
 		Constraints: RouteConstraints{Protocol: "ipx"}}); err == nil {
 		t.Error("unknown protocol should error")
 	}

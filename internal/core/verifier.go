@@ -66,7 +66,7 @@ func (v LocalVerifier) VerifyTopology(spec topology.RouterSpec, config string) (
 
 // CheckLocalPolicy implements Verifier.
 func (v LocalVerifier) CheckLocalPolicy(config string, req lightyear.Requirement) (lightyear.Violation, bool, error) {
-	viol, bad := lightyear.Check(v.parsed(config).Device, req)
+	viol, bad := lightyear.Check(v.parsed(config), req)
 	return viol, bad, nil
 }
 

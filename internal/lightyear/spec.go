@@ -180,9 +180,13 @@ func indexOf(name string) int {
 	return i
 }
 
-// Check verifies one requirement against a parsed device, returning a
-// violation with a witness route if it fails.
-func Check(dev *netcfg.Device, req Requirement) (Violation, bool) {
+// Check verifies one requirement against a configuration revision,
+// returning a violation with a witness route if it fails. The revision's
+// compiled policies are shared by every check of it (see
+// batfish.SearchRoutePolicies); a hand-built device is checked as
+// &netcfg.Parsed{Device: dev}, wrapped afresh after each edit.
+func Check(rev *netcfg.Parsed, req Requirement) (Violation, bool) {
+	dev := rev.Device
 	pol := dev.RoutePolicies[req.Policy]
 	if pol == nil {
 		return Violation{
@@ -195,7 +199,7 @@ func Check(dev *netcfg.Device, req Requirement) (Violation, bool) {
 	case IngressAddsCommunity:
 		return checkIngressAdds(dev, pol, req)
 	case EgressDropsCommunity:
-		res, err := batfish.SearchRoutePolicies(dev, batfish.SearchQuery{
+		res, err := batfish.SearchRoutePolicies(rev, batfish.SearchQuery{
 			Policy: req.Policy,
 			Action: "permit",
 			Constraints: batfish.RouteConstraints{
@@ -216,7 +220,7 @@ func Check(dev *netcfg.Device, req Requirement) (Violation, bool) {
 		for _, c := range req.Communities {
 			lacks = append(lacks, c.String())
 		}
-		res, err := batfish.SearchRoutePolicies(dev, batfish.SearchQuery{
+		res, err := batfish.SearchRoutePolicies(rev, batfish.SearchQuery{
 			Policy: req.Policy,
 			Action: "deny",
 			Constraints: batfish.RouteConstraints{
@@ -354,18 +358,18 @@ func witnessRoute(res batfish.SearchResult) *netcfg.Route {
 	return r
 }
 
-// CheckAll verifies every requirement against the devices (keyed by router
-// name), returning all violations.
-func CheckAll(reqs []Requirement, devs map[string]*netcfg.Device) []Violation {
+// CheckAll verifies every requirement against the revisions (keyed by
+// router name), returning all violations.
+func CheckAll(reqs []Requirement, revs map[string]*netcfg.Parsed) []Violation {
 	var out []Violation
 	for _, req := range reqs {
-		dev := devs[req.Router]
-		if dev == nil {
+		rev := revs[req.Router]
+		if rev == nil {
 			out = append(out, Violation{Requirement: req,
 				Explanation: "router " + req.Router + " has no configuration"})
 			continue
 		}
-		if v, bad := Check(dev, req); bad {
+		if v, bad := Check(rev, req); bad {
 			out = append(out, v)
 		}
 	}

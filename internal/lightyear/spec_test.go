@@ -113,7 +113,7 @@ func TestCheckIngressAddsPasses(t *testing.T) {
 	dev := hubDevice(correctEgress)
 	req := Requirement{Kind: IngressAddsCommunity, Router: "R1",
 		Policy: IngressPolicyName(2), Community: netgen.ISPCommunity(2)}
-	if v, bad := Check(dev, req); bad {
+	if v, bad := Check(&netcfg.Parsed{Device: dev}, req); bad {
 		t.Fatalf("unexpected violation: %s", v.Explanation)
 	}
 }
@@ -126,7 +126,7 @@ func TestCheckIngressDetectsMissingAdditive(t *testing.T) {
 	sets[0] = sc
 	req := Requirement{Kind: IngressAddsCommunity, Router: "R1",
 		Policy: IngressPolicyName(2), Community: netgen.ISPCommunity(2)}
-	v, bad := Check(dev, req)
+	v, bad := Check(&netcfg.Parsed{Device: dev}, req)
 	if !bad {
 		t.Fatal("non-additive set community passed the ingress check")
 	}
@@ -140,7 +140,7 @@ func TestCheckIngressDetectsMissingTag(t *testing.T) {
 	dev.RoutePolicies[IngressPolicyName(2)].Clauses[0].Sets = nil
 	req := Requirement{Kind: IngressAddsCommunity, Router: "R1",
 		Policy: IngressPolicyName(2), Community: netgen.ISPCommunity(2)}
-	if _, bad := Check(dev, req); !bad {
+	if _, bad := Check(&netcfg.Parsed{Device: dev}, req); !bad {
 		t.Fatal("untagged ingress passed")
 	}
 }
@@ -149,7 +149,7 @@ func TestCheckEgressDropsCorrectFilter(t *testing.T) {
 	dev := hubDevice(correctEgress)
 	req := Requirement{Kind: EgressDropsCommunity, Router: "R1",
 		Policy: EgressPolicyName(2), Community: netgen.ISPCommunity(3)}
-	if v, bad := Check(dev, req); bad {
+	if v, bad := Check(&netcfg.Parsed{Device: dev}, req); bad {
 		t.Fatalf("correct filter flagged: %s", v.Explanation)
 	}
 }
@@ -158,7 +158,7 @@ func TestCheckEgressDetectsANDSemantics(t *testing.T) {
 	dev := hubDevice(andEgress)
 	req := Requirement{Kind: EgressDropsCommunity, Router: "R1",
 		Policy: EgressPolicyName(2), Community: netgen.ISPCommunity(3)}
-	v, bad := Check(dev, req)
+	v, bad := Check(&netcfg.Parsed{Device: dev}, req)
 	if !bad {
 		t.Fatal("AND-semantics filter passed the egress check")
 	}
@@ -175,14 +175,14 @@ func TestCheckEgressPermitsClean(t *testing.T) {
 	req := Requirement{Kind: EgressPermitsClean, Router: "R1",
 		Policy:      EgressPolicyName(2),
 		Communities: []netcfg.Community{netgen.ISPCommunity(3), netgen.ISPCommunity(4)}}
-	if v, bad := Check(dev, req); bad {
+	if v, bad := Check(&netcfg.Parsed{Device: dev}, req); bad {
 		t.Fatalf("clean-permitting filter flagged: %s", v.Explanation)
 	}
 	// Break it: deny everything.
 	dev.RoutePolicies[EgressPolicyName(2)].Clauses = []*netcfg.PolicyClause{
 		{Seq: 10, Action: netcfg.Deny},
 	}
-	if _, bad := Check(dev, req); !bad {
+	if _, bad := Check(&netcfg.Parsed{Device: dev}, req); !bad {
 		t.Fatal("deny-all egress passed the customer-reachability check")
 	}
 }
@@ -191,7 +191,7 @@ func TestCheckMissingPolicyIsViolation(t *testing.T) {
 	dev := netcfg.NewDevice("R1", netcfg.VendorCisco)
 	req := Requirement{Kind: EgressDropsCommunity, Router: "R1",
 		Policy: "NOPE", Community: netgen.ISPCommunity(2)}
-	v, bad := Check(dev, req)
+	v, bad := Check(&netcfg.Parsed{Device: dev}, req)
 	if !bad || !strings.Contains(v.Explanation, "not defined") {
 		t.Fatalf("missing policy: bad=%v %s", bad, v.Explanation)
 	}
@@ -203,7 +203,7 @@ func TestCheckAllAggregates(t *testing.T) {
 		t.Fatal(err)
 	}
 	reqs := NoTransitSpec(topo)
-	viols := CheckAll(reqs, map[string]*netcfg.Device{})
+	viols := CheckAll(reqs, map[string]*netcfg.Parsed{})
 	if len(viols) != len(reqs) {
 		t.Fatalf("violations = %d, want one per requirement for a missing device", len(viols))
 	}

@@ -12,13 +12,38 @@ import (
 // device, the parser's own warnings, and the full syntax-check feed (parse
 // warnings plus the dialect's lint pass). Keeping all three together lets a
 // cache answer both "give me the device" and "is the syntax clean" from a
-// single parse. The device is shared between callers and must be treated
-// as immutable — every verifier in the suite reads the IR without
-// modifying it.
+// single parse.
+//
+// A Parsed is an immutable revision, and it carries a slot for products
+// derived from it: CompiledPolicy holds each route-map's compiled form,
+// filled lazily on first use and shared by every later check of the same
+// revision. The slot is sound because a cached device is never mutated:
+// a ParseCache hands one device to every caller, and every verifier in
+// the suite reads the IR without modifying it. A caller that edits a
+// device of its own wraps it in a new Parsed after each edit
+// (&Parsed{Device: dev}), which starts with an empty slot; a Parsed whose
+// device changed underneath it would answer from stale compiled forms.
 type Parsed struct {
 	Device        *Device
 	ParseWarnings []ParseWarning
 	CheckWarnings []ParseWarning
+
+	// policies maps a route-map name to its compiled form. The form's type
+	// belongs to the compiler (internal/symbolic imports this package), so
+	// the slot stores it opaquely.
+	policies sync.Map
+}
+
+// CompiledPolicy returns the compiled form of the named route-map, calling
+// compile to build it the first time the name is asked for. It is safe for
+// concurrent use: two first calls may both compile, but one result is kept
+// and every caller receives that one.
+func (p *Parsed) CompiledPolicy(name string, compile func() any) any {
+	if v, ok := p.policies.Load(name); ok {
+		return v
+	}
+	v, _ := p.policies.LoadOrStore(name, compile())
+	return v
 }
 
 // ParseFunc parses one configuration revision into its Parsed product.

@@ -2,6 +2,7 @@ package netgen
 
 import (
 	"fmt"
+	"net/netip"
 	"os"
 	"path/filepath"
 	"testing"
@@ -480,6 +481,48 @@ func TestScenarioSizeBounds(t *testing.T) {
 		}
 		if _, err := GenerateSeeded(s.Name, s.MaxSize+1, 3); err == nil {
 			t.Errorf("GenerateSeeded(%s, %d) succeeded past MaxSize", s.Name, s.MaxSize+1)
+		}
+	}
+}
+
+// TestScenarioMaxSizeAddressesParse generates every family at its MaxSize
+// and parses every address and prefix the dictionary carries with
+// net/netip: a size the registry admits must never yield an address a
+// router config cannot hold (a star past 255 routers would put router
+// 256 at 256.0.0.1/24).
+func TestScenarioMaxSizeAddressesParse(t *testing.T) {
+	for _, s := range Scenarios() {
+		topo, err := Generate(s.Name, s.MaxSize)
+		if err != nil {
+			t.Fatalf("Generate(%s, %d): %v", s.Name, s.MaxSize, err)
+		}
+		bad := 0
+		check := func(router, what, text string, parse func(string) error) {
+			if err := parse(text); err != nil {
+				if bad++; bad <= 3 {
+					t.Errorf("%s:%d %s %s %q: %v", s.Name, s.MaxSize, router, what, text, err)
+				}
+			}
+		}
+		addr := func(text string) error { _, err := netip.ParseAddr(text); return err }
+		prefix := func(text string) error { _, err := netip.ParsePrefix(text); return err }
+		for _, r := range topo.Routers {
+			check(r.Name, "router ID", r.RouterID, addr)
+			for _, ifc := range r.Interfaces {
+				check(r.Name, "interface "+ifc.Name, ifc.Address, prefix)
+			}
+			for _, nb := range r.Neighbors {
+				check(r.Name, "peer "+nb.PeerName, nb.PeerIP, addr)
+				for _, p := range nb.Prefixes {
+					check(r.Name, "prefix of "+nb.PeerName, p, prefix)
+				}
+			}
+			for _, n := range r.Networks {
+				check(r.Name, "network", n, prefix)
+			}
+		}
+		if bad > 3 {
+			t.Errorf("%s:%d: %d unparseable addresses in all", s.Name, s.MaxSize, bad)
 		}
 	}
 }

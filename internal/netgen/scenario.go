@@ -44,9 +44,9 @@ var scenarios = []Scenario{
 	{
 		Name:        "star",
 		Summary:     "the paper's Figure 4 star: customer hub R1, one ISP per spoke",
-		SizeHint:    "n = number of routers (hub + n-1 spokes), n >= 2",
+		SizeHint:    "n = number of routers (hub + n-1 spokes), 2 <= n <= 255",
 		DefaultSize: 7,
-		MaxSize:     1000,
+		MaxSize:     maxStarRouters,
 		Generate:    Star,
 	},
 	{

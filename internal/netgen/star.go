@@ -34,11 +34,21 @@ const (
 	ISPBaseAS = 1000
 )
 
-// Star generates the Figure 4 star topology with n routers (n >= 2):
-// R1 plus n-1 ISP-facing routers.
+// maxStarRouters bounds Star and the registry's star family. Router Ri's
+// addresses carry i as an octet (i.0.0.1/24 on the hub, 20.i.0.1/24 toward
+// its ISP), so past 255 routers the star would emit addresses that do not
+// parse.
+const maxStarRouters = 255
+
+// Star generates the Figure 4 star topology with n routers
+// (2 <= n <= 255): R1 plus n-1 ISP-facing routers.
 func Star(n int) (*topology.Topology, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("star topology needs at least 2 routers, got %d", n)
+	}
+	if n > maxStarRouters {
+		return nil, fmt.Errorf("star topology supports at most %d routers (router i is addressed i.0.0.1/24), got %d",
+			maxStarRouters, n)
 	}
 	t := &topology.Topology{Name: fmt.Sprintf("star-%d", n)}
 

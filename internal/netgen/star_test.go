@@ -52,6 +52,18 @@ func TestStarMinimumSize(t *testing.T) {
 	}
 }
 
+// TestStarMaximumSize pins the star's octet bound: router i is addressed
+// i.0.0.1/24, so 255 routers generate and 256 is an error naming the bound.
+func TestStarMaximumSize(t *testing.T) {
+	if _, err := Star(255); err != nil {
+		t.Errorf("star of 255 should work: %v", err)
+	}
+	_, err := Star(256)
+	if err == nil || !strings.Contains(err.Error(), "255") {
+		t.Errorf("Star(256) = %v, want an error naming the bound of 255", err)
+	}
+}
+
 func TestISPCommunityMatchesPaperScheme(t *testing.T) {
 	// §4.2: "Community 100:1 is associated with routes incoming from R2,
 	// 101:1 with those coming from R3 and so on."

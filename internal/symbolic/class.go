@@ -2,7 +2,6 @@ package symbolic
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/netcfg"
@@ -10,9 +9,12 @@ import (
 
 // CommCond is a conjunction of community constraints: every community in
 // Req must be present on the route, every community in Forbid absent.
+// Both slices are sorted and duplicate-free, and no slice is written after
+// the condition that owns it is built, so conditions share them freely:
+// And hands back an operand's slice when the other side adds nothing.
 type CommCond struct {
-	Req    map[netcfg.Community]bool
-	Forbid map[netcfg.Community]bool
+	Req    []netcfg.Community
+	Forbid []netcfg.Community
 }
 
 // TrueComm is the unconstrained community condition.
@@ -20,18 +22,26 @@ func TrueComm() CommCond { return CommCond{} }
 
 // RequireComm returns a condition requiring a single community.
 func RequireComm(c netcfg.Community) CommCond {
-	return CommCond{Req: map[netcfg.Community]bool{c: true}}
+	return CommCond{Req: []netcfg.Community{c}}
 }
 
 // ForbidComm returns a condition forbidding a single community.
 func ForbidComm(c netcfg.Community) CommCond {
-	return CommCond{Forbid: map[netcfg.Community]bool{c: true}}
+	return CommCond{Forbid: []netcfg.Community{c}}
 }
 
-// Consistent reports whether the condition is satisfiable.
+// Consistent reports whether the condition is satisfiable: no community is
+// both required and forbidden. It is one merge-style scan of the two
+// sorted slices.
 func (c CommCond) Consistent() bool {
-	for comm := range c.Req {
-		if c.Forbid[comm] {
+	i, j := 0, 0
+	for i < len(c.Req) && j < len(c.Forbid) {
+		switch {
+		case c.Req[i] < c.Forbid[j]:
+			i++
+		case c.Req[i] > c.Forbid[j]:
+			j++
+		default:
 			return false
 		}
 	}
@@ -40,30 +50,47 @@ func (c CommCond) Consistent() bool {
 
 // And conjoins two conditions; ok=false when the result is unsatisfiable.
 func (c CommCond) And(d CommCond) (CommCond, bool) {
-	out := CommCond{Req: map[netcfg.Community]bool{}, Forbid: map[netcfg.Community]bool{}}
-	for k := range c.Req {
-		out.Req[k] = true
-	}
-	for k := range d.Req {
-		out.Req[k] = true
-	}
-	for k := range c.Forbid {
-		out.Forbid[k] = true
-	}
-	for k := range d.Forbid {
-		out.Forbid[k] = true
-	}
+	out := CommCond{Req: mergeComms(c.Req, d.Req), Forbid: mergeComms(c.Forbid, d.Forbid)}
 	return out, out.Consistent()
+}
+
+// mergeComms returns the sorted union of two sorted, duplicate-free
+// slices. When one side is empty the other is returned as is.
+func mergeComms(a, b []netcfg.Community) []netcfg.Community {
+	if len(b) == 0 {
+		return a
+	}
+	if len(a) == 0 {
+		return b
+	}
+	out := make([]netcfg.Community, 0, len(a)+len(b))
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] < b[j]:
+			out = append(out, a[i])
+			i++
+		case a[i] > b[j]:
+			out = append(out, b[j])
+			j++
+		default:
+			out = append(out, a[i])
+			i++
+			j++
+		}
+	}
+	out = append(out, a[i:]...)
+	return append(out, b[j:]...)
 }
 
 // Negations returns the disjuncts of ¬c: one single-literal condition per
 // literal in c, negated.
 func (c CommCond) Negations() []CommCond {
-	var out []CommCond
-	for _, comm := range sortedComms(c.Req) {
+	out := make([]CommCond, 0, len(c.Req)+len(c.Forbid))
+	for _, comm := range c.Req {
 		out = append(out, ForbidComm(comm))
 	}
-	for _, comm := range sortedComms(c.Forbid) {
+	for _, comm := range c.Forbid {
 		out = append(out, RequireComm(comm))
 	}
 	return out
@@ -71,12 +98,12 @@ func (c CommCond) Negations() []CommCond {
 
 // Holds evaluates the condition on a concrete community set.
 func (c CommCond) Holds(comms map[netcfg.Community]bool) bool {
-	for comm := range c.Req {
+	for _, comm := range c.Req {
 		if !comms[comm] {
 			return false
 		}
 	}
-	for comm := range c.Forbid {
+	for _, comm := range c.Forbid {
 		if comms[comm] {
 			return false
 		}
@@ -87,25 +114,16 @@ func (c CommCond) Holds(comms map[netcfg.Community]bool) bool {
 // String implements fmt.Stringer.
 func (c CommCond) String() string {
 	var parts []string
-	for _, comm := range sortedComms(c.Req) {
+	for _, comm := range c.Req {
 		parts = append(parts, "+"+comm.String())
 	}
-	for _, comm := range sortedComms(c.Forbid) {
+	for _, comm := range c.Forbid {
 		parts = append(parts, "-"+comm.String())
 	}
 	if len(parts) == 0 {
 		return "any-community"
 	}
 	return strings.Join(parts, " ")
-}
-
-func sortedComms(m map[netcfg.Community]bool) []netcfg.Community {
-	out := make([]netcfg.Community, 0, len(m))
-	for c := range m {
-		out = append(out, c)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // ProtoMask is a bitmask over route protocols.
@@ -202,7 +220,7 @@ func (c Class) Sample() (*netcfg.Route, bool) {
 		return nil, false
 	}
 	r := netcfg.NewRoute(p)
-	for comm := range c.Comms.Req {
+	for _, comm := range c.Comms.Req {
 		r.AddCommunity(comm)
 	}
 	protos := c.Protos.Protocols()

@@ -1,6 +1,8 @@
 package symbolic
 
 import (
+	"maps"
+	"slices"
 	"sort"
 
 	"repro/internal/netcfg"
@@ -128,12 +130,13 @@ type Query struct {
 	Action netcfg.Action
 }
 
-// SearchPolicy answers a query: it returns a concrete witness route on
-// which the policy takes the queried action, or ok=false if no such route
-// exists. This mirrors Batfish's searchRoutePolicies used as the paper's
-// semantic verifier in §4.
-func SearchPolicy(p *netcfg.RoutePolicy, env netcfg.PolicyEnv, q Query) (*netcfg.Route, bool) {
-	accept := AcceptSpace(p, env)
+// Search answers a query against a policy's accept space (AcceptSpace): it
+// returns a concrete witness route on which the policy takes the queried
+// action, or ok=false if no such route exists. This mirrors Batfish's
+// searchRoutePolicies used as the paper's semantic verifier in §4. The
+// accept space is an argument, not recomputed here, so a caller compiles a
+// policy once and asks it any number of questions.
+func Search(accept Space, q Query) (*netcfg.Route, bool) {
 	var target Space
 	if q.Action == netcfg.Permit {
 		target = q.Input.Intersect(accept)
@@ -229,7 +232,7 @@ func Universe(devs ...*netcfg.Device) []*netcfg.Route {
 		}
 		return sortedPrefixes[i].Len < sortedPrefixes[j].Len
 	})
-	commList := sortedComms(comms)
+	commList := slices.Sorted(maps.Keys(comms))
 
 	protos := []netcfg.RouteProtocol{
 		netcfg.ProtoBGP, netcfg.ProtoOSPF, netcfg.ProtoConnected, netcfg.ProtoStatic,

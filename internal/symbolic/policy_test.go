@@ -116,7 +116,7 @@ func TestSearchPolicyFindsPermitWitness(t *testing.T) {
 			Comms: RequireComm(netcfg.MustCommunity("100:1")), Protos: MaskBGP}},
 		Action: netcfg.Permit,
 	}
-	witness, found := SearchPolicy(pol, e, q)
+	witness, found := Search(AcceptSpace(pol, e), q)
 	if !found {
 		t.Fatal("expected a witness")
 	}
@@ -142,7 +142,7 @@ func TestSearchPolicyNoWitnessWhenPolicyCorrect(t *testing.T) {
 			Comms: RequireComm(netcfg.MustCommunity("100:1")), Protos: MaskBGP}},
 		Action: netcfg.Permit,
 	}
-	if w, found := SearchPolicy(pol, e, q); found {
+	if w, found := Search(AcceptSpace(pol, e), q); found {
 		t.Fatalf("unexpected witness %v for correct filter", w)
 	}
 }
@@ -158,7 +158,7 @@ func TestSearchPolicyDenyQueryFindsWronglyDenied(t *testing.T) {
 			Comms: ForbidComm(netcfg.MustCommunity("100:1")), Protos: MaskBGP}},
 		Action: netcfg.Deny,
 	}
-	w, found := SearchPolicy(pol, e, q)
+	w, found := Search(AcceptSpace(pol, e), q)
 	if !found {
 		t.Fatal("expected deny witness")
 	}
@@ -191,10 +191,10 @@ func TestAndOrSemanticsDistinguished(t *testing.T) {
 			Comms: RequireComm(netcfg.MustCommunity("100:1")), Protos: MaskBGP}},
 		Action: netcfg.Permit,
 	}
-	if _, found := SearchPolicy(and, e, q); !found {
+	if _, found := Search(AcceptSpace(and, e), q); !found {
 		t.Error("AND policy should leak single-community routes (witness expected)")
 	}
-	if w, found := SearchPolicy(or, e, q); found {
+	if w, found := Search(AcceptSpace(or, e), q); found {
 		t.Errorf("OR policy should filter single-community routes, got witness %v", w)
 	}
 }
