@@ -69,6 +69,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/durable"
 	"repro/internal/fuzz"
+	"repro/internal/lightyear"
 	"repro/internal/llm"
 	"repro/internal/netgen"
 	"repro/internal/obs"
@@ -355,6 +356,9 @@ func main() {
 		}
 	}
 	fmt.Println(repro.Summary(*mode, res))
+	if g := res.Global; g != nil && !g.OK() {
+		fmt.Println(globalFinding(g))
+	}
 	if res.CacheStats != nil {
 		fmt.Println(res.CacheStats)
 	}
@@ -384,4 +388,21 @@ func main() {
 	if !res.Verified {
 		os.Exit(1)
 	}
+}
+
+// globalFinding explains a failed global check by its first finding:
+// non-convergence, else the first transit violation, else the first
+// missing reachability.
+func globalFinding(g *lightyear.GlobalResult) string {
+	var first string
+	switch {
+	case !g.Converged:
+		first = "the BGP simulation did not converge"
+	case len(g.Violations) > 0:
+		first = g.Violations[0]
+	default:
+		first = g.MissingReachability[0]
+	}
+	return fmt.Sprintf("global check failed: %s (%d transit violations, %d missing reachabilities)",
+		first, len(g.Violations), len(g.MissingReachability))
 }

@@ -239,7 +239,16 @@
 // 152 MB, on a 2-CPU machine). Only the global-prompting ablation and
 // the §6 add-policy run re-check, on 7- and 5-router stars where a cold
 // check takes 0.66 ms and 0.38 ms, so the session saved at most about
-// 4 ms per run.
+// 4 ms per run. The one check runs in delta rounds: a round announces
+// only the RIB entries the previous round changed, which reaches exactly
+// the RIBs that re-announcing every entry reaches (batfish.Sim gives the
+// argument), and a route is copied only where a policy or the AS-path
+// prepend writes it. Timed alone on golden configurations on a shared
+// 2-CPU machine (median of three 10-check runs), one check went from
+// 2.77 s and 856 MB allocated to 0.44 s and 99 MB on fat-tree:10, and
+// from 0.97 s and 159 MB to 0.12 s and 20 MB on random:75; cobench's
+// synth-fattree-10 run_s fell from 3.08 s to 0.57 s. The round cap grows with the number of speakers, so
+// deep rings converge: ring:130 needs about 65 rounds.
 //
 // # Configuration pipeline
 //

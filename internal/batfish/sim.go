@@ -1,7 +1,9 @@
 package batfish
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/netcfg"
@@ -16,11 +18,44 @@ import (
 // announcements flow through the sender's export route map and the
 // receiver's import route map; AS-path loop detection drops looped routes;
 // best-path selection is local-pref, then AS-path length, then MED, then
-// lowest peer address. Propagation iterates to a fixpoint.
+// the lowest peer node name. Propagation runs in synchronous rounds to a
+// fixpoint.
+//
+// Each round announces only the RIB entries the previous round changed
+// (the first round announces every originated route), and reaches exactly
+// the RIBs, Iterations and Converged that re-announcing every entry every
+// round would. Three facts make these delta rounds exact:
+//
+//   - deliver replaces an entry only with a strictly better candidate, so
+//     each entry moves along a chain of ever better routes;
+//   - better compares (local-pref, AS-path length, MED, peer node name)
+//     lexicographically, so it is irreflexive and transitive;
+//   - the export policy, the import policy and the loop check are pure
+//     functions of the route within one Run.
+//
+// So once an announcement has been delivered, delivering it again changes
+// nothing: a rejection by the loop check, the import policy or a locally
+// originated entry repeats, and otherwise the receiver's entry is the
+// candidate itself or one the candidate is not better than, which later
+// deliveries only improve. Re-announcing an unchanged entry, wherever it
+// lands in a later round, is a no-op.
+//
+// Each of these changes would break the argument:
+//
+//   - comparing MED only between routes from the same neighbor AS, as
+//     deployed BGP does: better stops being transitive, and the selected
+//     route can depend on the order candidates arrive in;
+//   - withdrawals, or replacing an entry with its own peer's newer but
+//     worse route: an entry could get worse, and a receiver would need an
+//     unchanged entry announced again;
+//   - a policy outcome that depends on RIB state, such as conditional
+//     advertisement: an unchanged entry could then announce differently.
+//
+// A RIB route is never written after it is installed, so routes are
+// copied only where they are written (see announce).
 type Sim struct {
-	nodes   map[string]*simNode
-	byAddr  map[uint32]*simNode
-	maxIter int
+	nodes  map[string]*simNode
+	byAddr map[uint32]*simNode
 }
 
 type simNode struct {
@@ -54,7 +89,7 @@ type session struct {
 
 // NewSim returns an empty simulator.
 func NewSim() *Sim {
-	return &Sim{nodes: map[string]*simNode{}, byAddr: map[uint32]*simNode{}, maxIter: 64}
+	return &Sim{nodes: map[string]*simNode{}, byAddr: map[uint32]*simNode{}}
 }
 
 // AddDevice adds a configured router. Its interface addresses become
@@ -184,28 +219,58 @@ type Result struct {
 	RIB map[string]map[netcfg.Prefix]*netcfg.Route
 	// Iterations is the number of propagation rounds to convergence.
 	Iterations int
-	// Converged is false if maxIter was hit (a propagation oscillation).
+	// Converged is false if the round cap was hit before a fixpoint.
 	Converged bool
 }
 
+// delta lists RIB entries by node. A prefix may be listed more than once.
+type delta map[*simNode][]netcfg.Prefix
+
 // Run propagates announcements to a fixpoint and returns per-node RIBs.
 func (s *Sim) Run() *Result {
-	s.connect()
-	// Install originated routes.
-	for _, n := range s.nodes {
-		n.rib = map[netcfg.Prefix]*candidate{}
-		for _, r := range n.origin {
-			n.rib[r.Prefix] = &candidate{route: r.Clone(), from: ""}
-		}
-	}
+	changed := s.reset()
+	order := s.sortedNodes()
 	iter := 0
 	converged := false
-	for ; iter < s.maxIter; iter++ {
-		if !s.step() {
+	for ; iter < s.maxRounds(); iter++ {
+		if changed = s.step(order, changed); len(changed) == 0 {
 			converged = true
 			break
 		}
 	}
+	return s.result(iter, converged)
+}
+
+// reset resolves the sessions and installs each node's originated routes
+// as its whole RIB. It returns the installed entries: the first round's
+// announcements.
+func (s *Sim) reset() delta {
+	s.connect()
+	installed := delta{}
+	for _, n := range s.nodes {
+		n.rib = map[netcfg.Prefix]*candidate{}
+		for _, r := range n.origin {
+			n.rib[r.Prefix] = &candidate{route: r.Clone(), from: ""}
+			installed[n] = append(installed[n], r.Prefix)
+		}
+	}
+	return installed
+}
+
+// maxRounds caps a run's rounds. Every run terminates without it: each
+// accepted delivery strictly improves its entry under better, and no
+// entry improves forever, since local-pref and MED take finitely many
+// values (their defaults and the constants policies set), an AS-path
+// length cannot fall forever, and there are finitely many peers. The cap
+// is a safety net, sized past the propagation depth of any topology,
+// which is below the speaker count (a ring of n routers needs about n/2
+// rounds).
+func (s *Sim) maxRounds() int {
+	return max(64, 2*len(s.nodes))
+}
+
+// result deep-copies every RIB, so callers own what Run returns.
+func (s *Sim) result(iter int, converged bool) *Result {
 	res := &Result{RIB: map[string]map[netcfg.Prefix]*netcfg.Route{}, Iterations: iter, Converged: converged}
 	for name, n := range s.nodes {
 		ribs := map[netcfg.Prefix]*netcfg.Route{}
@@ -217,63 +282,72 @@ func (s *Sim) Run() *Result {
 	return res
 }
 
-// step performs one synchronous propagation round; it reports whether
-// any node's RIB changed (false once the round reached a fixpoint).
-func (s *Sim) step() bool {
-	type incoming struct {
-		to    *simNode
-		from  *simNode
-		route *netcfg.Route
+// step performs one synchronous round. Every node announces its entries
+// listed in changed, as they stood at the start of the round, and each
+// announcement is delivered in turn: nodes in name order, then each
+// node's sessions in order, then prefixes in address order. Entries are
+// immutable once installed, so holding the round-start entries lets each
+// announcement be delivered as soon as it is made. step returns the
+// entries the deliveries changed.
+func (s *Sim) step(order []*simNode, changed delta) delta {
+	type offer struct {
+		from    *simNode
+		entries []*candidate
 	}
-	var inbox []incoming
-	for _, name := range s.nodeNames() {
-		n := s.nodes[name]
-		if len(n.sessions) == 0 {
+	var offers []offer
+	for _, n := range order {
+		prefixes := changed[n]
+		if len(prefixes) == 0 || len(n.sessions) == 0 {
 			continue
 		}
-		// One sort per node per round: every session announces the same
-		// round-start RIB.
-		prefixes := sortedPrefixes(n.rib)
-		for _, sess := range n.sessions {
-			sess := sess
-			announce(n, sess, prefixes, func(r *netcfg.Route) {
-				inbox = append(inbox, incoming{to: sess.peer, from: n, route: r})
-			})
+		slices.SortFunc(prefixes, comparePrefixes)
+		prefixes = slices.Compact(prefixes)
+		entries := make([]*candidate, len(prefixes))
+		for i, p := range prefixes {
+			entries[i] = n.rib[p]
+		}
+		offers = append(offers, offer{from: n, entries: entries})
+	}
+	next := delta{}
+	for _, o := range offers {
+		for _, sess := range o.from.sessions {
+			for _, c := range o.entries {
+				if r := announce(o.from, sess, c); r != nil && deliver(sess.peer, o.from, r) {
+					next[sess.peer] = append(next[sess.peer], r.Prefix)
+				}
+			}
 		}
 	}
-	changed := false
-	for _, msg := range inbox {
-		if deliver(msg.to, msg.from, msg.route) {
-			changed = true
-		}
-	}
-	return changed
+	return next
 }
 
-// announce generates the routes node n offers on one session from its
-// round-start RIB, in sorted prefix order, calling emit for each route
-// that survives split horizon and the export policy.
-func announce(n *simNode, sess *session, prefixes []netcfg.Prefix, emit func(*netcfg.Route)) {
-	for _, p := range prefixes {
-		c := n.rib[p]
-		// Split horizon: do not send a route back to the peer that
-		// supplied it.
-		if c.from == sess.peer.name {
-			continue
-		}
-		out := c.route.Clone()
-		if !n.external && sess.exportPol != nil {
-			res := netcfg.EvalPolicy(sess.exportPol, sess.envExport, out)
-			if !res.Permitted {
-				continue
-			}
-			out = res.Route
-		}
-		// eBGP: prepend sender AS, reset local preference.
-		out.ASPath = append([]uint32{n.asn}, out.ASPath...)
-		out.LocalPref = 100
-		emit(out)
+// announce returns the route node n offers on one session for its entry
+// c, or nil when split horizon or the export policy withholds it. The
+// offered route is a copy only where it is written: a permitting export
+// policy already returns a fresh clone, and the unfiltered path copies
+// the struct and shares the entry's read-only community set. The AS-path
+// prepend builds a fresh slice either way.
+func announce(n *simNode, sess *session, c *candidate) *netcfg.Route {
+	// Split horizon: do not send a route back to the peer that supplied
+	// it.
+	if c.from == sess.peer.name {
+		return nil
 	}
+	var out *netcfg.Route
+	if !n.external && sess.exportPol != nil {
+		res := netcfg.EvalPolicy(sess.exportPol, sess.envExport, c.route)
+		if !res.Permitted {
+			return nil
+		}
+		out = res.Route
+	} else {
+		cp := *c.route
+		out = &cp
+	}
+	// eBGP: prepend sender AS, reset local preference.
+	out.ASPath = append([]uint32{n.asn}, out.ASPath...)
+	out.LocalPref = 100
+	return out
 }
 
 // deliver processes one incoming announcement against the receiver's RIB
@@ -297,10 +371,11 @@ func deliver(to *simNode, from *simNode, r *netcfg.Route) bool {
 	if cur != nil && cur.from == "" {
 		return false // locally originated always wins
 	}
-	cand := &candidate{route: r, from: from.name}
-	if cur == nil || better(cand, cur) {
+	// cand stays on the stack: only an installed candidate is allocated.
+	cand := candidate{route: r, from: from.name}
+	if cur == nil || better(&cand, cur) {
 		if cur == nil || !routesEqual(cur.route, cand.route) || cur.from != cand.from {
-			to.rib[r.Prefix] = cand
+			to.rib[r.Prefix] = &candidate{route: r, from: from.name}
 			return true
 		}
 	}
@@ -317,7 +392,9 @@ func (n *simNode) sessionTo(peer *simNode) *session {
 }
 
 // better implements BGP best-path comparison between a new candidate and
-// the incumbent.
+// the incumbent: higher local-pref, then shorter AS path, then lower MED,
+// then the lower peer node name. Delta rounds rely on it staying
+// irreflexive and transitive (see Sim).
 func better(a, b *candidate) bool {
 	if a.route.LocalPref != b.route.LocalPref {
 		return a.route.LocalPref > b.route.LocalPref
@@ -358,18 +435,18 @@ func (s *Sim) nodeNames() []string {
 	return names
 }
 
-func sortedPrefixes(rib map[netcfg.Prefix]*candidate) []netcfg.Prefix {
-	out := make([]netcfg.Prefix, 0, len(rib))
-	for p := range rib {
-		out = append(out, p)
+// sortedNodes returns the nodes in name order.
+func (s *Sim) sortedNodes() []*simNode {
+	order := make([]*simNode, 0, len(s.nodes))
+	for _, name := range s.nodeNames() {
+		order = append(order, s.nodes[name])
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Addr != out[j].Addr {
-			return out[i].Addr < out[j].Addr
-		}
-		return out[i].Len < out[j].Len
-	})
-	return out
+	return order
+}
+
+// comparePrefixes orders prefixes by address, then length.
+func comparePrefixes(a, b netcfg.Prefix) int {
+	return cmp.Or(cmp.Compare(a.Addr, b.Addr), cmp.Compare(a.Len, b.Len))
 }
 
 // CanReach reports whether node has a route covering the prefix.

@@ -1,10 +1,103 @@
 package batfish
 
 import (
+	"fmt"
+	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/netcfg"
 )
+
+// runFullRounds is the reference Run's delta rounds are checked against.
+// It shares Run's set-up, delivery, round cap and result copy, but every
+// round re-announces every RIB entry of every node, and every offered
+// route is cloned before its export policy runs.
+func (s *Sim) runFullRounds() *Result {
+	s.reset()
+	iter := 0
+	converged := false
+	for ; iter < s.maxRounds(); iter++ {
+		if !s.fullRoundStep() {
+			converged = true
+			break
+		}
+	}
+	return s.result(iter, converged)
+}
+
+// fullRoundStep performs one synchronous propagation round; it reports
+// whether any node's RIB changed (false once the round reached a
+// fixpoint).
+func (s *Sim) fullRoundStep() bool {
+	type incoming struct {
+		to    *simNode
+		from  *simNode
+		route *netcfg.Route
+	}
+	var inbox []incoming
+	for _, name := range s.nodeNames() {
+		n := s.nodes[name]
+		if len(n.sessions) == 0 {
+			continue
+		}
+		// One sort per node per round: every session announces the same
+		// round-start RIB.
+		prefixes := sortedPrefixes(n.rib)
+		for _, sess := range n.sessions {
+			sess := sess
+			announceCloned(n, sess, prefixes, func(r *netcfg.Route) {
+				inbox = append(inbox, incoming{to: sess.peer, from: n, route: r})
+			})
+		}
+	}
+	changed := false
+	for _, msg := range inbox {
+		if deliver(msg.to, msg.from, msg.route) {
+			changed = true
+		}
+	}
+	return changed
+}
+
+// announceCloned is announce with every offered route cloned before its
+// export policy runs.
+func announceCloned(n *simNode, sess *session, prefixes []netcfg.Prefix, emit func(*netcfg.Route)) {
+	for _, p := range prefixes {
+		c := n.rib[p]
+		// Split horizon: do not send a route back to the peer that
+		// supplied it.
+		if c.from == sess.peer.name {
+			continue
+		}
+		out := c.route.Clone()
+		if !n.external && sess.exportPol != nil {
+			res := netcfg.EvalPolicy(sess.exportPol, sess.envExport, out)
+			if !res.Permitted {
+				continue
+			}
+			out = res.Route
+		}
+		// eBGP: prepend sender AS, reset local preference.
+		out.ASPath = append([]uint32{n.asn}, out.ASPath...)
+		out.LocalPref = 100
+		emit(out)
+	}
+}
+
+func sortedPrefixes(rib map[netcfg.Prefix]*candidate) []netcfg.Prefix {
+	out := make([]netcfg.Prefix, 0, len(rib))
+	for p := range rib {
+		out = append(out, p)
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Addr != out[j].Addr {
+			return out[i].Addr < out[j].Addr
+		}
+		return out[i].Len < out[j].Len
+	})
+	return out
+}
 
 // twoNodeConfigs builds a pair of directly-peered routers: A (AS 1,
 // originating 10.0.0.0/8) and B (AS 2).
@@ -235,5 +328,53 @@ func TestSimAddresslessRouterOpensNoSession(t *testing.T) {
 	}
 	if res.RIB["A"][netcfg.MustPrefix("99.0.0.0/8")] != nil {
 		t.Error("an address-less router learned the external stub's route")
+	}
+}
+
+// TestSimLongChainConverges runs a chain of 100 peered routers, which
+// needs 99 rounds to carry the first router's prefix to the last: the run
+// must converge there with the full-length AS path, and agree with full
+// rounds.
+func TestSimLongChainConverges(t *testing.T) {
+	const n = 100
+	name := func(i int) string { return fmt.Sprintf("R%03d", i) }
+	// Link i joins router i (host 1) and router i+1 (host 2) in a /30.
+	addr := func(link, host int) uint32 { return 192<<24 | 168<<16 | uint32(link)<<2 | uint32(host) }
+	sim := NewSim()
+	for i := 0; i < n; i++ {
+		dev := netcfg.NewDevice(name(i), netcfg.VendorCisco)
+		bgp := dev.EnsureBGP(uint32(i + 1))
+		if i == 0 {
+			bgp.Networks = append(bgp.Networks, netcfg.MustPrefix("10.0.0.0/8"))
+		}
+		if i > 0 {
+			ifc := dev.EnsureInterface("left")
+			ifc.Address = netcfg.Prefix{Addr: addr(i-1, 2), Len: 30}
+			ifc.HasAddress = true
+			bgp.EnsureNeighbor(addr(i-1, 1)).RemoteAS = uint32(i)
+		}
+		if i < n-1 {
+			ifc := dev.EnsureInterface("right")
+			ifc.Address = netcfg.Prefix{Addr: addr(i, 1), Len: 30}
+			ifc.HasAddress = true
+			bgp.EnsureNeighbor(addr(i, 2)).RemoteAS = uint32(i + 2)
+		}
+		if err := sim.AddDevice(name(i), dev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res := sim.Run()
+	if !res.Converged {
+		t.Fatalf("did not converge within %d rounds", res.Iterations)
+	}
+	if res.Iterations != n-1 {
+		t.Errorf("converged after %d rounds, want %d", res.Iterations, n-1)
+	}
+	if r := res.RIB[name(n-1)][netcfg.MustPrefix("10.0.0.0/8")]; r == nil || len(r.ASPath) != n-1 {
+		t.Errorf("%s holds %v, want the prefix over a %d-hop AS path", name(n-1), r, n-1)
+	}
+	if ref := sim.runFullRounds(); !reflect.DeepEqual(res, ref) {
+		t.Errorf("delta rounds and full rounds disagree: %d/%v against %d/%v rounds/converged",
+			res.Iterations, res.Converged, ref.Iterations, ref.Converged)
 	}
 }

@@ -141,6 +141,26 @@ func TestGlobalNoTransitVerdictsAcrossScenarios(t *testing.T) {
 	}
 }
 
+// TestGlobalNoTransitDeepRing checks the golden configurations of a
+// 130-router ring, whose routes need about 65 propagation rounds: the
+// round cap must grow with the network (a fixed cap of 64 rounds reports
+// the run as not converged, with ten reachabilities missing).
+func TestGlobalNoTransitDeepRing(t *testing.T) {
+	topo, err := netgen.Generate("ring", 130)
+	if err != nil {
+		t.Fatal(err)
+	}
+	devs, _ := goldenConfigs(t, topo)
+	res, err := lightyear.CheckGlobalNoTransit(topo, devs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.OK() {
+		t.Fatalf("golden ring:130 fails the global check: converged %v, %d violations, %d missing reachabilities",
+			res.Converged, len(res.Violations), len(res.MissingReachability))
+	}
+}
+
 // TestGlobalNoTransitCatchesMissingEgressFilter removes R1's egress
 // filtering: the simulation must report transit violations — the exact
 // failure the final global check exists to catch (§4.1).
