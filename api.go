@@ -36,9 +36,10 @@ type TranslateOptions struct {
 	// translation on every iteration.
 	DisableVerifierCache bool
 	// CacheDir mounts a durable disk tier under the verification cache:
-	// results persist across process restarts, shared by every run —
-	// translation or synthesis — pointed at the same directory. An
-	// unusable directory is an error; ignored under DisableVerifierCache.
+	// each repair iteration's new results are written as one pack, so they
+	// persist across process restarts, shared by every run — translation
+	// or synthesis — pointed at the same directory. An unusable directory
+	// is an error; ignored under DisableVerifierCache.
 	CacheDir string
 	// CheckpointPath turns on crash checkpoints: the repair loop snapshots
 	// its progress to this file (atomically) every iteration. With Resume,
@@ -149,10 +150,12 @@ type SynthesizeOptions struct {
 	// replay through (`cosynth -errors plan.json`).
 	ErrorPlan []llm.SiteErrors
 	// CacheDir mounts a durable disk tier under the verification cache:
-	// results persist across process restarts, shared by every run pointed
-	// at the same directory (including concurrent cosynth/cofuzz processes
-	// and batfishd shards mounting it with -cache-dir). An unusable
-	// directory is an error; ignored under DisableVerifierCache.
+	// each repair iteration's new results are written as one pack, so they
+	// persist across process restarts, shared by every run pointed at the
+	// same directory (including concurrent cosynth/cofuzz processes and
+	// batfishd shards mounting it with -cache-dir, which see them at their
+	// own next write). An unusable directory is an error; ignored under
+	// DisableVerifierCache.
 	CacheDir string
 	// CheckpointPath turns on crash checkpoints: sequential runs snapshot
 	// the repair loop every iteration, parallel runs snapshot after every

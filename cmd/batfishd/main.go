@@ -42,8 +42,8 @@ func main() {
 		"worker pool size for /v1/batch check evaluation (0 = GOMAXPROCS)")
 	cacheDir := flag.String("cache-dir", "",
 		"mount a durable verification-result cache at this directory: batched checks are "+
-			"answered from disk when content-addressed entries exist and persisted when they "+
-			"don't, so restarts (and fleets sharing the directory) stay warm")
+			"answered from disk when content-addressed entries exist, and each request's computed "+
+			"results are persisted as one pack, so restarts (and fleets sharing the directory) stay warm")
 	flag.Parse()
 
 	reg := obs.NewRegistry()

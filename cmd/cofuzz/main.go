@@ -147,7 +147,8 @@ func main() {
 	resume := flag.Bool("resume", false,
 		"resume the campaign recorded at -checkpoint, reusing its completed case results and running only the remainder")
 	cacheDir := flag.String("cache-dir", "",
-		"durable verification-cache directory shared across campaign restarts and with cosynth/batfishd runs")
+		"durable verification-cache directory, written one pack per repair iteration and shared across "+
+			"campaign restarts and with cosynth/batfishd runs")
 	shards := flag.Int("shards", 0, "spawn N in-process shard servers and fan each case's checks over them")
 	killShard := flag.Int64("kill-shard", 0,
 		"with -shards: sever the first in-process shard after it serves N requests — the mid-run shard-kill "+

@@ -172,8 +172,9 @@ func main() {
 	inputPath := flag.String("config", "", "Cisco config to translate (default: bundled example)")
 	showConfigs := flag.Bool("print-configs", false, "print the final configuration(s)")
 	cacheDir := flag.String("cache-dir", "",
-		"durable verification-cache directory: results persist across runs and are shared with "+
-			"concurrent cosynth/cofuzz processes (also mounted into -shards servers)")
+		"durable verification-cache directory: each repair iteration's results are written as one pack, "+
+			"so they persist across runs and reach concurrent cosynth/cofuzz processes at their next "+
+			"iteration (with -no-cache, mounted into the -shards servers instead)")
 	checkpointPath := flag.String("checkpoint", "",
 		"crash-checkpoint file: the repair loop snapshots progress here every iteration "+
 			"(parallel runs: after every completed router)")
@@ -242,8 +243,13 @@ func main() {
 	if err != nil {
 		log.Fatalf("cosynth: -rest: %v", err)
 	}
+	// The engine's durable tier answers every disk-resident check before a
+	// request reaches a shard, so the shards mount -cache-dir only under
+	// -no-cache, where the engine mounts none. A second cache on the same
+	// directory would hold every pack in memory twice and write every
+	// result twice.
 	var shardCache *durable.Cache
-	if *cacheDir != "" && *shards > 0 {
+	if *cacheDir != "" && *shards > 0 && *noCache {
 		shardCache, err = durable.Open(*cacheDir, durable.Options{})
 		if err != nil {
 			log.Fatalf("cosynth: -cache-dir: %v", err)
@@ -251,8 +257,7 @@ func main() {
 	}
 	for i := 0; i < *shards; i++ {
 		// Each in-process shard gets a shared parse cache (cross-request
-		// reuse), as batfishd does. With -cache-dir the shards also mount
-		// the durable tier, sharing it with the engine.
+		// reuse), as batfishd does.
 		ln, lerr := net.Listen("tcp", "127.0.0.1:0")
 		if lerr != nil {
 			log.Fatalf("cosynth: -shards: %v", lerr)

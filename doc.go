@@ -324,20 +324,35 @@
 // that assumption. The contract throughout: a crash — SIGKILL, OOM, a
 // severed verifier — costs wall-clock time, never results. Three
 // mechanisms carry it (benchmark E19, BenchmarkWarmRestart, measures
-// the first; the CI kill-resume-smoke job proves the second on a real
+// the first; the CI kill-resume-smoke job proves the first two on a real
 // SIGKILL):
 //
 // Durable verification cache. internal/durable is a disk tier mounted
-// under the striped in-memory verification cache: content-addressed by
+// under the striped in-memory verification cache, content-addressed by
 // the same suite.Key (sha256 over the check's wire form) the memory
-// stripes and the batched protocol already use, written atomically
-// (temp file, fsync, rename), corruption quarantined rather than
-// trusted, and evicted oldest-first past a size bound. One directory
-// serves every process that touches verification — the engine
-// (Translate/Synthesize options CacheDir, cosynth/cofuzz -cache-dir),
-// batfishd -cache-dir, and the CLIs' in-process shards — so a restarted
-// run answers from disk what its predecessor already proved
-// (CacheStats.DiskHits/DiskWrites). The tier changes cost, never
+// stripes and the batched protocol already use. It stores results in
+// immutable packs of many entries, each written atomically (temp file,
+// fsync, rename) and named by the SHA-256 trailer that checksums it. The
+// engine queues the results it computes and flushes them as one pack
+// after every repair iteration's scan (CachedVerifier.Flush, one
+// cache_flush trace span each); batfishd writes one pack per /v1/batch
+// request. Open loads and verifies every pack into memory, so a lookup
+// does no I/O; a damaged pack is quarantined rather than trusted, and
+// whole packs are evicted oldest-first past a size bound that Open and
+// Put both enforce. A crash loses at most the iteration in flight, which
+// the resumed run recomputes. One directory serves every process that
+// touches verification — the engine (Translate/Synthesize options
+// CacheDir, cosynth/cofuzz -cache-dir), batfishd -cache-dir, and the
+// CLIs' in-process shards (cosynth's only under -no-cache, where the
+// engine mounts none) — so a restarted run answers from disk what its
+// predecessor already proved (CacheStats.DiskHits/DiskWrites).
+// Concurrent processes see each other's results at their own next pack
+// write, so at the writer's iteration boundary, not result by result.
+// Packs replaced one file per result: on the benchmark's
+// restart-random-75 workload (random:75, 2 lanes, a shared 2-CPU
+// machine, medians of 10 runs) a cold run into an empty directory went
+// from 2.53 s to 0.28 s, writing about 80 packs instead of 5,707 files,
+// and a warm restart from 0.27 s to 0.17 s. The tier changes cost, never
 // results: the warm-restart tests re-prove byte-identical transcripts.
 //
 // Checkpoint and resume. With CheckpointPath set (cosynth -checkpoint),

@@ -2,10 +2,13 @@ package rest
 
 import (
 	"context"
+	"net/http/httptest"
+	"path/filepath"
 	"reflect"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/durable"
 	"repro/internal/exampledata"
 	"repro/internal/lightyear"
 	"repro/internal/netcfg"
@@ -77,6 +80,53 @@ func TestBatchRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(warns, results[0].Warnings) {
 		t.Errorf("batched syntax = %v, per-check = %v", results[0].Warnings, warns)
+	}
+}
+
+// TestBatchDurablePack mounts a durable cache under the batch handler: one
+// request writes one pack holding every computed result, and a second
+// handler opened on the same directory answers the same batch from disk,
+// computing and writing nothing.
+func TestBatchDurablePack(t *testing.T) {
+	dir := t.TempDir()
+	checks := batchChecks(t)
+	serve := func() ([]suite.Result, durable.Stats) {
+		d, err := durable.Open(dir, durable.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := httptest.NewServer(NewHandlerOpts(HandlerOptions{Durable: d}))
+		defer srv.Close()
+		results, err := NewClient(srv.URL).CheckBatch(context.Background(), checks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return results, d.Stats()
+	}
+	packs := func() []string {
+		names, err := filepath.Glob(filepath.Join(dir, "packs", "*"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return names
+	}
+
+	cold, st := serve()
+	if st.Writes != uint64(len(checks)) || st.Hits != 0 {
+		t.Fatalf("first handler: %+v, want %d writes and no hits", st, len(checks))
+	}
+	if got := packs(); len(got) != 1 {
+		t.Fatalf("one request wrote %v, want one pack", got)
+	}
+	warm, st := serve()
+	if st.Hits != uint64(len(checks)) || st.Writes != 0 {
+		t.Fatalf("second handler: %+v, want %d disk hits and no writes", st, len(checks))
+	}
+	if got := packs(); len(got) != 1 {
+		t.Fatalf("answering from disk wrote %v", got)
+	}
+	if !reflect.DeepEqual(cold, warm) {
+		t.Errorf("disk answers differ from computed ones:\n%+v\n%+v", warm, cold)
 	}
 }
 

@@ -36,11 +36,11 @@ type HandlerOptions struct {
 	// behaviour.
 	Parses *netcfg.ParseCache
 	// Durable, when set, answers batched checks from a disk cache keyed by
-	// suite.Key and persists computed results into it — the same
-	// content-addressed store the engine's CachedVerifier mounts, so a
-	// restarted shard (or a whole fleet sharing a directory) comes back
-	// warm instead of re-verifying every revision it had already seen.
-	// Per-check errors are never cached.
+	// suite.Key and persists each request's computed results into it as
+	// one pack — the same content-addressed store the engine's
+	// CachedVerifier mounts, so a restarted shard (or a whole fleet sharing
+	// a directory) comes back warm instead of re-verifying every revision
+	// it had already seen. Per-check errors are never cached.
 	Durable *durable.Cache
 	// Metrics, when set, is the registry behind the handler's
 	// observability surface: GET /metrics (Prometheus text exposition) and
@@ -325,28 +325,27 @@ func evalBatchCheck(c BatchCheck, parses *netcfg.ParseCache) BatchResult {
 // evalBatchCheckDurable answers one batched check through the server's
 // mounted disk cache: a hit (decoded from the content-addressed entry)
 // skips the evaluation entirely, a miss computes and — unless the check
-// itself was malformed — persists. The cache key is suite.Key over the
-// check's resolved form, the same identity the engine's client-side cache
-// uses, so a cosynth run and the shard it talks to can share one
-// directory without double-keying. Decode failures fall through to
-// recomputation; disk write failures are swallowed (a full disk degrades
-// the shard to uncached, it does not fail the batch).
+// itself was malformed — returns the entry to persist beside the result
+// (a zero Entry otherwise). The cache key is suite.Key over the check's
+// resolved form, the same identity the engine's client-side cache uses,
+// so a cosynth run and the shard it talks to can share one directory
+// without double-keying. Decode failures fall through to recomputation.
 func evalBatchCheckDurable(c BatchCheck, parses *netcfg.ParseCache, d *durable.Cache,
-	digests *suite.Digests) BatchResult {
+	digests *suite.Digests) (BatchResult, durable.Entry) {
 	key := suite.KeyD(c.check(), digests)
 	if payload, ok := d.Get(key); ok {
 		var res BatchResult
 		if err := json.Unmarshal(payload, &res); err == nil && res.Error == "" {
-			return res
+			return res, durable.Entry{}
 		}
 	}
 	res := evalBatchCheck(c, parses)
 	if res.Error == "" {
 		if payload, err := json.Marshal(res); err == nil {
-			_ = d.Put(key, payload)
+			return res, durable.Entry{Key: key, Payload: payload}
 		}
 	}
-	return res
+	return res, durable.Entry{}
 }
 
 // resolveBatchRefs substitutes the registry bodies for the request's
@@ -390,7 +389,10 @@ func resolveBatchRefs(req *BatchRequest, scenarios *fifoStore[*scenarioRegistry]
 // round-trip, fanning them onto a bounded worker pool. Results are
 // positional; a malformed individual check yields a per-result error
 // without failing the batch. env.parses, when non-nil, replaces the
-// request-scoped parse cache so earlier requests' parses are reused.
+// request-scoped parse cache so earlier requests' parses are reused. With
+// a durable cache mounted, the results the batch computed are written as
+// one pack before the response; a write failure is swallowed (a full disk
+// degrades the shard to uncached, it does not fail the batch).
 func handleBatch(w http.ResponseWriter, r *http.Request, env *batchEnv) {
 	var req BatchRequest
 	if !decode(w, r, &req) {
@@ -410,20 +412,22 @@ func handleBatch(w http.ResponseWriter, r *http.Request, env *batchEnv) {
 	if parses == nil {
 		parses = batfish.NewParseCache()
 	}
-	eval := func(c BatchCheck) BatchResult {
-		if env.disk != nil {
-			return evalBatchCheckDurable(c, parses, env.disk, env.digests)
-		}
-		return evalBatchCheck(c, parses)
-	}
 	results := make([]BatchResult, len(req.Checks))
+	eval := func(i int) { results[i] = evalBatchCheck(req.Checks[i], parses) }
+	var fresh []durable.Entry // positional; a zero Entry persists nothing
+	if env.disk != nil {
+		fresh = make([]durable.Entry, len(req.Checks))
+		eval = func(i int) {
+			results[i], fresh[i] = evalBatchCheckDurable(req.Checks[i], parses, env.disk, env.digests)
+		}
+	}
 	workers := env.workers
 	if workers > len(req.Checks) {
 		workers = len(req.Checks)
 	}
 	if workers <= 1 {
-		for i, c := range req.Checks {
-			results[i] = eval(c)
+		for i := range req.Checks {
+			eval(i)
 		}
 	} else {
 		jobs := make(chan int)
@@ -433,7 +437,7 @@ func handleBatch(w http.ResponseWriter, r *http.Request, env *batchEnv) {
 			go func() {
 				defer wg.Done()
 				for i := range jobs {
-					results[i] = eval(req.Checks[i])
+					eval(i)
 				}
 			}()
 		}
@@ -442,6 +446,10 @@ func handleBatch(w http.ResponseWriter, r *http.Request, env *batchEnv) {
 		}
 		close(jobs)
 		wg.Wait()
+	}
+	if env.disk != nil {
+		fresh = slices.DeleteFunc(fresh, func(e durable.Entry) bool { return e.Payload == nil })
+		_, _ = env.disk.Put(fresh...)
 	}
 	writeJSON(w, http.StatusOK, BatchResponse{Results: results})
 }

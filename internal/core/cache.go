@@ -55,8 +55,8 @@ type CacheStats struct {
 	BatchedChecks uint64
 	// DiskHits counts checks the durable disk tier answered after the
 	// memory stripes missed (each still counts toward Hits — the backend
-	// was spared), and DiskWrites the results persisted to it. Both stay
-	// zero without a mounted durable cache.
+	// was spared), and DiskWrites the results Flush persisted to it. Both
+	// stay zero without a mounted durable cache.
 	DiskHits   uint64
 	DiskWrites uint64
 	// RestRetries counts transport retries across every REST shard the
@@ -120,8 +120,11 @@ type CachedVerifier struct {
 
 	// disk is the optional durable tier underneath the memory stripes
 	// (see SetDurable): an in-memory miss consults it before dispatching
-	// to the backend, and every backend result is persisted to it.
-	disk *durable.Cache
+	// to the backend, and every backend result is queued in pending until
+	// Flush persists the queue as one pack.
+	disk      *durable.Cache
+	pendingMu sync.Mutex
+	pending   []durable.Entry
 
 	// digests memoizes each configuration revision's TextDigest, so the
 	// thousands of check keys a run derives against the same few revisions
@@ -204,11 +207,12 @@ func (c *CachedVerifier) Batched() bool { return c.backend.Capabilities().Batche
 // SetDurable mounts a disk-backed tier under the memory stripes: an
 // in-memory miss consults it (a hit is decoded, promoted into memory, and
 // served without touching the backend), and every result the backend
-// computes is persisted into it, so later runs — and concurrent processes
-// sharing the directory — restart warm. nil unmounts. The disk tier never
-// changes a result: entries are content-addressed by suite.Key and results
-// are pure functions of the keyed inputs, so transcripts stay
-// byte-identical whether a result came from memory, disk, or the backend.
+// computes is queued for it; Flush writes the queue as one pack, so later
+// runs — and concurrent processes sharing the directory — restart warm.
+// nil unmounts. The disk tier never changes a result: entries are
+// content-addressed by suite.Key and results are pure functions of the
+// keyed inputs, so transcripts stay byte-identical whether a result came
+// from memory, disk, or the backend.
 func (c *CachedVerifier) SetDurable(d *durable.Cache) {
 	c.disk = d
 }
@@ -324,10 +328,8 @@ func (c *CachedVerifier) lookup(key [sha256.Size]byte) (SuiteResult, string, boo
 	return SuiteResult{}, "", false
 }
 
-// store memoizes one backend-computed result, persisting it through the
-// durable tier when one is mounted. Disk failures are deliberately
-// swallowed: a full or read-only disk downgrades the run to memory-only
-// caching, it does not fail verification.
+// store memoizes one backend-computed result, queueing it for the
+// durable tier when one is mounted.
 func (c *CachedVerifier) store(key [sha256.Size]byte, res SuiteResult) {
 	c.misses.Inc()
 	s := c.shard(key)
@@ -337,7 +339,7 @@ func (c *CachedVerifier) store(key [sha256.Size]byte, res SuiteResult) {
 	c.persist(key, res)
 }
 
-// persist writes one result to the durable tier, if mounted.
+// persist queues one result for the durable tier's next pack, if mounted.
 func (c *CachedVerifier) persist(key [sha256.Size]byte, res SuiteResult) {
 	if c.disk == nil {
 		return
@@ -346,9 +348,37 @@ func (c *CachedVerifier) persist(key [sha256.Size]byte, res SuiteResult) {
 	if err != nil {
 		return
 	}
-	if c.disk.Put(key, payload) == nil {
-		c.diskWrites.Inc()
+	c.pendingMu.Lock()
+	c.pending = append(c.pending, durable.Entry{Key: key, Payload: payload})
+	c.pendingMu.Unlock()
+}
+
+// Flush writes the results queued since the last Flush to the durable
+// tier as one pack, in one cache_flush span. RunPipeline flushes once per
+// iteration, so a crash loses at most that iteration's results, which the
+// resumed run recomputes. Disk failures are deliberately swallowed: a
+// full or read-only disk downgrades the run to memory-only caching, it
+// does not fail verification.
+func (c *CachedVerifier) Flush() {
+	if c.disk == nil {
+		return
 	}
+	c.pendingMu.Lock()
+	entries := c.pending
+	c.pending = nil
+	c.pendingMu.Unlock()
+	if len(entries) == 0 {
+		return
+	}
+	start := time.Now()
+	n, err := c.disk.Put(entries...)
+	ev := obs.Event{Stage: obs.StageCacheFlush, Run: c.runLabel, Checks: len(entries), Bytes: int64(n)}
+	if err != nil {
+		ev.Outcome = "error"
+	} else {
+		c.diskWrites.Add(uint64(len(entries)))
+	}
+	c.tracer.Span(start, ev)
 }
 
 // check answers one suite check through the cache, dispatching misses

@@ -58,7 +58,9 @@ type Pipeline struct {
 	// outstanding checks and prefetches them against the cache's backend
 	// seam — one batched round-trip per shard for REST backends, a no-op
 	// for unbatched ones; the stage scan then reads the results from the
-	// cache instead of issuing one call per check.
+	// cache instead of issuing one call per check. After the scan
+	// RunPipeline flushes the iteration's new results to the cache's
+	// durable tier as one pack.
 	Cache *CachedVerifier
 	// MaxAttemptsPerFinding bounds automated prompts per distinct finding
 	// before punting to the human.
@@ -116,6 +118,9 @@ func RunPipeline(sess *session, configs map[string]string, p Pipeline) (verified
 			return false, err
 		}
 		finding, err := firstFinding(p.Stages, configs)
+		if p.Cache != nil {
+			p.Cache.Flush()
+		}
 		if err != nil {
 			return false, err
 		}

@@ -266,6 +266,7 @@ func Synthesize(topo *topology.Topology, opts SynthOptions) (*Result, error) {
 		Global:         global,
 	}
 	if cache != nil {
+		cache.Flush()
 		stats := cache.MergedStats()
 		res.CacheStats = &stats
 	}

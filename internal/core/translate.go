@@ -157,6 +157,7 @@ func Translate(ciscoConfig string, opts TranslateOptions) (*Result, error) {
 		Iterations:     sess.iterations,
 	}
 	if cache != nil {
+		cache.Flush()
 		stats := cache.MergedStats()
 		res.CacheStats = &stats
 	}

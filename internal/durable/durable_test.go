@@ -7,45 +7,110 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 )
 
 func testKey(s string) [sha256.Size]byte { return sha256.Sum256([]byte(s)) }
 
-func TestPutGetRoundTrip(t *testing.T) {
-	c, err := Open(t.TempDir(), Options{})
+// testEntry is a JSON entry keyed by its name.
+func testEntry(name string) Entry {
+	payload, _ := json.Marshal(map[string]string{"name": name})
+	return Entry{Key: testKey(name), Payload: payload}
+}
+
+// packPath is where a Put of entries lands.
+func packPath(dir string, entries ...Entry) string {
+	_, name := encodePack(entries)
+	return filepath.Join(dir, "packs", name)
+}
+
+// packFiles lists the pack directory, temp files included.
+func packFiles(t *testing.T, dir string) []string {
+	t.Helper()
+	names, err := filepath.Glob(filepath.Join(dir, "packs", "*"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := testKey("k1")
-	payload := []byte(`{"verified":true,"findings":null}`)
-	if _, ok := c.Get(key); ok {
-		t.Fatal("expected miss on empty cache")
-	}
-	if err := c.Put(key, payload); err != nil {
+	return names
+}
+
+func mustOpen(t *testing.T, dir string, opts Options) *Cache {
+	t.Helper()
+	c, err := Open(dir, opts)
+	if err != nil {
 		t.Fatal(err)
 	}
-	got, ok := c.Get(key)
-	if !ok {
-		t.Fatal("expected hit after Put")
+	return c
+}
+
+func mustPut(t *testing.T, c *Cache, entries ...Entry) {
+	t.Helper()
+	if _, err := c.Put(entries...); err != nil {
+		t.Fatal(err)
 	}
-	if string(got) != string(payload) {
-		t.Fatalf("payload mismatch: got %q want %q", got, payload)
+}
+
+// requireServes checks that c answers every entry byte for byte.
+func requireServes(t *testing.T, c *Cache, entries ...Entry) {
+	t.Helper()
+	for _, e := range entries {
+		got, ok := c.Get(e.Key)
+		if !ok {
+			t.Fatalf("miss for %x", e.Key[:4])
+		}
+		if string(got) != string(e.Payload) {
+			t.Fatalf("payload for %x = %q, want %q", e.Key[:4], got, e.Payload)
+		}
 	}
+}
+
+// requireMisses checks that c answers none of the keys.
+func requireMisses(t *testing.T, c *Cache, keys ...[sha256.Size]byte) {
+	t.Helper()
+	for _, k := range keys {
+		if _, ok := c.Get(k); ok {
+			t.Fatalf("hit for %x, want a miss", k[:4])
+		}
+	}
+}
+
+func TestPutGetRoundTrip(t *testing.T) {
+	c := mustOpen(t, t.TempDir(), Options{})
+	e := Entry{Key: testKey("k1"), Payload: []byte(`{"verified":true,"findings":null}`)}
+	requireMisses(t, c, e.Key)
+	n, err := c.Put(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info, err := os.Stat(packPath(c.Dir(), e)); err != nil || info.Size() != int64(n) {
+		t.Fatalf("pack on disk: %v (err=%v), Put reported %d bytes", info, err, n)
+	}
+	requireServes(t, c, e)
 	st := c.Stats()
 	if st.Hits != 1 || st.Misses != 1 || st.Writes != 1 || st.Corrupt != 0 {
 		t.Fatalf("unexpected stats: %+v", st)
 	}
+	// One Put is one pack, however many entries it carries.
+	batch := []Entry{testEntry("a"), testEntry("b"), testEntry("c")}
+	mustPut(t, c, batch...)
+	if files := packFiles(t, c.Dir()); len(files) != 2 {
+		t.Fatalf("pack files = %v, want 2", files)
+	}
+	requireServes(t, c, batch...)
+	if st := c.Stats(); st.Writes != 4 {
+		t.Fatalf("writes = %d, want 4 entries", st.Writes)
+	}
 }
 
 func TestRejectsNonJSONPayload(t *testing.T) {
-	c, err := Open(t.TempDir(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Put(testKey("k"), []byte("not json")); err == nil {
+	c := mustOpen(t, t.TempDir(), Options{})
+	if _, err := c.Put(testEntry("ok"), Entry{Key: testKey("k"), Payload: []byte("not json")}); err == nil {
 		t.Fatal("expected error for non-JSON payload")
+	}
+	if files := packFiles(t, c.Dir()); len(files) != 0 {
+		t.Fatalf("rejected Put left %v", files)
 	}
 }
 
@@ -53,33 +118,39 @@ func TestRejectsNonJSONPayload(t *testing.T) {
 // the on-disk format is concerned — must see entries the first one wrote.
 func TestSharedAcrossOpens(t *testing.T) {
 	dir := t.TempDir()
-	c1, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	key := testKey("shared")
-	if err := c1.Put(key, []byte(`"result"`)); err != nil {
-		t.Fatal(err)
-	}
-	c2, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, ok := c2.Get(key)
-	if !ok || string(got) != `"result"` {
-		t.Fatalf("second open missed entry written by first: ok=%v got=%q", ok, got)
-	}
+	c1 := mustOpen(t, dir, Options{})
+	e := Entry{Key: testKey("shared"), Payload: []byte(`"result"`)}
+	mustPut(t, c1, e)
+	requireServes(t, mustOpen(t, dir, Options{}), e)
 }
 
-// Corruption in any form — truncation, bit flips, a wrong-key envelope —
-// must read as a miss, quarantine the damaged file, and leave the cache
-// serving.
+// TestSharedWhileOpen covers two caches open on one directory at once:
+// what one Puts, the other serves after its own next Put.
+func TestSharedWhileOpen(t *testing.T) {
+	dir := t.TempDir()
+	c1 := mustOpen(t, dir, Options{})
+	c2 := mustOpen(t, dir, Options{})
+	a, b := testEntry("from c1"), testEntry("from c2")
+	mustPut(t, c1, a)
+	requireMisses(t, c2, a.Key) // Get does no I/O
+	mustPut(t, c2, b)
+	requireServes(t, c2, a, b)
+	requireMisses(t, c1, b.Key)
+	mustPut(t, c1, testEntry("another"))
+	requireServes(t, c1, a, b)
+}
+
+// Corruption in any form — truncation, bit flips, a pack under another
+// pack's name — must quarantine the damaged pack at the next Open, read as
+// misses, and leave the cache serving.
 func TestCorruptEntryQuarantined(t *testing.T) {
+	victim, other := testEntry("victim"), testEntry("other")
 	cases := []struct {
 		name    string
-		corrupt func(t *testing.T, path string)
+		corrupt func(t *testing.T, c *Cache) (damaged string)
 	}{
-		{"truncated", func(t *testing.T, path string) {
+		{"truncated", func(t *testing.T, c *Cache) string {
+			path := packPath(c.Dir(), victim)
 			data, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatal(err)
@@ -87,67 +158,53 @@ func TestCorruptEntryQuarantined(t *testing.T) {
 			if err := os.WriteFile(path, data[:len(data)/2], 0o644); err != nil {
 				t.Fatal(err)
 			}
+			return path
 		}},
-		{"bit-flip", func(t *testing.T, path string) {
+		{"bit-flip", func(t *testing.T, c *Cache) string {
+			path := packPath(c.Dir(), victim)
 			data, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Flip a byte inside the payload region (past the envelope
-			// prefix) so the JSON still parses but the checksum fails.
-			data[len(data)-10] ^= 0x20
+			// Flip a byte inside the payload, ahead of the trailer: the
+			// framing still holds but the checksum fails.
+			data[len(data)-sha256.Size-3] ^= 0x20
 			if err := os.WriteFile(path, data, 0o644); err != nil {
 				t.Fatal(err)
 			}
+			return path
 		}},
-		{"wrong-key", func(t *testing.T, path string) {
-			var e entry
-			data, err := os.ReadFile(path)
-			if err != nil {
+		{"wrong-key", func(t *testing.T, c *Cache) string {
+			// A pack renamed to another pack's name fails the name check:
+			// the name is the checksum of the content it should hold.
+			mustPut(t, c, other)
+			dest := packPath(c.Dir(), other)
+			if err := os.Rename(packPath(c.Dir(), victim), dest); err != nil {
 				t.Fatal(err)
 			}
-			if err := json.Unmarshal(data, &e); err != nil {
-				t.Fatal(err)
-			}
-			e.Key = fmt.Sprintf("%x", testKey("someone else"))
-			out, _ := json.Marshal(e)
-			if err := os.WriteFile(path, out, 0o644); err != nil {
-				t.Fatal(err)
-			}
+			return dest
 		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			c, err := Open(dir, Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			key := testKey("victim")
-			if err := c.Put(key, []byte(`{"v":1}`)); err != nil {
-				t.Fatal(err)
-			}
-			tc.corrupt(t, c.entryPath(key))
-			if _, ok := c.Get(key); ok {
-				t.Fatal("corrupt entry served as a hit")
-			}
+			mustPut(t, mustOpen(t, dir, Options{}), victim)
+			damaged := tc.corrupt(t, mustOpen(t, dir, Options{}))
+			c := mustOpen(t, dir, Options{})
+			requireMisses(t, c, victim.Key, other.Key)
 			if st := c.Stats(); st.Corrupt != 1 {
 				t.Fatalf("corrupt counter = %d, want 1", st.Corrupt)
 			}
-			if _, err := os.Stat(c.entryPath(key)); !os.IsNotExist(err) {
-				t.Fatal("corrupt entry still in the live tree")
+			if _, err := os.Stat(damaged); !os.IsNotExist(err) {
+				t.Fatal("corrupt pack still in the live tree")
 			}
 			q, err := filepath.Glob(filepath.Join(dir, "quarantine", "*"))
 			if err != nil || len(q) != 1 {
 				t.Fatalf("expected 1 quarantined file, got %v (err=%v)", q, err)
 			}
 			// The cache keeps working: a re-Put re-serves.
-			if err := c.Put(key, []byte(`{"v":1}`)); err != nil {
-				t.Fatal(err)
-			}
-			if _, ok := c.Get(key); !ok {
-				t.Fatal("re-Put after quarantine did not serve")
-			}
+			mustPut(t, c, victim)
+			requireServes(t, c, victim)
 		})
 	}
 }
@@ -163,13 +220,82 @@ func TestNewerFormatVersionRefused(t *testing.T) {
 	}
 }
 
+// TestOpenUpgradesVersion1 opens a directory in the one-file-per-entry
+// layout: its entry tree goes, and the index moves to the current version.
+// A version-3 index is still refused.
+func TestOpenUpgradesVersion1(t *testing.T) {
+	dir := t.TempDir()
+	old := filepath.Join(dir, "objects", "ab", "ab12.json")
+	if err := os.MkdirAll(filepath.Dir(old), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(old, []byte(`{"version":1,"payload":{}}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "index.json"), []byte(`{"version":1}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c := mustOpen(t, dir, Options{})
+	if _, err := os.Stat(filepath.Join(dir, "objects")); !os.IsNotExist(err) {
+		t.Fatalf("version-1 entry tree survived the upgrade (err=%v)", err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, "index.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var idx index
+	if err := json.Unmarshal(data, &idx); err != nil || idx.Version != 2 {
+		t.Fatalf("index after upgrade = %s (err=%v), want version 2", data, err)
+	}
+	e := testEntry("after upgrade")
+	mustPut(t, c, e)
+	requireServes(t, mustOpen(t, dir, Options{}), e)
+
+	if err := os.WriteFile(filepath.Join(dir, "index.json"), []byte(`{"version":3}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(dir, Options{}); err == nil {
+		t.Fatal("expected Open to refuse a version-3 directory")
+	}
+}
+
+// TestOpenKeepsForeignObjects points the cache at directories that hold
+// an objects/ tree but no version-1 index: Open must leave that tree
+// alone, since only a version-1 cache is known to own it.
+func TestOpenKeepsForeignObjects(t *testing.T) {
+	for _, tc := range []struct{ name, index string }{
+		{"no index", ""},
+		{"version 2", `{"version":2}`},
+		{"torn index", "{torn"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			keep := filepath.Join(dir, "objects", "keep.txt")
+			if err := os.MkdirAll(filepath.Dir(keep), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(keep, []byte("not cache data"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if tc.index != "" {
+				if err := os.WriteFile(filepath.Join(dir, "index.json"), []byte(tc.index), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			mustOpen(t, dir, Options{})
+			if data, err := os.ReadFile(keep); err != nil || string(data) != "not cache data" {
+				t.Fatalf("objects/keep.txt after Open: %q (err=%v)", data, err)
+			}
+		})
+	}
+}
+
 func TestCorruptIndexQuarantinedAndRewritten(t *testing.T) {
 	dir := t.TempDir()
 	if err := os.WriteFile(filepath.Join(dir, "index.json"), []byte("{torn"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	c, err := Open(dir, Options{})
-	if err != nil {
+	if _, err := Open(dir, Options{}); err != nil {
 		t.Fatalf("Open should survive a corrupt index: %v", err)
 	}
 	q, _ := filepath.Glob(filepath.Join(dir, "quarantine", "*"))
@@ -184,70 +310,135 @@ func TestCorruptIndexQuarantinedAndRewritten(t *testing.T) {
 	if err := json.Unmarshal(data, &idx); err != nil || idx.Version != FormatVersion {
 		t.Fatalf("index not rewritten: %s (err=%v)", data, err)
 	}
-	_ = c
+}
+
+// dirPackBytes sums the sizes of the pack files in dir.
+func dirPackBytes(t *testing.T, dir string) int64 {
+	t.Helper()
+	var total int64
+	for _, f := range packFiles(t, dir) {
+		info, err := os.Stat(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		total += info.Size()
+	}
+	return total
 }
 
 func TestEvictionSweep(t *testing.T) {
 	dir := t.TempDir()
-	c, err := Open(dir, Options{MaxBytes: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Ten ~300-byte entries with strictly increasing mtimes.
+	c := mustOpen(t, dir, Options{MaxBytes: -1})
+	// Ten ~300-byte packs with strictly increasing mtimes.
 	base := time.Now().Add(-time.Hour)
-	var keys [][sha256.Size]byte
+	var entries []Entry
 	for i := 0; i < 10; i++ {
-		key := testKey(fmt.Sprintf("entry-%d", i))
-		keys = append(keys, key)
 		payload, _ := json.Marshal(map[string]string{"filler": fmt.Sprintf("%0256d", i)})
-		if err := c.Put(key, payload); err != nil {
-			t.Fatal(err)
-		}
+		e := Entry{Key: testKey(fmt.Sprintf("entry-%d", i)), Payload: payload}
+		entries = append(entries, e)
+		mustPut(t, c, e)
 		mt := base.Add(time.Duration(i) * time.Minute)
-		if err := os.Chtimes(c.entryPath(key), mt, mt); err != nil {
+		if err := os.Chtimes(packPath(dir, e), mt, mt); err != nil {
 			t.Fatal(err)
 		}
 	}
-	var total int64
-	filepath.Walk(filepath.Join(dir, "objects"), func(_ string, info os.FileInfo, err error) error {
-		if err == nil && !info.IsDir() {
-			total += info.Size()
-		}
-		return nil
-	})
 	// Bound the cache to roughly half its current size: the sweep must
-	// evict the oldest entries first and keep the newest.
-	c.maxBytes = total / 2
+	// evict the oldest packs first and keep the newest.
+	c.maxBytes = dirPackBytes(t, dir) / 2
 	evicted, err := c.Sweep()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if evicted == 0 || evicted >= 10 {
-		t.Fatalf("evicted %d entries, want some but not all", evicted)
+		t.Fatalf("evicted %d packs, want some but not all", evicted)
 	}
-	if _, ok := c.Get(keys[0]); ok {
-		t.Fatal("oldest entry survived the sweep")
-	}
-	if _, ok := c.Get(keys[9]); !ok {
-		t.Fatal("newest entry was evicted")
+	requireMisses(t, c, entries[0].Key)
+	requireServes(t, c, entries[9])
+	if _, err := os.Stat(packPath(dir, entries[0])); !os.IsNotExist(err) {
+		t.Fatal("oldest pack survived the sweep")
 	}
 	if st := c.Stats(); st.Evicted != uint64(evicted) {
 		t.Fatalf("evicted counter = %d, want %d", st.Evicted, evicted)
 	}
 }
 
+// TestSharedKeySurvivesEviction loads two packs that share a key and
+// evicts one of them, in either order: the other pack still serves the
+// key, and only the evicted pack's own keys miss.
+func TestSharedKeySurvivesEviction(t *testing.T) {
+	shared, a, b := testEntry("shared"), testEntry("only in a"), testEntry("only in b")
+	packA, packB := []Entry{shared, a}, []Entry{shared, b}
+	for _, tc := range []struct {
+		name         string
+		oldest, kept []Entry
+	}{
+		{"evict a", packA, packB},
+		{"evict b", packB, packA},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			c := mustOpen(t, dir, Options{MaxBytes: -1})
+			mustPut(t, c, packA...)
+			mustPut(t, c, packB...)
+			old := time.Now().Add(-time.Hour)
+			if err := os.Chtimes(packPath(dir, tc.oldest...), old, old); err != nil {
+				t.Fatal(err)
+			}
+			// A bound that fits one pack but not both evicts the oldest.
+			info, err := os.Stat(packPath(dir, tc.kept...))
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.maxBytes = info.Size()
+			if evicted, err := c.Sweep(); err != nil || evicted != 1 {
+				t.Fatalf("Sweep evicted %d packs (err=%v), want 1", evicted, err)
+			}
+			requireServes(t, c, tc.kept...)
+			requireMisses(t, c, tc.oldest[1].Key)
+			// The last copy going takes the key with it.
+			c.maxBytes = 0
+			if evicted, err := c.Sweep(); err != nil || evicted != 1 {
+				t.Fatalf("second Sweep evicted %d packs (err=%v), want 1", evicted, err)
+			}
+			requireMisses(t, c, shared.Key, a.Key, b.Key)
+		})
+	}
+}
+
+// TestPutEnforcesBound keeps a long-lived cache inside MaxBytes: Put runs
+// the sweep once the loaded packs outgrow the bound, not only Open.
+func TestPutEnforcesBound(t *testing.T) {
+	const bound = 4096
+	dir := t.TempDir()
+	c := mustOpen(t, dir, Options{MaxBytes: bound})
+	var last Entry
+	for i := 0; i < 100; i++ {
+		last = testEntry(fmt.Sprintf("entry-%d", i))
+		mustPut(t, c, last)
+	}
+	if got := dirPackBytes(t, dir); got > bound {
+		t.Fatalf("cache holds %d bytes after 100 Puts, bound %d", got, bound)
+	}
+	if st := c.Stats(); st.Evicted == 0 {
+		t.Fatal("no pack was evicted")
+	}
+	c.mu.RLock()
+	indexed := c.bytes
+	c.mu.RUnlock()
+	if indexed > bound {
+		t.Fatalf("index holds %d bytes of packs, bound %d", indexed, bound)
+	}
+	requireServes(t, c, last)
+}
+
 func TestStaleTempsSweptAtOpen(t *testing.T) {
 	dir := t.TempDir()
-	if _, err := Open(dir, Options{}); err != nil {
-		t.Fatal(err)
-	}
-	litter := filepath.Join(dir, "objects", ".durable-tmp-12345")
+	mustOpen(t, dir, Options{})
+	litter := filepath.Join(dir, "packs", ".durable-tmp-12345")
 	if err := os.WriteFile(litter, []byte("half-written"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(dir, Options{}); err != nil {
-		t.Fatal(err)
-	}
+	mustOpen(t, dir, Options{})
 	if _, err := os.Stat(litter); !os.IsNotExist(err) {
 		t.Fatal("stale temp file survived Open")
 	}
@@ -323,27 +514,76 @@ func TestWriteAtomicKilledAtEveryBoundary(t *testing.T) {
 	})
 }
 
-func TestConcurrentPutGet(t *testing.T) {
-	c, err := Open(t.TempDir(), Options{})
-	if err != nil {
-		t.Fatal(err)
+// TestPackWriteKilledAtEveryBoundary kills a Put before each syscall of
+// its pack write in turn, and after the rename: a fresh Open must serve
+// all of the pack's entries or none, and leave no litter behind.
+func TestPackWriteKilledAtEveryBoundary(t *testing.T) {
+	entries := []Entry{testEntry("one"), testEntry("two"), testEntry("three")}
+	for stage := StageCreate; stage <= StageDone; stage++ {
+		t.Run(stage.String(), func(t *testing.T) {
+			dir := t.TempDir()
+			c := mustOpen(t, dir, Options{})
+			killAt := stage
+			_, err := c.put(entries, func(s WriteStage) error {
+				if s == killAt {
+					return errKilled
+				}
+				return nil
+			})
+			if !errors.Is(err, errKilled) {
+				t.Fatalf("expected kill error, got %v", err)
+			}
+			fresh := mustOpen(t, dir, Options{})
+			served := 0
+			for _, e := range entries {
+				if got, ok := fresh.Get(e.Key); ok {
+					if string(got) != string(e.Payload) {
+						t.Fatalf("kill at %v served %q for %x", stage, got, e.Key[:4])
+					}
+					served++
+				}
+			}
+			want := 0
+			if stage == StageDone {
+				want = len(entries) // the rename landed
+			}
+			if served != want {
+				t.Fatalf("kill at %v: fresh Open served %d of %d entries, want %d",
+					stage, served, len(entries), want)
+			}
+			for _, f := range packFiles(t, dir) {
+				if filepath.Ext(f) != packSuffix {
+					t.Fatalf("kill at %v left %s after the next Open", stage, f)
+				}
+			}
+		})
 	}
-	done := make(chan struct{})
+}
+
+// TestConcurrentPutGet hammers two caches on one directory from several
+// goroutines each: Puts publish and scan, Gets read the index, and the
+// race detector watches both.
+func TestConcurrentPutGet(t *testing.T) {
+	dir := t.TempDir()
+	caches := []*Cache{mustOpen(t, dir, Options{}), mustOpen(t, dir, Options{})}
+	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
-		go func(w int) {
-			defer func() { done <- struct{}{} }()
+		wg.Add(1)
+		go func(c *Cache, w int) {
+			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				key := testKey(fmt.Sprintf("c-%d", i%10))
-				payload, _ := json.Marshal(map[string]int{"i": i % 10})
-				if err := c.Put(key, payload); err != nil {
+				e := testEntry(fmt.Sprintf("c-%d", i%10))
+				if _, err := c.Put(e, testEntry(fmt.Sprintf("w%d-%d", w, i))); err != nil {
 					t.Error(err)
 					return
 				}
-				c.Get(key)
+				if got, ok := c.Get(e.Key); !ok || string(got) != string(e.Payload) {
+					t.Errorf("own Put not served: ok=%v got=%q", ok, got)
+					return
+				}
 			}
-		}(w)
+		}(caches[w%2], w)
 	}
-	for w := 0; w < 8; w++ {
-		<-done
-	}
+	wg.Wait()
+	requireServes(t, mustOpen(t, dir, Options{}), testEntry("c-0"), testEntry("w7-49"))
 }

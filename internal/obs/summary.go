@@ -11,17 +11,19 @@ import (
 )
 
 // topStages are the stages whose spans partition a sequential run's wall
-// time: model completions, verification dispatch, the global check, and
-// checkpointing. Everything else in a trace (parses, cache events, batch
-// RPCs, retries) nests inside one of these, so summing only the top set
-// attributes the run without double counting. On a parallel run top
-// spans overlap and the attributed fraction can exceed 1.
+// time: model completions, verification dispatch, the global check,
+// checkpointing, and the durable cache's pack writes. Everything else in
+// a trace (parses, cache events, batch RPCs, retries) nests inside one of
+// these, so summing only the top set attributes the run without double
+// counting. On a parallel run top spans overlap and the attributed
+// fraction can exceed 1.
 var topStages = map[string]bool{
 	StageLLMCall:           true,
 	StageLocalCheck:        true,
 	StageGlobalCheck:       true,
 	StageCheckpointSave:    true,
 	StageCheckpointRestore: true,
+	StageCacheFlush:        true,
 }
 
 // StageAgg aggregates one stage's spans.

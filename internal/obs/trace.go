@@ -44,6 +44,9 @@ const (
 	// StageCheckpointSave / StageCheckpointRestore bracket durability.
 	StageCheckpointSave    = "checkpoint_save"
 	StageCheckpointRestore = "checkpoint_restore"
+	// StageCacheFlush is one pack write to the durable verification
+	// cache, with its entry count in Checks and its size in Bytes.
+	StageCacheFlush = "cache_flush"
 	// StageFuzzCase is one fuzz campaign case verdict.
 	StageFuzzCase = "fuzz_case"
 )

@@ -72,7 +72,7 @@ func TestTracerConcurrentEmit(t *testing.T) {
 }
 
 // traceFixture builds a synthetic sequential run: the top-level stages
-// tile 9.5s of a 10s run span, with nested transport/cache/parse detail
+// tile 9.8s of a 10s run span, with nested transport/cache/parse detail
 // events that must NOT be double counted.
 func traceFixture() string {
 	ts := time.Unix(1000, 0)
@@ -82,6 +82,7 @@ func traceFixture() string {
 		{TS: ts, Stage: StageLocalCheck, DurNS: int64(3 * time.Second), Outcome: "prefetch", Checks: 20},
 		{TS: ts, Stage: StageGlobalCheck, DurNS: int64(2 * time.Second)},
 		{TS: ts, Stage: StageCheckpointSave, DurNS: int64(500 * time.Millisecond)},
+		{TS: ts, Stage: StageCacheFlush, DurNS: int64(300 * time.Millisecond), Checks: 20, Bytes: 4096},
 		// Nested detail: inside local_check and llm_call above.
 		{TS: ts, Stage: StageBatchRPC, DurNS: int64(2 * time.Second), Shard: "http://a", Checks: 20, Bytes: 999},
 		{TS: ts, Stage: StageRetry, Shard: "http://a"},
@@ -107,13 +108,13 @@ func TestSummarizeAttribution(t *testing.T) {
 	if s.Runs != 1 || s.RunNS != int64(10*time.Second) {
 		t.Fatalf("run span: %d spans, %v", s.Runs, time.Duration(s.RunNS))
 	}
-	// 4 + 3 + 2 + 0.5 = 9.5s of the 10s run: 95%, with the nested 3s of
-	// batch_rpc+parse excluded from attribution.
-	if got := s.AttributedNS(); got != int64(9500*time.Millisecond) {
-		t.Fatalf("attributed = %v, want 9.5s", time.Duration(got))
+	// 4 + 3 + 2 + 0.5 + 0.3 = 9.8s of the 10s run: 98%, with the nested
+	// 3s of batch_rpc+parse excluded from attribution.
+	if got := s.AttributedNS(); got != int64(9800*time.Millisecond) {
+		t.Fatalf("attributed = %v, want 9.8s", time.Duration(got))
 	}
-	if f := s.AttributedFraction(); f < 0.949 || f > 0.951 {
-		t.Fatalf("attributed fraction = %v, want 0.95", f)
+	if f := s.AttributedFraction(); f < 0.979 || f > 0.981 {
+		t.Fatalf("attributed fraction = %v, want 0.98", f)
 	}
 	sh := s.Shards["http://a"]
 	if sh == nil || sh.RPCs != 1 || sh.Checks != 20 || sh.Bytes != 999 || sh.Retries != 1 {
@@ -123,7 +124,7 @@ func TestSummarizeAttribution(t *testing.T) {
 		t.Fatalf("cache tallies: %d/%d/%d", s.CacheHitsMemory, s.CacheHitsDisk, s.CacheMisses)
 	}
 	out := s.String()
-	for _, want := range []string{"llm_call", "attributed", "95.0%", "http://a"} {
+	for _, want := range []string{"llm_call", "cache_flush", "attributed", "98.0%", "http://a"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("summary table missing %q:\n%s", want, out)
 		}

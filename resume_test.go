@@ -1,6 +1,9 @@
 package repro
 
 import (
+	"bufio"
+	"bytes"
+	"encoding/json"
 	"errors"
 	"path/filepath"
 	"strings"
@@ -8,6 +11,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/llm"
+	"repro/internal/obs"
 )
 
 // The checkpoint/resume acceptance gate: a run killed mid-loop and
@@ -201,15 +205,38 @@ func TestResumeCompletedRunReplays(t *testing.T) {
 // TestDurableCacheWarmRestart points two fresh processes' worth of runs
 // at one cache directory: the second run must answer part of its
 // verification load from disk (DiskHits > 0) while producing the same
-// transcript — the durable tier changes cost, never results.
+// transcript — the durable tier changes cost, never results. The cold
+// run's cache_flush spans must account for every result it persisted,
+// one pack file each.
 func TestDurableCacheWarmRestart(t *testing.T) {
 	dir := t.TempDir()
-	cold, err := SynthesizeNoTransit(SynthesizeOptions{CacheDir: dir})
+	var trace bytes.Buffer
+	tr := obs.NewTracer(&trace)
+	cold, err := SynthesizeNoTransit(SynthesizeOptions{CacheDir: dir, Trace: tr})
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if cold.CacheStats == nil || cold.CacheStats.DiskWrites == 0 {
 		t.Fatalf("cold run persisted nothing: %+v", cold.CacheStats)
+	}
+	flushes, flushed := 0, 0
+	for sc := bufio.NewScanner(&trace); sc.Scan(); {
+		var ev obs.Event
+		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
+			t.Fatal(err)
+		}
+		if ev.Stage == obs.StageCacheFlush {
+			flushes++
+			flushed += ev.Checks
+		}
+	}
+	packs, _ := filepath.Glob(filepath.Join(dir, "packs", "*.pack"))
+	if uint64(flushed) != cold.CacheStats.DiskWrites || flushes != len(packs) {
+		t.Fatalf("%d cache_flush spans carried %d results; want one per pack (%d) and %d results",
+			flushes, flushed, len(packs), cold.CacheStats.DiskWrites)
 	}
 	warm, err := SynthesizeNoTransit(SynthesizeOptions{CacheDir: dir})
 	if err != nil {
@@ -219,4 +246,25 @@ func TestDurableCacheWarmRestart(t *testing.T) {
 		t.Fatalf("warm run never hit the disk tier: %+v", warm.CacheStats)
 	}
 	requireSameRun(t, "warm restart", cold, warm)
+}
+
+// TestDurableCacheParallelLanes runs the warm-restart experiment with
+// four repair lanes sharing one verification cache, so the lanes queue
+// results and flush packs concurrently (run it under -race).
+func TestDurableCacheParallelLanes(t *testing.T) {
+	dir := t.TempDir()
+	opts := SynthesizeOptions{CacheDir: dir, Parallelism: 4}
+	cold, err := SynthesizeNoTransit(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm, err := SynthesizeNoTransit(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cold.CacheStats.DiskWrites == 0 || warm.CacheStats.DiskHits != cold.CacheStats.DiskWrites {
+		t.Fatalf("cold run wrote %d results, warm run read %d back",
+			cold.CacheStats.DiskWrites, warm.CacheStats.DiskHits)
+	}
+	requireSameRun(t, "parallel warm restart", cold, warm)
 }
