@@ -279,32 +279,42 @@ func TestAcceleratedSynthesisByteIdentical(t *testing.T) {
 			}
 			msrv := httptest.NewServer(obs.Handler(reg))
 			t.Cleanup(msrv.Close)
+			scrape := func() ([]byte, error) {
+				resp, err := http.Get(msrv.URL + obs.MetricsPath)
+				if err != nil {
+					return nil, err
+				}
+				defer resp.Body.Close()
+				return io.ReadAll(resp.Body)
+			}
+			// Every non-empty mid-run exposition must validate. A short
+			// run can finish before any scrape sees its metrics
+			// registered, so the non-empty exposition the leg requires
+			// comes from one more scrape after Synthesize returns.
 			stopScrape := make(chan struct{})
 			scraped := make(chan error, 1)
 			go func() {
-				var last []byte
 				for {
-					resp, gerr := http.Get(msrv.URL + obs.MetricsPath)
-					if gerr != nil {
-						scraped <- gerr
-						return
-					}
-					body, gerr := io.ReadAll(resp.Body)
-					resp.Body.Close()
-					if gerr != nil {
-						scraped <- gerr
-						return
-					}
-					last = body
 					select {
 					case <-stopScrape:
-						if len(last) > 0 {
-							scraped <- obs.ValidateExposition(bytes.NewReader(last))
-						} else {
-							scraped <- fmt.Errorf("scraper never saw a non-empty exposition")
+						body, err := scrape()
+						if err == nil && len(body) == 0 {
+							err = fmt.Errorf("empty exposition after the run")
 						}
+						if err == nil {
+							err = obs.ValidateExposition(bytes.NewReader(body))
+						}
+						scraped <- err
 						return
 					default:
+					}
+					body, err := scrape()
+					if err == nil && len(body) > 0 {
+						err = obs.ValidateExposition(bytes.NewReader(body))
+					}
+					if err != nil {
+						scraped <- err
+						return
 					}
 				}
 			}()
@@ -315,7 +325,7 @@ func TestAcceleratedSynthesisByteIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			if serr := <-scraped; serr != nil {
-				t.Errorf("live mid-run scrape: %v", serr)
+				t.Errorf("live scrape: %v", serr)
 			}
 			if cerr := tracer.Close(); cerr != nil {
 				t.Fatal(cerr)

@@ -218,17 +218,19 @@ func main() {
 		}
 	}
 	for i := 0; i < *shards; i++ {
-		// In-process shards mirror cosynth's: shared parse cache and the
-		// durable tier when -cache-dir is set. The first shard optionally
-		// carries the kill switch — after serving -kill-shard requests it
-		// severs every connection mid-flight, exercising retry, failover,
-		// and re-hash under a live campaign.
+		// In-process shards mirror cosynth's: a shared parse cache, and no
+		// durable tier. The campaign's engine mounts -cache-dir and answers
+		// every disk-resident check before a request reaches a shard, so a
+		// shard tier on the same cache would write each result a second
+		// time, into another pack. The first shard optionally carries the
+		// kill switch — after serving -kill-shard requests it severs every
+		// connection mid-flight, exercising retry, failover, and re-hash
+		// under a live campaign.
 		ln, lerr := net.Listen("tcp", "127.0.0.1:0")
 		if lerr != nil {
 			log.Fatalf("cofuzz: -shards: %v", lerr)
 		}
-		handler := http.Handler(rest.NewHandlerOpts(rest.HandlerOptions{
-			Parses: batfish.NewParseCache(), Durable: dcache}))
+		handler := http.Handler(rest.NewHandlerOpts(rest.HandlerOptions{Parses: batfish.NewParseCache()}))
 		if i == 0 && *killShard > 0 {
 			handler = faultinject.AbortAfter(handler, *killShard)
 		}

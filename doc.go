@@ -111,7 +111,18 @@
 // iteration replaces one per check — benchmark E15 measures it on the
 // fat-tree. A lone per-check call is a one-check batch on the same path.
 // The server evaluates a batch on its own worker pool with a
-// request-scoped parse cache (or a shared one, below).
+// request-scoped parse cache (or a shared one, below). A batch carries
+// each distinct configuration text once, in a body table, and each check
+// names its config, and a diff check its original, by index into it, so
+// a revision that many obligations check crosses the wire once per
+// batch. With the texts inline, cobench's wire-random-75 sent 63.5 MB per
+// run for about 80 distinct revisions and spent most of its CPU encoding
+// and decoding that JSON; it now sends about 2.1 MB, and the batch
+// handlers' share of wall time fell from 0.71–0.75 to 0.29–0.32. Over ten
+// alternating 20 s pairs on a shared 2-CPU machine, its median run fell
+// from 0.99 s to 0.34 s (seed 0) and from 1.08 s to 0.39 s (seed 5), and
+// at seed 0 its CPU from 1.37 s to 0.46 s and its allocation from 687 MB
+// to 138 MB.
 //
 // # Distributed verification
 //
@@ -172,7 +183,11 @@
 // the family does not derive — travels in full, so the server never sees
 // a reference it cannot resolve unless the client is broken, and then it
 // answers 400. Family sizes are bounded in the netgen registry, since a
-// scenario name arrives over the wire. cosynth accepts a repeatable,
+// scenario name arrives over the wire. Config texts are named by their
+// index in the batch's body table instead of by digest: the table lives
+// in the one request, so neither side computes a digest, and the server
+// only checks that each index falls inside the table, failing the batch
+// with a 400 that names the check otherwise. cosynth accepts a repeatable,
 // comma-separated -rest endpoint list (a fleet builds the ring) and
 // -shards N to spawn in-process shard servers for tests and benchmarks.
 //
@@ -255,8 +270,15 @@
 // Each configuration revision is printed once, parsed once, and has each
 // route-map compiled once. The simulated LLM prints the whole config from
 // its transformed IR (cisco.Print), and batfish.NewParseCache memoizes one
-// whole-revision parse per SHA-256 of the text, shared by the syntax,
-// topology, local-policy and simulation stages. A stanza-incremental layer
+// whole-revision parse per text, shared by the syntax, topology,
+// local-policy and simulation stages. The cache is keyed by the text
+// itself, so a hit is one map lookup that neither copies nor digests the
+// text and allocates nothing. It used to SHA-256 a copy of the text on
+// every call, about a quarter of the CPU of an in-process random:75 run
+// with 2 lanes; on cobench synth-random-75 (one set per side on a shared
+// 2-CPU machine) a traced local check fell from about 26 µs to 12 µs and
+// allocation from 115 MB to 55 MB, with the same 5,552 local checks and
+// 78 parses. A stanza-incremental layer
 // (a per-section render memo, a fragment parse sub-cache with a
 // split-resume memo, and a durable fragment tier) used to sit on both
 // steps behind off-switches. It was removed because it paid for nothing
@@ -342,10 +364,11 @@
 // Put both enforce. A crash loses at most the iteration in flight, which
 // the resumed run recomputes. One directory serves every process that
 // touches verification — the engine (Translate/Synthesize options
-// CacheDir, cosynth/cofuzz -cache-dir), batfishd -cache-dir, and the
-// CLIs' in-process shards (cosynth's only under -no-cache, where the
-// engine mounts none) — so a restarted run answers from disk what its
-// predecessor already proved (CacheStats.DiskHits/DiskWrites).
+// CacheDir, cosynth/cofuzz -cache-dir), batfishd -cache-dir, and
+// cosynth's in-process shards under -no-cache, where the engine mounts
+// none (cofuzz's shards mount none) — so a restarted run answers from
+// disk what its predecessor already proved
+// (CacheStats.DiskHits/DiskWrites).
 // Concurrent processes see each other's results at their own next pack
 // write, so at the writer's iteration boundary, not result by result.
 // Packs replaced one file per result: on the benchmark's

@@ -2,9 +2,14 @@ package rest
 
 import (
 	"context"
+	"encoding/json"
+	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"reflect"
+	"slices"
+	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -182,5 +187,108 @@ func TestPrefetchBatchesAndCaches(t *testing.T) {
 	stats := cv.Stats()
 	if stats.Prefetches != 1 || stats.BatchedChecks != uint64(len(checks)) {
 		t.Errorf("stats = %+v, want 1 prefetch carrying %d checks", stats, len(checks))
+	}
+}
+
+// wireResult is the wire form of a check's outcome, the result or the
+// per-check error, in which a nil and an empty slice read the same.
+func wireResult(t testing.TB, r suite.Result, err error) string {
+	t.Helper()
+	br := BatchResult{Warnings: r.Warnings, Findings: r.Findings,
+		Diffs: r.Diffs, Violated: r.Violated, Violation: r.Violation}
+	if err != nil {
+		br = BatchResult{Error: err.Error()}
+	}
+	data, merr := json.Marshal(br)
+	if merr != nil {
+		t.Fatal(merr)
+	}
+	return string(data)
+}
+
+// TestBatchShipsEachBodyOnce sends a batch of every check kind whose seven
+// checks name four distinct texts: the request's body table carries each
+// text exactly once, the checks' indices resolve back to the checks sent,
+// and the results equal the in-process suite's.
+func TestBatchShipsEachBodyOnce(t *testing.T) {
+	var mu sync.Mutex
+	var last []byte
+	srv := httptest.NewServer(recordBatches(NewHandler(), &last, &mu))
+	t.Cleanup(srv.Close)
+	topo, err := netgen.Star(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := lightyearRequirement()
+	r1 := "hostname R1\nip community-list 1 permit 100:1\nroute-map FILTER permit 10\n"
+	r2 := "hostname R2\n"
+	junos := "system {\n    host-name border1;\n}\n"
+	checks := []suite.Check{
+		{Kind: suite.KindSyntax, Config: r1},
+		{Kind: suite.KindSyntax, Config: r2},
+		{Kind: suite.KindTopology, Spec: topo.Router("R1"), Config: r1},
+		{Kind: suite.KindTopology, Spec: topo.Router("R2"), Config: r2},
+		{Kind: suite.KindLocal, Req: &req, Config: r1},
+		{Kind: suite.KindDiff, Original: exampledata.CiscoExample, Config: junos},
+		{Kind: suite.KindDiff, Original: exampledata.CiscoExample, Config: r1},
+	}
+	got, err := NewClient(srv.URL).CheckBatch(context.Background(), checks)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	mu.Lock()
+	var sent BatchRequest
+	err = json.Unmarshal(last, &sent)
+	mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{r1, r2, junos, exampledata.CiscoExample}
+	if !slices.Equal(sent.Bodies, want) {
+		t.Errorf("body table = %q, want each distinct text once in order of first use: %q", sent.Bodies, want)
+	}
+	resolved, err := sent.resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(resolved, checks) {
+		t.Errorf("the wire form resolves to\n%+v\nwant\n%+v", resolved, checks)
+	}
+
+	for i, c := range checks {
+		res, err := suite.Eval(core.LocalVerifier{}, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g, w := wireResult(t, got[i], nil), wireResult(t, res, nil); g != w {
+			t.Errorf("check %d (%s): batch answered %s, in-process suite %s", i, c.Kind, g, w)
+		}
+	}
+}
+
+// TestBatchBodyIndexOutOfRange pins the server's bound on body indices: a
+// negative index, or one past the table, fails the whole batch with a 400
+// that names the check and the index.
+func TestBatchBodyIndexOutOfRange(t *testing.T) {
+	c := newTestClient(t)
+	one := 1
+	for _, tc := range []struct {
+		name  string
+		check BatchCheck
+		want  string
+	}{
+		{"negative config", BatchCheck{Kind: string(suite.KindSyntax), Config: -1}, "check 1: config body index -1"},
+		{"config past the table", BatchCheck{Kind: string(suite.KindSyntax), Config: 1}, "check 1: config body index 1"},
+		{"original past the table", BatchCheck{Kind: string(suite.KindDiff), Config: 0, Original: &one},
+			"check 1: original body index 1"},
+	} {
+		req := BatchRequest{Bodies: []string{"hostname R1\n"}, Checks: []BatchCheck{
+			{Kind: string(suite.KindSyntax), Config: 0}, tc.check}}
+		var resp BatchResponse
+		status, err := c.post(context.Background(), PathBatch, req, &resp)
+		if status != http.StatusBadRequest || err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: HTTP %d, %v; want 400 naming %q", tc.name, status, err, tc.want)
+		}
 	}
 }

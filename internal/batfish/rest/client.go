@@ -388,7 +388,8 @@ func (c *Client) Capabilities() suite.Capabilities {
 }
 
 // CheckBatch implements the engine's backend seam (suite.Backend): all
-// checks ship as one /v1/batch round-trip. After WarmScenario, spec and
+// checks ship as one /v1/batch round-trip, carrying each distinct config
+// text once in the request's body table. After WarmScenario, spec and
 // requirement bodies the scenario's registry holds leave the wire: checks
 // carry their RefDigest instead, and the request names the scenario the
 // server resolves them against.
@@ -396,15 +397,13 @@ func (c *Client) CheckBatch(ctx context.Context, checks []suite.Check) ([]suite.
 	if len(checks) == 0 {
 		return nil, nil
 	}
-	reg := c.refs.Load()
-	req := BatchRequest{Checks: make([]BatchCheck, len(checks))}
-	for i, sc := range checks {
-		bc := BatchCheck{Kind: string(sc.Kind), Config: sc.Config, Original: sc.Original,
-			Spec: sc.Spec, Requirement: sc.Req}
-		if reg != nil && reg.elide(&bc) {
-			req.Scenario = reg.name
+	req := newBatchRequest(checks)
+	if reg := c.refs.Load(); reg != nil {
+		for i := range req.Checks {
+			if reg.elide(&req.Checks[i]) {
+				req.Scenario = reg.name
+			}
 		}
-		req.Checks[i] = bc
 	}
 	var resp BatchResponse
 	var rpcStart time.Time

@@ -24,6 +24,14 @@
 // body over the server's size bound gets HTTP 413 naming the bound; the
 // clients surface it as a served error, without retry or failover.
 //
+// A /v1/batch request carries each distinct configuration text once, in
+// its body table, and each check names its config (and a diff check its
+// original) by index into that table, so a router's revision crosses the
+// wire once per batch however many obligations check it. An index outside
+// the table fails the whole batch with HTTP 400 naming the check, as an
+// unresolvable scenario reference does. The wire types, the encoder from
+// suite checks and the resolver back to them all live in protocol.go.
+//
 // Every endpoint is stateless apart from caches that never change an
 // answer: the parse cache, the durable result tier, and the memo of
 // scenario registries that body references resolve against.
@@ -33,6 +41,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"fmt"
 
 	"repro/internal/batfish"
 	"repro/internal/campion"
@@ -55,9 +64,11 @@ const (
 // /v1/scenario pre-warm, and stanza deltas. Version 6 made /v1/notransit
 // stateless: the request lost its prior-configuration digest, which
 // resumed a server-side simulation session, and the result lost its
-// checker name and falsification probes. There is no negotiation; a peer
-// on another version is refused.
-const BatchProtocolVersion = 6
+// checker name and falsification probes. Version 7 gave /v1/batch its body
+// table: a batch carries each distinct config text once, and its checks
+// name texts by index instead of carrying them inline. There is no
+// negotiation; a peer on another version is refused.
+const BatchProtocolVersion = 7
 
 // ProtocolHeader is the request header carrying BatchProtocolVersion.
 const ProtocolHeader = "X-Batfishd-Protocol"
@@ -104,39 +115,89 @@ func RefDigest(v interface{}) string {
 }
 
 // BatchCheck is one independent check inside a batched request; which
-// fields are required depends on Kind (a suite.Kind). Config is the
-// configuration under test (the translation for diff checks). SpecRef and
+// fields are required depends on Kind (a suite.Kind). Config indexes the
+// request's Bodies for the configuration under test (the translation for
+// diff checks), and Original, when present, for the source configuration
+// of a diff check; an absent Original is the empty text. SpecRef and
 // ReqRef replace the Spec and Requirement bodies with their RefDigest when
 // the body belongs to the registry of the request's Scenario, which the
 // server builds from the same generator the client used.
 type BatchCheck struct {
 	Kind        string                 `json:"kind"`
-	Config      string                 `json:"config"`
-	Original    string                 `json:"original,omitempty"`
+	Config      int                    `json:"config"`
+	Original    *int                   `json:"original,omitempty"`
 	Spec        *topology.RouterSpec   `json:"spec,omitempty"`
 	Requirement *lightyear.Requirement `json:"requirement,omitempty"`
 	SpecRef     string                 `json:"spec_ref,omitempty"`
 	ReqRef      string                 `json:"req_ref,omitempty"`
 }
 
-// check is the suite form of a resolved batch check.
-func (c BatchCheck) check() suite.Check {
-	return suite.Check{
-		Kind:     suite.Kind(c.Kind),
-		Config:   c.Config,
-		Original: c.Original,
-		Spec:     c.Spec,
-		Req:      c.Requirement,
-	}
-}
-
 // BatchRequest ships all of a pipeline iteration's outstanding checks in
-// one round-trip. Scenario names the registered family ("random:75") whose
-// registry resolves the checks' SpecRef/ReqRef references; it is only sent
-// on requests that carry a reference.
+// one round-trip. Bodies lists each distinct configuration text the checks
+// name, once, in order of first use. Scenario names the registered family
+// ("random:75") whose registry resolves the checks' SpecRef/ReqRef
+// references; it is only sent on requests that carry a reference.
 type BatchRequest struct {
 	Scenario string       `json:"scenario,omitempty"`
+	Bodies   []string     `json:"bodies"`
 	Checks   []BatchCheck `json:"checks"`
+}
+
+// newBatchRequest encodes checks in the wire form: each distinct config
+// text enters Bodies once, and every check names its texts by index.
+// Spec and requirement bodies travel inline; the client replaces the ones
+// its scenario registry holds by references afterwards.
+func newBatchRequest(checks []suite.Check) BatchRequest {
+	req := BatchRequest{Checks: make([]BatchCheck, len(checks))}
+	index := make(map[string]int, len(checks))
+	body := func(text string) int {
+		i, ok := index[text]
+		if !ok {
+			i = len(req.Bodies)
+			index[text] = i
+			req.Bodies = append(req.Bodies, text)
+		}
+		return i
+	}
+	for i, c := range checks {
+		bc := BatchCheck{Kind: string(c.Kind), Config: body(c.Config), Spec: c.Spec, Requirement: c.Req}
+		if c.Original != "" {
+			o := body(c.Original)
+			bc.Original = &o
+		}
+		req.Checks[i] = bc
+	}
+	return req
+}
+
+// resolve returns the suite form of the request's checks, their texts
+// looked up in Bodies; the strings are shared with Bodies, not copied.
+// Spec and requirement bodies are taken as carried: references stay
+// unresolved here. An index outside Bodies fails the whole request with
+// an error naming the check and the index.
+func (r *BatchRequest) resolve() ([]suite.Check, error) {
+	text := func(i int, field string, idx int) (string, error) {
+		if idx < 0 || idx >= len(r.Bodies) {
+			return "", fmt.Errorf("check %d: %s body index %d outside the %d-body table",
+				i, field, idx, len(r.Bodies))
+		}
+		return r.Bodies[idx], nil
+	}
+	checks := make([]suite.Check, len(r.Checks))
+	for i, bc := range r.Checks {
+		c := suite.Check{Kind: suite.Kind(bc.Kind), Spec: bc.Spec, Req: bc.Requirement}
+		var err error
+		if c.Config, err = text(i, "config", bc.Config); err != nil {
+			return nil, err
+		}
+		if bc.Original != nil {
+			if c.Original, err = text(i, "original", *bc.Original); err != nil {
+				return nil, err
+			}
+		}
+		checks[i] = c
+	}
+	return checks, nil
 }
 
 // BatchResult is the outcome of one BatchCheck, positionally matched to

@@ -115,8 +115,8 @@ func TestShardedProtocolMismatchPropagates(t *testing.T) {
 func TestOversizedScenarioRejected(t *testing.T) {
 	c := newTestClient(t)
 	for _, scenario := range []string{"random:100000000", "fat-tree:1000"} {
-		req := BatchRequest{Scenario: scenario, Checks: []BatchCheck{{
-			Kind: string(suite.KindTopology), Config: "hostname R1\n", SpecRef: strings.Repeat("0", 64)}}}
+		req := BatchRequest{Scenario: scenario, Bodies: []string{"hostname R1\n"}, Checks: []BatchCheck{{
+			Kind: string(suite.KindTopology), Config: 0, SpecRef: strings.Repeat("0", 64)}}}
 		start := time.Now()
 		var resp BatchResponse
 		status, err := c.post(context.Background(), PathBatch, req, &resp)

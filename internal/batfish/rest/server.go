@@ -31,9 +31,10 @@ type HandlerOptions struct {
 	// and no-transit checks parse through it instead of a request-scoped
 	// cache, so a revision one request parsed is not parsed again, nor are
 	// the route-maps its local checks compiled. It grows with every
-	// distinct configuration revision seen, so long-lived servers trade
-	// memory for parse time; leave nil to keep the request-scoped
-	// behaviour.
+	// distinct configuration revision seen, and keeps each revision's
+	// text (median about 8 KB) as its key beside its device, so
+	// long-lived servers trade memory for parse time; leave nil to keep
+	// the request-scoped behaviour.
 	Parses *netcfg.ParseCache
 	// Durable, when set, answers batched checks from a disk cache keyed by
 	// suite.Key and persists each request's computed results into it as
@@ -224,12 +225,16 @@ func handleHealth(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, HealthResponse{Status: "ok", Version: BatchProtocolVersion})
 }
 
-// maxRequestBody bounds the POST body batfishd reads: 3 GiB, over 4x the
-// largest batch body measured. The measurements, on an x86-64 Linux host:
-// 49,003,551 bytes on cobench's wire-random-75 workload, and 732,479,790
-// bytes on `cosynth -mode notransit -topo random:200 -shards 2`, whose
-// batches carry the full topology with every check because that path arms
-// no scenario references.
+// maxRequestBody bounds the POST body batfishd reads: 3 GiB. Since a batch
+// carries each config text once, the largest batch bodies measured under
+// `cosynth -mode notransit -shards 2` on an x86-64 Linux host are 832,697
+// bytes at random:75, 4,905,532 bytes at random:200, and 8,394,040 bytes
+// at random:200 with -seed 3, a graph variant whose specs and requirements
+// the family's registry does not hold. When each check carried its config
+// inline, random:200 reached 544.6 MB. The bound stays well above these:
+// random, ring and dual-homed allow 1,000 routers, where no batch has been
+// measured, and a requirement outside the registry still travels in full
+// with every check that names it.
 const maxRequestBody int64 = 3 << 30
 
 // decode reads a JSON POST body after checking the request speaks this
@@ -303,13 +308,13 @@ func handleNoTransit(w http.ResponseWriter, r *http.Request, parses *netcfg.Pars
 	writeJSON(w, http.StatusOK, NoTransitResponse{Result: result})
 }
 
-// evalBatchCheck answers one batched check through suite.Eval, the single
-// mapping from check kinds to verifier calls; parses is the batch's parse
-// cache, so a batch carrying the same configuration for its syntax,
-// topology, and local checks parses it once. A malformed check comes back
-// as a per-result error.
-func evalBatchCheck(c BatchCheck, parses *netcfg.ParseCache) BatchResult {
-	res, err := suite.Eval(core.LocalVerifier{Parses: parses}, c.check())
+// evalBatchCheck answers one resolved batched check through suite.Eval,
+// the single mapping from check kinds to verifier calls; parses is the
+// batch's parse cache, so a batch carrying the same configuration for its
+// syntax, topology, and local checks parses it once. A malformed check
+// comes back as a per-result error.
+func evalBatchCheck(c suite.Check, parses *netcfg.ParseCache) BatchResult {
+	res, err := suite.Eval(core.LocalVerifier{Parses: parses}, c)
 	if err != nil {
 		return BatchResult{Error: err.Error()}
 	}
@@ -330,9 +335,9 @@ func evalBatchCheck(c BatchCheck, parses *netcfg.ParseCache) BatchResult {
 // resolved form, the same identity the engine's client-side cache uses,
 // so a cosynth run and the shard it talks to can share one directory
 // without double-keying. Decode failures fall through to recomputation.
-func evalBatchCheckDurable(c BatchCheck, parses *netcfg.ParseCache, d *durable.Cache,
+func evalBatchCheckDurable(c suite.Check, parses *netcfg.ParseCache, d *durable.Cache,
 	digests *suite.Digests) (BatchResult, durable.Entry) {
-	key := suite.KeyD(c.check(), digests)
+	key := suite.KeyD(c, digests)
 	if payload, ok := d.Get(key); ok {
 		var res BatchResult
 		if err := json.Unmarshal(payload, &res); err == nil && res.Error == "" {
@@ -349,12 +354,12 @@ func evalBatchCheckDurable(c BatchCheck, parses *netcfg.ParseCache, d *durable.C
 }
 
 // resolveBatchRefs substitutes the registry bodies for the request's
-// SpecRef/ReqRef references. The registry of the named scenario is built
-// on first use and memoized. Any failure — no scenario named, a family
-// the registry rejects, a digest the registry does not hold — fails the
-// whole batch: answering the other checks while one is unresolvable would
-// hand back untrustworthy results.
-func resolveBatchRefs(req *BatchRequest, scenarios *fifoStore[*scenarioRegistry]) error {
+// SpecRef/ReqRef references in checks, the request's resolved checks.
+// The registry of the named scenario is built on first use and memoized.
+// Any failure — no scenario named, a family the registry rejects, a digest
+// the registry does not hold — fails the whole batch: answering the other
+// checks while one is unresolvable would hand back untrustworthy results.
+func resolveBatchRefs(req *BatchRequest, checks []suite.Check, scenarios *fifoStore[*scenarioRegistry]) error {
 	if !slices.ContainsFunc(req.Checks, func(c BatchCheck) bool { return c.SpecRef != "" || c.ReqRef != "" }) {
 		return nil
 	}
@@ -369,16 +374,16 @@ func resolveBatchRefs(req *BatchRequest, scenarios *fifoStore[*scenarioRegistry]
 		}
 		scenarios.put(req.Scenario, reg)
 	}
-	for i := range req.Checks {
-		c := &req.Checks[i]
-		if c.SpecRef != "" {
-			if c.Spec = reg.specs[c.SpecRef]; c.Spec == nil {
-				return fmt.Errorf("unresolvable spec ref %s for %s", c.SpecRef, reg.name)
+	for i, bc := range req.Checks {
+		c := &checks[i]
+		if bc.SpecRef != "" {
+			if c.Spec = reg.specs[bc.SpecRef]; c.Spec == nil {
+				return fmt.Errorf("unresolvable spec ref %s for %s", bc.SpecRef, reg.name)
 			}
 		}
-		if c.ReqRef != "" {
-			if c.Requirement = reg.reqs[c.ReqRef]; c.Requirement == nil {
-				return fmt.Errorf("unresolvable requirement ref %s for %s", c.ReqRef, reg.name)
+		if bc.ReqRef != "" {
+			if c.Req = reg.reqs[bc.ReqRef]; c.Req == nil {
+				return fmt.Errorf("unresolvable requirement ref %s for %s", bc.ReqRef, reg.name)
 			}
 		}
 	}
@@ -388,7 +393,8 @@ func resolveBatchRefs(req *BatchRequest, scenarios *fifoStore[*scenarioRegistry]
 // handleBatch evaluates a whole batch of independent checks in one
 // round-trip, fanning them onto a bounded worker pool. Results are
 // positional; a malformed individual check yields a per-result error
-// without failing the batch. env.parses, when non-nil, replaces the
+// without failing the batch, but a body index outside the request's table
+// or an unresolvable reference fails it with a 400. env.parses, when non-nil, replaces the
 // request-scoped parse cache so earlier requests' parses are reused. With
 // a durable cache mounted, the results the batch computed are written as
 // one pack before the response; a write failure is swallowed (a full disk
@@ -404,7 +410,11 @@ func handleBatch(w http.ResponseWriter, r *http.Request, env *batchEnv) {
 	defer func() {
 		env.reg.Histogram("batfishd_batch_seconds", obs.DefSecondsBuckets).Observe(time.Since(start).Seconds())
 	}()
-	if err := resolveBatchRefs(&req, env.scenarios); err != nil {
+	checks, err := req.resolve()
+	if err == nil {
+		err = resolveBatchRefs(&req, checks, env.scenarios)
+	}
+	if err != nil {
 		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error()})
 		return
 	}
@@ -412,21 +422,21 @@ func handleBatch(w http.ResponseWriter, r *http.Request, env *batchEnv) {
 	if parses == nil {
 		parses = batfish.NewParseCache()
 	}
-	results := make([]BatchResult, len(req.Checks))
-	eval := func(i int) { results[i] = evalBatchCheck(req.Checks[i], parses) }
+	results := make([]BatchResult, len(checks))
+	eval := func(i int) { results[i] = evalBatchCheck(checks[i], parses) }
 	var fresh []durable.Entry // positional; a zero Entry persists nothing
 	if env.disk != nil {
-		fresh = make([]durable.Entry, len(req.Checks))
+		fresh = make([]durable.Entry, len(checks))
 		eval = func(i int) {
-			results[i], fresh[i] = evalBatchCheckDurable(req.Checks[i], parses, env.disk, env.digests)
+			results[i], fresh[i] = evalBatchCheckDurable(checks[i], parses, env.disk, env.digests)
 		}
 	}
 	workers := env.workers
-	if workers > len(req.Checks) {
-		workers = len(req.Checks)
+	if workers > len(checks) {
+		workers = len(checks)
 	}
 	if workers <= 1 {
-		for i := range req.Checks {
+		for i := range checks {
 			eval(i)
 		}
 	} else {
@@ -441,7 +451,7 @@ func handleBatch(w http.ResponseWriter, r *http.Request, env *batchEnv) {
 				}
 			}()
 		}
-		for i := range req.Checks {
+		for i := range checks {
 			jobs <- i
 		}
 		close(jobs)

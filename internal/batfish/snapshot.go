@@ -61,8 +61,8 @@ func ParseAndCheck(text string) *netcfg.Parsed {
 }
 
 // NewParseCache returns a shared parse cache over both dialects, keyed by
-// the SHA-256 of the configuration text, so each revision is parsed exactly
-// once per cache no matter how many verifier stages inspect it.
+// the configuration text, so each revision is parsed exactly once per
+// cache no matter how many verifier stages inspect it.
 func NewParseCache() *netcfg.ParseCache {
 	return netcfg.NewParseCache(ParseAndCheck)
 }

@@ -1,7 +1,7 @@
 package netcfg
 
 import (
-	"crypto/sha256"
+	"hash/maphash"
 	"sync"
 	"time"
 
@@ -49,27 +49,31 @@ func (p *Parsed) CompiledPolicy(name string, compile func() any) any {
 // ParseFunc parses one configuration revision into its Parsed product.
 type ParseFunc func(text string) *Parsed
 
-// parseShards is the stripe count of the revision map. The key is a
-// SHA-256 of the configuration text, so stripe selection by the first key
-// byte is uniform; 64 independently-locked shards keep concurrent repair
-// workers (and a shard server's batch pool) from serializing on one lock.
+// parseShards is the stripe count of the revision map. A text picks its
+// stripe by a seeded maphash of its bytes, which is uniform and allocates
+// nothing; 64 independently-locked shards keep concurrent repair workers
+// (and a shard server's batch pool) from serializing on one lock.
 const parseShards = 64
 
 // parseShard is one independently-locked stripe of the revision map.
 type parseShard struct {
 	mu      sync.RWMutex
-	entries map[[sha256.Size]byte]*Parsed
+	entries map[string]*Parsed
 }
 
-// ParseCache memoizes a ParseFunc keyed by the SHA-256 of the
-// configuration text, so each revision of a config is parsed exactly once
-// no matter how many verifier stages and repair iterations inspect it. It
-// is safe for concurrent use — the map is striped into independently
-// locked shards — and concurrent misses on the same revision may parse
-// twice, but both results are identical and one wins.
+// ParseCache memoizes a ParseFunc keyed by the configuration text itself,
+// so each revision of a config is parsed exactly once no matter how many
+// verifier stages and repair iterations inspect it, and equal texts share
+// one product whatever memory backs them. A hit is one map lookup: it
+// neither copies nor digests the text, and allocates nothing. The cache
+// keeps each revision's text beside its product. It is safe for
+// concurrent use — the map is striped into independently locked shards —
+// and concurrent misses on the same revision may parse twice, but both
+// results are identical and one wins.
 type ParseCache struct {
 	parse ParseFunc
 
+	seed   maphash.Seed // stripe selection
 	shards [parseShards]parseShard
 	// Counters are obs instruments from birth; SetObs adopts them into a
 	// registry (counts preserved) and optionally binds a trace sink that
@@ -81,9 +85,9 @@ type ParseCache struct {
 
 // NewParseCache returns an empty cache over the given parser.
 func NewParseCache(parse ParseFunc) *ParseCache {
-	c := &ParseCache{parse: parse, hits: &obs.Counter{}, misses: &obs.Counter{}}
+	c := &ParseCache{parse: parse, seed: maphash.MakeSeed(), hits: &obs.Counter{}, misses: &obs.Counter{}}
 	for i := range c.shards {
-		c.shards[i].entries = map[[sha256.Size]byte]*Parsed{}
+		c.shards[i].entries = map[string]*Parsed{}
 	}
 	return c
 }
@@ -91,10 +95,9 @@ func NewParseCache(parse ParseFunc) *ParseCache {
 // Parse returns the memoized parse product for the text, parsing on first
 // sight of the revision.
 func (c *ParseCache) Parse(text string) *Parsed {
-	key := sha256.Sum256([]byte(text))
-	s := &c.shards[key[0]%parseShards]
+	s := &c.shards[maphash.String(c.seed, text)%parseShards]
 	s.mu.RLock()
-	p := s.entries[key]
+	p := s.entries[text]
 	s.mu.RUnlock()
 	if p != nil {
 		c.hits.Inc()
@@ -109,13 +112,13 @@ func (c *ParseCache) Parse(text string) *Parsed {
 		c.tracer.Span(start, obs.Event{Stage: obs.StageParse, Bytes: int64(len(text))})
 	}
 	s.mu.Lock()
-	if prev, ok := s.entries[key]; ok {
+	if prev, ok := s.entries[text]; ok {
 		// A concurrent miss beat us to it; keep the first result so every
 		// caller shares one device.
 		p = prev
 		c.hits.Inc()
 	} else {
-		s.entries[key] = p
+		s.entries[text] = p
 		c.misses.Inc()
 	}
 	s.mu.Unlock()

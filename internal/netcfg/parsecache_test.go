@@ -2,6 +2,7 @@ package netcfg
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -41,6 +42,34 @@ func TestParseCacheParsesEachRevisionOnce(t *testing.T) {
 	}
 }
 
+// TestParseCacheHitAllocatesNothing pins the text-keyed lookup: a hit on
+// a multi-KB revision allocates nothing (no copy of the text, no digest),
+// equal texts in different memory share one product, and different texts
+// do not.
+func TestParseCacheHitAllocatesNothing(t *testing.T) {
+	var calls atomic.Int64
+	c := NewParseCache(countingParser(&calls))
+	text := "hostname R1\n" + strings.Repeat("ip prefix-list PL seq 5 permit 10.0.0.0/8\n", 200)
+	if len(text) < 8<<10 {
+		t.Fatalf("config is %d bytes, want a multi-KB one", len(text))
+	}
+	p := c.Parse(text)
+	if allocs := testing.AllocsPerRun(100, func() { c.Parse(text) }); allocs != 0 {
+		t.Errorf("a parse-cache hit allocates %v times, want 0", allocs)
+	}
+	same := strings.Clone(text)
+	if c.Parse(same) != p {
+		t.Error("an equal text in other memory got another product")
+	}
+	other := strings.Replace(text, "R1", "R2", 1)
+	if c.Parse(other) == p {
+		t.Error("a different text shares a product")
+	}
+	if got := calls.Load(); got != 2 {
+		t.Errorf("parse calls = %d, want 2", got)
+	}
+}
+
 func TestParseCacheConcurrent(t *testing.T) {
 	var calls atomic.Int64
 	c := NewParseCache(countingParser(&calls))
@@ -72,7 +101,7 @@ func TestParseCacheConcurrent(t *testing.T) {
 // TestParseCacheStripedHammer drives every stripe of the sharded revision
 // map from 16 goroutines at once — enough concurrent writers that a
 // single-mutex regression shows up under -race and as contention, and
-// enough distinct revisions (512, SHA-keyed) that all 64 shards see
+// enough distinct revisions (512, hash-striped) that all 64 shards see
 // traffic. Every caller must observe the one shared product per revision.
 func TestParseCacheStripedHammer(t *testing.T) {
 	var calls atomic.Int64
