@@ -257,13 +257,25 @@
 // 4 ms per run. The one check runs in delta rounds: a round announces
 // only the RIB entries the previous round changed, which reaches exactly
 // the RIBs that re-announcing every entry reaches (batfish.Sim gives the
-// argument), and a route is copied only where a policy or the AS-path
-// prepend writes it. Timed alone on golden configurations on a shared
-// 2-CPU machine (median of three 10-check runs), one check went from
-// 2.77 s and 856 MB allocated to 0.44 s and 99 MB on fat-tree:10, and
-// from 0.97 s and 159 MB to 0.12 s and 20 MB on random:75; cobench's
-// synth-fattree-10 run_s fell from 3.08 s to 0.57 s. The round cap grows with the number of speakers, so
-// deep rings converge: ring:130 needs about 65 rounds.
+// argument). Each Run also compiles the network before its first round:
+// every session's route-maps are resolved against their device once, with
+// the leading permit-only community-list clauses indexed by community;
+// every originated prefix gets a number, and each node's RIB is a row
+// indexed by it; a route is built only when it is installed, or when a
+// route-map must read or write it first; and the Result shares the
+// installed routes and answers CanReach with at most 34 lookups instead
+// of a scan of the RIB. A prefix's propagation never reads another prefix's
+// entries, the slicing argument Panda et al. verify isolation with, so
+// the numbering changes no outcome. Timed alone on golden configurations
+// on a shared 2-CPU machine (median of three 10-check runs), one check
+// went from 0.33 s and 99 MB allocated to 32 ms and 15 MB on
+// fat-tree:10, from 0.12 s and 20 MB to 12 ms and 6 MB on random:75, and
+// from 1.36 s and 141 MB to 0.10 s and 39 MB on random:200; cobench's
+// synth-fattree-10 run_s fell from 0.44 s to 0.12 s (seed 5, medians of
+// ten alternating pairs). A network that would need more than
+// batfish.MaxRIBSlots RIB slots, one per speaker and originated prefix,
+// is refused with an error. The round cap grows with the number of
+// speakers, so deep rings converge: ring:130 needs about 65 rounds.
 //
 // # Configuration pipeline
 //

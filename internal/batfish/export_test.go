@@ -1,5 +1,42 @@
 package batfish
 
+import (
+	"maps"
+	"slices"
+
+	"repro/internal/netcfg"
+)
+
 // RunFullRounds exposes the full-round reference simulation to the
 // external test package, whose differential tests compare it with Run.
-func (s *Sim) RunFullRounds() *Result { return s.runFullRounds() }
+func (s *Sim) RunFullRounds() (*Result, error) { return s.runFullRounds() }
+
+// Nodes returns the names of the result's nodes, sorted.
+func (r *Result) Nodes() []string {
+	return slices.Sorted(maps.Keys(r.rows))
+}
+
+// Entries returns every route node holds, by prefix, for tests that
+// enumerate a Result.
+func (r *Result) Entries(node string) map[netcfg.Prefix]*netcfg.Route {
+	out := map[netcfg.Prefix]*netcfg.Route{}
+	for p := range r.index {
+		if route := r.Route(node, p); route != nil {
+			out[p] = route
+		}
+	}
+	return out
+}
+
+// EvalCompiled evaluates pol on r as a simulation session does, compiled
+// once against dev: it returns whether the policy permits r and, when it
+// does, r with the deciding clause's sets applied to a copy.
+func EvalCompiled(pol *netcfg.RoutePolicy, dev *netcfg.Device, r *netcfg.Route) (bool, *netcfg.Route) {
+	cl := compileSimPolicy(pol, dev).decide(r)
+	if cl == nil || !cl.permit {
+		return false, nil
+	}
+	out := *r
+	cl.apply(&out)
+	return true, &out
+}

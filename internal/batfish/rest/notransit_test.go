@@ -1,10 +1,15 @@
 package rest
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
 	"maps"
+	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -216,5 +221,36 @@ func TestNoTransitAddresslessRouter(t *testing.T) {
 	}
 	if want := inProcessNoTransit(t, topo, configs); !reflect.DeepEqual(got, want) {
 		t.Errorf("REST verdict diverges from the in-process check\ngot:  %+v\nwant: %+v", got, want)
+	}
+}
+
+// TestNoTransitRefusesOversizedNetwork posts one router with 8,200
+// external neighbors, one prefix each, to /v1/notransit. Its simulation
+// would need 8,201 × 8,200 RIB slots, just over batfish.MaxRIBSlots, so
+// the server must answer 422 with an error naming the bound.
+func TestNoTransitRefusesOversizedNetwork(t *testing.T) {
+	r := topology.RouterSpec{Name: "R1", ASN: 65000}
+	for i := range 8200 {
+		r.Neighbors = append(r.Neighbors, topology.NeighborSpec{
+			PeerName: fmt.Sprintf("ISP%d", i),
+			PeerIP:   netcfg.FormatIP(10<<24 | uint32(i)),
+			PeerAS:   uint32(100000 + i),
+			External: true,
+			Prefixes: []string{netcfg.NewPrefix(150<<24|uint32(i)<<8, 24).String()},
+		})
+	}
+	body, err := json.Marshal(NoTransitRequest{
+		Topology: &topology.Topology{Name: "oversized", Routers: []topology.RouterSpec{r}},
+		Configs:  map[string]string{"R1": "hostname R1\n"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := httptest.NewRequest(http.MethodPost, PathNoTransit, bytes.NewReader(body))
+	req.Header.Set(ProtocolHeader, protocolVersion)
+	rec := httptest.NewRecorder()
+	NewHandler().ServeHTTP(rec, req)
+	if rec.Code != http.StatusUnprocessableEntity || !strings.Contains(rec.Body.String(), strconv.Itoa(batfish.MaxRIBSlots)) {
+		t.Fatalf("got %d %s, want 422 naming the bound %d", rec.Code, rec.Body.Bytes(), batfish.MaxRIBSlots)
 	}
 }

@@ -1,11 +1,12 @@
 package batfish_test
 
 import (
+	"cmp"
 	"fmt"
+	"maps"
 	"math/rand/v2"
 	"reflect"
 	"slices"
-	"sort"
 	"testing"
 
 	"repro/internal/batfish"
@@ -31,7 +32,9 @@ const maxSimFuzzMutations = 16
 // the first drafts of every synthesis error class on that network (built
 // as fuzz.ParserSeeds builds them), and seeded mutations of the golden
 // configurations. No draft varies local-pref or MED, and the mutations
-// do: the tie-breaks are what make delta rounds exact.
+// do: the tie-breaks are what make delta rounds exact. The mutations that
+// add export sets also make Run build each announced route before it
+// compares it.
 func TestDeltaRoundsMatchReference(t *testing.T) {
 	for i, net := range goldenNetworks(t) {
 		t.Run(net.name, func(t *testing.T) {
@@ -65,6 +68,9 @@ func FuzzSimulate(f *testing.F) {
 	for i := range nets {
 		f.Add([]byte{byte(i)})
 		f.Add([]byte{byte(i), 0, 0, 0, 1, 1, 1, 1, 3, 2, 2, 2, 0, 3, 3, 3, 0})
+	}
+	for i := range nets {
+		f.Add([]byte{byte(i), 0, 0, 4, 1, 1, 1, 5, 2, 2, 2, 4, 3, 3, 3, 5, 0})
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 || len(data) > 1+4*maxSimFuzzMutations {
@@ -156,10 +162,12 @@ func parseAll(texts map[string]string) map[string]*netcfg.Device {
 }
 
 // A mutation edits one BGP neighbor of one router of a golden network:
-// its import policy also sets a local-pref or a MED, or its export or
+// its import policy also sets a local-pref or a MED, its export policy
+// also sets a MED or adds an attachment's community tag, or its export or
 // import policy is dropped. The indices wrap around the router and
 // neighbor counts, and the values fall in a small range so that routes
-// tie often.
+// tie often. No golden export policy sets anything, so the export sets
+// are what make Run build a route before comparing it.
 type mutation struct{ router, neighbor, action, value uint8 }
 
 func (m mutation) apply(routers []string, devs map[string]*netcfg.Device) {
@@ -168,24 +176,31 @@ func (m mutation) apply(routers []string, devs map[string]*netcfg.Device) {
 		return
 	}
 	nb := dev.BGP.Neighbors[int(m.neighbor)%len(dev.BGP.Neighbors)]
-	switch m.action % 4 {
+	switch m.action % 6 {
 	case 0:
-		importSets(dev, nb, netcfg.SetLocalPref{Pref: 90 + 10*int(m.value%4)})
+		nb.ImportPolicy = withSet(dev, nb.ImportPolicy, netcfg.SetLocalPref{Pref: 90 + 10*int(m.value%4)})
 	case 1:
-		importSets(dev, nb, netcfg.SetMED{MED: int(m.value % 4)})
+		nb.ImportPolicy = withSet(dev, nb.ImportPolicy, netcfg.SetMED{MED: int(m.value % 4)})
 	case 2:
 		nb.ExportPolicy = ""
 	case 3:
 		nb.ImportPolicy = ""
+	case 4:
+		nb.ExportPolicy = withSet(dev, nb.ExportPolicy, netcfg.SetMED{MED: int(m.value % 4)})
+	case 5:
+		tag := netgen.AttachmentCommunity(1 + int(m.value%4))
+		nb.ExportPolicy = withSet(dev, nb.ExportPolicy,
+			netcfg.SetCommunity{Communities: []netcfg.Community{tag}, Additive: true})
 	}
 }
 
-// importSets makes the neighbor's import policy also apply set: a copy of
-// its policy with set appended to every permit clause, or a permit-all
-// policy applying set where the neighbor has no defined import policy.
-func importSets(dev *netcfg.Device, nb *netcfg.BGPNeighbor, set netcfg.SetAction) {
+// withSet adds a policy that also applies set to the device and returns
+// its name: a copy of the named policy with set appended to every permit
+// clause, or a permit-all policy applying set where the name is empty or
+// undefined.
+func withSet(dev *netcfg.Device, name string, set netcfg.SetAction) string {
 	pol := &netcfg.RoutePolicy{Name: fmt.Sprintf("MUTATED_%d", len(dev.RoutePolicies))}
-	if old := dev.RoutePolicies[nb.ImportPolicy]; old != nil {
+	if old := dev.RoutePolicies[name]; old != nil {
 		for _, cl := range old.Clauses {
 			c := *cl
 			if c.Action == netcfg.Permit {
@@ -197,7 +212,7 @@ func importSets(dev *netcfg.Device, nb *netcfg.BGPNeighbor, set netcfg.SetAction
 		pol.Clauses = []*netcfg.PolicyClause{{Seq: 10, Action: netcfg.Permit, Sets: []netcfg.SetAction{set}}}
 	}
 	dev.RoutePolicies[pol.Name] = pol
-	nb.ImportPolicy = pol.Name
+	return pol.Name
 }
 
 // requireSameResult simulates the network with Run and with the full-round
@@ -205,10 +220,16 @@ func importSets(dev *netcfg.Device, nb *netcfg.BGPNeighbor, set netcfg.SetAction
 // same Result.
 func requireSameResult(tb testing.TB, label string, topo *topology.Topology, devs map[string]*netcfg.Device) {
 	tb.Helper()
-	got := newSim(tb, topo, devs).Run()
-	want := newSim(tb, topo, devs).RunFullRounds()
-	if !reflect.DeepEqual(got, want) {
-		tb.Fatalf("%s: delta rounds disagree with full rounds: %s", label, diffResults(got, want))
+	got, err := newSim(tb, topo, devs).Run()
+	if err != nil {
+		tb.Fatalf("%s: %v", label, err)
+	}
+	want, err := newSim(tb, topo, devs).RunFullRounds()
+	if err != nil {
+		tb.Fatalf("%s: the reference: %v", label, err)
+	}
+	if diff := diffResults(got, want); diff != "" {
+		tb.Fatalf("%s: delta rounds disagree with full rounds: %s", label, diff)
 	}
 }
 
@@ -254,29 +275,31 @@ func newSim(tb testing.TB, topo *topology.Topology, devs map[string]*netcfg.Devi
 	return sim
 }
 
-// diffResults describes the first difference between two results.
+// diffResults describes the first difference between two results, or
+// returns "" when they hold the same rounds, convergence and routes.
 func diffResults(got, want *batfish.Result) string {
 	if got.Iterations != want.Iterations || got.Converged != want.Converged {
 		return fmt.Sprintf("%d rounds, converged %v; the reference took %d rounds, converged %v",
 			got.Iterations, got.Converged, want.Iterations, want.Converged)
 	}
-	nodes := make([]string, 0, len(want.RIB))
-	for node := range want.RIB {
-		nodes = append(nodes, node)
+	if g, w := got.Nodes(), want.Nodes(); !slices.Equal(g, w) {
+		return fmt.Sprintf("nodes %v; the reference has %v", g, w)
 	}
-	sort.Strings(nodes)
-	for _, node := range nodes {
-		for p, w := range want.RIB[node] {
-			if g := got.RIB[node][p]; !reflect.DeepEqual(g, w) {
+	for _, node := range want.Nodes() {
+		gotRIB, wantRIB := got.Entries(node), want.Entries(node)
+		prefixes := slices.SortedFunc(maps.Keys(wantRIB), func(a, b netcfg.Prefix) int {
+			return cmp.Or(cmp.Compare(a.Addr, b.Addr), cmp.Compare(a.Len, b.Len))
+		})
+		for _, p := range prefixes {
+			if g, w := gotRIB[p], wantRIB[p]; !reflect.DeepEqual(g, w) {
 				return fmt.Sprintf("%s %s: %s; the reference holds %s", node, p, describe(g), describe(w))
 			}
 		}
-		if len(got.RIB[node]) != len(want.RIB[node]) {
-			return fmt.Sprintf("%s holds %d routes; the reference holds %d",
-				node, len(got.RIB[node]), len(want.RIB[node]))
+		if len(gotRIB) != len(wantRIB) {
+			return fmt.Sprintf("%s holds %d routes; the reference holds %d", node, len(gotRIB), len(wantRIB))
 		}
 	}
-	return fmt.Sprintf("%d nodes; the reference has %d", len(got.RIB), len(want.RIB))
+	return ""
 }
 
 // describe renders a route with the attributes Route.String leaves out.

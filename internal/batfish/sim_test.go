@@ -2,7 +2,9 @@ package batfish
 
 import (
 	"fmt"
+	"math/rand/v2"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -10,79 +12,122 @@ import (
 )
 
 // runFullRounds is the reference Run's delta rounds are checked against.
-// It shares Run's set-up, delivery, round cap and result copy, but every
-// round re-announces every RIB entry of every node, and every offered
-// route is cloned before its export policy runs.
-func (s *Sim) runFullRounds() *Result {
-	s.reset()
-	iter := 0
-	converged := false
-	for ; iter < s.maxRounds(); iter++ {
-		if !s.fullRoundStep() {
-			converged = true
+// It shares Run's set-up (sessions, prefix numbering and fresh rows) and
+// round cap, and none of its delivery: every round re-announces every
+// entry of every node from a RIB map of its own, scanned in prefix order;
+// every offered route is cloned; both route-maps run through
+// netcfg.EvalPolicy; and the loop check, the originated-wins rule and
+// better run on the materialized route.
+func (s *Sim) runFullRounds() (*Result, error) {
+	order := s.sortedNodes()
+	res, _, err := s.reset(order)
+	if err != nil {
+		return nil, err
+	}
+	ribs := make(map[*simNode]map[netcfg.Prefix]*candidate, len(order))
+	for _, n := range order {
+		ribs[n] = map[netcfg.Prefix]*candidate{}
+		for _, r := range n.origin {
+			ribs[n][r.Prefix] = &candidate{route: *r.Clone()}
+		}
+	}
+	for ; res.Iterations < s.maxRounds(); res.Iterations++ {
+		if !fullRoundStep(order, ribs) {
+			res.Converged = true
 			break
 		}
 	}
-	return s.result(iter, converged)
+	for _, n := range order {
+		row := res.rows[n.name]
+		clear(row)
+		for p, c := range ribs[n] {
+			row[res.index[p]] = c
+		}
+	}
+	return res, nil
 }
 
 // fullRoundStep performs one synchronous propagation round; it reports
 // whether any node's RIB changed (false once the round reached a
 // fixpoint).
-func (s *Sim) fullRoundStep() bool {
+func fullRoundStep(order []*simNode, ribs map[*simNode]map[netcfg.Prefix]*candidate) bool {
 	type incoming struct {
 		to    *simNode
 		from  *simNode
 		route *netcfg.Route
 	}
 	var inbox []incoming
-	for _, name := range s.nodeNames() {
-		n := s.nodes[name]
+	for _, n := range order {
 		if len(n.sessions) == 0 {
 			continue
 		}
 		// One sort per node per round: every session announces the same
 		// round-start RIB.
-		prefixes := sortedPrefixes(n.rib)
+		prefixes := sortedPrefixes(ribs[n])
 		for _, sess := range n.sessions {
-			sess := sess
-			announceCloned(n, sess, prefixes, func(r *netcfg.Route) {
-				inbox = append(inbox, incoming{to: sess.peer, from: n, route: r})
-			})
+			for _, p := range prefixes {
+				if r := announceCloned(n, sess, ribs[n][p]); r != nil {
+					inbox = append(inbox, incoming{to: sess.peer, from: n, route: r})
+				}
+			}
 		}
 	}
 	changed := false
 	for _, msg := range inbox {
-		if deliver(msg.to, msg.from, msg.route) {
+		if deliverReference(ribs[msg.to], msg.to, msg.from, msg.route) {
 			changed = true
 		}
 	}
 	return changed
 }
 
-// announceCloned is announce with every offered route cloned before its
-// export policy runs.
-func announceCloned(n *simNode, sess *session, prefixes []netcfg.Prefix, emit func(*netcfg.Route)) {
-	for _, p := range prefixes {
-		c := n.rib[p]
-		// Split horizon: do not send a route back to the peer that
-		// supplied it.
-		if c.from == sess.peer.name {
-			continue
-		}
-		out := c.route.Clone()
-		if !n.external && sess.exportPol != nil {
-			res := netcfg.EvalPolicy(sess.exportPol, sess.envExport, out)
-			if !res.Permitted {
-				continue
-			}
-			out = res.Route
-		}
-		// eBGP: prepend sender AS, reset local preference.
-		out.ASPath = append([]uint32{n.asn}, out.ASPath...)
-		out.LocalPref = 100
-		emit(out)
+// announceCloned returns a clone of the route node n offers on one session
+// for its entry c, after split horizon and the export policy, or nil.
+func announceCloned(n *simNode, sess *session, c *candidate) *netcfg.Route {
+	// Split horizon: do not send a route back to the peer that supplied
+	// it.
+	if c.from == sess.peer {
+		return nil
 	}
+	out := c.route.Clone()
+	if !n.external && sess.exportPol != nil {
+		res := netcfg.EvalPolicy(sess.exportPol, n.dev, out)
+		if !res.Permitted {
+			return nil
+		}
+		out = res.Route
+	}
+	// eBGP: prepend sender AS, reset local preference.
+	out.ASPath = append([]uint32{n.asn}, out.ASPath...)
+	out.LocalPref = 100
+	return out
+}
+
+// deliverReference processes one announcement against the receiver's RIB
+// — loop detection, the import policy of the receiver's session to the
+// sender, best-path selection — and reports whether the RIB changed.
+func deliverReference(rib map[netcfg.Prefix]*candidate, to, from *simNode, r *netcfg.Route) bool {
+	if to.asn != 0 && r.HasASInPath(to.asn) {
+		return false
+	}
+	if !to.external {
+		if sess := to.sessionTo(from); sess != nil && sess.importPol != nil {
+			res := netcfg.EvalPolicy(sess.importPol, to.dev, r)
+			if !res.Permitted {
+				return false
+			}
+			r = res.Route
+		}
+	}
+	cur := rib[r.Prefix]
+	if cur != nil && cur.from == nil {
+		return false // locally originated always wins
+	}
+	if cur != nil && !better(r.LocalPref, len(r.ASPath), r.MED, from, cur) {
+		return false
+	}
+	rib[r.Prefix] = &candidate{route: *r, from: from}
+	return true
 }
 
 func sortedPrefixes(rib map[netcfg.Prefix]*candidate) []netcfg.Prefix {
@@ -97,6 +142,30 @@ func sortedPrefixes(rib map[netcfg.Prefix]*candidate) []netcfg.Prefix {
 		return out[i].Len < out[j].Len
 	})
 	return out
+}
+
+// sameResult reports whether two results took the same rounds, agree on
+// convergence, and hold the same routes.
+func sameResult(a, b *Result) bool {
+	if a.Iterations != b.Iterations || a.Converged != b.Converged || !slices.Equal(a.Nodes(), b.Nodes()) {
+		return false
+	}
+	for _, node := range a.Nodes() {
+		if !reflect.DeepEqual(a.Entries(node), b.Entries(node)) {
+			return false
+		}
+	}
+	return true
+}
+
+// mustRun runs the simulation and fails the test on an error.
+func mustRun(t *testing.T, sim *Sim) *Result {
+	t.Helper()
+	res, err := sim.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 // twoNodeConfigs builds a pair of directly-peered routers: A (AS 1,
@@ -144,11 +213,11 @@ func TestSimBasicPropagation(t *testing.T) {
 	if err := sim.AddDevice("B", b); err != nil {
 		t.Fatal(err)
 	}
-	res := sim.Run()
+	res := mustRun(t, sim)
 	if !res.Converged {
 		t.Fatal("did not converge")
 	}
-	route := res.RIB["B"][netcfg.MustPrefix("10.0.0.0/8")]
+	route := res.Route("B", netcfg.MustPrefix("10.0.0.0/8"))
 	if route == nil {
 		t.Fatal("B did not learn 10.0.0.0/8")
 	}
@@ -168,8 +237,8 @@ func TestSimExportPolicyFilters(t *testing.T) {
 	sim := NewSim()
 	_ = sim.AddDevice("A", a)
 	_ = sim.AddDevice("B", b)
-	res := sim.Run()
-	if res.RIB["B"][netcfg.MustPrefix("10.0.0.0/8")] != nil {
+	res := mustRun(t, sim)
+	if res.Route("B", netcfg.MustPrefix("10.0.0.0/8")) != nil {
 		t.Error("deny-all export leaked a route")
 	}
 }
@@ -188,8 +257,8 @@ func TestSimImportPolicyTransforms(t *testing.T) {
 	sim := NewSim()
 	_ = sim.AddDevice("A", a)
 	_ = sim.AddDevice("B", b)
-	res := sim.Run()
-	route := res.RIB["B"][netcfg.MustPrefix("10.0.0.0/8")]
+	res := mustRun(t, sim)
+	route := res.Route("B", netcfg.MustPrefix("10.0.0.0/8"))
 	if route == nil || !route.HasCommunity(netcfg.MustCommunity("100:1")) {
 		t.Fatalf("import transform missing: %v", route)
 	}
@@ -200,8 +269,8 @@ func TestSimUndefinedPolicyFailsClosed(t *testing.T) {
 	sim := NewSim()
 	_ = sim.AddDevice("A", a)
 	_ = sim.AddDevice("B", b)
-	res := sim.Run()
-	if res.RIB["B"][netcfg.MustPrefix("10.0.0.0/8")] != nil {
+	res := mustRun(t, sim)
+	if res.Route("B", netcfg.MustPrefix("10.0.0.0/8")) != nil {
 		t.Error("undefined export policy should announce nothing")
 	}
 }
@@ -212,8 +281,8 @@ func TestSimOneSidedPeeringNeverComesUp(t *testing.T) {
 	sim := NewSim()
 	_ = sim.AddDevice("A", a)
 	_ = sim.AddDevice("B", b)
-	res := sim.Run()
-	if res.RIB["B"][netcfg.MustPrefix("10.0.0.0/8")] != nil {
+	res := mustRun(t, sim)
+	if res.Route("B", netcfg.MustPrefix("10.0.0.0/8")) != nil {
 		t.Error("one-sided peering propagated a route")
 	}
 }
@@ -232,11 +301,11 @@ func TestSimExternalStubOriginatesAndReceives(t *testing.T) {
 		[]netcfg.Prefix{netcfg.MustPrefix("99.0.0.0/8")}); err != nil {
 		t.Fatal(err)
 	}
-	res := sim.Run()
-	if res.RIB["B"][netcfg.MustPrefix("99.0.0.0/8")] == nil {
+	res := mustRun(t, sim)
+	if res.Route("B", netcfg.MustPrefix("99.0.0.0/8")) == nil {
 		t.Error("external origination did not propagate A->B")
 	}
-	e := res.RIB["E"][netcfg.MustPrefix("10.0.0.0/8")]
+	e := res.Route("E", netcfg.MustPrefix("10.0.0.0/8"))
 	if e == nil {
 		t.Fatal("external stub did not receive A's network")
 	}
@@ -266,11 +335,11 @@ func TestSimASPathLoopPrevention(t *testing.T) {
 	_ = sim.AddDevice("A", a)
 	_ = sim.AddDevice("B", b)
 	_ = sim.AddDevice("C", c)
-	res := sim.Run()
+	res := mustRun(t, sim)
 	if !res.Converged {
 		t.Fatal("did not converge")
 	}
-	if res.RIB["C"][netcfg.MustPrefix("10.0.0.0/8")] != nil {
+	if res.Route("C", netcfg.MustPrefix("10.0.0.0/8")) != nil {
 		t.Error("loop prevention failed: C accepted a route with its own AS")
 	}
 }
@@ -280,10 +349,10 @@ func TestSimSplitHorizon(t *testing.T) {
 	sim := NewSim()
 	_ = sim.AddDevice("A", a)
 	_ = sim.AddDevice("B", b)
-	res := sim.Run()
+	res := mustRun(t, sim)
 	// A's own originated route must remain locally originated (not
 	// replaced by B echoing it back).
-	route := res.RIB["A"][netcfg.MustPrefix("10.0.0.0/8")]
+	route := res.Route("A", netcfg.MustPrefix("10.0.0.0/8"))
 	if route == nil || len(route.ASPath) != 0 {
 		t.Errorf("origin route corrupted: %v", route)
 	}
@@ -319,14 +388,14 @@ func TestSimAddresslessRouterOpensNoSession(t *testing.T) {
 		[]netcfg.Prefix{netcfg.MustPrefix("99.0.0.0/8")}); err != nil {
 		t.Fatal(err)
 	}
-	res := sim.Run()
+	res := mustRun(t, sim)
 	if !res.Converged {
 		t.Fatal("did not converge")
 	}
-	if res.RIB["E"][netcfg.MustPrefix("10.0.0.0/8")] != nil {
+	if res.Route("E", netcfg.MustPrefix("10.0.0.0/8")) != nil {
 		t.Error("the external stub learned a route from a router it cannot reach")
 	}
-	if res.RIB["A"][netcfg.MustPrefix("99.0.0.0/8")] != nil {
+	if res.Route("A", netcfg.MustPrefix("99.0.0.0/8")) != nil {
 		t.Error("an address-less router learned the external stub's route")
 	}
 }
@@ -363,18 +432,79 @@ func TestSimLongChainConverges(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	res := sim.Run()
+	res := mustRun(t, sim)
 	if !res.Converged {
 		t.Fatalf("did not converge within %d rounds", res.Iterations)
 	}
 	if res.Iterations != n-1 {
 		t.Errorf("converged after %d rounds, want %d", res.Iterations, n-1)
 	}
-	if r := res.RIB[name(n-1)][netcfg.MustPrefix("10.0.0.0/8")]; r == nil || len(r.ASPath) != n-1 {
+	if r := res.Route(name(n-1), netcfg.MustPrefix("10.0.0.0/8")); r == nil || len(r.ASPath) != n-1 {
 		t.Errorf("%s holds %v, want the prefix over a %d-hop AS path", name(n-1), r, n-1)
 	}
-	if ref := sim.runFullRounds(); !reflect.DeepEqual(res, ref) {
+	ref, err := sim.runFullRounds()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameResult(res, ref) {
 		t.Errorf("delta rounds and full rounds disagree: %d/%v against %d/%v rounds/converged",
 			res.Iterations, res.Converged, ref.Iterations, ref.Converged)
 	}
+}
+
+// TestCanReachMatchesScan checks CanReach's probe against scanReach, a
+// scan of the node's whole RIB. The RIBs are seeded
+// random originations, with lengths clustered on a few values as real
+// RIBs' are and host bits left set in some. The queries are /0, /32,
+// random prefixes, and each RIB prefix with its host bits kept, and
+// lengthened and shortened.
+func TestCanReachMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewPCG(7, 21))
+	randomPrefix := func() netcfg.Prefix {
+		l := []int{0, 8, 16, 24, 32, rng.IntN(33)}[rng.IntN(6)]
+		if rng.IntN(2) == 0 {
+			return netcfg.Prefix{Addr: rng.Uint32(), Len: l}
+		}
+		return netcfg.NewPrefix(rng.Uint32(), l)
+	}
+	for trial := range 40 {
+		sim := NewSim()
+		for k := range 1 + rng.IntN(4) {
+			var prefixes []netcfg.Prefix
+			for range rng.IntN(24) {
+				prefixes = append(prefixes, randomPrefix())
+			}
+			if err := sim.AddExternal(fmt.Sprintf("E%d", k), uint32(k+1), uint32(k+1), prefixes); err != nil {
+				t.Fatal(err)
+			}
+		}
+		res := mustRun(t, sim)
+		for _, node := range append(res.Nodes(), "NO-SUCH-NODE") {
+			rib := res.Entries(node)
+			queries := []netcfg.Prefix{{}, {Addr: rng.Uint32(), Len: 32}, {Addr: rng.Uint32()}}
+			for p := range rib {
+				queries = append(queries, p,
+					netcfg.Prefix{Addr: p.Addr | rng.Uint32()&^netcfg.Mask(p.Len), Len: min(32, p.Len+rng.IntN(9))},
+					netcfg.NewPrefix(p.Addr, max(0, p.Len-rng.IntN(9))))
+			}
+			for range 40 {
+				queries = append(queries, randomPrefix())
+			}
+			for _, q := range queries {
+				if got, want := res.CanReach(node, q), scanReach(rib, q); got != want {
+					t.Fatalf("trial %d: CanReach(%s, %s) = %v, the scan says %v", trial, node, q, got, want)
+				}
+			}
+		}
+	}
+}
+
+// scanReach is CanReach by a scan of the node's whole RIB.
+func scanReach(rib map[netcfg.Prefix]*netcfg.Route, p netcfg.Prefix) bool {
+	for got := range rib {
+		if got.Contains(p) || got == p {
+			return true
+		}
+	}
+	return false
 }

@@ -158,12 +158,23 @@ func WriteFileAtomicHook(path string, data []byte, perm os.FileMode, hook func(W
 	return step(StageDone)
 }
 
+// staleTempAge is the age past which RemoveStaleTemps treats a temp file
+// as abandoned. A write renames its temp file into place milliseconds
+// after creating it, so a temp file this old belongs to a writer that
+// died; a younger one may be another live process's in-flight write to a
+// shared cache directory.
+const staleTempAge = time.Hour
+
 // RemoveStaleTemps deletes abandoned atomic-write temp files in dir — the
-// litter of writers killed mid-write. It never touches completed files.
+// litter of writers killed mid-write — once they are older than
+// staleTempAge. It never touches completed files, nor a temp file a live
+// writer may still rename.
 func RemoveStaleTemps(dir string) {
 	matches, _ := filepath.Glob(filepath.Join(dir, tmpPattern))
 	for _, m := range matches {
-		os.Remove(m)
+		if info, err := os.Lstat(m); err == nil && time.Since(info.ModTime()) > staleTempAge {
+			os.Remove(m)
+		}
 	}
 }
 
@@ -343,8 +354,8 @@ type index struct {
 // is refused — the caller should degrade to running without the disk
 // tier. A corrupted index is quarantined and rewritten: packs carry their
 // own checksums, so a fresh index over existing packs is safe. Opening
-// also deletes a version-1 entry tree, clears abandoned temp files and
-// runs one eviction sweep.
+// also deletes a version-1 entry tree, clears temp files older than
+// staleTempAge and runs one eviction sweep.
 func Open(dir string, opts Options) (*Cache, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("durable: empty cache directory")

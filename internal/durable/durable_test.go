@@ -438,9 +438,53 @@ func TestStaleTempsSweptAtOpen(t *testing.T) {
 	if err := os.WriteFile(litter, []byte("half-written"), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	ageTemps(t, filepath.Join(dir, "packs"))
 	mustOpen(t, dir, Options{})
 	if _, err := os.Stat(litter); !os.IsNotExist(err) {
 		t.Fatal("stale temp file survived Open")
+	}
+}
+
+// TestOpenKeepsLiveTemps opens a cache directory in which another process
+// is writing a pack: the temp file it just created in packs/ must survive
+// Open, so that process's rename still lands, while a temp file older than
+// staleTempAge is swept.
+func TestOpenKeepsLiveTemps(t *testing.T) {
+	dir := t.TempDir()
+	mustOpen(t, dir, Options{})
+	live := filepath.Join(dir, "packs", ".durable-tmp-live")
+	stale := filepath.Join(dir, "packs", ".durable-tmp-stale")
+	for _, f := range []string{live, stale} {
+		if err := os.WriteFile(f, []byte("in flight"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	old := time.Now().Add(-2 * staleTempAge)
+	if err := os.Chtimes(stale, old, old); err != nil {
+		t.Fatal(err)
+	}
+	mustOpen(t, dir, Options{})
+	if _, err := os.Stat(live); err != nil {
+		t.Fatalf("Open removed a live writer's temp file: %v", err)
+	}
+	if _, err := os.Stat(stale); !os.IsNotExist(err) {
+		t.Fatal("a stale temp file survived Open")
+	}
+}
+
+// ageTemps backdates every temp file in dir past staleTempAge, as time
+// does to the litter of a writer that died.
+func ageTemps(t *testing.T, dir string) {
+	t.Helper()
+	matches, err := filepath.Glob(filepath.Join(dir, tmpPattern))
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := time.Now().Add(-2 * staleTempAge)
+	for _, m := range matches {
+		if err := os.Chtimes(m, old, old); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -478,8 +522,9 @@ func TestWriteAtomicKilledAtEveryBoundary(t *testing.T) {
 			if string(got) != string(prev) {
 				t.Fatalf("kill at %v left torn/partial contents: %q", stage, got)
 			}
-			// After the crash, a sweep clears the litter and a retry
-			// completes the write.
+			// After the crash, a sweep clears the litter once it is
+			// stale, and a retry completes the write.
+			ageTemps(t, dir)
 			RemoveStaleTemps(dir)
 			if err := WriteFileAtomic(path, next, 0o644); err != nil {
 				t.Fatal(err)
@@ -515,8 +560,9 @@ func TestWriteAtomicKilledAtEveryBoundary(t *testing.T) {
 }
 
 // TestPackWriteKilledAtEveryBoundary kills a Put before each syscall of
-// its pack write in turn, and after the rename: a fresh Open must serve
-// all of the pack's entries or none, and leave no litter behind.
+// its pack write in turn, and after the rename: once the killed write's
+// litter is stale, a fresh Open must serve all of the pack's entries or
+// none, and leave no litter behind.
 func TestPackWriteKilledAtEveryBoundary(t *testing.T) {
 	entries := []Entry{testEntry("one"), testEntry("two"), testEntry("three")}
 	for stage := StageCreate; stage <= StageDone; stage++ {
@@ -533,6 +579,7 @@ func TestPackWriteKilledAtEveryBoundary(t *testing.T) {
 			if !errors.Is(err, errKilled) {
 				t.Fatalf("expected kill error, got %v", err)
 			}
+			ageTemps(t, filepath.Join(dir, "packs"))
 			fresh := mustOpen(t, dir, Options{})
 			served := 0
 			for _, e := range entries {

@@ -43,7 +43,9 @@ type externalStub struct {
 // external neighbors — their originated prefixes come from the spec's
 // prefixes field, falling back to the star generator's conventions
 // (CUSTOMER originates CustomerPrefix, ISP behind Ri originates
-// ISPPrefix(i)) when the field is absent.
+// ISPPrefix(i)) when the field is absent. A network whose simulation
+// would need more than batfish.MaxRIBSlots RIB slots is refused with an
+// error.
 func CheckGlobalNoTransit(t *topology.Topology, devs map[string]*netcfg.Device) (*GlobalResult, error) {
 	sim := batfish.NewSim()
 	var stubs []externalStub
@@ -84,7 +86,11 @@ func CheckGlobalNoTransit(t *topology.Topology, devs map[string]*netcfg.Device) 
 			isps = append(isps, s)
 		}
 	}
-	return evalNoTransit(sim.Run(), isps, customers), nil
+	res, err := sim.Run()
+	if err != nil {
+		return nil, err
+	}
+	return evalNoTransit(res, isps, customers), nil
 }
 
 // evalNoTransit derives the global verdict from a converged simulation.

@@ -1,6 +1,10 @@
 package lightyear_test
 
 import (
+	"fmt"
+	"runtime"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/batfish"
@@ -242,5 +246,43 @@ func TestGlobalNoTransitMissingDeviceErrors(t *testing.T) {
 	topo, _ := netgen.Star(3)
 	if _, err := lightyear.CheckGlobalNoTransit(topo, map[string]*netcfg.Device{}); err == nil {
 		t.Fatal("missing devices should error")
+	}
+}
+
+// oversizedISPs is the ISP count that takes one router's network just over
+// batfish.MaxRIBSlots: 8,201 speakers × 8,200 originated prefixes.
+const oversizedISPs = 8200
+
+// oversizedNetwork returns one router with oversizedISPs external
+// neighbors, each originating a /24 of its own.
+func oversizedNetwork() (*topology.Topology, map[string]*netcfg.Device) {
+	r := topology.RouterSpec{Name: "R1", ASN: 65000}
+	for i := range oversizedISPs {
+		r.Neighbors = append(r.Neighbors, topology.NeighborSpec{
+			PeerName: fmt.Sprintf("ISP%d", i),
+			PeerIP:   netcfg.FormatIP(10<<24 | uint32(i)),
+			PeerAS:   uint32(100000 + i),
+			External: true,
+			Prefixes: []string{netcfg.NewPrefix(150<<24|uint32(i)<<8, 24).String()},
+		})
+	}
+	topo := &topology.Topology{Name: "oversized", Routers: []topology.RouterSpec{r}}
+	return topo, map[string]*netcfg.Device{"R1": netcfg.NewDevice("R1", netcfg.VendorCisco)}
+}
+
+// TestGlobalNoTransitRefusesOversizedNetwork checks that a network whose
+// RIB rows would pass batfish.MaxRIBSlots is refused with an error naming
+// the bound, before the rows are allocated: they would take 512 MiB.
+func TestGlobalNoTransitRefusesOversizedNetwork(t *testing.T) {
+	topo, devs := oversizedNetwork()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := lightyear.CheckGlobalNoTransit(topo, devs)
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), strconv.Itoa(batfish.MaxRIBSlots)) {
+		t.Fatalf("got error %v, want one naming the bound %d", err, batfish.MaxRIBSlots)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<20 {
+		t.Errorf("the refused check allocated %d MB", grew>>20)
 	}
 }
