@@ -14,32 +14,25 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/batfish/rest"
-	"repro/internal/faultinject"
 	"repro/internal/netgen"
 	"repro/internal/obs"
 	"repro/internal/topology"
 )
 
-// shardFleet spins up n in-process shard servers and returns a sharded
-// client over them. dieAfter > 0 arranges for the first shard to crash
-// mid-run: after serving that many requests it aborts every connection
-// without a response — the failure mode of a killed batfishd — so the
-// ring must fail its work over onto the survivors.
-func shardFleet(t *testing.T, n int, dieAfter int64) *rest.ShardedClient {
+// fleet spins up n in-process batfishd servers and returns one REST
+// client over all of them.
+func fleet(t *testing.T, n int) *rest.Client {
 	t.Helper()
 	endpoints := make([]string, n)
-	for i := 0; i < n; i++ {
-		handler := rest.NewHandler()
-		if i == 0 {
-			handler = faultinject.AbortAfter(handler, dieAfter)
-		}
-		srv := httptest.NewServer(handler)
+	for i := range endpoints {
+		srv := httptest.NewServer(rest.NewHandler())
 		t.Cleanup(srv.Close)
 		endpoints[i] = srv.URL
 	}
-	client, err := rest.NewShardedClient(endpoints)
+	client, err := rest.Dial(endpoints)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,75 +58,76 @@ func requireSameRun(t *testing.T, label string, baseline, got *Result) {
 	}
 }
 
-// TestShardedSynthesisByteIdentical is the acceptance gate for the
-// sharded verification backend: on every registry scenario, synthesis
-// through a consistent-hash shard ring — one shard, three shards, and
-// three shards with one killed mid-run — must reproduce the in-process
-// sequential loop's transcript exactly. Results are pure functions of
-// their inputs, so re-hashing a dead shard's checks onto the survivors
-// must not change a byte.
+// TestShardedSynthesisByteIdentical is the acceptance gate for the REST
+// client's fan-out: on every registry scenario, synthesis over one
+// endpoint and over three must reproduce the in-process sequential loop's
+// transcript exactly. Results are pure functions of their inputs, so
+// which endpoint answers a check must not change a byte.
 func TestShardedSynthesisByteIdentical(t *testing.T) {
-	// The ring's shard assignment depends on the test servers' random
-	// ports, so whether the doomed shard is ever asked a second request —
-	// and therefore visibly dies — varies per scenario. Each scenario
-	// requires failover when the shard did die; the aggregate requires
-	// that the kill actually fired somewhere, so the failover path is
-	// always exercised by this gate. The aggregate only applies when every
-	// scenario ran — a -run filter selecting one subtest must not trip it.
-	failoversExercised, scenariosRun := 0, 0
 	for _, info := range Topologies() {
-		info := info
 		t.Run(info.Name, func(t *testing.T) {
-			scenariosRun++
 			baseline, err := Synthesize(mustTopo(t, info.Name, info.DefaultSize),
 				SynthesizeOptions{DisableVerifierCache: true})
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, mode := range []struct {
-				label    string
-				shards   int
-				dieAfter int64
-			}{
-				{"1-shard", 1, 0},
-				{"3-shard", 3, 0},
-				// The doomed shard serves its first request, then aborts
-				// every later connection: a crash in the middle of the
-				// repair loop's iteration sequence. The ring must re-hash
-				// its checks without changing the transcript.
-				{"3-shard-one-killed", 3, 1},
-			} {
-				client := shardFleet(t, mode.shards, mode.dieAfter)
+			for _, n := range []int{1, 3} {
+				label := fmt.Sprintf("%d-endpoint", n)
 				res, err := Synthesize(mustTopo(t, info.Name, info.DefaultSize),
-					SynthesizeOptions{Verifier: client})
+					SynthesizeOptions{Verifier: fleet(t, n)})
 				if err != nil {
-					t.Fatalf("%s: %v", mode.label, err)
+					t.Fatalf("%s: %v", label, err)
 				}
-				requireSameRun(t, mode.label, baseline, res)
+				requireSameRun(t, label, baseline, res)
 				if res.CacheStats == nil || res.CacheStats.Prefetches == 0 {
-					t.Errorf("%s: sharded run issued no batched prefetches: %v",
-						mode.label, res.CacheStats)
-				}
-				if mode.dieAfter > 0 {
-					stats := client.Stats()
-					if stats[0].Calls > mode.dieAfter && !stats[0].Dead {
-						t.Errorf("%s: killed shard answered %d calls but was not failed over: %v",
-							mode.label, stats[0].Calls, stats[0])
-					}
-					if stats[0].Dead {
-						failoversExercised++
-					}
-					for i := 1; i < len(stats); i++ {
-						if stats[i].Dead {
-							t.Errorf("%s: survivor %d marked dead", mode.label, i)
-						}
-					}
+					t.Errorf("%s: run issued no batched prefetches: %v", label, res.CacheStats)
 				}
 			}
 		})
 	}
-	if scenariosRun == len(Topologies()) && failoversExercised == 0 {
-		t.Error("no scenario exercised mid-run shard failover")
+}
+
+// TestKilledEndpointFailsTheRun kills one of three endpoints in the middle
+// of a synthesis run: after its health probe and two batches it severs
+// every connection, as a crashed batfishd does. The run must end, without
+// hanging, in an error that names that endpoint, and produce no result.
+func TestKilledEndpointFailsTheRun(t *testing.T) {
+	endpoints := make([]string, 3)
+	for i := range endpoints {
+		inner := rest.NewHandler()
+		var served atomic.Int64
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if i == 0 && served.Add(1) > 3 {
+				panic(http.ErrAbortHandler)
+			}
+			inner.ServeHTTP(w, r)
+		}))
+		t.Cleanup(srv.Close)
+		endpoints[i] = srv.URL
+	}
+	client, err := rest.Dial(endpoints)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type outcome struct {
+		res *Result
+		err error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		res, err := Synthesize(mustTopo(t, "random", 40), SynthesizeOptions{Verifier: client})
+		done <- outcome{res, err}
+	}()
+	select {
+	case out := <-done:
+		if out.err == nil || !strings.Contains(out.err.Error(), endpoints[0]) {
+			t.Fatalf("run with %s killed returned %v, want an error naming it", endpoints[0], out.err)
+		}
+		if out.res != nil {
+			t.Error("a failed run returned a result")
+		}
+	case <-time.After(time.Minute):
+		t.Fatal("run with a killed endpoint did not end within a minute")
 	}
 }
 
@@ -167,7 +161,7 @@ func TestConfiguredBackendByteIdentical(t *testing.T) {
 			}
 			opts := SynthesizeOptions{}
 			if shards > 0 {
-				opts.Verifier = shardFleet(t, shards, 0)
+				opts.Verifier = fleet(t, shards)
 			}
 			res, err := Synthesize(mustTopo(t, info.Name, info.DefaultSize), opts)
 			if err != nil {
@@ -199,7 +193,7 @@ func TestVariantGraphShardedByteIdentical(t *testing.T) {
 		t.Cleanup(srv.Close)
 		endpoints[i] = srv.URL
 	}
-	client, err := rest.NewShardedClient(endpoints)
+	client, err := rest.Dial(endpoints)
 	if err != nil {
 		t.Fatal(err)
 	}

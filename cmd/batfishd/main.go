@@ -1,9 +1,9 @@
 // Command batfishd serves the verification suite over HTTP, so the
 // COSYNTH engine can point at it with -rest (see cmd/cosynth); that is how
 // the Batfish dependency is reproduced without Go bindings. Several
-// batfishd instances form a shard fleet: cosynth -rest takes a
-// comma-separated endpoint list and consistent-hashes the suite across
-// them.
+// batfishd instances can share the work: cosynth -rest takes a
+// comma-separated endpoint list and sends each check to one of them by a
+// hash of the check.
 //
 // The daemon speaks one protocol version (rest.BatchProtocolVersion) on
 // these endpoints:

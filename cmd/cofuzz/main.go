@@ -9,7 +9,7 @@
 //	cofuzz -family random -checkpoint camp.json            # kill-safe campaign
 //	cofuzz -family random -checkpoint camp.json -resume    # pick up after a kill
 //	cofuzz -family random -cache-dir /var/cache/cosynth    # durable verification cache
-//	cofuzz -family random -shards 3 -kill-shard 40         # chaos: sever shard 0 mid-run
+//	cofuzz -family random -shards 3                        # in-process shard servers
 //
 // A campaign sweeps (family × size × seed × derived error plan) cases on
 // a bounded worker pool, asserts the pipeline's end-to-end properties on
@@ -37,7 +37,6 @@ import (
 	"repro/internal/batfish/rest"
 	"repro/internal/core"
 	"repro/internal/durable"
-	"repro/internal/faultinject"
 	"repro/internal/fuzz"
 	"repro/internal/llm"
 	"repro/internal/obs"
@@ -98,30 +97,6 @@ func parseClasses(arg string) ([]llm.SynthError, error) {
 	return out, nil
 }
 
-// buildVerifier resolves -rest endpoints like cosynth does: none for the
-// in-process suite, one plain client, several a consistent-hash ring.
-func buildVerifier(endpoints []string) (core.Verifier, error) {
-	switch len(endpoints) {
-	case 0:
-		return nil, nil
-	case 1:
-		client := rest.NewClient(endpoints[0])
-		if err := client.Health(); err != nil {
-			return nil, fmt.Errorf("verifier %s unreachable: %w", endpoints[0], err)
-		}
-		return client, nil
-	default:
-		sharded, err := rest.NewShardedClient(endpoints)
-		if err != nil {
-			return nil, err
-		}
-		if err := sharded.Health(); err != nil {
-			return nil, err
-		}
-		return sharded, nil
-	}
-}
-
 func main() {
 	family := flag.String("family", "random", "netgen scenario family to fuzz")
 	sizesArg := flag.String("sizes", "", "topology sizes: lo..hi or a comma list (default: the family's registry default)")
@@ -150,11 +125,9 @@ func main() {
 		"durable verification-cache directory, written one pack per repair iteration and shared across "+
 			"campaign restarts and with cosynth/batfishd runs")
 	shards := flag.Int("shards", 0, "spawn N in-process shard servers and fan each case's checks over them")
-	killShard := flag.Int64("kill-shard", 0,
-		"with -shards: sever the first in-process shard after it serves N requests — the mid-run shard-kill "+
-			"chaos harness; the ring re-hashes its work onto the survivors and results must not change")
 	var restEndpoints string
-	flag.StringVar(&restEndpoints, "rest", "", "batfishd endpoint(s), comma-separated; several form a consistent-hash shard ring")
+	flag.StringVar(&restEndpoints, "rest", "",
+		"batfishd endpoint(s), comma-separated; each check goes to one endpoint by a hash of the check")
 	flag.Parse()
 
 	stopProfiles, err := prof.StartOpts(prof.Options{
@@ -222,26 +195,23 @@ func main() {
 		// durable tier. The campaign's engine mounts -cache-dir and answers
 		// every disk-resident check before a request reaches a shard, so a
 		// shard tier on the same cache would write each result a second
-		// time, into another pack. The first shard optionally carries the
-		// kill switch — after serving -kill-shard requests it severs every
-		// connection mid-flight, exercising retry, failover, and re-hash
-		// under a live campaign.
+		// time, into another pack.
 		ln, lerr := net.Listen("tcp", "127.0.0.1:0")
 		if lerr != nil {
 			log.Fatalf("cofuzz: -shards: %v", lerr)
 		}
-		handler := http.Handler(rest.NewHandlerOpts(rest.HandlerOptions{Parses: batfish.NewParseCache()}))
-		if i == 0 && *killShard > 0 {
-			handler = faultinject.AbortAfter(handler, *killShard)
-		}
-		srv := &http.Server{Handler: handler}
+		srv := &http.Server{Handler: rest.NewHandlerOpts(rest.HandlerOptions{Parses: batfish.NewParseCache()})}
 		go func() { _ = srv.Serve(ln) }()
 		defer srv.Close()
 		endpoints = append(endpoints, "http://"+ln.Addr().String())
 	}
-	verifier, err := buildVerifier(endpoints)
-	if err != nil {
-		log.Fatalf("cofuzz: %v", err)
+	var verifier core.Verifier
+	if len(endpoints) > 0 {
+		client, derr := rest.Dial(endpoints)
+		if derr != nil {
+			log.Fatalf("cofuzz: %v", derr)
+		}
+		verifier = client
 	}
 
 	campaign := fuzz.Campaign{

@@ -34,11 +34,11 @@
 // — through the simulated LLM, reproducing a fuzz failure byte-
 // identically in this CLI.
 //
-// The -rest flag is repeatable and comma-separated: one endpoint uses the
-// plain REST client, several build a consistent-hash shard ring
-// (rest.ShardedClient) that fans each iteration's batched checks across
-// the fleet concurrently and fails a dead shard's work over onto the
-// survivors.
+// The -rest flag is repeatable and comma-separated. The REST client
+// (rest.Client) sends each check to one endpoint by a hash of the check
+// and posts each iteration's per-endpoint batches concurrently; every
+// endpoint must answer its health probe at startup, and a run whose
+// endpoint stops answering fails with an error naming it.
 //
 // Observability: -metrics-addr serves the run's metrics registry over
 // HTTP (GET /metrics Prometheus text, GET /debug/vars JSON) for the
@@ -48,10 +48,10 @@
 // such a file into a per-stage/per-shard attribution table and exits.
 // Telemetry never changes results: transcripts are byte-identical with
 // it on, off, or scraped mid-run. -shards N spawns N in-process shard
-// servers (for tests and benchmarks) and adds them to the ring. Against
-// REST servers, spec and requirement bodies of the chosen -topo family
-// travel as content digests the server resolves from its own copy of the
-// scenario registry.
+// servers (for tests and benchmarks) and adds them to the -rest
+// endpoints. Against REST servers, spec and requirement bodies of the
+// chosen -topo family travel as content digests the server resolves from
+// its own copy of the scenario registry.
 package main
 
 import (
@@ -85,41 +85,6 @@ func (f *restFlag) String() string { return strings.Join(*f, ",") }
 func (f *restFlag) Set(v string) error {
 	*f = append(*f, v)
 	return nil
-}
-
-// buildVerifier resolves the endpoint list into a verifier: nil for the
-// in-process suite, the plain client for one endpoint, the sharded client
-// for a fleet. The sharded client is returned separately so the caller
-// can print per-shard stats.
-func buildVerifier(endpoints []string) (core.Verifier, *rest.ShardedClient, error) {
-	switch len(endpoints) {
-	case 0:
-		return nil, nil, nil
-	case 1:
-		client := rest.NewClient(endpoints[0])
-		if err := client.Health(); err != nil {
-			return nil, nil, fmt.Errorf("verifier %s unreachable: %w", endpoints[0], err)
-		}
-		return client, nil, nil
-	default:
-		sharded, err := rest.NewShardedClient(endpoints)
-		if err != nil {
-			return nil, nil, err
-		}
-		if err := sharded.Health(); err != nil {
-			return nil, nil, err
-		}
-		// The ring keeps serving as long as one shard answers, but an
-		// operator who listed N endpoints should hear when the run starts
-		// on fewer — a silently smaller fleet skews any benchmark.
-		for _, st := range sharded.Stats() {
-			if st.Dead {
-				log.Printf("cosynth: WARNING: shard %s unreachable at startup; continuing on survivors",
-					st.Endpoint)
-			}
-		}
-		return sharded, sharded, nil
-	}
 }
 
 // scenarioRefs arms a REST verifier with the scenario's reference
@@ -165,10 +130,9 @@ func main() {
 			"topology coordinates in the file override -topo/-seed")
 	var restEndpoints restFlag
 	flag.Var(&restEndpoints, "rest",
-		"batfishd endpoint(s); repeatable and comma-separated — several endpoints form a consistent-hash shard ring")
+		"batfishd endpoint(s); repeatable and comma-separated — each check goes to one endpoint by a hash of the check")
 	shards := flag.Int("shards", 0,
-		"spawn N in-process shard servers and add them to the -rest ring (tests/benchmarks)")
-	verifierURL := flag.String("verifier", "", "deprecated alias for a single -rest endpoint")
+		"spawn N in-process shard servers and add them to the -rest endpoints (tests/benchmarks)")
 	inputPath := flag.String("config", "", "Cisco config to translate (default: bundled example)")
 	showConfigs := flag.Bool("print-configs", false, "print the final configuration(s)")
 	cacheDir := flag.String("cache-dir", "",
@@ -236,9 +200,6 @@ func main() {
 		}()
 	}
 
-	if *verifierURL != "" {
-		restEndpoints = append(restEndpoints, *verifierURL)
-	}
 	endpoints, err := rest.SplitEndpoints(restEndpoints)
 	if err != nil {
 		log.Fatalf("cosynth: -rest: %v", err)
@@ -268,9 +229,13 @@ func main() {
 		defer srv.Close()
 		endpoints = append(endpoints, "http://"+ln.Addr().String())
 	}
-	verifier, sharded, err := buildVerifier(endpoints)
-	if err != nil {
-		log.Fatalf("cosynth: %v", err)
+	var verifier core.Verifier
+	var client *rest.Client
+	if len(endpoints) > 0 {
+		if client, err = rest.Dial(endpoints); err != nil {
+			log.Fatalf("cosynth: %v", err)
+		}
+		verifier = client
 	}
 
 	var res *repro.Result
@@ -367,9 +332,9 @@ func main() {
 	if res.CacheStats != nil {
 		fmt.Println(res.CacheStats)
 	}
-	if sharded != nil {
+	if client != nil {
 		fmt.Println("=== Shards ===")
-		for _, st := range sharded.Stats() {
+		for _, st := range client.Stats() {
 			fmt.Println(" -", st)
 		}
 	}

@@ -126,42 +126,33 @@
 //
 // # Distributed verification
 //
-// All verification dispatches through one seam, suite.Backend: a batch of
-// independent checks in, positional results out, plus a capability probe
-// (does batching amortize transport cost). The in-process suite
-// (suite.CheckerBackend), a single REST endpoint (rest.Client), and a
-// shard fleet (rest.ShardedClient) are interchangeable behind it —
-// core.NewCachedVerifier resolves whichever the supplied verifier
-// supports, and the pipeline's per-iteration prefetch enumerates its
-// outstanding checks against the seam without knowing the transport.
-// Because every check is a pure function of its inputs, transcripts are
-// byte-identical whichever backend serves them
-// (TestShardedSynthesisByteIdentical pins this on every registry
-// scenario, for 1 shard, 3 shards, and 3 shards with one killed mid-run).
+// Verification dispatches through a cached verifier
+// (core.CachedVerifier) over either the in-process suite or the REST
+// client (rest.Client). The client also implements the batch seam,
+// suite.Backend: a batch of independent checks in, positional results
+// out. The cache batches exactly when its verifier implements that seam,
+// and the pipeline's per-iteration prefetch enumerates its outstanding
+// checks against it without knowing the transport. Because every check
+// is a pure function of its inputs, transcripts are byte-identical
+// whichever verifier serves them (TestShardedSynthesisByteIdentical pins
+// this on every registry scenario, over 1 and 3 endpoints).
 //
-// The hash ring. rest.ShardedClient consistent-hashes every check over N
-// batfishd endpoints (64 virtual nodes per shard, 64-bit FNV-1a, so every
-// client agrees on the assignment). The distribution key
-// (suite.ShardKey) is the check's configuration text — all of one
-// revision's whole-config checks stick to one shard and share its parse —
-// except that a local-policy check appends its attachment identity, so
+// The fan-out. One rest.Client serves one batfishd endpoint or several.
+// It sends each check to endpoint FNV-1a(key) mod N, where the key is the
+// digest of the check's configuration text. All of one revision's
+// whole-config checks therefore go to one endpoint and share its parse.
+// A local-policy check appends its attachment identity to the key, so
 // the obligations of a multi-homed router spread independently: the
-// attachment is the sharding unit, exactly as it is the unit of
+// attachment is the unit of distribution, as it is the unit of
 // incremental re-verification. Each iteration's prefetch becomes one
-// batched round-trip per shard, issued concurrently (benchmark E16
-// measures 1 vs 3 shards), with per-shard round-trip, latency, and
-// failure counters (ShardedClient.Stats).
-//
-// Failover. A transport-level failure — connection refused, connection
-// died mid-request — triggers a health probe of the shard: a dead
-// endpoint is failed over at once, a slow-but-alive one is kept until it
-// exhausts a small failure budget (one client-side timeout must not
-// cascade a loaded fleet into "all shards dead"). A failed-over shard's
-// checks re-hash onto the survivors; the ring walk skips dead shards, so
-// only the dead shard's keys move, and they land exactly where the ring
-// without that shard would have put them. Served errors propagate
-// instead: they would reproduce identically on any shard. Health
-// re-probes every shard and revives the ones that answer.
+// batched round-trip per endpoint, issued concurrently (benchmark E16
+// measures 1 vs 3 endpoints), with per-endpoint round-trip and latency
+// counters (Client.Stats). The client does not move work between
+// endpoints: every endpoint gives every check the same answer, so
+// failover would only add availability, and no workload loses an
+// endpoint. A batch fails as a whole with the error of the
+// lowest-numbered endpoint that failed once its transport retries gave
+// up, and Health fails naming every endpoint that does not answer.
 //
 // One wire protocol. Client and server are built from one module, so
 // batfishd speaks exactly one protocol version
@@ -171,7 +162,7 @@
 // names both versions, and the health probe echoes the server's version,
 // so a peer from another generation fails at startup with a clear error.
 // There are no fallback ladders: a mismatch is a served error, which the
-// sharded client propagates instead of failing shards over.
+// client reports without retrying.
 //
 // Body references. Spec and requirement bodies repeat on every
 // iteration, so the client ships their content digest (rest.RefDigest)
@@ -183,13 +174,16 @@
 // the family does not derive — travels in full, so the server never sees
 // a reference it cannot resolve unless the client is broken, and then it
 // answers 400. Family sizes are bounded in the netgen registry, since a
-// scenario name arrives over the wire. Config texts are named by their
+// scenario name arrives over the wire, and so is the registry itself: a
+// family whose registry would hold over 200,000 bodies (dual-homed:1000
+// would hold about 4 million) gets a 400 naming the bound, and the client
+// ships that family's bodies in full. Config texts are named by their
 // index in the batch's body table instead of by digest: the table lives
 // in the one request, so neither side computes a digest, and the server
 // only checks that each index falls inside the table, failing the batch
 // with a 400 that names the check otherwise. cosynth accepts a repeatable,
-// comma-separated -rest endpoint list (a fleet builds the ring) and
-// -shards N to spawn in-process shard servers for tests and benchmarks.
+// comma-separated -rest endpoint list and -shards N to spawn in-process
+// shard servers for tests and benchmarks.
 //
 // # Concurrent per-router synthesis
 //
@@ -410,17 +404,13 @@
 //
 // Transient-fault tolerance. The REST client classifies failures:
 // transport errors (connection refused, severed mid-body, timeouts)
-// retry up to MaxAttempts with capped full-jitter exponential backoff;
-// served errors and caller context cancellation do not — cancellation
-// propagates immediately as the bare context error without consuming
-// retry or failover budget. Above the client, the shard ring's failover
-// budget counts consecutive failures, reset on any served request, so a
-// long campaign against a slightly-flaky fleet does not accumulate
-// isolated timeouts into a spurious failover; cumulative counts remain
-// visible in ShardStat. internal/faultinject supplies the chaos side —
-// handler wrappers that sever connections after, before, or every N
-// requests — wired into cofuzz -kill-shard for mid-campaign shard
-// murder and into the failover and retry tests.
+// retry up to three attempts with capped full-jitter exponential
+// backoff; served errors and caller context cancellation do not —
+// cancellation propagates immediately as the bare context error without
+// consuming retries. An endpoint that still fails after its retries
+// fails the run, with an error naming it
+// (TestKilledEndpointFailsTheRun). The retry and kill tests sever
+// connections with inline handlers, as a crashed batfishd does.
 //
 // # Observability
 //
@@ -454,7 +444,7 @@
 // llm_call, render, parse, local_check (outcome hit/check/prefetch),
 // global_check (one cold simulation), cache_hit
 // and cache_miss (tier memory/disk), batch_rpc (per shard, with check
-// count and bytes), retry, failover, checkpoint_save,
+// count and bytes), retry, checkpoint_save,
 // checkpoint_restore, fuzz_case, and one closing run span — keyed by
 // run label, iteration, router, and attachment. `cosynth
 // -trace-summary trace.jsonl` folds a trace into the per-stage and
@@ -487,9 +477,8 @@
 //     keyed error plans, the end-to-end oracle, and the two-axis
 //     shrinker; and
 //   - the durability layer: the content-addressed disk cache tier
-//     (internal/durable), pipeline and campaign checkpoint/resume, REST
-//     retry with jittered backoff, and the connection-severing chaos
-//     wrappers (internal/faultinject).
+//     (internal/durable), pipeline and campaign checkpoint/resume, and
+//     REST retry with jittered backoff.
 //
 // This package is the stable facade: the use-case entry points
 // (Translate, Synthesize, SynthesizeNoTransit), the topology registry

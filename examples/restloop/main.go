@@ -20,8 +20,8 @@ func main() {
 	defer srv.Close()
 	fmt.Printf("verification suite listening at %s\n", srv.URL)
 
-	client := rest.NewClient(srv.URL)
-	if err := client.Health(); err != nil {
+	client, err := rest.Dial([]string{srv.URL})
+	if err != nil {
 		log.Fatal(err)
 	}
 

@@ -286,7 +286,7 @@ func TestBatchBodyIndexOutOfRange(t *testing.T) {
 		req := BatchRequest{Bodies: []string{"hostname R1\n"}, Checks: []BatchCheck{
 			{Kind: string(suite.KindSyntax), Config: 0}, tc.check}}
 		var resp BatchResponse
-		status, err := c.post(context.Background(), PathBatch, req, &resp)
+		status, err := c.post(context.Background(), c.eps[0], PathBatch, req, &resp)
 		if status != http.StatusBadRequest || err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: HTTP %d, %v; want 400 naming %q", tc.name, status, err, tc.want)
 		}

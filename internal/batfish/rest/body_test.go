@@ -3,15 +3,20 @@ package rest
 import (
 	"bufio"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/lightyear"
+	"repro/internal/topology"
 )
 
 // TestOversizedBodyRejected declares a body one byte over the limit, sends
@@ -30,7 +35,7 @@ func TestOversizedBodyRejected(t *testing.T) {
 	}
 	fmt.Fprintf(conn, "POST %s HTTP/1.1\r\nHost: batfishd\r\n%s: %s\r\n"+
 		"Content-Type: application/json\r\nContent-Length: %d\r\n\r\n{",
-		PathBatch, ProtocolHeader, protocolVersion, maxRequestBody+1)
+		PathBatch, ProtocolHeader, protocolVersion, maxBody+1)
 	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
 	if err != nil {
 		t.Fatalf("no response to an oversized body: %v", err)
@@ -38,9 +43,9 @@ func TestOversizedBodyRejected(t *testing.T) {
 	defer resp.Body.Close()
 	body, _ := io.ReadAll(resp.Body)
 	if resp.StatusCode != http.StatusRequestEntityTooLarge ||
-		!strings.Contains(string(body), strconv.FormatInt(maxRequestBody, 10)) {
+		!strings.Contains(string(body), strconv.FormatInt(maxBody, 10)) {
 		t.Fatalf("HTTP %d %s; want 413 naming the %d-byte limit",
-			resp.StatusCode, body, maxRequestBody)
+			resp.StatusCode, body, maxBody)
 	}
 }
 
@@ -51,16 +56,16 @@ func oversizedServer(t *testing.T) string {
 	t.Helper()
 	h := NewHandler()
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		r.ContentLength = maxRequestBody + 1
+		r.ContentLength = maxBody + 1
 		h.ServeHTTP(w, r)
 	}))
 	t.Cleanup(srv.Close)
 	return srv.URL
 }
 
-// TestOversizedBodyIsServedError pins how the clients take a 413: as a
-// served error, surfaced once — no retry, and no failover onto (or death
-// of) another shard.
+// TestOversizedBodyIsServedError pins how the client takes a 413, over
+// one endpoint or several: as a served error, surfaced once, without
+// retry.
 func TestOversizedBodyIsServedError(t *testing.T) {
 	c := NewClient(oversizedServer(t))
 	_, err := c.CheckBatch(context.Background(), batchChecks(t))
@@ -71,20 +76,66 @@ func TestOversizedBodyIsServedError(t *testing.T) {
 		t.Errorf("client retried a 413 %d times", c.Retries())
 	}
 
-	sc, err := NewShardedClient([]string{oversizedServer(t), oversizedServer(t)})
+	fan, err := newFanout([]string{oversizedServer(t), oversizedServer(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sc.CheckBatch(context.Background(), batchChecks(t)); err == nil ||
+	if _, err := fan.CheckBatch(context.Background(), batchChecks(t)); err == nil ||
 		!strings.Contains(err.Error(), "limit") {
-		t.Fatalf("sharded error = %v; want the served 413", err)
+		t.Fatalf("two-endpoint error = %v; want the served 413", err)
 	}
-	if sc.Retries() != 0 {
-		t.Errorf("sharded client retried a 413 %d times", sc.Retries())
+	if fan.Retries() != 0 {
+		t.Errorf("two-endpoint client retried a 413 %d times", fan.Retries())
 	}
-	for i, st := range sc.Stats() {
-		if st.Dead {
-			t.Errorf("413 killed shard %d", i)
-		}
+}
+
+// TestLargeResponseDecodes answers a global check with a valid
+// NoTransitResponse just over 16 MiB — the size the global check of a
+// large random family's first drafts reaches — and requires the client to
+// decode it whole.
+func TestLargeResponseDecodes(t *testing.T) {
+	want := &lightyear.GlobalResult{Converged: true}
+	violation := strings.Repeat("v", 1000)
+	for i := 0; i < 17<<10; i++ {
+		want.Violations = append(want.Violations, fmt.Sprintf("%d %s", i, violation))
+	}
+	body, err := json.Marshal(NoTransitResponse{Result: want})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(body) <= 16<<20 {
+		t.Fatalf("response is %d bytes, want just over 16 MiB", len(body))
+	}
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		_, _ = w.Write(body)
+	}))
+	t.Cleanup(srv.Close)
+	got, err := NewClient(srv.URL).GlobalNoTransit(&topology.Topology{Name: "large"}, nil)
+	if err != nil {
+		t.Fatalf("decoding a %d-byte response: %v", len(body), err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("decoded %d violations, want %d", len(got.Violations), len(want.Violations))
+	}
+}
+
+// TestOversizedResponseRefused answers with a response that declares a
+// body over maxBody: the client must fail at once with an error naming
+// the bound, without retrying or reading the body.
+func TestOversizedResponseRefused(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Length", strconv.FormatInt(maxBody+1, 10))
+		w.WriteHeader(http.StatusOK)
+		_, _ = w.Write([]byte("{"))
+	}))
+	t.Cleanup(srv.Close)
+	c := NewClient(srv.URL)
+	_, err := c.GlobalNoTransit(&topology.Topology{Name: "large"}, nil)
+	if err == nil || IsTransportError(err) || !strings.Contains(err.Error(), strconv.FormatInt(maxBody, 10)) {
+		t.Fatalf("error = %v; want a served error naming the %d-byte bound", err, maxBody)
+	}
+	if c.Retries() != 0 {
+		t.Errorf("an oversized response was retried %d times", c.Retries())
 	}
 }

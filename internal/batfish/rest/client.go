@@ -6,10 +6,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"io"
 	"math/rand/v2"
 	"net/http"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -25,11 +27,9 @@ import (
 // TransportError marks a request that failed at the transport layer — the
 // connection could not be established, died mid-request, or the response
 // body was cut off — as opposed to a server that answered with an error.
-// The distinction drives shard failover: a transport failure means the
-// endpoint is down and its work should re-hash onto surviving shards,
-// while a served error (bad request, protocol mismatch, semantic
-// rejection) would reproduce identically on any shard and must propagate
-// instead.
+// Only a transport failure is worth re-sending: a served error (bad
+// request, protocol mismatch, semantic rejection) would come back the
+// same on every attempt.
 type TransportError struct {
 	Path string
 	Err  error
@@ -54,160 +54,269 @@ func IsTransportError(err error) bool {
 // another protocol version than BatchProtocolVersion.
 var errProtocolMismatch = errors.New("protocol mismatch")
 
-// ClientOptions tunes the REST client.
-type ClientOptions struct {
-	// Timeout bounds each request attempt (default 30s) — the per-attempt
-	// deadline of the retry loop. Batched requests carry a whole
-	// iteration's checks, so set it with the batch size in mind.
-	Timeout time.Duration
-	// MaxIdleConnsPerHost sizes the connection pool (default 16, against
-	// net/http's default of 2): concurrent suite checks and back-to-back
-	// batches reuse warm connections instead of opening one per check.
-	MaxIdleConnsPerHost int
-	// MaxAttempts bounds transport-layer attempts per request (default 3,
-	// 1 disables retries). Every check is a pure function of its inputs,
-	// so a request that died at the transport layer — connection refused,
-	// connection reset, attempt timeout — is safe to re-send; the client
-	// retries it with capped exponential backoff and jitter before the
-	// failure propagates to the failover layer. Served errors and caller
-	// context cancellation are never retried.
-	MaxAttempts int
-	// RetryBaseDelay is the backoff before the first retry (default
-	// 50ms); each further retry doubles it.
-	RetryBaseDelay time.Duration
-	// RetryMaxDelay caps the backoff growth (default 2s).
-	RetryMaxDelay time.Duration
-}
+// The transport policy. requestTimeout bounds each request attempt; a
+// batch carries a whole iteration's checks. maxIdleConnsPerHost sizes
+// the connection pool against net/http's default of 2, so concurrent
+// suite checks and back-to-back batches reuse warm connections. Every
+// check is a pure function of its inputs, so a request that died at the
+// transport layer is safe to re-send: it gets maxAttempts attempts in
+// all, with full-jitter backoff starting at retryBaseDelay and doubling
+// up to retryMaxDelay.
+const (
+	requestTimeout      = 30 * time.Second
+	maxIdleConnsPerHost = 16
+	maxAttempts         = 3
+	retryBaseDelay      = 50 * time.Millisecond
+	retryMaxDelay       = 2 * time.Second
+)
 
-// batchChecker gives a batch backend core.Verifier's four per-check
-// methods: each ships its check as a one-check batch, so a lone call takes
-// the same wire path, retries, and failover as a prefetch. Client and
-// ShardedClient embed it over their own CheckBatch.
-type batchChecker struct {
-	batch func(context.Context, []suite.Check) ([]suite.Result, error)
-}
-
-func (b batchChecker) one(c suite.Check) (suite.Result, error) {
-	res, err := b.batch(context.Background(), []suite.Check{c})
-	if err != nil {
-		return suite.Result{}, err
-	}
-	return res[0], nil
-}
-
-// CheckSyntax implements core.Verifier.
-func (b batchChecker) CheckSyntax(config string) ([]netcfg.ParseWarning, error) {
-	res, err := b.one(suite.Check{Kind: suite.KindSyntax, Config: config})
-	return res.Warnings, err
-}
-
-// DiffTranslation implements core.Verifier.
-func (b batchChecker) DiffTranslation(original, translation string) ([]campion.Finding, error) {
-	res, err := b.one(suite.Check{Kind: suite.KindDiff, Original: original, Config: translation})
-	return res.Diffs, err
-}
-
-// VerifyTopology implements core.Verifier.
-func (b batchChecker) VerifyTopology(spec topology.RouterSpec, config string) ([]topology.Finding, error) {
-	res, err := b.one(suite.Check{Kind: suite.KindTopology, Spec: &spec, Config: config})
-	return res.Findings, err
-}
-
-// CheckLocalPolicy implements core.Verifier.
-func (b batchChecker) CheckLocalPolicy(config string, req lightyear.Requirement) (lightyear.Violation, bool, error) {
-	res, err := b.one(suite.Check{Kind: suite.KindLocal, Req: &req, Config: config})
-	if err != nil || !res.Violated {
-		return lightyear.Violation{}, false, err
-	}
-	if res.Violation == nil {
-		return lightyear.Violation{}, false,
-			fmt.Errorf("local-policy check on %s violated but carried no violation", req.Policy)
-	}
-	return *res.Violation, true, nil
-}
-
-// Client calls the verification suite over HTTP. It implements
-// core.Verifier — and the engine's backend seam (suite.Backend) via
-// CheckBatch, which ships many checks in one /v1/batch round-trip.
-// ShardedClient fans the same seam out over several endpoints.
-type Client struct {
-	batchChecker
+// endpoint is one batfishd base URL of a Client, with its round-trip
+// accounting. The counters are obs instruments from birth, so SetObs can
+// adopt them into a metrics registry without losing counts.
+type endpoint struct {
 	base string
+	// calls counts HTTP round-trips issued, health probes and retries
+	// included; retries counts the attempts beyond each request's first;
+	// bytesOut sums the request-body bytes put on the wire.
+	calls    *obs.Counter
+	retries  *obs.Counter
+	bytesOut *obs.Counter
+	// batches and batchNS count the /v1/batch calls and their cumulative
+	// wall-clock, encoding and decoding included.
+	batches atomic.Int64
+	batchNS atomic.Int64
+	// batchSeconds is the optional RPC-duration histogram a bound registry
+	// provides.
+	batchSeconds *obs.Histogram
+}
+
+// Client calls the verification suite over HTTP, on one batfishd
+// endpoint or several. It implements core.Verifier and the engine's
+// batch seam, suite.Backend. Every check is a pure function of its
+// inputs, so any endpoint gives any check the same answer; several
+// endpoints only split the work. CheckBatch sends each check to endpoint
+// FNV-1a(routing key) mod N, where the key is the check's config digest
+// (plus its attachment for a local-policy check; see shardKey), and posts
+// the per-endpoint batches concurrently, so an iteration costs one
+// round-trip per endpoint, in parallel. GlobalNoTransit and Search route
+// by the same hash. With one endpoint the client computes no key.
+//
+// A request that fails at the transport layer is retried (see
+// maxAttempts); once the retries give up, the call fails. A batch fails
+// as a whole, with the error of the lowest-numbered endpoint that failed.
+// The client does not move work off an endpoint that stopped answering.
+//
+// Client is safe for concurrent use.
+type Client struct {
+	eps  []*endpoint
 	http *http.Client
-	// maxAttempts / retryBase / retryMax are the transport retry policy
-	// (see ClientOptions).
+	// maxAttempts, retryBase and retryMax are the transport retry policy;
+	// tests shorten them.
 	maxAttempts int
 	retryBase   time.Duration
 	retryMax    time.Duration
-	// calls counts HTTP round-trips issued, for round-trip accounting in
-	// benchmarks and tests. It is an obs instrument from birth so SetObs
-	// can adopt it into a metrics registry without losing counts.
-	calls *obs.Counter
-	// retries counts transport-layer attempts beyond each request's first
-	// — how much transient-fault riding the retry loop did.
-	retries *obs.Counter
-	// bytesOut sums the request-body bytes this client put on the wire.
-	bytesOut *obs.Counter
+	// digests memoizes each revision's digest for the routing keys, so a
+	// configuration is hashed once however many checks route by it; nil
+	// with one endpoint, where nothing is routed.
+	digests *suite.Digests
 	// refs is the scenario registry WarmScenario built, nil until then:
 	// batched checks whose spec or requirement body it holds ship the
 	// body's RefDigest instead.
 	refs atomic.Pointer[scenarioRegistry]
 	// tracer is the optional trace sink (nil = off): one batch_rpc span
 	// per /v1/batch round-trip and one retry event per backoff attempt.
-	// batchSeconds is the optional RPC-duration histogram a bound
-	// registry provides.
-	tracer       *obs.Tracer
-	batchSeconds *obs.Histogram
+	tracer *obs.Tracer
 }
 
-// NewClient returns a client for a batfishd base URL (e.g.
-// "http://localhost:9876") with default options.
+// ShardedClient is the former name of the multi-endpoint client.
+//
+// Deprecated: use Client. It stays only so bench/cobench keeps compiling,
+// and goes at the next benchmark change.
+type ShardedClient = Client
+
+// NewClient returns a client for one batfishd base URL (e.g.
+// "http://localhost:9876").
 func NewClient(base string) *Client {
-	return NewClientOpts(base, ClientOptions{})
+	return newClient([]string{strings.TrimRight(base, "/")})
 }
 
-// NewClientOpts returns a client with tuned transport options.
-func NewClientOpts(base string, opts ClientOptions) *Client {
-	if opts.Timeout == 0 {
-		opts.Timeout = 30 * time.Second
+// Dial returns a client over one or more batfishd base URLs once every
+// one of them answers its health probe in this client's protocol
+// version. Endpoints must be non-empty and distinct.
+func Dial(endpoints []string) (*Client, error) {
+	c, err := newFanout(endpoints)
+	if err != nil {
+		return nil, err
 	}
-	if opts.MaxIdleConnsPerHost == 0 {
-		opts.MaxIdleConnsPerHost = 16
+	if err := c.Health(); err != nil {
+		return nil, err
 	}
-	if opts.MaxAttempts == 0 {
-		opts.MaxAttempts = 3
+	return c, nil
+}
+
+// NewShardedClient returns a client over the given batfishd base URLs
+// without probing them.
+//
+// Deprecated: use Dial. It stays only so bench/cobench keeps compiling,
+// and goes at the next benchmark change.
+func NewShardedClient(endpoints []string) (*ShardedClient, error) {
+	return newFanout(endpoints)
+}
+
+// newFanout validates an endpoint list and builds a client over it. An
+// empty element or a duplicate is rejected loudly: dropping it silently
+// would spread the work over fewer endpoints than the operator listed.
+func newFanout(endpoints []string) (*Client, error) {
+	if len(endpoints) == 0 {
+		return nil, fmt.Errorf("rest client: no endpoints")
 	}
-	if opts.RetryBaseDelay == 0 {
-		opts.RetryBaseDelay = 50 * time.Millisecond
+	seen := map[string]bool{}
+	bases := make([]string, len(endpoints))
+	for i, ep := range endpoints {
+		base := strings.TrimRight(strings.TrimSpace(ep), "/")
+		if base == "" {
+			return nil, fmt.Errorf("rest client: endpoint %d of %d is empty", i+1, len(endpoints))
+		}
+		if seen[base] {
+			return nil, fmt.Errorf("rest client: duplicate endpoint %q", ep)
+		}
+		seen[base] = true
+		bases[i] = base
 	}
-	if opts.RetryMaxDelay == 0 {
-		opts.RetryMaxDelay = 2 * time.Second
-	}
+	return newClient(bases), nil
+}
+
+func newClient(bases []string) *Client {
 	transport := http.DefaultTransport.(*http.Transport).Clone()
-	transport.MaxIdleConnsPerHost = opts.MaxIdleConnsPerHost
+	transport.MaxIdleConnsPerHost = maxIdleConnsPerHost
 	c := &Client{
-		base:        strings.TrimRight(base, "/"),
-		http:        &http.Client{Timeout: opts.Timeout, Transport: transport},
-		maxAttempts: opts.MaxAttempts,
-		retryBase:   opts.RetryBaseDelay,
-		retryMax:    opts.RetryMaxDelay,
-		calls:       &obs.Counter{},
-		retries:     &obs.Counter{},
-		bytesOut:    &obs.Counter{},
+		http:        &http.Client{Timeout: requestTimeout, Transport: transport},
+		maxAttempts: maxAttempts,
+		retryBase:   retryBaseDelay,
+		retryMax:    retryMaxDelay,
 	}
-	c.batchChecker = batchChecker{batch: c.CheckBatch}
+	for _, base := range bases {
+		c.eps = append(c.eps, &endpoint{base: base,
+			calls: &obs.Counter{}, retries: &obs.Counter{}, bytesOut: &obs.Counter{}})
+	}
+	if len(c.eps) > 1 {
+		c.digests = suite.NewDigests()
+	}
 	return c
 }
 
+// SplitEndpoints normalizes a repeatable, comma-separated endpoint flag
+// into an endpoint list: every value may carry several comma-separated
+// endpoints, whitespace is trimmed, and an empty element is a loud error
+// rather than a silently shorter list.
+func SplitEndpoints(values []string) ([]string, error) {
+	var out []string
+	for _, v := range values {
+		for _, ep := range strings.Split(v, ",") {
+			ep = strings.TrimSpace(ep)
+			if ep == "" {
+				return nil, fmt.Errorf("empty endpoint element in %q", v)
+			}
+			out = append(out, ep)
+		}
+	}
+	return out, nil
+}
+
+// shardKey is the routing key of a check. All of one configuration's
+// whole-config checks (syntax, topology, diff) share the revision's
+// digest as their key, so they land on one endpoint and share its parse
+// of the revision; a local-policy check appends its attachment identity,
+// so the obligations of a multi-homed router spread over the endpoints
+// independently.
+func shardKey(c suite.Check, d *suite.Digests) string {
+	if c.Kind == suite.KindLocal && c.Req != nil {
+		return d.Of(c.Config) + "\x00" + c.Req.Attachment.String()
+	}
+	return d.Of(c.Config)
+}
+
+// globalKey routes whole-network calls, which have no single config: by
+// the topology name.
+func globalKey(t *topology.Topology) string {
+	if t == nil {
+		return ""
+	}
+	return "global|" + t.Name
+}
+
+// owner returns the index of the endpoint that answers the routing key
+// key builds: 64-bit FNV-1a of the key mod the endpoint count, the same
+// in every process. With one endpoint it builds no key.
+func (c *Client) owner(key func() string) int {
+	if len(c.eps) == 1 {
+		return 0
+	}
+	h := fnv.New64a()
+	h.Write([]byte(key()))
+	return int(h.Sum64() % uint64(len(c.eps)))
+}
+
+// total sums one of the endpoints' counters.
+func (c *Client) total(counter func(*endpoint) *obs.Counter) int64 {
+	var n uint64
+	for _, ep := range c.eps {
+		n += counter(ep).Value()
+	}
+	return int64(n)
+}
+
 // Calls returns the number of HTTP round-trips issued so far.
-func (c *Client) Calls() int64 { return int64(c.calls.Value()) }
+func (c *Client) Calls() int64 { return c.total(func(ep *endpoint) *obs.Counter { return ep.calls }) }
 
 // BytesSent returns the request-body bytes put on the wire so far.
-func (c *Client) BytesSent() int64 { return int64(c.bytesOut.Value()) }
+func (c *Client) BytesSent() int64 {
+	return c.total(func(ep *endpoint) *obs.Counter { return ep.bytesOut })
+}
 
 // Retries returns the number of transport-layer retry attempts issued —
 // round-trips beyond each request's first.
-func (c *Client) Retries() int64 { return int64(c.retries.Value()) }
+func (c *Client) Retries() int64 {
+	return c.total(func(ep *endpoint) *obs.Counter { return ep.retries })
+}
+
+// ShardStat is one endpoint's counters, for benchmarks and diagnostics.
+type ShardStat struct {
+	// Endpoint is the base URL.
+	Endpoint string
+	// Calls is the total HTTP round-trips issued to the endpoint: batches
+	// (per-check calls are one-check batches), global checks, searches,
+	// health probes and retries alike.
+	Calls int64
+	// Batches is the number of /v1/batch calls.
+	Batches int64
+	// Retries is the number of transport-layer retry attempts.
+	Retries int64
+	// Latency is the cumulative wall-clock of the /v1/batch calls.
+	Latency time.Duration
+}
+
+// String renders the counters.
+func (s ShardStat) String() string {
+	return fmt.Sprintf("%s: %d calls, %d batches (%v), %d retries",
+		s.Endpoint, s.Calls, s.Batches, s.Latency, s.Retries)
+}
+
+// Stats returns a snapshot of every endpoint's counters, in endpoint
+// order.
+func (c *Client) Stats() []ShardStat {
+	out := make([]ShardStat, len(c.eps))
+	for i, ep := range c.eps {
+		out[i] = ShardStat{
+			Endpoint: ep.base,
+			Calls:    int64(ep.calls.Value()),
+			Batches:  ep.batches.Load(),
+			Retries:  int64(ep.retries.Value()),
+			Latency:  time.Duration(ep.batchNS.Load()),
+		}
+	}
+	return out
+}
 
 // SetObs adopts the client's transport counters into a metrics registry
 // (labeled by endpoint) and binds an optional trace sink; either may be
@@ -217,28 +326,28 @@ func (c *Client) SetObs(reg *obs.Registry, tr *obs.Tracer) {
 	if reg == nil {
 		return
 	}
-	reg.RegisterCounter("cosynth_rest_calls_total", c.calls, "endpoint", c.base)
-	reg.RegisterCounter("cosynth_rest_retries_total", c.retries, "endpoint", c.base)
-	reg.RegisterCounter("cosynth_rest_bytes_out_total", c.bytesOut, "endpoint", c.base)
-	c.batchSeconds = reg.Histogram("cosynth_rest_batch_seconds", obs.DefSecondsBuckets,
-		"endpoint", c.base)
+	for _, ep := range c.eps {
+		reg.RegisterCounter("cosynth_rest_calls_total", ep.calls, "endpoint", ep.base)
+		reg.RegisterCounter("cosynth_rest_retries_total", ep.retries, "endpoint", ep.base)
+		reg.RegisterCounter("cosynth_rest_bytes_out_total", ep.bytesOut, "endpoint", ep.base)
+		ep.batchSeconds = reg.Histogram("cosynth_rest_batch_seconds", obs.DefSecondsBuckets,
+			"endpoint", ep.base)
+	}
 }
 
-// post sends a JSON request and decodes the JSON response into out; the
-// returned status is valid whenever err is nil or the status was not OK.
-// Transport-layer failures are retried with capped exponential backoff
-// and jitter (the per-attempt deadline is the client's Timeout) up to the
-// MaxAttempts budget; a failure that survives the budget comes back as
-// *TransportError so callers (the sharded client) can tell a dead
-// endpoint from a served error. Caller cancellation is different in kind:
-// the ctx going away is the caller's decision, not the endpoint's health,
-// so it propagates immediately as the bare context error — no retry, no
-// backoff sleep, and no *TransportError wrapper for the failover layer to
-// misread as a dead shard.
-func (c *Client) post(ctx context.Context, path string, in, out interface{}) (status int, err error) {
+// post sends a JSON request to one endpoint and decodes the JSON response
+// into out; the returned status is valid whenever err is nil or the
+// status was not OK. Transport-layer failures are retried with capped
+// exponential backoff and jitter (the per-attempt deadline is
+// requestTimeout) up to the attempt budget; a failure that survives the
+// budget comes back as *TransportError. Caller cancellation is different
+// in kind: the ctx going away is the caller's decision, not the
+// endpoint's health, so it propagates immediately as the bare context
+// error — no retry, no backoff sleep.
+func (c *Client) post(ctx context.Context, ep *endpoint, path string, in, out interface{}) (status int, err error) {
 	delay := c.retryBase
 	for attempt := 1; ; attempt++ {
-		status, err = c.post1(ctx, path, in, out)
+		status, err = c.post1(ctx, ep, path, in, out)
 		if err == nil || !IsTransportError(err) {
 			return status, err
 		}
@@ -248,9 +357,9 @@ func (c *Client) post(ctx context.Context, path string, in, out interface{}) (st
 		if attempt >= c.maxAttempts {
 			return status, err
 		}
-		c.retries.Inc()
+		ep.retries.Inc()
 		if c.tracer != nil {
-			c.tracer.Emit(obs.Event{Stage: obs.StageRetry, Shard: c.base,
+			c.tracer.Emit(obs.Event{Stage: obs.StageRetry, Shard: ep.base,
 				Detail: path, Outcome: fmt.Sprintf("attempt %d", attempt)})
 		}
 		// Full jitter over the capped exponential window: concurrent
@@ -273,20 +382,22 @@ func (c *Client) post(ctx context.Context, path string, in, out interface{}) (st
 
 // post1 issues one attempt of a JSON POST. Transport-layer failures come
 // back as *TransportError; caller cancellation comes back as the bare
-// context error.
-func (c *Client) post1(ctx context.Context, path string, in, out interface{}) (status int, err error) {
+// context error. A response body is read under maxBody, the bound the
+// server applies to request bodies; a longer one is an error naming the
+// bound.
+func (c *Client) post1(ctx context.Context, ep *endpoint, path string, in, out interface{}) (status int, err error) {
 	body, err := json.Marshal(in)
 	if err != nil {
 		return 0, fmt.Errorf("encoding %s request: %w", path, err)
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+path, bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ep.base+path, bytes.NewReader(body))
 	if err != nil {
 		return 0, fmt.Errorf("building %s request: %w", path, err)
 	}
 	req.Header.Set("Content-Type", "application/json")
 	req.Header.Set(ProtocolHeader, protocolVersion)
-	c.calls.Inc()
-	c.bytesOut.Add(uint64(len(body)))
+	ep.calls.Inc()
+	ep.bytesOut.Add(uint64(len(body)))
 	resp, err := c.http.Do(req)
 	if err != nil {
 		if cerr := ctx.Err(); cerr != nil {
@@ -295,12 +406,18 @@ func (c *Client) post1(ctx context.Context, path string, in, out interface{}) (s
 		return 0, &TransportError{Path: path, Err: err}
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
+	if resp.ContentLength > maxBody {
+		return resp.StatusCode, errResponseTooLarge(path)
+	}
+	data, err := io.ReadAll(io.LimitReader(resp.Body, maxBody+1))
 	if err != nil {
 		if cerr := ctx.Err(); cerr != nil {
 			return resp.StatusCode, cerr
 		}
 		return resp.StatusCode, &TransportError{Path: path, Err: err}
+	}
+	if int64(len(data)) > maxBody {
+		return resp.StatusCode, errResponseTooLarge(path)
 	}
 	if resp.StatusCode != http.StatusOK {
 		var e ErrorResponse
@@ -315,12 +432,27 @@ func (c *Client) post1(ctx context.Context, path string, in, out interface{}) (s
 	return resp.StatusCode, nil
 }
 
-// Health checks the service and that it speaks this client's protocol
-// version; a server on another version yields an error wrapping
+func errResponseTooLarge(path string) error {
+	return fmt.Errorf("%s: response exceeds the %d-byte limit", path, maxBody)
+}
+
+// Health probes every endpoint and checks that each speaks this client's
+// protocol version. It fails naming every endpoint that does not answer;
+// a server on another version yields an error wrapping
 // errProtocolMismatch that names both versions.
 func (c *Client) Health() error {
-	c.calls.Inc()
-	req, err := http.NewRequest(http.MethodGet, c.base+PathHealth, nil)
+	var errs []error
+	for _, ep := range c.eps {
+		if err := c.health(ep); err != nil {
+			errs = append(errs, fmt.Errorf("batfishd at %s: %w", ep.base, err))
+		}
+	}
+	return errors.Join(errs...)
+}
+
+func (c *Client) health(ep *endpoint) error {
+	ep.calls.Inc()
+	req, err := http.NewRequest(http.MethodGet, ep.base+PathHealth, nil)
 	if err != nil {
 		return fmt.Errorf("building health request: %w", err)
 	}
@@ -338,8 +470,8 @@ func (c *Client) Health() error {
 		return fmt.Errorf("health: decoding response: %w", err)
 	}
 	if h.Version != BatchProtocolVersion {
-		return fmt.Errorf("%w: batfishd at %s speaks v%d, this client speaks v%d",
-			errProtocolMismatch, c.base, h.Version, BatchProtocolVersion)
+		return fmt.Errorf("%w: the server speaks v%d, this client speaks v%d",
+			errProtocolMismatch, h.Version, BatchProtocolVersion)
 	}
 	return nil
 }
@@ -347,10 +479,23 @@ func (c *Client) Health() error {
 // GlobalNoTransit implements core.Verifier: the server runs one cold
 // whole-network simulation.
 func (c *Client) GlobalNoTransit(t *topology.Topology, configs map[string]string) (*lightyear.GlobalResult, error) {
-	req := NoTransitRequest{Topology: t, Configs: configs}
+	ep := c.eps[c.owner(func() string { return globalKey(t) })]
 	var resp NoTransitResponse
-	if _, err := c.post(context.Background(), PathNoTransit, req, &resp); err != nil {
+	if _, err := c.post(context.Background(), ep, PathNoTransit,
+		NoTransitRequest{Topology: t, Configs: configs}, &resp); err != nil {
 		return nil, err
+	}
+	return resp.Result, nil
+}
+
+// Search asks a SearchRoutePolicies question about one config, on the
+// endpoint its other whole-config checks route to.
+func (c *Client) Search(config string, q batfish.SearchQuery) (batfish.SearchResult, error) {
+	ep := c.eps[c.owner(func() string { return c.digests.Of(config) })]
+	var resp SearchResponse
+	if _, err := c.post(context.Background(), ep, PathSearch,
+		SearchRequest{Config: config, Query: q}, &resp); err != nil {
+		return batfish.SearchResult{}, err
 	}
 	return resp.Result, nil
 }
@@ -361,9 +506,10 @@ func (c *Client) GlobalNoTransit(t *topology.Topology, configs map[string]string
 // later batches ship the RefDigest of every spec and requirement body the
 // registry holds instead of the body. Bodies outside it — a graph
 // variant's specs, requirements the family does not derive — still travel
-// in full. The registry derives from the topology alone, so seed only
-// keeps the call shape of the simulated-LLM seed a run is driven with. It
-// returns the number of registered bodies.
+// in full, as does every body of a family over the registry bound. The
+// registry derives from the topology alone, so seed only keeps the call
+// shape of the simulated-LLM seed a run is driven with. It returns the
+// number of registered bodies.
 func (c *Client) WarmScenario(scenario string, seed int64) (int, error) {
 	reg, err := buildScenarioRegistry(scenario)
 	if err != nil {
@@ -373,31 +519,64 @@ func (c *Client) WarmScenario(scenario string, seed int64) (int, error) {
 	return reg.size(), nil
 }
 
-// Search asks a SearchRoutePolicies question about one config.
-func (c *Client) Search(config string, q batfish.SearchQuery) (batfish.SearchResult, error) {
-	var resp SearchResponse
-	if _, err := c.post(context.Background(), PathSearch, SearchRequest{Config: config, Query: q}, &resp); err != nil {
-		return batfish.SearchResult{}, err
-	}
-	return resp.Result, nil
-}
-
-// Capabilities implements suite.Backend: one batched endpoint.
-func (c *Client) Capabilities() suite.Capabilities {
-	return suite.Capabilities{Batched: true}
-}
-
-// CheckBatch implements the engine's backend seam (suite.Backend): all
-// checks ship as one /v1/batch round-trip, carrying each distinct config
-// text once in the request's body table. After WarmScenario, spec and
+// CheckBatch implements the engine's backend seam (suite.Backend). Each
+// endpoint gets its share of the checks as one /v1/batch round-trip,
+// carrying each distinct config text once in the request's body table;
+// the round-trips run concurrently. After WarmScenario, spec and
 // requirement bodies the scenario's registry holds leave the wire: checks
 // carry their RefDigest instead, and the request names the scenario the
-// server resolves them against.
+// server resolves them against. An error fails the whole batch.
 func (c *Client) CheckBatch(ctx context.Context, checks []suite.Check) ([]suite.Result, error) {
 	if len(checks) == 0 {
 		return nil, nil
 	}
-	req := newBatchRequest(checks)
+	out := make([]suite.Result, len(checks))
+	if len(c.eps) == 1 {
+		if err := c.batch(ctx, c.eps[0], checks, nil, out); err != nil {
+			return nil, err
+		}
+		return out, nil
+	}
+	shares := make([][]int, len(c.eps))
+	for i := range checks {
+		e := c.owner(func() string { return shardKey(checks[i], c.digests) })
+		shares[e] = append(shares[e], i)
+	}
+	errs := make([]error, len(c.eps))
+	var wg sync.WaitGroup
+	for e, idx := range shares {
+		if len(idx) == 0 {
+			continue
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[e] = c.batch(ctx, c.eps[e], checks, idx, out)
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// batch ships the checks at the positions idx (all of them when idx is
+// nil) to one endpoint as one /v1/batch round-trip, and writes their
+// results at the same positions of out. Errors from a batch that could
+// have gone to several endpoints name the endpoint.
+func (c *Client) batch(ctx context.Context, ep *endpoint, checks []suite.Check, idx []int, out []suite.Result) error {
+	share := checks
+	if idx != nil {
+		share = make([]suite.Check, len(idx))
+		for j, i := range idx {
+			share[j] = checks[i]
+		}
+	}
+	start := time.Now()
+	req := newBatchRequest(share)
 	if reg := c.refs.Load(); reg != nil {
 		for i := range req.Checks {
 			if reg.elide(&req.Checks[i]) {
@@ -406,38 +585,47 @@ func (c *Client) CheckBatch(ctx context.Context, checks []suite.Check) ([]suite.
 		}
 	}
 	var resp BatchResponse
-	var rpcStart time.Time
-	if c.tracer != nil || c.batchSeconds != nil {
-		rpcStart = time.Now()
+	sentBefore := ep.bytesOut.Value()
+	status, err := c.post(ctx, ep, PathBatch, req, &resp)
+	elapsed := time.Since(start)
+	ep.batches.Add(1)
+	ep.batchNS.Add(int64(elapsed))
+	if ep.batchSeconds != nil {
+		ep.batchSeconds.Observe(elapsed.Seconds())
 	}
-	sentBefore := c.bytesOut.Value()
-	status, err := c.post(ctx, PathBatch, req, &resp)
-	if !rpcStart.IsZero() {
-		if c.batchSeconds != nil {
-			c.batchSeconds.Observe(time.Since(rpcStart).Seconds())
+	if c.tracer != nil {
+		outcome := "ok"
+		if err != nil {
+			outcome = fmt.Sprintf("http %d", status)
 		}
-		if c.tracer != nil {
-			outcome := "ok"
-			if err != nil {
-				outcome = fmt.Sprintf("http %d", status)
-			}
-			c.tracer.Span(rpcStart, obs.Event{Stage: obs.StageBatchRPC,
-				Shard: c.base, Checks: len(checks),
-				Bytes: int64(c.bytesOut.Value() - sentBefore), Outcome: outcome})
+		c.tracer.Span(start, obs.Event{Stage: obs.StageBatchRPC,
+			Shard: ep.base, Checks: len(share),
+			Bytes: int64(ep.bytesOut.Value() - sentBefore), Outcome: outcome})
+	}
+	if err == nil {
+		err = decodeResults(resp.Results, share, idx, out)
+	}
+	if err != nil && idx != nil && ctx.Err() == nil {
+		err = fmt.Errorf("batfishd at %s: %w", ep.base, err)
+	}
+	return err
+}
+
+// decodeResults writes the results of the checks share, sent from the
+// positions idx (0, 1, ... when idx is nil), at those positions of out.
+// A check the server could not answer fails the batch, named by its
+// position.
+func decodeResults(results []BatchResult, share []suite.Check, idx []int, out []suite.Result) error {
+	if len(results) != len(share) {
+		return fmt.Errorf("%s: %d results for %d checks", PathBatch, len(results), len(share))
+	}
+	for j, r := range results {
+		i := j
+		if idx != nil {
+			i = idx[j]
 		}
-	}
-	if err != nil {
-		return nil, err
-	}
-	if len(resp.Results) != len(checks) {
-		return nil, fmt.Errorf("%s: %d results for %d checks",
-			PathBatch, len(resp.Results), len(checks))
-	}
-	out := make([]suite.Result, len(checks))
-	for i, r := range resp.Results {
 		if r.Error != "" {
-			return nil, fmt.Errorf("%s: check %d (%s): %s",
-				PathBatch, i, checks[i].Kind, r.Error)
+			return fmt.Errorf("%s: check %d (%s): %s", PathBatch, i, share[j].Kind, r.Error)
 		}
 		out[i] = suite.Result{
 			Warnings:  r.Warnings,
@@ -447,5 +635,46 @@ func (c *Client) CheckBatch(ctx context.Context, checks []suite.Check) ([]suite.
 			Violation: r.Violation,
 		}
 	}
-	return out, nil
+	return nil
+}
+
+// one ships a single check as a one-check batch, so a lone per-check call
+// takes the same wire path and retries as a prefetch.
+func (c *Client) one(check suite.Check) (suite.Result, error) {
+	res, err := c.CheckBatch(context.Background(), []suite.Check{check})
+	if err != nil {
+		return suite.Result{}, err
+	}
+	return res[0], nil
+}
+
+// CheckSyntax implements core.Verifier.
+func (c *Client) CheckSyntax(config string) ([]netcfg.ParseWarning, error) {
+	res, err := c.one(suite.Check{Kind: suite.KindSyntax, Config: config})
+	return res.Warnings, err
+}
+
+// DiffTranslation implements core.Verifier.
+func (c *Client) DiffTranslation(original, translation string) ([]campion.Finding, error) {
+	res, err := c.one(suite.Check{Kind: suite.KindDiff, Original: original, Config: translation})
+	return res.Diffs, err
+}
+
+// VerifyTopology implements core.Verifier.
+func (c *Client) VerifyTopology(spec topology.RouterSpec, config string) ([]topology.Finding, error) {
+	res, err := c.one(suite.Check{Kind: suite.KindTopology, Spec: &spec, Config: config})
+	return res.Findings, err
+}
+
+// CheckLocalPolicy implements core.Verifier.
+func (c *Client) CheckLocalPolicy(config string, req lightyear.Requirement) (lightyear.Violation, bool, error) {
+	res, err := c.one(suite.Check{Kind: suite.KindLocal, Req: &req, Config: config})
+	if err != nil || !res.Violated {
+		return lightyear.Violation{}, false, err
+	}
+	if res.Violation == nil {
+		return lightyear.Violation{}, false,
+			fmt.Errorf("local-policy check on %s violated but carried no violation", req.Policy)
+	}
+	return *res.Violation, true, nil
 }

@@ -87,8 +87,8 @@ func inProcessNoTransit(t *testing.T, topo *topology.Topology, configs map[strin
 }
 
 // TestNoTransitRoundTrip checks golden and broken star:5 configs over the
-// wire, through one client and through a 2-shard ring: every answer must
-// equal the in-process check of the same configs.
+// wire, through a client of one endpoint and one of two: every answer
+// must equal the in-process check of the same configs.
 func TestNoTransitRoundTrip(t *testing.T) {
 	topo, golden := starConfigs(t, 5)
 	broken := bgplessHub(golden)
@@ -97,14 +97,14 @@ func TestNoTransitRoundTrip(t *testing.T) {
 	srv2 := httptest.NewServer(NewHandler())
 	t.Cleanup(srv1.Close)
 	t.Cleanup(srv2.Close)
-	sc, err := NewShardedClient([]string{srv1.URL, srv2.URL})
+	fan, err := newFanout([]string{srv1.URL, srv2.URL})
 	if err != nil {
 		t.Fatal(err)
 	}
 	verifiers := []struct {
 		name string
 		v    core.Verifier
-	}{{"client", NewClient(srv1.URL)}, {"sharded", sc}}
+	}{{"one endpoint", NewClient(srv1.URL)}, {"two endpoints", fan}}
 
 	for _, set := range []struct {
 		name    string
@@ -158,51 +158,25 @@ func TestNoTransitIncrementalMatchesStateless(t *testing.T) {
 }
 
 // TestShardedNoTransitIncremental sends an incremental edit sequence
-// through a 2-shard ring. The checks of one topology stay on its owner
-// shard; once that shard dies, the next check fails over to the survivor,
-// and since no shard keeps state between checks, every answer still
-// equals the in-process check.
+// through a client of two endpoints. The checks of one topology all go
+// to one endpoint, and since no endpoint keeps state between checks,
+// every answer equals the in-process check.
 func TestShardedNoTransitIncremental(t *testing.T) {
 	topo, golden := starConfigs(t, 4)
 	broken := bgplessHub(golden)
-	shards, sc := newShardFleet(t, 2)
+	servers, c := newFleet(t, 2)
 
-	check := func(label string, configs map[string]string) {
-		t.Helper()
-		got, err := sc.GlobalNoTransit(topo, configs)
+	for i, configs := range []map[string]string{golden, broken, golden, broken} {
+		got, err := c.GlobalNoTransit(topo, configs)
 		if err != nil {
-			t.Fatalf("%s: %v", label, err)
+			t.Fatalf("step %d: %v", i, err)
 		}
 		if want := inProcessNoTransit(t, topo, configs); !reflect.DeepEqual(got, want) {
-			t.Errorf("%s diverges from the in-process check\ngot:  %+v\nwant: %+v", label, got, want)
+			t.Errorf("step %d diverges from the in-process check\ngot:  %+v\nwant: %+v", i, got, want)
 		}
 	}
-	check("golden", golden)
-	check("broken", broken)
-
-	owner := -1
-	for i, ks := range shards {
-		if ks.served.Load() == 0 {
-			continue
-		}
-		if owner >= 0 {
-			t.Fatal("the checks of one topology were spread over both shards")
-		}
-		owner = i
-	}
-	if owner < 0 {
-		t.Fatal("no shard served the global checks")
-	}
-	survivor := 1 - owner
-
-	shards[owner].Kill()
-	check("golden after failover", golden)
-	check("broken after failover", broken)
-	if shards[survivor].served.Load() == 0 {
-		t.Error("the survivor served nothing after its peer died")
-	}
-	if !sc.Stats()[owner].Dead {
-		t.Errorf("owner shard stats = %+v, want dead", sc.Stats()[owner])
+	if a, b := servers[0].served.Load(), servers[1].served.Load(); a*b != 0 || a+b != 4 {
+		t.Errorf("endpoints served %d and %d global checks, want all 4 on one", a, b)
 	}
 }
 

@@ -1,10 +1,10 @@
 // Package rest wraps the verification suite behind an HTTP API. Go has no
 // Batfish bindings, so — per the reproduction plan — the verifier is
-// callable as a service: cmd/batfishd serves it, Client implements the
-// engine's core.Verifier interface (and its suite.Backend batch seam)
-// over one endpoint, and ShardedClient fans the same seam out over a
-// consistent-hash ring of endpoints with failover. The in-process suite
-// backs the handlers. All payloads are JSON.
+// callable as a service: cmd/batfishd serves it, and Client implements
+// the engine's core.Verifier interface (and its suite.Backend batch seam)
+// over one endpoint or several, sending each check to one endpoint by a
+// hash of the check. The in-process suite backs the handlers. All
+// payloads are JSON.
 //
 // The service speaks one protocol, version BatchProtocolVersion, over
 // these endpoints:
@@ -21,15 +21,17 @@
 // HTTP 400 naming both versions. Client.Health fails on a mismatch too, so
 // a client and server built from different generations fail at startup
 // with a clear error instead of half-understanding each other. A POST
-// body over the server's size bound gets HTTP 413 naming the bound; the
-// clients surface it as a served error, without retry or failover.
+// body over the size bound (maxBody) gets HTTP 413 naming the bound; the
+// client surfaces it as a served error, without retry. The client reads
+// responses under the same bound.
 //
 // A /v1/batch request carries each distinct configuration text once, in
 // its body table, and each check names its config (and a diff check its
 // original) by index into that table, so a router's revision crosses the
 // wire once per batch however many obligations check it. An index outside
 // the table fails the whole batch with HTTP 400 naming the check, as an
-// unresolvable scenario reference does. The wire types, the encoder from
+// unresolvable scenario reference does, or a scenario whose registry would
+// pass maxRegistryBodies. The wire types, the encoder from
 // suite checks and the resolver back to them all live in protocol.go.
 //
 // Every endpoint is stateless apart from caches that never change an

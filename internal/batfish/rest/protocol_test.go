@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -63,26 +64,27 @@ func TestHealthVersionMismatch(t *testing.T) {
 		t.Fatalf("Health = %v, want a protocol mismatch naming v4 and %s", err, want)
 	}
 
-	// A fleet with one such shard fails its Health probe outright.
+	// A client with one such endpoint among several fails its Health
+	// probe, naming that endpoint.
 	good := httptest.NewServer(NewHandler())
 	t.Cleanup(good.Close)
-	sc, err := NewShardedClient([]string{good.URL, srv.URL})
+	c, err := newFanout([]string{good.URL, srv.URL})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sc.Health(); !errors.Is(err, errProtocolMismatch) {
-		t.Errorf("sharded Health = %v, want a protocol mismatch", err)
+	if err := c.Health(); !errors.Is(err, errProtocolMismatch) || !strings.Contains(err.Error(), srv.URL) {
+		t.Errorf("Health over two endpoints = %v, want a protocol mismatch naming %s", err, srv.URL)
 	}
 }
 
 // TestShardedProtocolMismatchPropagates pins that a version mismatch is a
-// served error: every shard rejects the batch identically, so the sharded
-// client surfaces the rejection and fails no shard over.
+// served error: every endpoint rejects the batch identically, so the
+// client surfaces the rejection without retrying it.
 func TestShardedProtocolMismatchPropagates(t *testing.T) {
 	endpoints := make([]string, 2)
 	for i := range endpoints {
 		inner := NewHandler()
-		// The shard sees the client's requests stamped by another
+		// The endpoint sees the client's requests stamped by another
 		// generation of the protocol.
 		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			r.Header.Set(ProtocolHeader, "4")
@@ -91,40 +93,45 @@ func TestShardedProtocolMismatchPropagates(t *testing.T) {
 		t.Cleanup(srv.Close)
 		endpoints[i] = srv.URL
 	}
-	sc, err := NewShardedClient(endpoints)
+	c, err := newFanout(endpoints)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = sc.CheckBatch(context.Background(), batchChecks(t))
+	_, err = c.CheckBatch(context.Background(), batchChecks(t))
 	if err == nil || !strings.Contains(err.Error(), "client speaks v4") {
-		t.Fatalf("batch against mismatched shards: %v, want the protocol mismatch", err)
+		t.Fatalf("batch against mismatched endpoints: %v, want the protocol mismatch", err)
 	}
-	if _, err := sc.CheckSyntax("hostname R1\n"); err == nil {
-		t.Error("per-check call against mismatched shards succeeded")
+	if _, err := c.CheckSyntax("hostname R1\n"); err == nil {
+		t.Error("per-check call against mismatched endpoints succeeded")
 	}
-	for i, st := range sc.Stats() {
-		if st.Dead || st.Failures != 0 {
-			t.Errorf("protocol mismatch failed shard %d over: %s", i, st)
-		}
+	if n := c.Retries(); n != 0 {
+		t.Errorf("protocol mismatch retried %d times", n)
 	}
 }
 
 // TestOversizedScenarioRejected sends a batch whose reference names a
-// family far past netgen's size bound: the server must refuse it with a
-// 400 without trying to generate the topology.
+// family far past netgen's size bound, or one whose registry would pass
+// maxRegistryBodies: the server must refuse it with a 400 naming the
+// bound, without building the topology or the registry.
 func TestOversizedScenarioRejected(t *testing.T) {
 	c := newTestClient(t)
-	for _, scenario := range []string{"random:100000000", "fat-tree:1000"} {
-		req := BatchRequest{Scenario: scenario, Bodies: []string{"hostname R1\n"}, Checks: []BatchCheck{{
+	registryBound := strconv.Itoa(maxRegistryBodies)
+	for _, tc := range []struct{ scenario, bound string }{
+		{"random:100000000", "maximum"},
+		{"fat-tree:1000", "maximum"},
+		{"dual-homed:1000", registryBound},
+		{"random:1000", registryBound},
+	} {
+		req := BatchRequest{Scenario: tc.scenario, Bodies: []string{"hostname R1\n"}, Checks: []BatchCheck{{
 			Kind: string(suite.KindTopology), Config: 0, SpecRef: strings.Repeat("0", 64)}}}
 		start := time.Now()
 		var resp BatchResponse
-		status, err := c.post(context.Background(), PathBatch, req, &resp)
-		if status != http.StatusBadRequest || err == nil || !strings.Contains(err.Error(), "maximum") {
-			t.Errorf("%s: HTTP %d, %v; want 400 naming the size bound", scenario, status, err)
+		status, err := c.post(context.Background(), c.eps[0], PathBatch, req, &resp)
+		if status != http.StatusBadRequest || err == nil || !strings.Contains(err.Error(), tc.bound) {
+			t.Errorf("%s: HTTP %d, %v; want 400 naming the bound %q", tc.scenario, status, err, tc.bound)
 		}
 		if d := time.Since(start); d > 2*time.Second {
-			t.Errorf("%s: rejection took %v", scenario, d)
+			t.Errorf("%s: rejection took %v", tc.scenario, d)
 		}
 	}
 }

@@ -3,23 +3,20 @@ package rest
 import (
 	"context"
 	"errors"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"repro/internal/faultinject"
 	"repro/internal/suite"
 )
 
-// retryTestOpts keeps the backoff sleeps out of the test's wall clock.
-func retryTestOpts() ClientOptions {
-	return ClientOptions{
-		RetryBaseDelay: time.Millisecond,
-		RetryMaxDelay:  4 * time.Millisecond,
-	}
+// withFastRetries keeps the backoff sleeps out of the test's wall clock.
+func withFastRetries(c *Client) *Client {
+	c.retryBase = time.Millisecond
+	c.retryMax = 4 * time.Millisecond
+	return c
 }
 
 // TestRetryRidesOutTransientFault starts a server whose first two
@@ -27,9 +24,16 @@ func retryTestOpts() ClientOptions {
 // expects the client to ride the fault out within its default attempt
 // budget, with the retries accounted.
 func TestRetryRidesOutTransientFault(t *testing.T) {
-	srv := httptest.NewServer(faultinject.AbortFirst(NewHandler(), 2))
+	inner := NewHandler()
+	var served atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if served.Add(1) <= 2 {
+			panic(http.ErrAbortHandler) // severs the connection
+		}
+		inner.ServeHTTP(w, r)
+	}))
 	defer srv.Close()
-	c := NewClientOpts(srv.URL, retryTestOpts())
+	c := withFastRetries(NewClient(srv.URL))
 	if _, err := c.CheckSyntax("hostname R1\n"); err != nil {
 		t.Fatalf("transient fault not ridden out: %v", err)
 	}
@@ -43,16 +47,15 @@ func TestRetryRidesOutTransientFault(t *testing.T) {
 
 // TestRetryBudgetExhausted points the client at a server that kills
 // every request: the failure must propagate as a *TransportError after
-// exactly MaxAttempts round-trips, so the failover layer above sees one
-// classified failure, not an unbounded stall.
+// exactly maxAttempts round-trips, one classified failure, not an
+// unbounded stall.
 func TestRetryBudgetExhausted(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		panic(http.ErrAbortHandler)
 	}))
 	defer srv.Close()
-	opts := retryTestOpts()
-	opts.MaxAttempts = 3
-	c := NewClientOpts(srv.URL, opts)
+	c := withFastRetries(NewClient(srv.URL))
+	c.maxAttempts = 3
 	_, err := c.CheckSyntax("hostname R1\n")
 	if !IsTransportError(err) {
 		t.Fatalf("exhausted retries did not yield a transport error: %v", err)
@@ -64,9 +67,9 @@ func TestRetryBudgetExhausted(t *testing.T) {
 
 // TestCallerCancellationPropagatesImmediately cancels the caller's
 // context while the server sits on the request. The cancellation must
-// come back as the bare context error — not a *TransportError, which the
-// sharded client would misread as a dead shard — and must not consume
-// retry attempts: one round-trip, no retries.
+// come back as the bare context error — not a *TransportError, which
+// would read as a dead endpoint — and must not consume retry attempts:
+// one round-trip, no retries.
 func TestCallerCancellationPropagatesImmediately(t *testing.T) {
 	release := make(chan struct{})
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -77,7 +80,7 @@ func TestCallerCancellationPropagatesImmediately(t *testing.T) {
 	}))
 	defer srv.Close()
 	defer close(release)
-	c := NewClientOpts(srv.URL, retryTestOpts())
+	c := withFastRetries(NewClient(srv.URL))
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		time.Sleep(20 * time.Millisecond)
@@ -92,46 +95,5 @@ func TestCallerCancellationPropagatesImmediately(t *testing.T) {
 	}
 	if got := c.Calls(); got != 1 {
 		t.Errorf("calls = %d, want 1 — a cancelled request must not be retried", got)
-	}
-}
-
-// TestFlakyShardSurvivesWithBudgetReset runs a fleet whose first shard
-// drops every second batch request but always recovers. Each drop is
-// followed by a success, so with the consecutive-failure budget the
-// shard must never be failed over — cumulative isolated faults are not
-// shard death. Client-side retries are disabled to expose every fault to
-// the failover layer.
-func TestFlakyShardSurvivesWithBudgetReset(t *testing.T) {
-	inner := NewHandler()
-	var batches atomic.Int64
-	flaky := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		// Only batch traffic is flaky: the health endpoint stays reliable,
-		// so the failover decision rests on the failure budget alone.
-		if r.URL.Path == PathBatch && batches.Add(1)%2 == 0 {
-			panic(http.ErrAbortHandler)
-		}
-		inner.ServeHTTP(w, r)
-	})
-	srv0 := httptest.NewServer(flaky)
-	defer srv0.Close()
-	srv1 := httptest.NewServer(NewHandler())
-	defer srv1.Close()
-	opts := retryTestOpts()
-	opts.MaxAttempts = 1
-	sc, err := NewShardedClientOpts([]string{srv0.URL, srv1.URL}, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 12; i++ {
-		checks := []suite.Check{{Kind: suite.KindSyntax,
-			Config: fmt.Sprintf("hostname R%d\n", i)}}
-		if _, err := sc.CheckBatch(context.Background(), checks); err != nil {
-			t.Fatalf("call %d: %v", i, err)
-		}
-	}
-	for _, st := range sc.Stats() {
-		if st.Dead {
-			t.Errorf("flaky-but-recovering shard was failed over: %s", st)
-		}
 	}
 }

@@ -163,10 +163,29 @@ type scenarioRegistry struct {
 	reqs  map[string]*lightyear.Requirement
 }
 
+// maxRegistryBodies bounds the bodies one scenario registry holds. The
+// family name arrives over the wire, and the local requirements grow with
+// the square of the external attachments: one build of random:400
+// registers 145,942 bodies in 0.6 s and 221 MB allocated, random:1000
+// 802,920 in 3.9 s and 1.26 GB, and dual-homed:1000 3,995,002 in 22 s and
+// 6.3 GB. The bound keeps random:400 on references; a family over it gets
+// no registry, and its checks travel with full bodies.
+const maxRegistryBodies = 200_000
+
+// registryBodies is an upper bound on the bodies a topology's registry
+// holds, from the topology alone: its router specs, plus, for A external
+// attachments, an ingress and a permit requirement per attachment and an
+// egress requirement per ordered pair, A(A+1) in all.
+func registryBodies(topo *topology.Topology) int {
+	a := len(topo.ExternalAttachments())
+	return len(topo.Routers) + a*(a+1)
+}
+
 // buildScenarioRegistry generates the family named by a "name[:size]"
 // argument (default size when omitted; netgen bounds the size) and
 // registers its router specs and local no-transit requirements under
-// their content digests.
+// their content digests. A family whose registry would pass
+// maxRegistryBodies is refused before any requirement is derived.
 func buildScenarioRegistry(scenario string) (*scenarioRegistry, error) {
 	name, size, err := netgen.ParseScenarioArg(scenario)
 	if err != nil {
@@ -179,6 +198,10 @@ func buildScenarioRegistry(scenario string) (*scenarioRegistry, error) {
 	topo, err := netgen.Generate(name, size)
 	if err != nil {
 		return nil, err
+	}
+	if n := registryBodies(topo); n > maxRegistryBodies {
+		return nil, fmt.Errorf("scenario %s:%d would register about %d bodies, over the %d-body registry bound",
+			name, size, n, maxRegistryBodies)
 	}
 	reg := &scenarioRegistry{
 		name:  fmt.Sprintf("%s:%d", name, size),
@@ -225,21 +248,25 @@ func handleHealth(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, HealthResponse{Status: "ok", Version: BatchProtocolVersion})
 }
 
-// maxRequestBody bounds the POST body batfishd reads: 3 GiB. Since a batch
-// carries each config text once, the largest batch bodies measured under
-// `cosynth -mode notransit -shards 2` on an x86-64 Linux host are 832,697
-// bytes at random:75, 4,905,532 bytes at random:200, and 8,394,040 bytes
-// at random:200 with -seed 3, a graph variant whose specs and requirements
-// the family's registry does not hold. When each check carried its config
-// inline, random:200 reached 544.6 MB. The bound stays well above these:
-// random, ring and dual-homed allow 1,000 routers, where no batch has been
-// measured, and a requirement outside the registry still travels in full
-// with every check that names it.
-const maxRequestBody int64 = 3 << 30
+// maxBody bounds a JSON body in either direction: the POST body batfishd
+// reads and the response body the client reads. It is 3 GiB. Since a
+// batch carries each config text once, the largest batch bodies measured
+// under `cosynth -mode notransit -shards 2` on an x86-64 Linux host are
+// 832,697 bytes at random:75, 4,905,532 bytes at random:200, and
+// 8,394,040 bytes at random:200 with -seed 3, a graph variant whose specs
+// and requirements the family's registry does not hold. When each check
+// carried its config inline, random:200 reached 544.6 MB. Responses can
+// be large too: the global check of random:600's first drafts, with
+// 298,662 transit violations, encodes to a 20,375,379-byte
+// NoTransitResponse. The bound stays well above these: random, ring and
+// dual-homed allow 1,000 routers, where no batch has been measured, and a
+// requirement outside the registry still travels in full with every
+// check that names it.
+const maxBody int64 = 3 << 30
 
 // decode reads a JSON POST body after checking the request speaks this
 // server's protocol version; it writes the error response itself and
-// reports whether decoding succeeded. A body over maxRequestBody is refused
+// reports whether decoding succeeded. A body over maxBody is refused
 // with 413 as soon as it is known to be over: up front when its declared
 // length is, otherwise once reading passes the limit.
 func decode(w http.ResponseWriter, r *http.Request, v interface{}) bool {
@@ -256,11 +283,11 @@ func decode(w http.ResponseWriter, r *http.Request, v interface{}) bool {
 			"protocol mismatch: client speaks %s, server speaks v%d", client, BatchProtocolVersion)})
 		return false
 	}
-	if r.ContentLength > maxRequestBody {
+	if r.ContentLength > maxBody {
 		writeTooLarge(w)
 		return false
 	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		var mbe *http.MaxBytesError
@@ -274,10 +301,10 @@ func decode(w http.ResponseWriter, r *http.Request, v interface{}) bool {
 	return true
 }
 
-// writeTooLarge answers a request whose body is over maxRequestBody.
+// writeTooLarge answers a request whose body is over maxBody.
 func writeTooLarge(w http.ResponseWriter) {
 	writeJSON(w, http.StatusRequestEntityTooLarge, ErrorResponse{Error: fmt.Sprintf(
-		"request body exceeds the %d-byte limit", maxRequestBody)})
+		"request body exceeds the %d-byte limit", maxBody)})
 }
 
 func writeJSON(w http.ResponseWriter, status int, v interface{}) {

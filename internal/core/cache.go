@@ -36,12 +36,6 @@ const (
 	SuiteDiff     = suite.KindDiff
 )
 
-// Backend re-exports the transport seam verification dispatches through
-// (see internal/suite): one batch of independent checks in, positional
-// results out, plus a capability probe. The in-process suite, a single
-// REST endpoint, and a sharded REST fan-out are interchangeable Backends.
-type Backend = suite.Backend
-
 // CacheStats are a CachedVerifier's counters.
 type CacheStats struct {
 	// Hits and Misses count memoized-result lookups across CheckSyntax,
@@ -59,10 +53,9 @@ type CacheStats struct {
 	// stay zero without a mounted durable cache.
 	DiskHits   uint64
 	DiskWrites uint64
-	// RestRetries counts transport retries across every REST shard the
-	// run's backend dispatched to (zero for in-process backends) — the
-	// roll-up the per-shard ShardStat lines previously kept to
-	// themselves. Populated by MergedStats.
+	// RestRetries counts transport retries across every REST endpoint
+	// the run's verifier dispatched to (zero in process). Populated by
+	// MergedStats.
 	RestRetries uint64
 	// FragmentHits, FragmentMisses and FragmentDiskHits are never set.
 	//
@@ -95,13 +88,12 @@ func (s CacheStats) String() string {
 // pure functions of their inputs, so transcripts are byte-identical to the
 // uncached loop.
 //
-// Every check dispatches through a suite.Backend — the in-process suite,
-// one REST endpoint, and the sharded REST fan-out are interchangeable
-// behind the seam. When the backend is batched (rest.Client,
-// rest.ShardedClient), Prefetch ships all outstanding misses as one
-// batched call per iteration — one round-trip per shard — turning a
-// pipeline iteration's many verifier round-trips into at most one per
-// shard, issued in parallel.
+// When the verifier also implements the batch seam, suite.Backend (the
+// REST client, rest.Client), Prefetch ships all outstanding misses as one
+// batched call per iteration — one round-trip per endpoint, issued in
+// parallel — turning a pipeline iteration's many verifier round-trips
+// into at most one per endpoint. A miss outside a prefetch asks the
+// verifier for that one check.
 //
 // The global BGP simulation is deliberately not memoized: it runs once per
 // converged run, on the whole network, and its inputs change whenever any
@@ -113,8 +105,10 @@ func (s CacheStats) String() string {
 // (the key is a SHA-256, so the stripe assignment is uniform), which keeps
 // 8+ workers from serializing on one RWMutex.
 type CachedVerifier struct {
-	v       Verifier
-	backend Backend // the dispatch seam; never nil
+	v Verifier
+	// backend is v as a batch seam, nil when v is not one: then Prefetch
+	// does nothing and every miss is evaluated on its own.
+	backend suite.Backend
 
 	shards [cacheShards]cacheShard
 
@@ -170,11 +164,9 @@ func (c *CachedVerifier) shard(key [sha256.Size]byte) *cacheShard {
 // cache, so each configuration revision is parsed once per run instead of
 // once per stage per iteration.
 //
-// The backend seam is resolved by capability: a verifier that is itself a
-// suite.Backend (rest.Client, rest.ShardedClient) is used directly;
-// anything else — including the in-process suite — evaluates through
-// suite.CheckerBackend, which reports itself unbatched so the stage scan
-// keeps its lazy early exit.
+// The cache batches exactly when the verifier implements suite.Backend
+// (rest.Client). The in-process suite does not, so it evaluates lazily and
+// the stage scan keeps its early exit: there is no round-trip to amortize.
 func NewCachedVerifier(v Verifier) *CachedVerifier {
 	if v == nil {
 		v = LocalVerifier{}
@@ -191,18 +183,13 @@ func NewCachedVerifier(v Verifier) *CachedVerifier {
 	for i := range c.shards {
 		c.shards[i].results = map[[sha256.Size]byte]SuiteResult{}
 	}
-	if b, ok := v.(Backend); ok {
-		c.backend = b
-	} else {
-		c.backend = suite.CheckerBackend{Checker: v}
-	}
+	c.backend, _ = v.(suite.Backend)
 	return c
 }
 
-// Batched reports whether the backend amortizes transport cost across the
-// checks of one CheckBatch call, i.e. whether eager per-iteration
-// prefetching pays for itself.
-func (c *CachedVerifier) Batched() bool { return c.backend.Capabilities().Batched }
+// Batched reports whether the verifier takes batches, i.e. whether eager
+// per-iteration prefetching pays for itself.
+func (c *CachedVerifier) Batched() bool { return c.backend != nil }
 
 // SetDurable mounts a disk-backed tier under the memory stripes: an
 // in-memory miss consults it (a hit is decoded, promoted into memory, and
@@ -262,7 +249,8 @@ func (c *CachedVerifier) Stats() CacheStats {
 }
 
 // MergedStats returns Stats plus the counter no earlier surface rolled up
-// into the top-level result: REST transport retries, summed across shards.
+// into the top-level result: REST transport retries, summed across
+// endpoints.
 func (c *CachedVerifier) MergedStats() CacheStats {
 	s := c.Stats()
 	if r, ok := c.backend.(interface{ Retries() int64 }); ok {
@@ -381,12 +369,11 @@ func (c *CachedVerifier) Flush() {
 	c.tracer.Span(start, ev)
 }
 
-// check answers one suite check through the cache, dispatching misses
-// onto the backend seam as a batch of one. The local_check span covers
-// the whole dispatch — key hashing, cache lookup, and (on a miss) the
-// backend call — so a traced run's verification time is attributed even
-// when the cache answers most of it; Outcome distinguishes "hit" from a
-// backend "check".
+// check answers one suite check through the cache, evaluating a miss on
+// the verifier. The local_check span covers the whole dispatch — key
+// hashing, cache lookup, and (on a miss) the verifier call — so a traced
+// run's verification time is attributed even when the cache answers most
+// of it; Outcome distinguishes "hit" from a verifier "check".
 func (c *CachedVerifier) check(sc SuiteCheck) (SuiteResult, error) {
 	var start time.Time
 	if c.tracer != nil || c.verifySeconds != nil {
@@ -413,21 +400,18 @@ func (c *CachedVerifier) check(sc SuiteCheck) (SuiteResult, error) {
 		return res, nil
 	}
 	c.traceCache(obs.StageCacheMiss, "", sc)
-	results, err := c.backend.CheckBatch(context.Background(), []SuiteCheck{sc})
+	res, err := suite.Eval(c.v, sc)
 	span("check")
 	if err != nil {
 		return SuiteResult{}, err
 	}
-	if len(results) != 1 {
-		return SuiteResult{}, fmt.Errorf("backend returned %d results for 1 check", len(results))
-	}
-	c.store(key, results[0])
-	return results[0], nil
+	c.store(key, res)
+	return res, nil
 }
 
 // Prefetch warms the cache with every not-yet-cached check in one batched
-// call against the backend. It is a no-op when the backend reports itself
-// unbatched (the in-process suite evaluates lazily, so the stage scan's
+// call against the backend. It is a no-op when the verifier takes no
+// batches (the in-process suite evaluates lazily, so the stage scan's
 // early exit keeps its savings) or when every check is already cached.
 func (c *CachedVerifier) Prefetch(checks []SuiteCheck) error {
 	if !c.Batched() || len(checks) == 0 {

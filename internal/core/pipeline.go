@@ -41,9 +41,8 @@ type PipelineStage interface {
 // stage that can list its independent checks against the current
 // configurations, in scan order, so the driver can prefetch them all
 // against the verification backend (suite.Backend) before the stage scan
-// reads them back from the cache. Against a single REST endpoint the
-// prefetch is one round-trip; against a sharded backend it is one
-// round-trip per shard, issued in parallel.
+// reads them back from the cache. Against a REST client the prefetch is
+// one round-trip per endpoint, issued in parallel.
 type suiteEnumerator interface {
 	SuiteChecks(configs map[string]string) []SuiteCheck
 }
@@ -56,8 +55,8 @@ type Pipeline struct {
 	// Cache, when set, is the verification cache the stages check through.
 	// Each iteration the driver collects every enumerable stage's
 	// outstanding checks and prefetches them against the cache's backend
-	// seam — one batched round-trip per shard for REST backends, a no-op
-	// for unbatched ones; the stage scan then reads the results from the
+	// seam — one batched round-trip per endpoint for the REST client, a
+	// no-op for unbatched verifiers; the stage scan then reads the results from the
 	// cache instead of issuing one call per check. After the scan
 	// RunPipeline flushes the iteration's new results to the cache's
 	// durable tier as one pack.
@@ -170,8 +169,8 @@ func RunPipeline(sess *session, configs map[string]string, p Pipeline) (verified
 
 // prefetch warms the pipeline's verification cache with every enumerable
 // stage's outstanding checks — dispatched through the backend seam as one
-// batched call per iteration (one round-trip per shard) when the backend
-// is batched, nothing otherwise.
+// batched call per iteration (one round-trip per endpoint) when the
+// verifier takes batches, nothing otherwise.
 func (p *Pipeline) prefetch(configs map[string]string) error {
 	if p.Cache == nil || !p.Cache.Batched() {
 		return nil

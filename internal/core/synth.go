@@ -19,8 +19,8 @@ type SynthOptions struct {
 	Model llm.Model
 	// Verifier is the verification suite; nil runs it in process. A
 	// verifier that also implements the suite.Backend seam (rest.Client,
-	// rest.ShardedClient) gets each iteration's outstanding checks
-	// prefetched in bulk — one batched round-trip per shard.
+	// over one endpoint or several) gets each iteration's outstanding
+	// checks prefetched in bulk — one batched round-trip per endpoint.
 	Verifier Verifier
 	Human    HumanOracle
 	// IIP is the initial instruction prompt database (§4.2); nil means

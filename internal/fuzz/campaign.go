@@ -69,9 +69,9 @@ type Campaign struct {
 	// individual case's outcome timing-dependent.
 	Budget time.Duration
 	// Verifier is the verification backend each case dispatches through
-	// — nil for the in-process suite; rest.Client and rest.ShardedClient
-	// (the suite.Backend seam) plug in unchanged. Must be safe for
-	// concurrent use when Workers > 1 (the built-ins are).
+	// — nil for the in-process suite; rest.Client, over one endpoint or
+	// several (the suite.Backend seam), plugs in unchanged. Must be safe
+	// for concurrent use when Workers > 1 (the built-ins are).
 	Verifier core.Verifier
 	// Alphabet is the error-class pool plans draw from (nil =
 	// DefaultAlphabet). Adding llm.SErrEgressDenyAll deliberately seeds

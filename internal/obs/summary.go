@@ -33,15 +33,14 @@ type StageAgg struct {
 	NS    int64
 }
 
-// ShardAgg aggregates one shard's batch RPCs.
+// ShardAgg aggregates one REST endpoint's batch RPCs.
 type ShardAgg struct {
-	Shard    string
-	RPCs     int
-	Checks   int
-	Bytes    int64
-	NS       int64
-	Retries  int
-	Failover int
+	Shard   string
+	RPCs    int
+	Checks  int
+	Bytes   int64
+	NS      int64
+	Retries int
 }
 
 // Summary is the folded view of one trace file: where the run's wall
@@ -128,8 +127,6 @@ func (s *Summary) add(ev Event) {
 			sh.NS += ev.DurNS
 		case StageRetry:
 			sh.Retries++
-		case StageFailover:
-			sh.Failover++
 		}
 	}
 }
@@ -188,16 +185,16 @@ func (s *Summary) String() string {
 			s.CacheHitsMemory, s.CacheHitsDisk, s.CacheMisses)
 	}
 	if len(s.Shards) > 0 {
-		fmt.Fprintf(&b, "\n%-28s %6s %8s %12s %12s %8s %9s\n",
-			"shard", "rpcs", "checks", "bytes", "time", "retries", "failovers")
+		fmt.Fprintf(&b, "\n%-28s %6s %8s %12s %12s %8s\n",
+			"shard", "rpcs", "checks", "bytes", "time", "retries")
 		shards := make([]*ShardAgg, 0, len(s.Shards))
 		for _, sh := range s.Shards {
 			shards = append(shards, sh)
 		}
 		sort.Slice(shards, func(i, j int) bool { return shards[i].Shard < shards[j].Shard })
 		for _, sh := range shards {
-			fmt.Fprintf(&b, "%-28s %6d %8d %12d %12v %8d %9d\n",
-				sh.Shard, sh.RPCs, sh.Checks, sh.Bytes, time.Duration(sh.NS), sh.Retries, sh.Failover)
+			fmt.Fprintf(&b, "%-28s %6d %8d %12d %12v %8d\n",
+				sh.Shard, sh.RPCs, sh.Checks, sh.Bytes, time.Duration(sh.NS), sh.Retries)
 		}
 	}
 	return b.String()

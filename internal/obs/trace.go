@@ -37,10 +37,8 @@ const (
 	// StageBatchRPC is one POST to a shard's batch endpoint, with its
 	// check count and bytes on the wire.
 	StageBatchRPC = "batch_rpc"
-	// StageRetry is one transport retry; StageFailover is a shard being
-	// marked dead and its keys re-hashed.
-	StageRetry    = "retry"
-	StageFailover = "failover"
+	// StageRetry is one transport retry.
+	StageRetry = "retry"
 	// StageCheckpointSave / StageCheckpointRestore bracket durability.
 	StageCheckpointSave    = "checkpoint_save"
 	StageCheckpointRestore = "checkpoint_restore"

@@ -8,14 +8,14 @@ import (
 
 // TextDigest content-addresses one configuration text: the hex SHA-256 of
 // its bytes. It is the per-revision identity everything digest-keyed in
-// the pipeline shares: check keys (KeyD) and shard routing (ShardKeyD).
+// the pipeline shares: check keys (KeyD) and the REST client's routing.
 func TextDigest(text string) string {
 	sum := sha256.Sum256([]byte(text))
 	return hex.EncodeToString(sum[:])
 }
 
 // Digests memoizes TextDigest per distinct text, so a configuration
-// revision is hashed once no matter how many checks and shard routings
+// revision is hashed once no matter how many check keys and routings
 // consult it. Safe for concurrent use. A nil *Digests is valid everywhere
 // one is accepted and simply computes without memoizing.
 type Digests struct {

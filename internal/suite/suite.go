@@ -146,78 +146,14 @@ func KeyD(c Check, d *Digests) [sha256.Size]byte {
 	return key
 }
 
-// ShardKey is the distribution key a sharded backend hashes a check by.
-// All of one configuration's whole-config checks (syntax, topology, diff)
-// share a key, so they land on one shard and share that shard's parse of
-// the revision; a local-policy check appends its attachment identity, so
-// the obligations of a multi-homed router spread across shards
-// independently — the attachment is the natural sharding unit, exactly as
-// it is the natural unit of incremental re-verification.
-func ShardKey(c Check) string { return ShardKeyD(c, nil) }
-
-// ShardKeyD is ShardKey with a digest memo: the routing key carries the
-// configuration's per-revision digest rather than its body, so hashing a
-// check onto the ring costs O(1) in the config size once the revision has
-// been digested. Client and server derive shard ownership from the same
-// function, so the routing stays consistent.
-func ShardKeyD(c Check, d *Digests) string {
-	if c.Kind == KindLocal && c.Req != nil {
-		return d.Of(c.Config) + "\x00" + c.Req.Attachment.String()
-	}
-	return d.Of(c.Config)
-}
-
-// Capabilities is a Backend's capability probe: what the transport behind
-// the seam can do, so the engine can decide whether eager batched
-// prefetching pays for itself.
-type Capabilities struct {
-	// Batched reports that CheckBatch amortizes transport cost across the
-	// checks of one call (one REST round-trip per shard, rather than one
-	// per check). The engine prefetches a whole iteration's outstanding
-	// checks against batched backends and evaluates lazily otherwise,
-	// preserving the stage scan's early exit where batching buys nothing.
-	Batched bool
-}
-
-// Backend is the transport seam the engine dispatches verification through:
-// one batch of independent checks in, one positional result slice out,
-// whatever the transport. The in-process suite (CheckerBackend), a single
-// REST endpoint (rest.Client), and a consistent-hash shard fan-out
-// (rest.ShardedClient) are interchangeable implementations.
+// Backend is the batch seam the engine dispatches verification through
+// when the verifier supports it: one batch of independent checks in, one
+// positional result slice out. The REST client (rest.Client) implements
+// it and ships each batch as one round-trip per endpoint; a verifier
+// without it, such as the in-process suite, is asked check by check.
 type Backend interface {
 	// CheckBatch evaluates the checks and returns one result per check, in
 	// order. An error means the batch as a whole failed; implementations
 	// must not return partial results.
 	CheckBatch(ctx context.Context, checks []Check) ([]Result, error)
-	// Capabilities reports what the transport can do.
-	Capabilities() Capabilities
-}
-
-// CheckerBackend adapts a per-check Checker into a Backend that evaluates
-// sequentially in process. It reports Batched: false — there is no
-// round-trip to amortize, so eager prefetching would only defeat the stage
-// scan's early exit.
-type CheckerBackend struct {
-	Checker Checker
-}
-
-// CheckBatch implements Backend.
-func (b CheckerBackend) CheckBatch(ctx context.Context, checks []Check) ([]Result, error) {
-	out := make([]Result, len(checks))
-	for i, c := range checks {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		res, err := Eval(b.Checker, c)
-		if err != nil {
-			return nil, fmt.Errorf("check %d (%s): %w", i, c.Kind, err)
-		}
-		out[i] = res
-	}
-	return out, nil
-}
-
-// Capabilities implements Backend.
-func (b CheckerBackend) Capabilities() Capabilities {
-	return Capabilities{Batched: false}
 }

@@ -1,7 +1,6 @@
 package suite
 
 import (
-	"context"
 	"strings"
 	"testing"
 
@@ -61,64 +60,5 @@ func TestEvalWellFormedChecks(t *testing.T) {
 		if _, err := Eval(nopChecker{}, c); err != nil {
 			t.Errorf("Eval(%s) = %v, want nil", c.Kind, err)
 		}
-	}
-}
-
-// TestCheckerBackend pins the in-process Backend adapter: positional
-// results, malformed-check errors that fail the batch, and a capability
-// probe that disables eager prefetching.
-func TestCheckerBackend(t *testing.T) {
-	b := CheckerBackend{Checker: nopChecker{}}
-	if caps := b.Capabilities(); caps.Batched {
-		t.Errorf("capabilities = %+v, want unbatched", caps)
-	}
-	results, err := b.CheckBatch(context.Background(), []Check{
-		{Kind: KindSyntax, Config: "hostname R1\n"},
-		{Kind: KindDiff, Original: "a", Config: "b"},
-	})
-	if err != nil || len(results) != 2 {
-		t.Fatalf("CheckBatch = %d results, %v; want 2, nil", len(results), err)
-	}
-	if _, err := b.CheckBatch(context.Background(),
-		[]Check{{Kind: KindTopology}}); err == nil {
-		t.Error("CheckBatch accepted a malformed topology check")
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := b.CheckBatch(ctx, []Check{{Kind: KindSyntax}}); err == nil {
-		t.Error("CheckBatch ignored a cancelled context")
-	}
-}
-
-// TestShardKey pins the distribution key: whole-config checks of one
-// revision share a key while local checks spread per attachment.
-func TestShardKey(t *testing.T) {
-	cfg := "hostname R1\n"
-	syntax := Check{Kind: KindSyntax, Config: cfg}
-	topo := Check{Kind: KindTopology, Spec: &topology.RouterSpec{}, Config: cfg}
-	if ShardKey(syntax) != ShardKey(topo) {
-		t.Error("syntax and topology checks of one config should share a shard key")
-	}
-	reqA := lightyear.Requirement{Router: "R2", Attachment: lightyear.AttachmentRef{
-		Router: "R2", Peer: "ISP1", Direction: lightyear.DirIn}}
-	reqB := lightyear.Requirement{Router: "R2", Attachment: lightyear.AttachmentRef{
-		Router: "R2", Peer: "ISP2", Direction: lightyear.DirIn}}
-	keyA := ShardKey(Check{Kind: KindLocal, Req: &reqA, Config: cfg})
-	keyB := ShardKey(Check{Kind: KindLocal, Req: &reqB, Config: cfg})
-	if keyA == keyB {
-		t.Error("sibling attachments on one router should hash independently")
-	}
-	if got := ShardKey(Check{Kind: KindLocal, Config: cfg}); got != ShardKey(syntax) {
-		t.Errorf("malformed local check key = %q, want the whole-config routing key", got)
-	}
-	if ShardKey(syntax) != TextDigest(cfg) {
-		t.Error("whole-config routing key should be the revision's TextDigest")
-	}
-	d := NewDigests()
-	if ShardKeyD(syntax, d) != ShardKey(syntax) || ShardKeyD(Check{Kind: KindLocal, Req: &reqA, Config: cfg}, d) != keyA {
-		t.Error("memoized shard keys must equal the memo-less ones")
-	}
-	if d.Len() != 1 {
-		t.Errorf("digest memo holds %d entries, want 1 (one revision)", d.Len())
 	}
 }
