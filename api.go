@@ -101,7 +101,9 @@ func Translate(ciscoConfig string, opts TranslateOptions) (*Result, error) {
 
 // runKey derives a stable identity for a run's coordinates, recorded in
 // its checkpoint so a resume into different coordinates is refused instead
-// of silently forking the run.
+// of silently forking the run. The parts must encode deterministically:
+// a synthesis key carries the whole topology dictionary, whose JSON has
+// no maps, because every random graph of one size shares its name.
 func runKey(parts ...interface{}) string {
 	data, _ := json.Marshal(parts)
 	sum := sha256.Sum256(data)
@@ -208,7 +210,7 @@ func Synthesize(topo *topology.Topology, opts SynthesizeOptions) (*Result, error
 		copts.Checkpoint = &core.CheckpointOptions{
 			Path:   opts.CheckpointPath,
 			Resume: opts.Resume,
-			RunKey: runKey("synthesize", topo.Name, len(topo.Routers), cfg.Seed, cfg.Plan,
+			RunKey: runKey("synthesize", topo, cfg.Seed, cfg.Plan,
 				opts.DisableIIP, opts.Parallelism > 1),
 		}
 	}

@@ -18,9 +18,16 @@
 //	GET  /debug/vars    the same registry as a JSON snapshot
 //
 // A client on another version is refused with HTTP 400 naming both
-// versions. Batched checks and no-transit checks parse through one parse
-// cache shared across requests, and -cache-dir mounts a durable result
-// cache beneath the batched checks.
+// versions. A version-8 /v1/batch body carries each distinct config text
+// once in its "bodies" table; each check names its config, and a diff
+// check its original, by index into that table, and carries its router
+// spec or requirement inline. An index outside the table, or a field the
+// version does not define (version 7's "scenario", "spec_ref" and
+// "req_ref" among them), gets HTTP 400 naming it.
+//
+// Batched checks and no-transit checks parse through one parse cache
+// shared across requests, and -cache-dir mounts a durable result cache
+// beneath the batched checks.
 package main
 
 import (

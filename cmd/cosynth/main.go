@@ -49,9 +49,7 @@
 // Telemetry never changes results: transcripts are byte-identical with
 // it on, off, or scraped mid-run. -shards N spawns N in-process shard
 // servers (for tests and benchmarks) and adds them to the -rest
-// endpoints. Against REST servers, spec and requirement bodies of the
-// chosen -topo family travel as content digests the server resolves from
-// its own copy of the scenario registry.
+// endpoints.
 package main
 
 import (
@@ -85,24 +83,6 @@ func (f *restFlag) String() string { return strings.Join(*f, ",") }
 func (f *restFlag) Set(v string) error {
 	*f = append(*f, v)
 	return nil
-}
-
-// scenarioRefs arms a REST verifier with the scenario's reference
-// registry (see rest.Client.WarmScenario). It makes no request.
-func scenarioRefs(verifier core.Verifier, name string, size int, seed int64) {
-	refs, ok := verifier.(interface {
-		WarmScenario(scenario string, seed int64) (int, error)
-	})
-	if !ok {
-		return
-	}
-	arg := name
-	if size > 0 {
-		arg = fmt.Sprintf("%s:%d", name, size)
-	}
-	if _, err := refs.WarmScenario(arg, seed); err != nil {
-		log.Printf("cosynth: scenario references: %v", err)
-	}
 }
 
 func main() {
@@ -292,7 +272,6 @@ func main() {
 			}
 			fmt.Printf("replaying fuzz case %s\n", replay)
 		}
-		scenarioRefs(verifier, replay.Family, replay.Size, *seed)
 		var topo *topology.Topology
 		topo, err = replay.Topology()
 		if err != nil {

@@ -117,7 +117,8 @@
 // a revision that many obligations check crosses the wire once per
 // batch. With the texts inline, cobench's wire-random-75 sent 63.5 MB per
 // run for about 80 distinct revisions and spent most of its CPU encoding
-// and decoding that JSON; it now sends about 2.1 MB, and the batch
+// and decoding that JSON; the table cut that to about 2.1 MB (3.4 MB
+// since spec and requirement bodies travel inline, below), and the batch
 // handlers' share of wall time fell from 0.71–0.75 to 0.29–0.32. Over ten
 // alternating 20 s pairs on a shared 2-CPU machine, its median run fell
 // from 0.99 s to 0.34 s (seed 0) and from 1.08 s to 0.39 s (seed 5), and
@@ -164,26 +165,27 @@
 // There are no fallback ladders: a mismatch is a served error, which the
 // client reports without retrying.
 //
-// Body references. Spec and requirement bodies repeat on every
-// iteration, so the client ships their content digest (rest.RefDigest)
-// instead whenever the body belongs to the run's registered scenario
-// family. WarmScenario builds that registry on the client without a
-// request; the server builds the same registry from the same generator
-// the first time a batch names the scenario, memoized in a bounded store.
-// A body outside the registry — a graph variant's specs, a requirement
-// the family does not derive — travels in full, so the server never sees
-// a reference it cannot resolve unless the client is broken, and then it
-// answers 400. Family sizes are bounded in the netgen registry, since a
-// scenario name arrives over the wire, and so is the registry itself: a
-// family whose registry would hold over 200,000 bodies (dual-homed:1000
-// would hold about 4 million) gets a 400 naming the bound, and the client
-// ships that family's bodies in full. Config texts are named by their
-// index in the batch's body table instead of by digest: the table lives
-// in the one request, so neither side computes a digest, and the server
-// only checks that each index falls inside the table, failing the batch
-// with a 400 that names the check otherwise. cosynth accepts a repeatable,
-// comma-separated -rest endpoint list and -shards N to spawn in-process
-// shard servers for tests and benchmarks.
+// Inline bodies. Every check carries its router spec or requirement in
+// full. Protocol version 7 let a check ship a 64-hex content digest
+// instead, resolved against a registry of the scenario family's bodies
+// that the client and every batfishd built from the same generator. Once
+// the body table carried each config text once per batch, those
+// references saved only about 1.2 MB of loopback traffic per
+// wire-random-75 run, and building the registries cost more CPU than
+// that saved: in six merged CPU profiles of `cosynth -mode notransit
+// -topo random:75 -shards 2` the builds took 14% of CPU, more than
+// evaluating every batched check (13%). Version 8 deleted them. Over
+// ten alternating 20 s wire-random-75 pairs on a shared 2-CPU machine,
+// the median run went from 0.48 s to 0.43 s, CPU from 0.61 s to 0.53 s
+// and allocation from 123 MB to 109 MB, with identical transcripts, while
+// the bytes sent rose from 2.17 MB to 3.40 MB. A request no longer names
+// a topology family, so it cannot make batfishd generate one. Config
+// texts are named by their index in the batch's body table instead of by
+// digest: the table lives in the one request, so neither side computes a
+// digest, and the server only checks that each index falls inside the
+// table, failing the batch with a 400 that names the check otherwise.
+// cosynth accepts a repeatable, comma-separated -rest endpoint list and
+// -shards N to spawn in-process shard servers for tests and benchmarks.
 //
 // # Concurrent per-router synthesis
 //

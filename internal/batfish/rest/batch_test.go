@@ -1,8 +1,11 @@
 package rest
 
 import (
+	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -10,7 +13,9 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/durable"
@@ -18,6 +23,7 @@ import (
 	"repro/internal/lightyear"
 	"repro/internal/netcfg"
 	"repro/internal/netgen"
+	"repro/internal/obs"
 	"repro/internal/suite"
 )
 
@@ -206,6 +212,21 @@ func wireResult(t testing.TB, r suite.Result, err error) string {
 	return string(data)
 }
 
+// recordBatches wraps a handler, capturing the raw body of the last
+// /v1/batch request so tests can assert what was actually on the wire.
+func recordBatches(inner http.Handler, last *[]byte, mu *sync.Mutex) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == PathBatch {
+			body, _ := io.ReadAll(r.Body)
+			mu.Lock()
+			*last = append([]byte(nil), body...)
+			mu.Unlock()
+			r.Body = io.NopCloser(bytes.NewReader(body))
+		}
+		inner.ServeHTTP(w, r)
+	})
+}
+
 // TestBatchShipsEachBodyOnce sends a batch of every check kind whose seven
 // checks name four distinct texts: the request's body table carries each
 // text exactly once, the checks' indices resolve back to the checks sent,
@@ -286,9 +307,75 @@ func TestBatchBodyIndexOutOfRange(t *testing.T) {
 		req := BatchRequest{Bodies: []string{"hostname R1\n"}, Checks: []BatchCheck{
 			{Kind: string(suite.KindSyntax), Config: 0}, tc.check}}
 		var resp BatchResponse
-		status, err := c.post(context.Background(), c.eps[0], PathBatch, req, &resp)
+		status, _, err := c.post(context.Background(), c.eps[0], PathBatch, req, &resp)
 		if status != http.StatusBadRequest || err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: HTTP %d, %v; want 400 naming %q", tc.name, status, err, tc.want)
 		}
+	}
+}
+
+// TestBatchSpanBytesAreTheCallsOwn sends two traced batches to one
+// endpoint at once, and the handler holds the first until the second
+// arrives, so each call is in flight while the other puts its body on the
+// wire. Each batch_rpc span must count only its own request body: the
+// spans sum to BytesSent.
+func TestBatchSpanBytesAreTheCallsOwn(t *testing.T) {
+	inner := NewHandler()
+	second := make(chan struct{})
+	var arrivals atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == PathBatch {
+			switch arrivals.Add(1) {
+			case 1:
+				select {
+				case <-second:
+				case <-time.After(10 * time.Second):
+					t.Error("the second batch never arrived while the first was held")
+				}
+			case 2:
+				close(second)
+			}
+		}
+		inner.ServeHTTP(w, r)
+	}))
+	t.Cleanup(srv.Close)
+	var trace bytes.Buffer
+	tr := obs.NewTracer(&trace)
+	c := NewClient(srv.URL)
+	c.SetObs(nil, tr)
+	checks := batchChecks(t)
+	shares := [][]suite.Check{checks[:1], checks[1:]}
+	errs := make([]error, len(shares))
+	var wg sync.WaitGroup
+	for i, share := range shares {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, errs[i] = c.CheckBatch(context.Background(), share)
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	spans, sum := 0, int64(0)
+	for sc := bufio.NewScanner(&trace); sc.Scan(); {
+		var ev obs.Event
+		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
+			t.Fatal(err)
+		}
+		if ev.Stage == obs.StageBatchRPC {
+			spans++
+			sum += ev.Bytes
+		}
+	}
+	if spans != len(shares) || sum != c.BytesSent() {
+		t.Errorf("%d batch_rpc spans carry %d bytes; want %d spans carrying BytesSent() = %d",
+			spans, sum, len(shares), c.BytesSent())
 	}
 }

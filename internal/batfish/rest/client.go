@@ -119,10 +119,6 @@ type Client struct {
 	// configuration is hashed once however many checks route by it; nil
 	// with one endpoint, where nothing is routed.
 	digests *suite.Digests
-	// refs is the scenario registry WarmScenario built, nil until then:
-	// batched checks whose spec or requirement body it holds ship the
-	// body's RefDigest instead.
-	refs atomic.Pointer[scenarioRegistry]
 	// tracer is the optional trace sink (nil = off): one batch_rpc span
 	// per /v1/batch round-trip and one retry event per backoff attempt.
 	tracer *obs.Tracer
@@ -337,25 +333,28 @@ func (c *Client) SetObs(reg *obs.Registry, tr *obs.Tracer) {
 
 // post sends a JSON request to one endpoint and decodes the JSON response
 // into out; the returned status is valid whenever err is nil or the
-// status was not OK. Transport-layer failures are retried with capped
-// exponential backoff and jitter (the per-attempt deadline is
-// requestTimeout) up to the attempt budget; a failure that survives the
-// budget comes back as *TransportError. Caller cancellation is different
-// in kind: the ctx going away is the caller's decision, not the
-// endpoint's health, so it propagates immediately as the bare context
+// status was not OK, and sent is the request-body bytes this call put on
+// the wire, summed over its attempts. Transport-layer failures are
+// retried with capped exponential backoff and jitter (the per-attempt
+// deadline is requestTimeout) up to the attempt budget; a failure that
+// survives the budget comes back as *TransportError. Caller cancellation
+// is different in kind: the ctx going away is the caller's decision, not
+// the endpoint's health, so it propagates immediately as the bare context
 // error — no retry, no backoff sleep.
-func (c *Client) post(ctx context.Context, ep *endpoint, path string, in, out interface{}) (status int, err error) {
+func (c *Client) post(ctx context.Context, ep *endpoint, path string, in, out interface{}) (status int, sent int64, err error) {
 	delay := c.retryBase
 	for attempt := 1; ; attempt++ {
-		status, err = c.post1(ctx, ep, path, in, out)
+		var n int64
+		status, n, err = c.post1(ctx, ep, path, in, out)
+		sent += n
 		if err == nil || !IsTransportError(err) {
-			return status, err
+			return status, sent, err
 		}
 		if cerr := ctx.Err(); cerr != nil {
-			return status, cerr
+			return status, sent, cerr
 		}
 		if attempt >= c.maxAttempts {
-			return status, err
+			return status, sent, err
 		}
 		ep.retries.Inc()
 		if c.tracer != nil {
@@ -373,63 +372,64 @@ func (c *Client) post(ctx context.Context, ep *endpoint, path string, in, out in
 		select {
 		case <-ctx.Done():
 			t.Stop()
-			return status, ctx.Err()
+			return status, sent, ctx.Err()
 		case <-t.C:
 		}
 		delay *= 2
 	}
 }
 
-// post1 issues one attempt of a JSON POST. Transport-layer failures come
-// back as *TransportError; caller cancellation comes back as the bare
-// context error. A response body is read under maxBody, the bound the
-// server applies to request bodies; a longer one is an error naming the
-// bound.
-func (c *Client) post1(ctx context.Context, ep *endpoint, path string, in, out interface{}) (status int, err error) {
+// post1 issues one attempt of a JSON POST and reports the request-body
+// bytes it put on the wire. Transport-layer failures come back as
+// *TransportError; caller cancellation comes back as the bare context
+// error. A response body is read under maxBody, the bound the server
+// applies to request bodies; a longer one is an error naming the bound.
+func (c *Client) post1(ctx context.Context, ep *endpoint, path string, in, out interface{}) (status int, sent int64, err error) {
 	body, err := json.Marshal(in)
 	if err != nil {
-		return 0, fmt.Errorf("encoding %s request: %w", path, err)
+		return 0, 0, fmt.Errorf("encoding %s request: %w", path, err)
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ep.base+path, bytes.NewReader(body))
 	if err != nil {
-		return 0, fmt.Errorf("building %s request: %w", path, err)
+		return 0, 0, fmt.Errorf("building %s request: %w", path, err)
 	}
 	req.Header.Set("Content-Type", "application/json")
 	req.Header.Set(ProtocolHeader, protocolVersion)
+	sent = int64(len(body))
 	ep.calls.Inc()
-	ep.bytesOut.Add(uint64(len(body)))
+	ep.bytesOut.Add(uint64(sent))
 	resp, err := c.http.Do(req)
 	if err != nil {
 		if cerr := ctx.Err(); cerr != nil {
-			return 0, cerr
+			return 0, sent, cerr
 		}
-		return 0, &TransportError{Path: path, Err: err}
+		return 0, sent, &TransportError{Path: path, Err: err}
 	}
 	defer resp.Body.Close()
 	if resp.ContentLength > maxBody {
-		return resp.StatusCode, errResponseTooLarge(path)
+		return resp.StatusCode, sent, errResponseTooLarge(path)
 	}
 	data, err := io.ReadAll(io.LimitReader(resp.Body, maxBody+1))
 	if err != nil {
 		if cerr := ctx.Err(); cerr != nil {
-			return resp.StatusCode, cerr
+			return resp.StatusCode, sent, cerr
 		}
-		return resp.StatusCode, &TransportError{Path: path, Err: err}
+		return resp.StatusCode, sent, &TransportError{Path: path, Err: err}
 	}
 	if int64(len(data)) > maxBody {
-		return resp.StatusCode, errResponseTooLarge(path)
+		return resp.StatusCode, sent, errResponseTooLarge(path)
 	}
 	if resp.StatusCode != http.StatusOK {
 		var e ErrorResponse
 		if json.Unmarshal(data, &e) == nil && e.Error != "" {
-			return resp.StatusCode, fmt.Errorf("%s: %s", path, e.Error)
+			return resp.StatusCode, sent, fmt.Errorf("%s: %s", path, e.Error)
 		}
-		return resp.StatusCode, fmt.Errorf("%s: HTTP %d", path, resp.StatusCode)
+		return resp.StatusCode, sent, fmt.Errorf("%s: HTTP %d", path, resp.StatusCode)
 	}
 	if err := json.Unmarshal(data, out); err != nil {
-		return resp.StatusCode, fmt.Errorf("decoding %s response: %w", path, err)
+		return resp.StatusCode, sent, fmt.Errorf("decoding %s response: %w", path, err)
 	}
-	return resp.StatusCode, nil
+	return resp.StatusCode, sent, nil
 }
 
 func errResponseTooLarge(path string) error {
@@ -481,7 +481,7 @@ func (c *Client) health(ep *endpoint) error {
 func (c *Client) GlobalNoTransit(t *topology.Topology, configs map[string]string) (*lightyear.GlobalResult, error) {
 	ep := c.eps[c.owner(func() string { return globalKey(t) })]
 	var resp NoTransitResponse
-	if _, err := c.post(context.Background(), ep, PathNoTransit,
+	if _, _, err := c.post(context.Background(), ep, PathNoTransit,
 		NoTransitRequest{Topology: t, Configs: configs}, &resp); err != nil {
 		return nil, err
 	}
@@ -493,39 +493,26 @@ func (c *Client) GlobalNoTransit(t *topology.Topology, configs map[string]string
 func (c *Client) Search(config string, q batfish.SearchQuery) (batfish.SearchResult, error) {
 	ep := c.eps[c.owner(func() string { return c.digests.Of(config) })]
 	var resp SearchResponse
-	if _, err := c.post(context.Background(), ep, PathSearch,
+	if _, _, err := c.post(context.Background(), ep, PathSearch,
 		SearchRequest{Config: config, Query: q}, &resp); err != nil {
 		return batfish.SearchResult{}, err
 	}
 	return resp.Result, nil
 }
 
-// WarmScenario prepares the client for a run on one registered topology
-// family ("fat-tree:4"; size optional). It makes no request: it generates
-// the family and builds the same reference registry the server builds, so
-// later batches ship the RefDigest of every spec and requirement body the
-// registry holds instead of the body. Bodies outside it — a graph
-// variant's specs, requirements the family does not derive — still travel
-// in full, as does every body of a family over the registry bound. The
-// registry derives from the topology alone, so seed only keeps the call
-// shape of the simulated-LLM seed a run is driven with. It returns the
-// number of registered bodies.
+// WarmScenario does nothing and returns (0, nil). Spec and requirement
+// bodies always travel inline, so there is nothing to prepare.
+//
+// Deprecated: it stays only so bench/cobench keeps compiling, and goes at
+// the next benchmark change.
 func (c *Client) WarmScenario(scenario string, seed int64) (int, error) {
-	reg, err := buildScenarioRegistry(scenario)
-	if err != nil {
-		return 0, err
-	}
-	c.refs.Store(reg)
-	return reg.size(), nil
+	return 0, nil
 }
 
 // CheckBatch implements the engine's backend seam (suite.Backend). Each
 // endpoint gets its share of the checks as one /v1/batch round-trip,
 // carrying each distinct config text once in the request's body table;
-// the round-trips run concurrently. After WarmScenario, spec and
-// requirement bodies the scenario's registry holds leave the wire: checks
-// carry their RefDigest instead, and the request names the scenario the
-// server resolves them against. An error fails the whole batch.
+// the round-trips run concurrently. An error fails the whole batch.
 func (c *Client) CheckBatch(ctx context.Context, checks []suite.Check) ([]suite.Result, error) {
 	if len(checks) == 0 {
 		return nil, nil
@@ -576,17 +563,8 @@ func (c *Client) batch(ctx context.Context, ep *endpoint, checks []suite.Check, 
 		}
 	}
 	start := time.Now()
-	req := newBatchRequest(share)
-	if reg := c.refs.Load(); reg != nil {
-		for i := range req.Checks {
-			if reg.elide(&req.Checks[i]) {
-				req.Scenario = reg.name
-			}
-		}
-	}
 	var resp BatchResponse
-	sentBefore := ep.bytesOut.Value()
-	status, err := c.post(ctx, ep, PathBatch, req, &resp)
+	status, sent, err := c.post(ctx, ep, PathBatch, newBatchRequest(share), &resp)
 	elapsed := time.Since(start)
 	ep.batches.Add(1)
 	ep.batchNS.Add(int64(elapsed))
@@ -599,8 +577,7 @@ func (c *Client) batch(ctx context.Context, ep *endpoint, checks []suite.Check, 
 			outcome = fmt.Sprintf("http %d", status)
 		}
 		c.tracer.Span(start, obs.Event{Stage: obs.StageBatchRPC,
-			Shard: ep.base, Checks: len(share),
-			Bytes: int64(ep.bytesOut.Value() - sentBefore), Outcome: outcome})
+			Shard: ep.base, Checks: len(share), Bytes: sent, Outcome: outcome})
 	}
 	if err == nil {
 		err = decodeResults(resp.Results, share, idx, out)

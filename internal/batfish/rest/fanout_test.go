@@ -351,43 +351,6 @@ func TestShardedCountersRace(t *testing.T) {
 	}
 }
 
-// TestScenarioWarm pins the client half of the reference scheme:
-// WarmScenario builds the registry locally without a request, applies the
-// family's default size, and refuses unknown and oversized families and
-// registries over the body bound.
-func TestScenarioWarm(t *testing.T) {
-	c := newTestClient(t)
-	registered, err := c.WarmScenario("star:5", 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reg := c.refs.Load(); reg == nil || reg.name != "star:5" || reg.size() != registered {
-		t.Errorf("registry = %+v, want star:5 holding %d bodies", reg, registered)
-	}
-	if registered <= 5 {
-		t.Errorf("registered %d bodies, want the 5 router specs plus requirements", registered)
-	}
-	if n := c.Calls(); n != 0 {
-		t.Errorf("WarmScenario issued %d requests, want 0", n)
-	}
-
-	// Size defaulting mirrors the generators.
-	if _, err := c.WarmScenario("fat-tree", 0); err != nil {
-		t.Fatal(err)
-	}
-	if reg := c.refs.Load(); reg.name != "fat-tree:4" {
-		t.Errorf("defaulted scenario = %q, want fat-tree:4", reg.name)
-	}
-
-	// Unknown and oversized families are errors, not silently skipped.
-	for _, bad := range []string{"hypercube:8", "random:100000000", "fat-tree:1000",
-		"dual-homed:1000", "random:1000"} {
-		if _, err := c.WarmScenario(bad, 0); err == nil {
-			t.Errorf("WarmScenario(%q) succeeded, want an error", bad)
-		}
-	}
-}
-
 // TestSharedParseCacheAcrossBatches pins the shared parse cache: a batch
 // re-uses an earlier batch's parse of the same revision instead of parsing
 // again.

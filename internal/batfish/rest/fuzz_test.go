@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -64,16 +63,11 @@ func FuzzNoTransitHandler(f *testing.F) {
 // panic and must answer 200, 400 or 413. A 200 must answer every check in
 // order, each with the result, or the per-check error, that suite.Eval
 // gives for the resolved check through a fresh core.LocalVerifier. The
-// seeds are a valid star:3 batch whose checks share bodies and name specs
-// and requirements by reference, a body index past the table, a negative
-// one, a check with no body table, and an unresolvable reference.
-//
-// An input naming any scenario but star:3 is skipped. The server builds
-// and memoizes the registry of whatever family a request names, and a
-// large one is expensive: random:400 builds 145,942 bodies in about 0.6 s
-// and 221 MB, so the fuzzer would spend its time generating graphs.
+// seeds are a valid star:3 batch whose checks share bodies and carry
+// their specs and requirements inline, a config index past the table, a
+// negative one, an original index past the table, and a check with no
+// body table.
 func FuzzBatchHandler(f *testing.F) {
-	const scenario = "star:3"
 	topo, err := netgen.Generate("star", 3)
 	if err != nil {
 		f.Fatal(err)
@@ -86,15 +80,6 @@ func FuzzBatchHandler(f *testing.F) {
 		{Kind: suite.KindLocal, Req: &reqs[0], Config: r1},
 		{Kind: suite.KindDiff, Original: exampledata.CiscoExample, Config: r1},
 	})
-	reg, err := buildScenarioRegistry(scenario)
-	if err != nil {
-		f.Fatal(err)
-	}
-	for i := range valid.Checks {
-		if reg.elide(&valid.Checks[i]) {
-			valid.Scenario = reg.name
-		}
-	}
 	add := func(edit func(r *BatchRequest)) {
 		r := valid
 		r.Checks = append([]BatchCheck(nil), valid.Checks...)
@@ -108,7 +93,10 @@ func FuzzBatchHandler(f *testing.F) {
 	add(func(r *BatchRequest) {})
 	add(func(r *BatchRequest) { r.Checks[0].Config = len(r.Bodies) })
 	add(func(r *BatchRequest) { r.Checks[2].Config = -1 })
-	add(func(r *BatchRequest) { r.Checks[1].SpecRef = strings.Repeat("0", 64) })
+	add(func(r *BatchRequest) {
+		past := len(r.Bodies)
+		r.Checks[3].Original = &past
+	})
 	f.Add([]byte(`{"checks":[{"kind":"syntax","config":0}]}`))
 
 	h := NewHandler()
@@ -117,9 +105,6 @@ func FuzzBatchHandler(f *testing.F) {
 		dec := json.NewDecoder(bytes.NewReader(body))
 		dec.DisallowUnknownFields()
 		decoded := dec.Decode(&req) == nil
-		if decoded && req.Scenario != "" && req.Scenario != scenario {
-			t.Skip("names a scenario other than " + scenario)
-		}
 		hreq := httptest.NewRequest(http.MethodPost, PathBatch, bytes.NewReader(body))
 		hreq.Header.Set(ProtocolHeader, protocolVersion)
 		rec := httptest.NewRecorder()
@@ -142,9 +127,6 @@ func FuzzBatchHandler(f *testing.F) {
 			t.Fatalf("%d results for %d checks", len(resp.Results), len(req.Checks))
 		}
 		checks, err := req.resolve()
-		if err == nil {
-			err = resolveBatchRefs(&req, checks, newFIFOStore[*scenarioRegistry](1))
-		}
 		if err != nil {
 			t.Fatalf("200 for an unresolvable batch: %v", err)
 		}

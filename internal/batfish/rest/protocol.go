@@ -28,21 +28,18 @@
 // A /v1/batch request carries each distinct configuration text once, in
 // its body table, and each check names its config (and a diff check its
 // original) by index into that table, so a router's revision crosses the
-// wire once per batch however many obligations check it. An index outside
-// the table fails the whole batch with HTTP 400 naming the check, as an
-// unresolvable scenario reference does, or a scenario whose registry would
-// pass maxRegistryBodies. The wire types, the encoder from
-// suite checks and the resolver back to them all live in protocol.go.
+// wire once per batch however many obligations check it. Spec and
+// requirement bodies travel inline in each check. An index outside the
+// table fails the whole batch with HTTP 400 naming the check, and a field
+// the protocol does not define fails it with HTTP 400 naming the field.
+// The wire types, the encoder from suite checks and the resolver back to
+// them all live in protocol.go.
 //
 // Every endpoint is stateless apart from caches that never change an
-// answer: the parse cache, the durable result tier, and the memo of
-// scenario registries that body references resolve against.
+// answer: the parse cache and the durable result tier.
 package rest
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"fmt"
 
 	"repro/internal/batfish"
@@ -68,9 +65,12 @@ const (
 // resumed a server-side simulation session, and the result lost its
 // checker name and falsification probes. Version 7 gave /v1/batch its body
 // table: a batch carries each distinct config text once, and its checks
-// name texts by index instead of carrying them inline. There is no
-// negotiation; a peer on another version is refused.
-const BatchProtocolVersion = 7
+// name texts by index instead of carrying them inline. Version 8 ships
+// spec and requirement bodies inline: checks lost their content-digest
+// body references, and the request lost the scenario name the server
+// built its registry of bodies from. There is no negotiation; a peer on
+// another version is refused.
+const BatchProtocolVersion = 8
 
 // ProtocolHeader is the request header carrying BatchProtocolVersion.
 const ProtocolHeader = "X-Batfishd-Protocol"
@@ -109,50 +109,31 @@ type SearchResponse struct {
 	Result batfish.SearchResult `json:"result"`
 }
 
-// RefDigest content-addresses a spec or requirement body for the reference
-// scheme: hex SHA-256 of the body's JSON encoding. Specs and requirements
-// are map-free structs, so the encoding — and therefore the digest — is
-// deterministic across processes; a client and server that derive the
-// same body from the same scenario agree on the digest.
-func RefDigest(v interface{}) string {
-	data, _ := json.Marshal(v)
-	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:])
-}
-
 // BatchCheck is one independent check inside a batched request; which
 // fields are required depends on Kind (a suite.Kind). Config indexes the
 // request's Bodies for the configuration under test (the translation for
 // diff checks), and Original, when present, for the source configuration
-// of a diff check; an absent Original is the empty text. SpecRef and
-// ReqRef replace the Spec and Requirement bodies with their RefDigest when
-// the body belongs to the registry of the request's Scenario, which the
-// server builds from the same generator the client used.
+// of a diff check; an absent Original is the empty text. Spec and
+// Requirement travel inline.
 type BatchCheck struct {
 	Kind        string                 `json:"kind"`
 	Config      int                    `json:"config"`
 	Original    *int                   `json:"original,omitempty"`
 	Spec        *topology.RouterSpec   `json:"spec,omitempty"`
 	Requirement *lightyear.Requirement `json:"requirement,omitempty"`
-	SpecRef     string                 `json:"spec_ref,omitempty"`
-	ReqRef      string                 `json:"req_ref,omitempty"`
 }
 
 // BatchRequest ships all of a pipeline iteration's outstanding checks in
 // one round-trip. Bodies lists each distinct configuration text the checks
-// name, once, in order of first use. Scenario names the registered family
-// ("random:75") whose registry resolves the checks' SpecRef/ReqRef
-// references; it is only sent on requests that carry a reference.
+// name, once, in order of first use.
 type BatchRequest struct {
-	Scenario string       `json:"scenario,omitempty"`
-	Bodies   []string     `json:"bodies"`
-	Checks   []BatchCheck `json:"checks"`
+	Bodies []string     `json:"bodies"`
+	Checks []BatchCheck `json:"checks"`
 }
 
 // newBatchRequest encodes checks in the wire form: each distinct config
 // text enters Bodies once, and every check names its texts by index.
-// Spec and requirement bodies travel inline; the client replaces the ones
-// its scenario registry holds by references afterwards.
+// Spec and requirement bodies travel inline.
 func newBatchRequest(checks []suite.Check) BatchRequest {
 	req := BatchRequest{Checks: make([]BatchCheck, len(checks))}
 	index := make(map[string]int, len(checks))
@@ -178,9 +159,8 @@ func newBatchRequest(checks []suite.Check) BatchRequest {
 
 // resolve returns the suite form of the request's checks, their texts
 // looked up in Bodies; the strings are shared with Bodies, not copied.
-// Spec and requirement bodies are taken as carried: references stay
-// unresolved here. An index outside Bodies fails the whole request with
-// an error naming the check and the index.
+// An index outside Bodies fails the whole request with an error naming
+// the check and the index.
 func (r *BatchRequest) resolve() ([]suite.Check, error) {
 	text := func(i int, field string, idx int) (string, error) {
 		if idx < 0 || idx >= len(r.Bodies) {

@@ -7,12 +7,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"strconv"
 	"strings"
 	"testing"
-	"time"
-
-	"repro/internal/suite"
 )
 
 // TestProtocolHeaderRequired pins the server half of the handshake: every
@@ -109,29 +105,23 @@ func TestShardedProtocolMismatchPropagates(t *testing.T) {
 	}
 }
 
-// TestOversizedScenarioRejected sends a batch whose reference names a
-// family far past netgen's size bound, or one whose registry would pass
-// maxRegistryBodies: the server must refuse it with a 400 naming the
-// bound, without building the topology or the registry.
-func TestOversizedScenarioRejected(t *testing.T) {
+// TestBatchRefusesBodyReferences pins the version-8 wire form: spec and
+// requirement bodies travel inline, so a /v1/batch body that names a
+// scenario or carries a body reference, fields version 7 defined, fails
+// with a 400 naming the unknown field.
+func TestBatchRefusesBodyReferences(t *testing.T) {
 	c := newTestClient(t)
-	registryBound := strconv.Itoa(maxRegistryBodies)
-	for _, tc := range []struct{ scenario, bound string }{
-		{"random:100000000", "maximum"},
-		{"fat-tree:1000", "maximum"},
-		{"dual-homed:1000", registryBound},
-		{"random:1000", registryBound},
+	ref := strings.Repeat("0", 64)
+	for _, tc := range []struct{ field, body string }{
+		{"scenario", `{"scenario":"star:3","bodies":["hostname R1\n"],"checks":[{"kind":"syntax","config":0}]}`},
+		{"spec_ref", `{"bodies":["hostname R2\n"],"checks":[{"kind":"topology","config":0,"spec_ref":"` + ref + `"}]}`},
+		{"req_ref", `{"bodies":["hostname R1\n"],"checks":[{"kind":"local","config":0,"req_ref":"` + ref + `"}]}`},
 	} {
-		req := BatchRequest{Scenario: tc.scenario, Bodies: []string{"hostname R1\n"}, Checks: []BatchCheck{{
-			Kind: string(suite.KindTopology), Config: 0, SpecRef: strings.Repeat("0", 64)}}}
-		start := time.Now()
 		var resp BatchResponse
-		status, err := c.post(context.Background(), c.eps[0], PathBatch, req, &resp)
-		if status != http.StatusBadRequest || err == nil || !strings.Contains(err.Error(), tc.bound) {
-			t.Errorf("%s: HTTP %d, %v; want 400 naming the bound %q", tc.scenario, status, err, tc.bound)
-		}
-		if d := time.Since(start); d > 2*time.Second {
-			t.Errorf("%s: rejection took %v", tc.scenario, d)
+		status, _, err := c.post(context.Background(), c.eps[0], PathBatch, json.RawMessage(tc.body), &resp)
+		want := fmt.Sprintf("unknown field %q", tc.field)
+		if status != http.StatusBadRequest || err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: HTTP %d, %v; want 400 naming %s", tc.field, status, err, want)
 		}
 	}
 }

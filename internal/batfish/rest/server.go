@@ -14,12 +14,9 @@ import (
 	"repro/internal/batfish"
 	"repro/internal/core"
 	"repro/internal/durable"
-	"repro/internal/lightyear"
 	"repro/internal/netcfg"
-	"repro/internal/netgen"
 	"repro/internal/obs"
 	"repro/internal/suite"
-	"repro/internal/topology"
 )
 
 // HandlerOptions tunes the verification-suite handler.
@@ -73,12 +70,11 @@ func NewHandlerOpts(opts HandlerOptions) http.Handler {
 	mux.HandleFunc(PathHealth, handleHealth)
 	mux.HandleFunc(PathSearch, handleSearch)
 	env := &batchEnv{
-		workers:   opts.BatchWorkers,
-		parses:    opts.Parses,
-		scenarios: newFIFOStore[*scenarioRegistry](maxScenarioRegistries),
-		disk:      opts.Durable,
-		digests:   suite.NewDigests(),
-		reg:       opts.Metrics,
+		workers: opts.BatchWorkers,
+		parses:  opts.Parses,
+		disk:    opts.Durable,
+		digests: suite.NewDigests(),
+		reg:     opts.Metrics,
 	}
 	mux.HandleFunc(PathBatch, func(w http.ResponseWriter, r *http.Request) {
 		handleBatch(w, r, env)
@@ -101,144 +97,11 @@ func NewHandlerOpts(opts HandlerOptions) http.Handler {
 // batchEnv is the handler state every /v1/batch request is served with;
 // /v1/notransit shares its parse cache.
 type batchEnv struct {
-	workers   int
-	parses    *netcfg.ParseCache
-	scenarios *fifoStore[*scenarioRegistry]
-	disk      *durable.Cache
-	digests   *suite.Digests
-	reg       *obs.Registry
-}
-
-// fifoStore is a string-keyed map bounded to max entries, evicting the
-// oldest insertion first. It is safe for concurrent use.
-type fifoStore[V any] struct {
-	mu      sync.Mutex
-	max     int
-	entries map[string]V
-	order   []string // insertion order, for oldest-first eviction
-}
-
-func newFIFOStore[V any](max int) *fifoStore[V] {
-	return &fifoStore[V]{max: max, entries: map[string]V{}}
-}
-
-// get returns the entry under key.
-func (s *fifoStore[V]) get(key string) (V, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	v, ok := s.entries[key]
-	return v, ok
-}
-
-// put stores v under key, evicting the oldest entries past the bound.
-func (s *fifoStore[V]) put(key string, v V) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.entries[key]; ok {
-		s.order = slices.DeleteFunc(s.order, func(k string) bool { return k == key })
-	}
-	s.entries[key] = v
-	s.order = append(s.order, key)
-	for len(s.order) > s.max {
-		delete(s.entries, s.order[0])
-		s.order = s.order[1:]
-	}
-}
-
-// maxScenarioRegistries bounds the handler's memo of scenario registries:
-// a registry holds one generated family's bodies, and the family name
-// arrives over the wire, so an unbounded memo would let any client pin
-// memory. A run names one family, so 8 covers concurrent runs with room.
-const maxScenarioRegistries = 8
-
-// scenarioRegistry holds one registered family's spec and requirement
-// bodies, content-addressed by RefDigest. Client and server build it from
-// the same generator: the client to decide which bodies it may replace by
-// a reference, the server to resolve those references. Because both run
-// the same code, a reference the server cannot resolve can only come from
-// a client bug, and the server rejects the batch instead of guessing.
-type scenarioRegistry struct {
-	name  string // the resolved "family:size"
-	specs map[string]*topology.RouterSpec
-	reqs  map[string]*lightyear.Requirement
-}
-
-// maxRegistryBodies bounds the bodies one scenario registry holds. The
-// family name arrives over the wire, and the local requirements grow with
-// the square of the external attachments: one build of random:400
-// registers 145,942 bodies in 0.6 s and 221 MB allocated, random:1000
-// 802,920 in 3.9 s and 1.26 GB, and dual-homed:1000 3,995,002 in 22 s and
-// 6.3 GB. The bound keeps random:400 on references; a family over it gets
-// no registry, and its checks travel with full bodies.
-const maxRegistryBodies = 200_000
-
-// registryBodies is an upper bound on the bodies a topology's registry
-// holds, from the topology alone: its router specs, plus, for A external
-// attachments, an ingress and a permit requirement per attachment and an
-// egress requirement per ordered pair, A(A+1) in all.
-func registryBodies(topo *topology.Topology) int {
-	a := len(topo.ExternalAttachments())
-	return len(topo.Routers) + a*(a+1)
-}
-
-// buildScenarioRegistry generates the family named by a "name[:size]"
-// argument (default size when omitted; netgen bounds the size) and
-// registers its router specs and local no-transit requirements under
-// their content digests. A family whose registry would pass
-// maxRegistryBodies is refused before any requirement is derived.
-func buildScenarioRegistry(scenario string) (*scenarioRegistry, error) {
-	name, size, err := netgen.ParseScenarioArg(scenario)
-	if err != nil {
-		return nil, err
-	}
-	if size <= 0 {
-		sc, _ := netgen.Lookup(name)
-		size = sc.DefaultSize
-	}
-	topo, err := netgen.Generate(name, size)
-	if err != nil {
-		return nil, err
-	}
-	if n := registryBodies(topo); n > maxRegistryBodies {
-		return nil, fmt.Errorf("scenario %s:%d would register about %d bodies, over the %d-body registry bound",
-			name, size, n, maxRegistryBodies)
-	}
-	reg := &scenarioRegistry{
-		name:  fmt.Sprintf("%s:%d", name, size),
-		specs: make(map[string]*topology.RouterSpec, len(topo.Routers)),
-		reqs:  map[string]*lightyear.Requirement{},
-	}
-	for i := range topo.Routers {
-		spec := &topo.Routers[i]
-		reg.specs[RefDigest(spec)] = spec
-	}
-	for _, req := range lightyear.SpecFor(topo) {
-		req := req
-		reg.reqs[RefDigest(&req)] = &req
-	}
-	return reg, nil
-}
-
-// size returns the number of registered bodies.
-func (r *scenarioRegistry) size() int { return len(r.specs) + len(r.reqs) }
-
-// elide replaces the check's spec and requirement bodies by references
-// where this registry holds them, reporting whether it set any reference.
-// Bodies outside the registry — a graph variant's specs, a requirement the
-// family does not derive — stay in full.
-func (r *scenarioRegistry) elide(c *BatchCheck) bool {
-	elided := false
-	if c.Spec != nil {
-		if d := RefDigest(c.Spec); r.specs[d] != nil {
-			c.Spec, c.SpecRef, elided = nil, d, true
-		}
-	}
-	if c.Requirement != nil {
-		if d := RefDigest(c.Requirement); r.reqs[d] != nil {
-			c.Requirement, c.ReqRef, elided = nil, d, true
-		}
-	}
-	return elided
+	workers int
+	parses  *netcfg.ParseCache
+	disk    *durable.Cache
+	digests *suite.Digests
+	reg     *obs.Registry
 }
 
 // protocolVersion is BatchProtocolVersion as the header carries it.
@@ -249,19 +112,18 @@ func handleHealth(w http.ResponseWriter, r *http.Request) {
 }
 
 // maxBody bounds a JSON body in either direction: the POST body batfishd
-// reads and the response body the client reads. It is 3 GiB. Since a
-// batch carries each config text once, the largest batch bodies measured
-// under `cosynth -mode notransit -shards 2` on an x86-64 Linux host are
-// 832,697 bytes at random:75, 4,905,532 bytes at random:200, and
-// 8,394,040 bytes at random:200 with -seed 3, a graph variant whose specs
-// and requirements the family's registry does not hold. When each check
-// carried its config inline, random:200 reached 544.6 MB. Responses can
-// be large too: the global check of random:600's first drafts, with
-// 298,662 transit violations, encodes to a 20,375,379-byte
+// reads and the response body the client reads. It is 3 GiB. A batch
+// carries each config text once and every spec and requirement inline;
+// the largest batch bodies measured under `cosynth -mode notransit
+// -shards 2` on an x86-64 Linux host are 1,523,031 bytes at random:75,
+// 8,419,717 bytes at random:200 and 37,111,479 bytes at random:400. When
+// each check carried its config inline, random:200 reached 544.6 MB.
+// Responses can be large too: the global check of random:600's first
+// drafts, with 298,662 transit violations, encodes to a 20,375,379-byte
 // NoTransitResponse. The bound stays well above these: random, ring and
-// dual-homed allow 1,000 routers, where no batch has been measured, and a
-// requirement outside the registry still travels in full with every
-// check that names it.
+// dual-homed allow 1,000 routers, where no batch has been measured, and
+// the requirements of a batch grow with the square of the external
+// attachments.
 const maxBody int64 = 3 << 30
 
 // decode reads a JSON POST body after checking the request speaks this
@@ -380,48 +242,11 @@ func evalBatchCheckDurable(c suite.Check, parses *netcfg.ParseCache, d *durable.
 	return res, durable.Entry{}
 }
 
-// resolveBatchRefs substitutes the registry bodies for the request's
-// SpecRef/ReqRef references in checks, the request's resolved checks.
-// The registry of the named scenario is built on first use and memoized.
-// Any failure — no scenario named, a family the registry rejects, a digest
-// the registry does not hold — fails the whole batch: answering the other
-// checks while one is unresolvable would hand back untrustworthy results.
-func resolveBatchRefs(req *BatchRequest, checks []suite.Check, scenarios *fifoStore[*scenarioRegistry]) error {
-	if !slices.ContainsFunc(req.Checks, func(c BatchCheck) bool { return c.SpecRef != "" || c.ReqRef != "" }) {
-		return nil
-	}
-	if req.Scenario == "" {
-		return fmt.Errorf("batch carries body references but names no scenario")
-	}
-	reg, ok := scenarios.get(req.Scenario)
-	if !ok {
-		var err error
-		if reg, err = buildScenarioRegistry(req.Scenario); err != nil {
-			return err
-		}
-		scenarios.put(req.Scenario, reg)
-	}
-	for i, bc := range req.Checks {
-		c := &checks[i]
-		if bc.SpecRef != "" {
-			if c.Spec = reg.specs[bc.SpecRef]; c.Spec == nil {
-				return fmt.Errorf("unresolvable spec ref %s for %s", bc.SpecRef, reg.name)
-			}
-		}
-		if bc.ReqRef != "" {
-			if c.Req = reg.reqs[bc.ReqRef]; c.Req == nil {
-				return fmt.Errorf("unresolvable requirement ref %s for %s", bc.ReqRef, reg.name)
-			}
-		}
-	}
-	return nil
-}
-
 // handleBatch evaluates a whole batch of independent checks in one
 // round-trip, fanning them onto a bounded worker pool. Results are
 // positional; a malformed individual check yields a per-result error
 // without failing the batch, but a body index outside the request's table
-// or an unresolvable reference fails it with a 400. env.parses, when non-nil, replaces the
+// fails it with a 400. env.parses, when non-nil, replaces the
 // request-scoped parse cache so earlier requests' parses are reused. With
 // a durable cache mounted, the results the batch computed are written as
 // one pack before the response; a write failure is swallowed (a full disk
@@ -438,9 +263,6 @@ func handleBatch(w http.ResponseWriter, r *http.Request, env *batchEnv) {
 		env.reg.Histogram("batfishd_batch_seconds", obs.DefSecondsBuckets).Observe(time.Since(start).Seconds())
 	}()
 	checks, err := req.resolve()
-	if err == nil {
-		err = resolveBatchRefs(&req, checks, env.scenarios)
-	}
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error()})
 		return

@@ -30,10 +30,10 @@ type Scenario struct {
 	// DefaultSize is a sensible paper-scale default for the parameter.
 	DefaultSize int
 	// MaxSize bounds the parameter; Generate and GenerateSeeded refuse
-	// anything larger. Sizes can arrive over the wire (a batch naming its
-	// scenario), and the generators allocate in proportion to the size —
-	// quadratically for the meshes and the fat-tree — so an unbounded size
-	// would let one request exhaust memory.
+	// anything larger. Sizes come from command lines and from replayed
+	// fuzz-case files, and the generators allocate in proportion to the
+	// size — quadratically for the meshes and the fat-tree — so an
+	// unbounded size would let one argument exhaust memory.
 	MaxSize int
 	// Generate builds the topology.
 	Generate Generator

@@ -6,12 +6,15 @@ import (
 	"encoding/json"
 	"errors"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/llm"
+	"repro/internal/netgen"
 	"repro/internal/obs"
+	"repro/internal/topology"
 )
 
 // The checkpoint/resume acceptance gate: a run killed mid-loop and
@@ -181,6 +184,34 @@ func TestResumeRefusesDifferentRun(t *testing.T) {
 	})
 	if err == nil || !strings.Contains(err.Error(), "different run") {
 		t.Fatalf("resume into different coordinates not refused: err = %v", err)
+	}
+}
+
+// TestResumeRefusesDifferentGraph checkpoints a finished run on one
+// random:20 graph and resumes it on another: every random graph of one
+// size shares its name and router count, so only the topology itself in
+// the run key tells them apart, and the resume must be refused.
+func TestResumeRefusesDifferentGraph(t *testing.T) {
+	graph := func(seed int64) *topology.Topology {
+		topo, err := netgen.GenerateSeeded("random", 20, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return topo
+	}
+	first, second := graph(11), graph(12)
+	if first.Name != second.Name || len(first.Routers) != len(second.Routers) ||
+		reflect.DeepEqual(first, second) {
+		t.Fatalf("want two different graphs of one name and size, got %s/%d and %s/%d",
+			first.Name, len(first.Routers), second.Name, len(second.Routers))
+	}
+	ckPath := filepath.Join(t.TempDir(), "checkpoint.json")
+	if _, err := Synthesize(first, SynthesizeOptions{CheckpointPath: ckPath}); err != nil {
+		t.Fatal(err)
+	}
+	_, err := Synthesize(second, SynthesizeOptions{CheckpointPath: ckPath, Resume: true})
+	if err == nil || !strings.Contains(err.Error(), "different run") {
+		t.Fatalf("resume onto another graph of the same name and size not refused: err = %v", err)
 	}
 }
 
