@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"repro/internal/batfish/rest"
+	"repro/internal/core"
 	"repro/internal/netgen"
 	"repro/internal/obs"
 	"repro/internal/topology"
@@ -62,7 +63,9 @@ func requireSameRun(t *testing.T, label string, baseline, got *Result) {
 // client's fan-out: on every registry scenario, synthesis over one
 // endpoint and over three must reproduce the in-process sequential loop's
 // transcript exactly. Results are pure functions of their inputs, so
-// which endpoint answers a check must not change a byte.
+// which endpoint answers a check must not change a byte. Every check the
+// scan reads must be one the iteration's prefetch already answered: the
+// stages list the same checks for both, so the cache records no miss.
 func TestShardedSynthesisByteIdentical(t *testing.T) {
 	for _, info := range Topologies() {
 		t.Run(info.Name, func(t *testing.T) {
@@ -79,11 +82,18 @@ func TestShardedSynthesisByteIdentical(t *testing.T) {
 					t.Fatalf("%s: %v", label, err)
 				}
 				requireSameRun(t, label, baseline, res)
-				if res.CacheStats == nil || res.CacheStats.Prefetches == 0 {
-					t.Errorf("%s: run issued no batched prefetches: %v", label, res.CacheStats)
-				}
+				requirePrefetched(t, label, res.CacheStats)
 			}
 		})
+	}
+}
+
+// requirePrefetched asserts a batched run's prefetches answered every
+// lookup its stage scans made.
+func requirePrefetched(t *testing.T, label string, stats *core.CacheStats) {
+	t.Helper()
+	if stats == nil || stats.Prefetches == 0 || stats.Misses != 0 {
+		t.Errorf("%s: %v, want batched prefetches and no scan misses", label, stats)
 	}
 }
 
@@ -400,8 +410,10 @@ func TestBatchedRESTSynthesisByteIdentical(t *testing.T) {
 	}
 }
 
-// TestTranslationCacheByteIdentical runs the translation gate: cached and
-// uncached loops must emit the same transcript.
+// TestTranslationCacheByteIdentical runs the translation gate: the cached
+// loop, in process and over one and three REST endpoints, must emit the
+// uncached loop's transcript, and a batched run's prefetches must answer
+// every lookup its scans make.
 func TestTranslationCacheByteIdentical(t *testing.T) {
 	baseline, err := Translate(ExampleCiscoConfig(), TranslateOptions{DisableVerifierCache: true})
 	if err != nil {
@@ -411,10 +423,17 @@ func TestTranslationCacheByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(baseline.Transcript, cached.Transcript) {
-		t.Error("translation transcripts diverge")
-	}
+	requireSameRun(t, "cached", baseline, cached)
 	if cached.CacheStats == nil {
 		t.Error("cached translation reported no stats")
+	}
+	for _, n := range []int{1, 3} {
+		label := fmt.Sprintf("%d-endpoint", n)
+		res, err := Translate(ExampleCiscoConfig(), TranslateOptions{Verifier: fleet(t, n)})
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		requireSameRun(t, label, baseline, res)
+		requirePrefetched(t, label, res.CacheStats)
 	}
 }

@@ -27,7 +27,9 @@
 //
 // Batched checks and no-transit checks parse through one parse cache
 // shared across requests, and -cache-dir mounts a durable result cache
-// beneath the batched checks.
+// beneath the batched checks. A batch's checks are evaluated on
+// GOMAXPROCS workers; set Go's GOMAXPROCS environment variable to change
+// the count.
 package main
 
 import (
@@ -45,8 +47,6 @@ import (
 
 func main() {
 	addr := flag.String("addr", "localhost:9876", "listen address")
-	batchWorkers := flag.Int("batch-workers", 0,
-		"worker pool size for /v1/batch check evaluation (0 = GOMAXPROCS)")
 	cacheDir := flag.String("cache-dir", "",
 		"mount a durable verification-result cache at this directory: batched checks are "+
 			"answered from disk when content-addressed entries exist, and each request's computed "+
@@ -54,8 +54,7 @@ func main() {
 	flag.Parse()
 
 	reg := obs.NewRegistry()
-	opts := rest.HandlerOptions{BatchWorkers: *batchWorkers, Metrics: reg,
-		Parses: batfish.NewParseCache()}
+	opts := rest.HandlerOptions{Metrics: reg, Parses: batfish.NewParseCache()}
 	opts.Parses.SetObs(reg, nil)
 	if *cacheDir != "" {
 		d, err := durable.Open(*cacheDir, durable.Options{})
@@ -75,12 +74,8 @@ func main() {
 		Handler:           rest.NewHandlerOpts(opts),
 		ReadHeaderTimeout: 5 * time.Second,
 	}
-	workers := *batchWorkers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	log.Printf("batfishd: serving verification suite on http://%s (protocol v%d, batch workers: %d)",
-		*addr, rest.BatchProtocolVersion, workers)
+		*addr, rest.BatchProtocolVersion, runtime.GOMAXPROCS(0))
 	log.Printf("batfishd: metrics on http://%s%s and http://%s%s", *addr, obs.MetricsPath, *addr, obs.VarsPath)
 	if err := srv.ListenAndServe(); err != nil {
 		log.Fatalf("batfishd: %v", err)

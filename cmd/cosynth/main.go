@@ -65,7 +65,6 @@ import (
 	"repro/internal/batfish"
 	"repro/internal/batfish/rest"
 	"repro/internal/core"
-	"repro/internal/durable"
 	"repro/internal/fuzz"
 	"repro/internal/lightyear"
 	"repro/internal/llm"
@@ -118,7 +117,7 @@ func main() {
 	cacheDir := flag.String("cache-dir", "",
 		"durable verification-cache directory: each repair iteration's results are written as one pack, "+
 			"so they persist across runs and reach concurrent cosynth/cofuzz processes at their next "+
-			"iteration (with -no-cache, mounted into the -shards servers instead)")
+			"iteration; it is the cache's disk tier, so -no-cache refuses it")
 	checkpointPath := flag.String("checkpoint", "",
 		"crash-checkpoint file: the repair loop snapshots progress here every iteration "+
 			"(parallel runs: after every completed router)")
@@ -128,6 +127,11 @@ func main() {
 		"also write the transcript, punted findings, and summary to this file — the deterministic "+
 			"run record, for diffing a resumed run against an uninterrupted one")
 	flag.Parse()
+	if *noCache && *cacheDir != "" {
+		fmt.Fprintln(os.Stderr, "cosynth: -no-cache and -cache-dir cannot be combined: "+
+			"-cache-dir mounts the disk tier of the verification cache that -no-cache turns off")
+		os.Exit(2)
+	}
 	seedSet := false
 	flag.Visit(func(f *flag.Flag) {
 		if f.Name == "seed" {
@@ -184,18 +188,6 @@ func main() {
 	if err != nil {
 		log.Fatalf("cosynth: -rest: %v", err)
 	}
-	// The engine's durable tier answers every disk-resident check before a
-	// request reaches a shard, so the shards mount -cache-dir only under
-	// -no-cache, where the engine mounts none. A second cache on the same
-	// directory would hold every pack in memory twice and write every
-	// result twice.
-	var shardCache *durable.Cache
-	if *cacheDir != "" && *shards > 0 && *noCache {
-		shardCache, err = durable.Open(*cacheDir, durable.Options{})
-		if err != nil {
-			log.Fatalf("cosynth: -cache-dir: %v", err)
-		}
-	}
 	for i := 0; i < *shards; i++ {
 		// Each in-process shard gets a shared parse cache (cross-request
 		// reuse), as batfishd does.
@@ -204,7 +196,7 @@ func main() {
 			log.Fatalf("cosynth: -shards: %v", lerr)
 		}
 		srv := &http.Server{Handler: rest.NewHandlerOpts(rest.HandlerOptions{
-			Parses: batfish.NewParseCache(), Durable: shardCache, Metrics: reg})}
+			Parses: batfish.NewParseCache(), Metrics: reg})}
 		go func() { _ = srv.Serve(ln) }()
 		defer srv.Close()
 		endpoints = append(endpoints, "http://"+ln.Addr().String())

@@ -11,14 +11,14 @@
 //
 // Both use cases run on a single stage-driven repair engine
 // (internal/core). A pipeline is a declarative list of stages, each a
-// verifier pass that inspects the current configurations and reports the
-// first outstanding Finding — its stable identity, target configuration,
-// and humanized rectification prompt. The shared RunPipeline driver
-// executes Figure 3's loop over any stage list: find a finding, prompt
-// the model, bill the finding's attempt budget, punt to the human oracle
-// when the budget is exhausted, stop when every stage is clean. Stage
-// order encodes the paper's masking order (syntax before structure before
-// semantics, §3.1).
+// verifier pass that lists its checks against the current configurations
+// and turns a check's result into a Finding — its stable identity,
+// target configuration, and humanized rectification prompt. The shared
+// RunPipeline driver executes Figure 3's loop over any stage list: find
+// the first finding, prompt the model, bill the finding's attempt budget,
+// punt to the human oracle when the budget is exhausted, stop when every
+// stage is clean. Stage order encodes the paper's masking order (syntax
+// before structure before semantics, §3.1).
 //
 //   - Translation (§3) composes two stages: Batfish-style syntax
 //     checking, then Campion-style semantic diffing.
@@ -104,12 +104,12 @@
 // one router and per-router parallelism has nothing to split.
 //
 // Batch transport. When the verifier is remote (rest.Client against
-// batfishd), each iteration first enumerates every outstanding check
-// across all stages and ships the not-yet-cached ones as a single
-// /v1/batch round-trip (CachedVerifier.Prefetch through the backend
-// seam); the stage scan then reads pure cache hits. One round-trip per
+// batfishd), each iteration first has every stage list its checks and
+// ships the not-yet-cached ones as a single /v1/batch round-trip
+// (CachedVerifier.Prefetch through the backend seam); the stage scan
+// then reads the same lists back as pure cache hits. One round-trip per
 // iteration replaces one per check — benchmark E15 measures it on the
-// fat-tree. A lone per-check call is a one-check batch on the same path.
+// fat-tree. A lone Check call is a one-check batch on the same path.
 // The server evaluates a batch on its own worker pool with a
 // request-scoped parse cache (or a shared one, below). A batch carries
 // each distinct configuration text once, in a body table, and each check
@@ -127,16 +127,27 @@
 //
 // # Distributed verification
 //
-// Verification dispatches through a cached verifier
+// A verifier answers one call per check, Check(suite.Check), beside the
+// whole-network GlobalNoTransit. core.LocalVerifier.Check is the one
+// mapping from check kinds to evaluators: the engine evaluates through it
+// in process, and batfishd's batch handler evaluates every check it
+// receives through it. Verification dispatches through a cached verifier
 // (core.CachedVerifier) over either the in-process suite or the REST
 // client (rest.Client). The client also implements the batch seam,
 // suite.Backend: a batch of independent checks in, positional results
-// out. The cache batches exactly when its verifier implements that seam,
-// and the pipeline's per-iteration prefetch enumerates its outstanding
-// checks against it without knowing the transport. Because every check
-// is a pure function of its inputs, transcripts are byte-identical
-// whichever verifier serves them (TestShardedSynthesisByteIdentical pins
-// this on every registry scenario, over 1 and 3 endpoints).
+// out. The cache batches exactly when its verifier implements that seam.
+// Each stage lists its checks once per iteration: against a batching
+// cache every stage lists up front, the driver prefetches all the lists
+// in one call, and the scan reads the same lists; in process a stage
+// lists only when the scan reaches it, so an earlier stage's finding
+// still skips it. One result type, suite.Result, crosses the wire
+// (embedded in rest.BatchResult) and the disk, and a result arriving from
+// either that is violated but carries no violation is refused: the batch
+// fails naming the check, and the disk entry is recomputed. Because
+// every check is a pure function of its inputs, transcripts are
+// byte-identical whichever verifier serves them
+// (TestShardedSynthesisByteIdentical pins this on every registry
+// scenario, over 1 and 3 endpoints).
 //
 // The fan-out. One rest.Client serves one batfishd endpoint or several.
 // It sends each check to endpoint FNV-1a(key) mod N, where the key is the
@@ -372,19 +383,24 @@
 // Put both enforce. A crash loses at most the iteration in flight, which
 // the resumed run recomputes. One directory serves every process that
 // touches verification — the engine (Translate/Synthesize options
-// CacheDir, cosynth/cofuzz -cache-dir), batfishd -cache-dir, and
-// cosynth's in-process shards under -no-cache, where the engine mounts
-// none (cofuzz's shards mount none) — so a restarted run answers from
-// disk what its predecessor already proved
-// (CacheStats.DiskHits/DiskWrites).
+// CacheDir, cosynth/cofuzz -cache-dir) and batfishd -cache-dir — so a
+// restarted run answers from disk what its predecessor already proved
+// (CacheStats.DiskHits/DiskWrites). In-process shards mount none, and
+// cosynth refuses -cache-dir under -no-cache: mounted into its shards
+// there, every check travelled alone and wrote one fsynced pack, so a
+// cold random:75 run over 2 shards wrote 5,707 packs in 20.0 s, against
+// 1.0–1.1 s without the directory.
 // Concurrent processes see each other's results at their own next pack
 // write, so at the writer's iteration boundary, not result by result.
 // Packs replaced one file per result: on the benchmark's
 // restart-random-75 workload (random:75, 2 lanes, a shared 2-CPU
 // machine, medians of 10 runs) a cold run into an empty directory went
 // from 2.53 s to 0.28 s, writing about 80 packs instead of 5,707 files,
-// and a warm restart from 0.27 s to 0.17 s. The tier changes cost, never
-// results: the warm-restart tests re-prove byte-identical transcripts.
+// and a warm restart from 0.27 s to 0.17 s. An entry is the JSON of
+// suite.Result, whose empty fields are omitted, so a clean result is {}:
+// that cold run writes 221,458 bytes of packs, against 666,387 when every
+// field was spelled out. The tier changes cost, never results: the
+// warm-restart tests re-prove byte-identical transcripts.
 //
 // Checkpoint and resume. With CheckpointPath set (cosynth -checkpoint),
 // the pipeline snapshots progress atomically after every save point:
@@ -398,7 +414,8 @@
 // every registry scenario, under repeated kills, and in parallel mode.
 // fuzz campaigns checkpoint the same way (cofuzz -checkpoint/-resume):
 // completed case results are reused verbatim and free — they bypass
-// even the wall-clock budget — and a knob hash refuses checkpoints from
+// even the wall-clock budget — but only when the recorded case equals
+// the sweep's case at its key, and a knob hash refuses checkpoints from
 // campaigns that would have produced different outcomes. Crash seams
 // (core.CheckpointOptions.AbortAfterSaves, fuzz.Campaign.
 // AbortAfterCases) inject the kill deterministically in tests, and the

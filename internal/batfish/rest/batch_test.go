@@ -56,7 +56,7 @@ func batchChecks(t *testing.T) []suite.Check {
 }
 
 // TestBatchRoundTrip ships one check of every kind in one /v1/batch
-// round-trip and requires the results to match the per-check methods.
+// round-trip and requires the results to match Client.Check.
 func TestBatchRoundTrip(t *testing.T) {
 	c := newTestClient(t)
 	checks := batchChecks(t)
@@ -83,14 +83,15 @@ func TestBatchRoundTrip(t *testing.T) {
 	if len(results[3].Diffs) == 0 {
 		t.Error("diff check lost its findings")
 	}
-	// Cross-check one result against the per-check method (a one-check
-	// batch).
-	warns, err := c.CheckSyntax(checks[0].Config)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(warns, results[0].Warnings) {
-		t.Errorf("batched syntax = %v, per-check = %v", results[0].Warnings, warns)
+	// Cross-check every result against Client.Check (a one-check batch).
+	for i, check := range checks {
+		one, err := c.Check(check)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(one, results[i]) {
+			t.Errorf("check %d (%s): batched %+v, one-check %+v", i, check.Kind, results[i], one)
+		}
 	}
 }
 
@@ -162,21 +163,19 @@ func TestPrefetchBatchesAndCaches(t *testing.T) {
 
 	// Reading every prefetched result back must not touch the network.
 	before = c.Calls()
-	warns, err := cv.CheckSyntax(checks[0].Config)
-	if err != nil {
-		t.Fatal(err)
+	var read []suite.Result
+	for _, check := range checks {
+		res, err := cv.Check(check)
+		if err != nil {
+			t.Fatal(err)
+		}
+		read = append(read, res)
 	}
-	if len(warns) == 0 {
+	if len(read[0].Warnings) == 0 {
 		t.Error("prefetched syntax warnings missing")
 	}
-	if _, err := cv.VerifyTopology(*checks[1].Spec, checks[1].Config); err != nil {
-		t.Fatal(err)
-	}
-	if _, bad, err := cv.CheckLocalPolicy(checks[2].Config, *checks[2].Req); err != nil || !bad {
-		t.Fatalf("prefetched local check: bad=%v err=%v, want violation", bad, err)
-	}
-	if _, err := cv.DiffTranslation(checks[3].Original, checks[3].Config); err != nil {
-		t.Fatal(err)
+	if !read[2].Violated {
+		t.Error("prefetched local check lost its violation")
 	}
 	if got := c.Calls() - before; got != 0 {
 		t.Errorf("round-trips after prefetch = %d, want 0 (all cache hits)", got)
@@ -196,12 +195,64 @@ func TestPrefetchBatchesAndCaches(t *testing.T) {
 	}
 }
 
+// TestBatchRefusesViolatedWithoutViolation answers a one-check batch with
+// a result that is violated but carries no violation, which no evaluator
+// produces. CheckBatch must fail naming the check instead of returning a
+// result whose Violation the local-policy stage would read.
+func TestBatchRefusesViolatedWithoutViolation(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		_, _ = io.WriteString(w, `{"results":[{"violated":true}]}`)
+	}))
+	t.Cleanup(srv.Close)
+	req := lightyearRequirement()
+	res, err := NewClient(srv.URL).CheckBatch(context.Background(),
+		[]suite.Check{{Kind: suite.KindLocal, Req: &req, Config: "hostname R1\n"}})
+	if err == nil || !strings.Contains(err.Error(), "check 0 (local)") ||
+		!strings.Contains(err.Error(), "no violation") {
+		t.Fatalf("CheckBatch = %+v, %v; want an error naming check 0 (local) and its missing violation", res, err)
+	}
+}
+
+// TestBatchResultWireKeys pins the wire form of a batch result: the
+// embedded suite.Result encodes its fields at the top level under the
+// keys protocol version 8 defines, beside "error", and a clean result
+// encodes as {}.
+func TestBatchResultWireKeys(t *testing.T) {
+	checks := batchChecks(t)
+	keys := map[string]bool{}
+	for _, c := range checks {
+		res, err := core.LocalVerifier{}.Check(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := json.Marshal(BatchResult{Result: res, Error: "e"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var m map[string]json.RawMessage
+		if err := json.Unmarshal(data, &m); err != nil {
+			t.Fatal(err)
+		}
+		for k := range m {
+			keys[k] = true
+		}
+	}
+	want := map[string]bool{"warnings": true, "findings": true, "diffs": true,
+		"violated": true, "violation": true, "error": true}
+	if !reflect.DeepEqual(keys, want) {
+		t.Errorf("batch results encode the keys %v, want %v", keys, want)
+	}
+	if data, _ := json.Marshal(BatchResult{}); string(data) != "{}" {
+		t.Errorf("a clean result encodes as %s, want {}", data)
+	}
+}
+
 // wireResult is the wire form of a check's outcome, the result or the
 // per-check error, in which a nil and an empty slice read the same.
 func wireResult(t testing.TB, r suite.Result, err error) string {
 	t.Helper()
-	br := BatchResult{Warnings: r.Warnings, Findings: r.Findings,
-		Diffs: r.Diffs, Violated: r.Violated, Violation: r.Violation}
+	br := BatchResult{Result: r}
 	if err != nil {
 		br = BatchResult{Error: err.Error()}
 	}
@@ -278,7 +329,7 @@ func TestBatchShipsEachBodyOnce(t *testing.T) {
 	}
 
 	for i, c := range checks {
-		res, err := suite.Eval(core.LocalVerifier{}, c)
+		res, err := core.LocalVerifier{}.Check(c)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -16,9 +16,7 @@ import (
 	"time"
 
 	"repro/internal/batfish"
-	"repro/internal/campion"
 	"repro/internal/lightyear"
-	"repro/internal/netcfg"
 	"repro/internal/obs"
 	"repro/internal/suite"
 	"repro/internal/topology"
@@ -281,7 +279,7 @@ type ShardStat struct {
 	// Endpoint is the base URL.
 	Endpoint string
 	// Calls is the total HTTP round-trips issued to the endpoint: batches
-	// (per-check calls are one-check batches), global checks, searches,
+	// (Check calls are one-check batches), global checks, searches,
 	// health probes and retries alike.
 	Calls int64
 	// Batches is the number of /v1/batch calls.
@@ -590,8 +588,9 @@ func (c *Client) batch(ctx context.Context, ep *endpoint, checks []suite.Check, 
 
 // decodeResults writes the results of the checks share, sent from the
 // positions idx (0, 1, ... when idx is nil), at those positions of out.
-// A check the server could not answer fails the batch, named by its
-// position.
+// A check the server could not answer, or answered with a result no
+// evaluator produces (see suite.Result.Validate), fails the batch, named
+// by its position.
 func decodeResults(results []BatchResult, share []suite.Check, idx []int, out []suite.Result) error {
 	if len(results) != len(share) {
 		return fmt.Errorf("%s: %d results for %d checks", PathBatch, len(results), len(share))
@@ -604,54 +603,21 @@ func decodeResults(results []BatchResult, share []suite.Check, idx []int, out []
 		if r.Error != "" {
 			return fmt.Errorf("%s: check %d (%s): %s", PathBatch, i, share[j].Kind, r.Error)
 		}
-		out[i] = suite.Result{
-			Warnings:  r.Warnings,
-			Findings:  r.Findings,
-			Diffs:     r.Diffs,
-			Violated:  r.Violated,
-			Violation: r.Violation,
+		if err := r.Validate(); err != nil {
+			return fmt.Errorf("%s: check %d (%s): %v", PathBatch, i, share[j].Kind, err)
 		}
+		out[i] = r.Result
 	}
 	return nil
 }
 
-// one ships a single check as a one-check batch, so a lone per-check call
-// takes the same wire path and retries as a prefetch.
-func (c *Client) one(check suite.Check) (suite.Result, error) {
+// Check implements core.Verifier. It ships the check as a one-check
+// batch, so a lone check takes the same wire path and retries as a
+// prefetch.
+func (c *Client) Check(check suite.Check) (suite.Result, error) {
 	res, err := c.CheckBatch(context.Background(), []suite.Check{check})
 	if err != nil {
 		return suite.Result{}, err
 	}
 	return res[0], nil
-}
-
-// CheckSyntax implements core.Verifier.
-func (c *Client) CheckSyntax(config string) ([]netcfg.ParseWarning, error) {
-	res, err := c.one(suite.Check{Kind: suite.KindSyntax, Config: config})
-	return res.Warnings, err
-}
-
-// DiffTranslation implements core.Verifier.
-func (c *Client) DiffTranslation(original, translation string) ([]campion.Finding, error) {
-	res, err := c.one(suite.Check{Kind: suite.KindDiff, Original: original, Config: translation})
-	return res.Diffs, err
-}
-
-// VerifyTopology implements core.Verifier.
-func (c *Client) VerifyTopology(spec topology.RouterSpec, config string) ([]topology.Finding, error) {
-	res, err := c.one(suite.Check{Kind: suite.KindTopology, Spec: &spec, Config: config})
-	return res.Findings, err
-}
-
-// CheckLocalPolicy implements core.Verifier.
-func (c *Client) CheckLocalPolicy(config string, req lightyear.Requirement) (lightyear.Violation, bool, error) {
-	res, err := c.one(suite.Check{Kind: suite.KindLocal, Req: &req, Config: config})
-	if err != nil || !res.Violated {
-		return lightyear.Violation{}, false, err
-	}
-	if res.Violation == nil {
-		return lightyear.Violation{}, false,
-			fmt.Errorf("local-policy check on %s violated but carried no violation", req.Policy)
-	}
-	return *res.Violation, true, nil
 }

@@ -313,7 +313,7 @@ func TestHealthNamesDownEndpoint(t *testing.T) {
 }
 
 // TestShardedCountersRace hammers one client over three endpoints from
-// many goroutines — batches, per-check calls, stats reads, health probes,
+// many goroutines — batches, one-check calls, stats reads, health probes,
 // and a mid-run endpoint kill — so `go test -race` patrols the
 // per-endpoint counters and the shared result slice.
 func TestShardedCountersRace(t *testing.T) {
@@ -328,7 +328,7 @@ func TestShardedCountersRace(t *testing.T) {
 				if g%2 == 0 {
 					_, _ = c.CheckBatch(context.Background(), checks)
 				} else {
-					_, _ = c.CheckSyntax("hostname R1\n")
+					_, _ = c.Check(suite.Check{Kind: suite.KindSyntax, Config: "hostname R1\n"})
 				}
 				_ = c.Stats()
 				_ = c.Calls()

@@ -61,8 +61,8 @@ func FuzzNoTransitHandler(f *testing.F) {
 // FuzzBatchHandler feeds arbitrary bodies to POST /v1/batch, served in
 // process so a handler panic reaches the fuzzer. The handler must not
 // panic and must answer 200, 400 or 413. A 200 must answer every check in
-// order, each with the result, or the per-check error, that suite.Eval
-// gives for the resolved check through a fresh core.LocalVerifier. The
+// order, each with the result, or the per-check error, that a fresh
+// core.LocalVerifier's Check gives for the resolved check. The
 // seeds are a valid star:3 batch whose checks share bodies and carry
 // their specs and requirements inline, a config index past the table, a
 // negative one, an original index past the table, and a check with no
@@ -131,9 +131,9 @@ func FuzzBatchHandler(f *testing.F) {
 			t.Fatalf("200 for an unresolvable batch: %v", err)
 		}
 		for i, c := range checks {
-			res, err := suite.Eval(core.LocalVerifier{}, c)
+			res, err := core.LocalVerifier{}.Check(c)
 			if want := wireResult(t, res, err); string(resp.Results[i]) != want {
-				t.Fatalf("check %d (%s): handler answered %s, suite.Eval %s", i, c.Kind, resp.Results[i], want)
+				t.Fatalf("check %d (%s): handler answered %s, LocalVerifier.Check %s", i, c.Kind, resp.Results[i], want)
 			}
 		}
 	})

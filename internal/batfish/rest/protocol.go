@@ -43,9 +43,7 @@ import (
 	"fmt"
 
 	"repro/internal/batfish"
-	"repro/internal/campion"
 	"repro/internal/lightyear"
-	"repro/internal/netcfg"
 	"repro/internal/suite"
 	"repro/internal/topology"
 )
@@ -187,15 +185,13 @@ func (r *BatchRequest) resolve() ([]suite.Check, error) {
 }
 
 // BatchResult is the outcome of one BatchCheck, positionally matched to
-// the request. Error is set when that single check was malformed; the
-// other checks in the batch still carry results.
+// the request: the suite's result, whose fields encode at the top level
+// ("warnings", "findings", "diffs", "violated", "violation"), or Error
+// when that single check was malformed; the other checks in the batch
+// still carry results.
 type BatchResult struct {
-	Warnings  []netcfg.ParseWarning `json:"warnings,omitempty"`
-	Findings  []topology.Finding    `json:"findings,omitempty"`
-	Diffs     []campion.Finding     `json:"diffs,omitempty"`
-	Violated  bool                  `json:"violated,omitempty"`
-	Violation *lightyear.Violation  `json:"violation,omitempty"`
-	Error     string                `json:"error,omitempty"`
+	suite.Result
+	Error string `json:"error,omitempty"`
 }
 
 // BatchResponse carries one result per requested check, in order.

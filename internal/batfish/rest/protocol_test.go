@@ -9,6 +9,8 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"repro/internal/suite"
 )
 
 // TestProtocolHeaderRequired pins the server half of the handshake: every
@@ -97,8 +99,8 @@ func TestShardedProtocolMismatchPropagates(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "client speaks v4") {
 		t.Fatalf("batch against mismatched endpoints: %v, want the protocol mismatch", err)
 	}
-	if _, err := c.CheckSyntax("hostname R1\n"); err == nil {
-		t.Error("per-check call against mismatched endpoints succeeded")
+	if _, err := c.Check(suite.Check{Kind: suite.KindSyntax, Config: "hostname R1\n"}); err == nil {
+		t.Error("a one-check call against mismatched endpoints succeeded")
 	}
 	if n := c.Retries(); n != 0 {
 		t.Errorf("protocol mismatch retried %d times", n)

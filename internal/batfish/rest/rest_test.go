@@ -9,6 +9,7 @@ import (
 	"repro/internal/lightyear"
 	"repro/internal/netcfg"
 	"repro/internal/netgen"
+	"repro/internal/suite"
 )
 
 func newTestClient(t *testing.T) *Client {
@@ -19,14 +20,14 @@ func newTestClient(t *testing.T) *Client {
 }
 
 // newOneCheckClient returns a client whose server fails the test on any
-// request not addressed to /v1/batch: the per-check Verifier methods
-// travel as one-check batches.
+// request not addressed to /v1/batch: Client.Check travels as a
+// one-check batch.
 func newOneCheckClient(t *testing.T) *Client {
 	t.Helper()
 	inner := NewHandler()
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != PathBatch {
-			t.Errorf("per-check call reached %s, want %s", r.URL.Path, PathBatch)
+			t.Errorf("a one-check call reached %s, want %s", r.URL.Path, PathBatch)
 		}
 		inner.ServeHTTP(w, r)
 	}))
@@ -43,19 +44,19 @@ func TestHealth(t *testing.T) {
 
 func TestSyntaxRoundTrip(t *testing.T) {
 	c := newOneCheckClient(t)
-	warns, err := c.CheckSyntax("configure terminal\nhostname r1\n")
+	res, err := c.Check(suite.Check{Kind: suite.KindSyntax, Config: "configure terminal\nhostname r1\n"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(warns) != 1 {
-		t.Fatalf("warnings = %v, want exactly the CLI keyword warning", warns)
+	if len(res.Warnings) != 1 {
+		t.Fatalf("warnings = %v, want exactly the CLI keyword warning", res.Warnings)
 	}
-	warns, err = c.CheckSyntax(exampledata.CiscoExample)
+	res, err = c.Check(suite.Check{Kind: suite.KindSyntax, Config: exampledata.CiscoExample})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(warns) != 0 {
-		t.Fatalf("example config should be clean, got %v", warns)
+	if len(res.Warnings) != 0 {
+		t.Fatalf("example config should be clean, got %v", res.Warnings)
 	}
 }
 
@@ -63,11 +64,12 @@ func TestDiffRoundTrip(t *testing.T) {
 	c := newOneCheckClient(t)
 	// Diffing the original against an empty Juniper config must produce
 	// structural findings.
-	findings, err := c.DiffTranslation(exampledata.CiscoExample, "system {\n    host-name border1;\n}\n")
+	res, err := c.Check(suite.Check{Kind: suite.KindDiff, Original: exampledata.CiscoExample,
+		Config: "system {\n    host-name border1;\n}\n"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(findings) == 0 {
+	if len(res.Diffs) == 0 {
 		t.Fatal("expected structural findings against an empty translation")
 	}
 }
@@ -78,12 +80,11 @@ func TestTopologyRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := topo.Router("R2")
-	findings, err := c.VerifyTopology(*spec, "hostname R2\n")
+	res, err := c.Check(suite.Check{Kind: suite.KindTopology, Spec: topo.Router("R2"), Config: "hostname R2\n"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(findings) == 0 {
+	if len(res.Findings) == 0 {
 		t.Fatal("empty config should violate the topology spec")
 	}
 }
@@ -99,14 +100,14 @@ func TestLocalRoundTrip(t *testing.T) {
 	cfg := "hostname R1\n" +
 		"ip community-list 1 permit 100:1\n" +
 		"route-map FILTER permit 10\n"
-	viol, bad, err := c.CheckLocalPolicy(cfg, req)
+	res, err := c.Check(suite.Check{Kind: suite.KindLocal, Req: &req, Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bad {
+	if !res.Violated {
 		t.Fatal("permit-all policy must violate the drop requirement")
 	}
-	if viol.Witness == nil || !viol.Witness.HasCommunity(netcfg.MustCommunity("100:1")) {
-		t.Fatalf("witness should carry 100:1, got %v", viol.Witness)
+	if w := res.Violation.Witness; w == nil || !w.HasCommunity(netcfg.MustCommunity("100:1")) {
+		t.Fatalf("witness should carry 100:1, got %v", w)
 	}
 }

@@ -34,7 +34,7 @@ func TestRetryRidesOutTransientFault(t *testing.T) {
 	}))
 	defer srv.Close()
 	c := withFastRetries(NewClient(srv.URL))
-	if _, err := c.CheckSyntax("hostname R1\n"); err != nil {
+	if _, err := c.Check(suite.Check{Kind: suite.KindSyntax, Config: "hostname R1\n"}); err != nil {
 		t.Fatalf("transient fault not ridden out: %v", err)
 	}
 	if got := c.Retries(); got != 2 {
@@ -56,7 +56,7 @@ func TestRetryBudgetExhausted(t *testing.T) {
 	defer srv.Close()
 	c := withFastRetries(NewClient(srv.URL))
 	c.maxAttempts = 3
-	_, err := c.CheckSyntax("hostname R1\n")
+	_, err := c.Check(suite.Check{Kind: suite.KindSyntax, Config: "hostname R1\n"})
 	if !IsTransportError(err) {
 		t.Fatalf("exhausted retries did not yield a transport error: %v", err)
 	}

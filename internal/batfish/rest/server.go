@@ -21,9 +21,6 @@ import (
 
 // HandlerOptions tunes the verification-suite handler.
 type HandlerOptions struct {
-	// BatchWorkers bounds the worker pool evaluating the checks of one
-	// /v1/batch request concurrently; <= 0 uses GOMAXPROCS.
-	BatchWorkers int
 	// Parses, when set, is a parse cache shared across requests: batched
 	// and no-transit checks parse through it instead of a request-scoped
 	// cache, so a revision one request parsed is not parsed again, nor are
@@ -57,9 +54,6 @@ func NewHandler() http.Handler {
 
 // NewHandlerOpts returns the HTTP handler serving the verification suite.
 func NewHandlerOpts(opts HandlerOptions) http.Handler {
-	if opts.BatchWorkers <= 0 {
-		opts.BatchWorkers = runtime.GOMAXPROCS(0)
-	}
 	if opts.Metrics == nil {
 		opts.Metrics = obs.NewRegistry()
 	}
@@ -70,7 +64,6 @@ func NewHandlerOpts(opts HandlerOptions) http.Handler {
 	mux.HandleFunc(PathHealth, handleHealth)
 	mux.HandleFunc(PathSearch, handleSearch)
 	env := &batchEnv{
-		workers: opts.BatchWorkers,
 		parses:  opts.Parses,
 		disk:    opts.Durable,
 		digests: suite.NewDigests(),
@@ -97,7 +90,6 @@ func NewHandlerOpts(opts HandlerOptions) http.Handler {
 // batchEnv is the handler state every /v1/batch request is served with;
 // /v1/notransit shares its parse cache.
 type batchEnv struct {
-	workers int
 	parses  *netcfg.ParseCache
 	disk    *durable.Cache
 	digests *suite.Digests
@@ -197,23 +189,17 @@ func handleNoTransit(w http.ResponseWriter, r *http.Request, parses *netcfg.Pars
 	writeJSON(w, http.StatusOK, NoTransitResponse{Result: result})
 }
 
-// evalBatchCheck answers one resolved batched check through suite.Eval,
-// the single mapping from check kinds to verifier calls; parses is the
-// batch's parse cache, so a batch carrying the same configuration for its
-// syntax, topology, and local checks parses it once. A malformed check
-// comes back as a per-result error.
+// evalBatchCheck answers one resolved batched check through
+// core.LocalVerifier.Check, the single mapping from check kinds to
+// evaluators; parses is the batch's parse cache, so a batch carrying the
+// same configuration for its syntax, topology, and local checks parses it
+// once. A malformed check comes back as a per-result error.
 func evalBatchCheck(c suite.Check, parses *netcfg.ParseCache) BatchResult {
-	res, err := suite.Eval(core.LocalVerifier{Parses: parses}, c)
+	res, err := core.LocalVerifier{Parses: parses}.Check(c)
 	if err != nil {
 		return BatchResult{Error: err.Error()}
 	}
-	return BatchResult{
-		Warnings:  res.Warnings,
-		Findings:  res.Findings,
-		Diffs:     res.Diffs,
-		Violated:  res.Violated,
-		Violation: res.Violation,
-	}
+	return BatchResult{Result: res}
 }
 
 // evalBatchCheckDurable answers one batched check through the server's
@@ -223,19 +209,20 @@ func evalBatchCheck(c suite.Check, parses *netcfg.ParseCache) BatchResult {
 // (a zero Entry otherwise). The cache key is suite.Key over the check's
 // resolved form, the same identity the engine's client-side cache uses,
 // so a cosynth run and the shard it talks to can share one directory
-// without double-keying. Decode failures fall through to recomputation.
+// without double-keying. An entry that fails to decode, or is violated
+// with no violation, falls through to recomputation.
 func evalBatchCheckDurable(c suite.Check, parses *netcfg.ParseCache, d *durable.Cache,
 	digests *suite.Digests) (BatchResult, durable.Entry) {
 	key := suite.KeyD(c, digests)
 	if payload, ok := d.Get(key); ok {
-		var res BatchResult
-		if err := json.Unmarshal(payload, &res); err == nil && res.Error == "" {
-			return res, durable.Entry{}
+		var res suite.Result
+		if json.Unmarshal(payload, &res) == nil && res.Validate() == nil {
+			return BatchResult{Result: res}, durable.Entry{}
 		}
 	}
 	res := evalBatchCheck(c, parses)
 	if res.Error == "" {
-		if payload, err := json.Marshal(res); err == nil {
+		if payload, err := json.Marshal(res.Result); err == nil {
 			return res, durable.Entry{Key: key, Payload: payload}
 		}
 	}
@@ -243,7 +230,7 @@ func evalBatchCheckDurable(c suite.Check, parses *netcfg.ParseCache, d *durable.
 }
 
 // handleBatch evaluates a whole batch of independent checks in one
-// round-trip, fanning them onto a bounded worker pool. Results are
+// round-trip, fanning them onto a pool of GOMAXPROCS workers. Results are
 // positional; a malformed individual check yields a per-result error
 // without failing the batch, but a body index outside the request's table
 // fails it with a 400. env.parses, when non-nil, replaces the
@@ -280,7 +267,7 @@ func handleBatch(w http.ResponseWriter, r *http.Request, env *batchEnv) {
 			results[i], fresh[i] = evalBatchCheckDurable(checks[i], parses, env.disk, env.digests)
 		}
 	}
-	workers := env.workers
+	workers := runtime.GOMAXPROCS(0)
 	if workers > len(checks) {
 		workers = len(checks)
 	}

@@ -9,19 +9,18 @@ import (
 	"time"
 
 	"repro/internal/batfish"
-	"repro/internal/campion"
 	"repro/internal/durable"
 	"repro/internal/lightyear"
-	"repro/internal/netcfg"
 	"repro/internal/obs"
 	"repro/internal/suite"
 	"repro/internal/topology"
 )
 
 // SuiteCheck is one independent check of the verification suite in a
-// transport-neutral form (see internal/suite): the pipeline's stages
-// enumerate their outstanding checks as SuiteChecks so a batch-capable
-// verifier can ship a whole iteration's worth in one round-trip.
+// transport-neutral form (see internal/suite): the pipeline's stages list
+// their checks as SuiteCheck values, Verifier.Check evaluates one, and a
+// batch-capable verifier ships a whole iteration's worth in one
+// round-trip.
 type SuiteCheck = suite.Check
 
 // SuiteResult is the outcome of one SuiteCheck; which fields are
@@ -38,8 +37,10 @@ const (
 
 // CacheStats are a CachedVerifier's counters.
 type CacheStats struct {
-	// Hits and Misses count memoized-result lookups across CheckSyntax,
-	// VerifyTopology, CheckLocalPolicy, and DiffTranslation.
+	// Hits and Misses count the Check calls the cache answered from
+	// memory or disk and the ones it evaluated on the verifier, over every
+	// check kind. A batched run's prefetch fills the cache before the
+	// scan, so its scan reads only hits.
 	Hits   uint64
 	Misses uint64
 	// Prefetches counts batched prefetch calls that shipped work — one
@@ -80,7 +81,7 @@ func (s CacheStats) String() string {
 	return base
 }
 
-// CachedVerifier memoizes the per-config checks of a Verifier — syntax,
+// CachedVerifier memoizes the Check calls of a Verifier — syntax,
 // topology, local policy, and translation diff — keyed by a hash of the
 // check's inputs (config text plus spec/requirement). A pipeline iteration
 // therefore only re-verifies the router whose configuration the last
@@ -286,45 +287,43 @@ func fillCheckIdentity(ev *obs.Event, sc SuiteCheck) {
 
 // lookup returns the memoized result for a check, if present, along with
 // the tier that answered ("memory" or "disk"): first the memory stripe,
-// then — on a mounted durable tier — the disk, promoting a disk hit into
-// memory so it is paid for once per process. A disk entry that fails to
-// decode is treated as a miss (the durable layer already quarantined
-// anything failing its checksum; a decode failure here means a format
-// drift and must fall through to recomputation, not crash).
+// then the mounted durable tier, whose hit is promoted into memory so it
+// is paid for once per process. A disk entry that fails to decode, or is
+// violated with no violation, reads as a miss and is recomputed: the
+// durable layer already quarantined anything failing its checksum, so
+// such an entry means a format drift or another writer's fault, and must
+// not crash the scan.
 func (c *CachedVerifier) lookup(key [sha256.Size]byte) (SuiteResult, string, bool) {
 	s := c.shard(key)
 	s.mu.RLock()
 	res, ok := s.results[key]
 	s.mu.RUnlock()
 	if ok {
-		c.hits.Inc()
 		return res, "memory", true
 	}
-	if c.disk != nil {
-		if payload, ok := c.disk.Get(key); ok {
-			var dres SuiteResult
-			if err := json.Unmarshal(payload, &dres); err == nil {
-				c.hits.Inc()
-				c.diskHits.Inc()
-				s.mu.Lock()
-				s.results[key] = dres
-				s.mu.Unlock()
-				return dres, "disk", true
-			}
-		}
+	if c.disk == nil {
+		return SuiteResult{}, "", false
 	}
-	return SuiteResult{}, "", false
+	payload, ok := c.disk.Get(key)
+	if !ok {
+		return SuiteResult{}, "", false
+	}
+	// Decoding moves its target to the heap, so only a disk read pays.
+	var dres SuiteResult
+	if json.Unmarshal(payload, &dres) != nil || dres.Validate() != nil {
+		return SuiteResult{}, "", false
+	}
+	c.diskHits.Inc()
+	c.remember(key, dres)
+	return dres, "disk", true
 }
 
-// store memoizes one backend-computed result, queueing it for the
-// durable tier when one is mounted.
-func (c *CachedVerifier) store(key [sha256.Size]byte, res SuiteResult) {
-	c.misses.Inc()
+// remember memoizes one result in its memory stripe.
+func (c *CachedVerifier) remember(key [sha256.Size]byte, res SuiteResult) {
 	s := c.shard(key)
 	s.mu.Lock()
 	s.results[key] = res
 	s.mu.Unlock()
-	c.persist(key, res)
 }
 
 // persist queues one result for the durable tier's next pack, if mounted.
@@ -369,12 +368,13 @@ func (c *CachedVerifier) Flush() {
 	c.tracer.Span(start, ev)
 }
 
-// check answers one suite check through the cache, evaluating a miss on
-// the verifier. The local_check span covers the whole dispatch — key
-// hashing, cache lookup, and (on a miss) the verifier call — so a traced
-// run's verification time is attributed even when the cache answers most
-// of it; Outcome distinguishes "hit" from a verifier "check".
-func (c *CachedVerifier) check(sc SuiteCheck) (SuiteResult, error) {
+// Check implements Verifier: it answers one suite check through the
+// cache, evaluating a miss on the verifier. The local_check span covers
+// the whole dispatch — key hashing, cache lookup, and (on a miss) the
+// verifier call — so a traced run's verification time is attributed even
+// when the cache answers most of it; Outcome distinguishes "hit" from a
+// verifier "check".
+func (c *CachedVerifier) Check(sc SuiteCheck) (SuiteResult, error) {
 	var start time.Time
 	if c.tracer != nil || c.verifySeconds != nil {
 		start = time.Now()
@@ -395,17 +395,20 @@ func (c *CachedVerifier) check(sc SuiteCheck) (SuiteResult, error) {
 	}
 	key := suite.KeyD(sc, c.digests)
 	if res, tier, ok := c.lookup(key); ok {
+		c.hits.Inc()
 		c.traceCache(obs.StageCacheHit, tier, sc)
 		span("hit")
 		return res, nil
 	}
 	c.traceCache(obs.StageCacheMiss, "", sc)
-	res, err := suite.Eval(c.v, sc)
+	res, err := c.v.Check(sc)
 	span("check")
 	if err != nil {
 		return SuiteResult{}, err
 	}
-	c.store(key, res)
+	c.misses.Inc()
+	c.remember(key, res)
+	c.persist(key, res)
 	return res, nil
 }
 
@@ -444,7 +447,9 @@ func (c *CachedVerifier) Prefetch(checks []SuiteCheck) error {
 			continue
 		}
 		seen[key] = true
-		if !c.cached(key) {
+		// The probe promotes a disk-warm check into memory rather than
+		// shipping it, and counts no hit: the scan's Check counts that.
+		if _, _, ok := c.lookup(key); !ok {
 			missing = append(missing, sc)
 			keys = append(keys, key)
 		}
@@ -465,73 +470,10 @@ func (c *CachedVerifier) Prefetch(checks []SuiteCheck) error {
 	c.prefetches.Inc()
 	c.batchedChecks.Add(uint64(len(missing)))
 	for i, res := range results {
-		s := c.shard(keys[i])
-		s.mu.Lock()
-		s.results[keys[i]] = res
-		s.mu.Unlock()
+		c.remember(keys[i], res)
 		c.persist(keys[i], res)
 	}
 	return nil
-}
-
-// cached reports whether a key is answerable without the backend,
-// promoting a disk-tier entry into memory on the way — the prefetch probe,
-// which must not ship disk-warm checks to the backend but also must not
-// count a memory hit the eventual lookup will count itself.
-func (c *CachedVerifier) cached(key [sha256.Size]byte) bool {
-	s := c.shard(key)
-	s.mu.RLock()
-	_, ok := s.results[key]
-	s.mu.RUnlock()
-	if ok || c.disk == nil {
-		return ok
-	}
-	payload, ok := c.disk.Get(key)
-	if !ok {
-		return false
-	}
-	var res SuiteResult
-	if err := json.Unmarshal(payload, &res); err != nil {
-		return false
-	}
-	c.diskHits.Inc()
-	s.mu.Lock()
-	s.results[key] = res
-	s.mu.Unlock()
-	return true
-}
-
-// CheckSyntax implements Verifier.
-func (c *CachedVerifier) CheckSyntax(config string) ([]netcfg.ParseWarning, error) {
-	res, err := c.check(SuiteCheck{Kind: SuiteSyntax, Config: config})
-	return res.Warnings, err
-}
-
-// DiffTranslation implements Verifier.
-func (c *CachedVerifier) DiffTranslation(original, translation string) ([]campion.Finding, error) {
-	res, err := c.check(SuiteCheck{Kind: SuiteDiff, Original: original, Config: translation})
-	return res.Diffs, err
-}
-
-// VerifyTopology implements Verifier.
-func (c *CachedVerifier) VerifyTopology(spec topology.RouterSpec, config string) ([]topology.Finding, error) {
-	res, err := c.check(SuiteCheck{Kind: SuiteTopology, Spec: &spec, Config: config})
-	return res.Findings, err
-}
-
-// CheckLocalPolicy implements Verifier.
-func (c *CachedVerifier) CheckLocalPolicy(config string, req lightyear.Requirement) (lightyear.Violation, bool, error) {
-	res, err := c.check(SuiteCheck{Kind: SuiteLocal, Req: &req, Config: config})
-	if err != nil || !res.Violated {
-		return lightyear.Violation{}, false, err
-	}
-	if res.Violation == nil {
-		// A prefetched result from a version-skewed remote server could be
-		// violated with no violation body; fail loudly instead of panicking.
-		return lightyear.Violation{}, false,
-			fmt.Errorf("local-policy check on %s violated but carried no violation", req.Policy)
-	}
-	return *res.Violation, true, nil
 }
 
 // GlobalNoTransit implements Verifier; it passes through uncached (see the

@@ -2,41 +2,47 @@ package core
 
 import (
 	"fmt"
+	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
-	"repro/internal/campion"
+	"repro/internal/durable"
 	"repro/internal/lightyear"
 	"repro/internal/netcfg"
+	"repro/internal/suite"
 	"repro/internal/topology"
 )
 
 // countingVerifier wraps the in-process suite and counts underlying calls
-// per method, so tests can observe what the cache actually re-evaluates.
+// per check kind, so tests can observe what the cache actually
+// re-evaluates.
 type countingVerifier struct {
 	LocalVerifier
 	syntax, topo, local, diff atomic.Int64
 }
 
-func (v *countingVerifier) CheckSyntax(config string) ([]netcfg.ParseWarning, error) {
-	v.syntax.Add(1)
-	return v.LocalVerifier.CheckSyntax(config)
+func (v *countingVerifier) Check(c SuiteCheck) (SuiteResult, error) {
+	switch c.Kind {
+	case SuiteSyntax:
+		v.syntax.Add(1)
+	case SuiteTopology:
+		v.topo.Add(1)
+	case SuiteLocal:
+		v.local.Add(1)
+	case SuiteDiff:
+		v.diff.Add(1)
+	}
+	return v.LocalVerifier.Check(c)
 }
 
-func (v *countingVerifier) VerifyTopology(spec topology.RouterSpec, config string) ([]topology.Finding, error) {
-	v.topo.Add(1)
-	return v.LocalVerifier.VerifyTopology(spec, config)
+func syntaxCheck(config string) SuiteCheck {
+	return SuiteCheck{Kind: SuiteSyntax, Config: config}
 }
 
-func (v *countingVerifier) CheckLocalPolicy(config string, req lightyear.Requirement) (lightyear.Violation, bool, error) {
-	v.local.Add(1)
-	return v.LocalVerifier.CheckLocalPolicy(config, req)
-}
-
-func (v *countingVerifier) DiffTranslation(original, translation string) ([]campion.Finding, error) {
-	v.diff.Add(1)
-	return v.LocalVerifier.DiffTranslation(original, translation)
+func localPolicyCheck(config string, req lightyear.Requirement) SuiteCheck {
+	return SuiteCheck{Kind: SuiteLocal, Config: config, Req: &req}
 }
 
 func testRequirement() lightyear.Requirement {
@@ -55,7 +61,7 @@ func TestCachedVerifierMemoizesPerRevision(t *testing.T) {
 	cfg := "hostname R1\n"
 
 	for i := 0; i < 3; i++ {
-		if _, err := cv.CheckSyntax(cfg); err != nil {
+		if _, err := cv.Check(syntaxCheck(cfg)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -65,7 +71,7 @@ func TestCachedVerifierMemoizesPerRevision(t *testing.T) {
 
 	req := testRequirement()
 	for i := 0; i < 3; i++ {
-		if _, _, err := cv.CheckLocalPolicy(cfg, req); err != nil {
+		if _, err := cv.Check(localPolicyCheck(cfg, req)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -83,16 +89,16 @@ func TestCachedVerifierInvalidatesOnConfigChange(t *testing.T) {
 	under := &countingVerifier{}
 	cv := NewCachedVerifier(under)
 
-	if _, err := cv.CheckSyntax("hostname R1\n"); err != nil {
+	if _, err := cv.Check(syntaxCheck("hostname R1\n")); err != nil {
 		t.Fatal(err)
 	}
 	// A new revision of the config is a new key: the underlying verifier
 	// must run again and must see the new text's warnings.
-	warns, err := cv.CheckSyntax("hostname R1\nconfigure terminal\n")
+	res, err := cv.Check(syntaxCheck("hostname R1\nconfigure terminal\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(warns) == 0 {
+	if len(res.Warnings) == 0 {
 		t.Error("changed config's warnings were not recomputed")
 	}
 	if got := under.syntax.Load(); got != 2 {
@@ -101,11 +107,11 @@ func TestCachedVerifierInvalidatesOnConfigChange(t *testing.T) {
 
 	// Same config under a different requirement is also a distinct key.
 	req := testRequirement()
-	if _, _, err := cv.CheckLocalPolicy("hostname R1\n", req); err != nil {
+	if _, err := cv.Check(localPolicyCheck("hostname R1\n", req)); err != nil {
 		t.Fatal(err)
 	}
 	req.Community = netcfg.MustCommunity("100:2")
-	if _, _, err := cv.CheckLocalPolicy("hostname R1\n", req); err != nil {
+	if _, err := cv.Check(localPolicyCheck("hostname R1\n", req)); err != nil {
 		t.Fatal(err)
 	}
 	if got := under.local.Load(); got != 2 {
@@ -127,19 +133,19 @@ func driveConcurrently(t *testing.T, cv *CachedVerifier) {
 			defer wg.Done()
 			for i := 0; i < 25; i++ {
 				cfg := fmt.Sprintf("hostname R%d\n", (i+w)%5)
-				if _, err := cv.CheckSyntax(cfg); err != nil {
+				if _, err := cv.Check(syntaxCheck(cfg)); err != nil {
 					t.Error(err)
 					return
 				}
-				if _, err := cv.VerifyTopology(spec, cfg); err != nil {
+				if _, err := cv.Check(SuiteCheck{Kind: SuiteTopology, Spec: &spec, Config: cfg}); err != nil {
 					t.Error(err)
 					return
 				}
-				if _, _, err := cv.CheckLocalPolicy(cfg, req); err != nil {
+				if _, err := cv.Check(localPolicyCheck(cfg, req)); err != nil {
 					t.Error(err)
 					return
 				}
-				if _, err := cv.DiffTranslation(cfg, cfg); err != nil {
+				if _, err := cv.Check(SuiteCheck{Kind: SuiteDiff, Original: cfg, Config: cfg}); err != nil {
 					t.Error(err)
 					return
 				}
@@ -176,11 +182,11 @@ func TestCachedVerifierStripedHammer(t *testing.T) {
 			for i := 0; i < rounds; i++ {
 				n := (i*workers + w*11) % configs
 				cfg := fmt.Sprintf("hostname R%d\n", n)
-				if _, err := c.CheckSyntax(cfg); err != nil {
+				if _, err := c.Check(syntaxCheck(cfg)); err != nil {
 					t.Error(err)
 					return
 				}
-				if _, _, err := c.CheckLocalPolicy(cfg, req); err != nil {
+				if _, err := c.Check(localPolicyCheck(cfg, req)); err != nil {
 					t.Error(err)
 					return
 				}
@@ -201,5 +207,75 @@ func TestCachedVerifierStripedHammer(t *testing.T) {
 	}
 	if calls := v.syntax.Load() + v.local.Load(); uint64(calls) != stats.Misses {
 		t.Errorf("underlying calls = %d, want %d (one per miss)", calls, stats.Misses)
+	}
+}
+
+// TestCheckRejectsMalformedChecks pins the guard on checks whose required
+// pointer fields are missing: a topology check with no spec or a local
+// check with no requirement must fail with a descriptive error, not a nil
+// dereference — such checks can arrive over the wire from peers this
+// process does not control.
+func TestCheckRejectsMalformedChecks(t *testing.T) {
+	for _, tc := range []struct {
+		check SuiteCheck
+		want  string
+	}{
+		{SuiteCheck{Kind: SuiteTopology, Config: "hostname R1\n"}, "no router spec"},
+		{SuiteCheck{Kind: SuiteLocal, Config: "hostname R1\n"}, "no requirement"},
+		{SuiteCheck{Kind: "bogus"}, "unknown suite check kind"},
+	} {
+		_, err := LocalVerifier{}.Check(tc.check)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Check(%s) error = %v, want mention of %q", tc.check.Kind, err, tc.want)
+		}
+	}
+}
+
+// TestCheckWellFormedChecks confirms the guards do not reject checks whose
+// pointers are present.
+func TestCheckWellFormedChecks(t *testing.T) {
+	spec := &topology.RouterSpec{Name: "R1"}
+	req := &lightyear.Requirement{Router: "R1", Policy: "FILTER"}
+	for _, c := range []SuiteCheck{
+		{Kind: SuiteSyntax, Config: "hostname R1\n"},
+		{Kind: SuiteTopology, Spec: spec, Config: "hostname R1\n"},
+		{Kind: SuiteLocal, Req: req, Config: "hostname R1\n"},
+		{Kind: SuiteDiff, Original: "hostname R1\n", Config: "system {}\n"},
+	} {
+		if _, err := (LocalVerifier{}).Check(c); err != nil {
+			t.Errorf("Check(%s) = %v, want nil", c.Kind, err)
+		}
+	}
+}
+
+// TestDiskEntryViolatedWithoutViolationIsRecomputed stores a disk-tier
+// entry that is violated but carries no violation under a local check's
+// key. No evaluator produces such a result, so the cache must read it as
+// a miss and recompute the check, not serve it.
+func TestDiskEntryViolatedWithoutViolationIsRecomputed(t *testing.T) {
+	d, err := durable.Open(t.TempDir(), durable.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := localPolicyCheck("hostname R1\n", testRequirement())
+	if _, err := d.Put(durable.Entry{Key: suite.Key(check), Payload: []byte(`{"violated":true}`)}); err != nil {
+		t.Fatal(err)
+	}
+	under := &countingVerifier{}
+	cv := NewCachedVerifier(under)
+	cv.SetDurable(d)
+	got, err := cv.Check(check)
+	if err != nil {
+		t.Fatalf("the forged entry was served: %v", err)
+	}
+	want, err := LocalVerifier{}.Check(check)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("Check = %+v, want the recomputed %+v", got, want)
+	}
+	if n, hits := under.local.Load(), cv.Stats().DiskHits; n != 1 || hits != 0 {
+		t.Errorf("%d evaluations and %d disk hits, want 1 and 0", n, hits)
 	}
 }

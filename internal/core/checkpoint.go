@@ -196,8 +196,9 @@ func newCheckpointer(opts *CheckpointOptions) (*checkpointer, error) {
 
 // load reads the checkpoint for resume. A missing file means a fresh
 // start (nil, nil); a torn file cannot occur (writes are atomic), so any
-// unreadable content, version skew, or run-key mismatch is an error the
-// caller surfaces rather than silently restarting.
+// unreadable content, version skew, run-key mismatch, or a phase that is
+// missing or unknown is an error the caller surfaces rather than silently
+// restarting. The caller refuses a known phase of another loop.
 func (c *checkpointer) load() (*checkpointFile, error) {
 	if c == nil || !c.opts.Resume {
 		return nil, nil
@@ -224,6 +225,13 @@ func (c *checkpointer) load() (*checkpointFile, error) {
 	if ck.RunKey != "" && c.opts.RunKey != "" && ck.RunKey != c.opts.RunKey {
 		return nil, fmt.Errorf("resume: checkpoint %s belongs to a different run (key %s, want %s)",
 			c.opts.Path, ck.RunKey, c.opts.RunKey)
+	}
+	switch ck.Phase {
+	case phaseSynthSequential, phaseSynthParallel, phaseTranslate:
+	case "":
+		return nil, fmt.Errorf("resume: checkpoint %s names no phase", c.opts.Path)
+	default:
+		return nil, fmt.Errorf("resume: checkpoint %s names the unknown phase %q", c.opts.Path, ck.Phase)
 	}
 	if c.tracer != nil {
 		c.tracer.Span(start, obs.Event{Stage: obs.StageCheckpointRestore,

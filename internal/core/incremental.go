@@ -98,22 +98,23 @@ func AddPolicyIncremental(topo *topology.Topology, configs map[string]string,
 // and finally the global simulation — the non-interference re-check.
 func nextIncrementalFinding(v Verifier, topo *topology.Topology,
 	reqs []lightyear.Requirement, configs map[string]string) (string, bool, error) {
-	warns, err := v.CheckSyntax(configs["R1"])
+	res, err := v.Check(SuiteCheck{Kind: SuiteSyntax, Config: configs["R1"]})
 	if err != nil {
 		return "", false, err
 	}
-	if len(warns) > 0 {
+	if warns := res.Warnings; len(warns) > 0 {
 		return fmt.Sprintf("In the configuration of router R1: there is a syntax error: '%s' (%s). "+
 			"Please fix it and print the entire corrected configuration.",
 			warns[0].Text, warns[0].Reason), false, nil
 	}
-	for _, req := range reqs {
-		viol, bad, err := v.CheckLocalPolicy(configs[req.Router], req)
+	for i := range reqs {
+		req := &reqs[i]
+		res, err := v.Check(SuiteCheck{Kind: SuiteLocal, Req: req, Config: configs[req.Router]})
 		if err != nil {
 			return "", false, err
 		}
-		if bad {
-			return viol.Explanation + " Please fix the route-map and print the entire " +
+		if res.Violated {
+			return res.Violation.Explanation + " Please fix the route-map and print the entire " +
 				"corrected configuration.", false, nil
 		}
 	}

@@ -23,28 +23,23 @@ type Finding struct {
 }
 
 // PipelineStage is one verifier pass of the repair loop (Figure 3): it
-// inspects the current configurations and reports the first outstanding
-// finding, or nil when the stage is clean. Stages run in declaration
-// order, which encodes the paper's masking order — "syntax errors and
-// structural mismatches have to be handled earlier since they can mask
-// attribute differences and policy behavior differences" (§3.1). The
-// transcript label comes from each Finding's Stage field, since one pass
-// may surface findings of several kinds (the Campion differ emits both
-// structural and semantic findings).
+// lists its independent checks against the current configurations, and
+// turns a check's result into the stage's finding. The driver evaluates
+// the list in order and reports the first finding, or moves on when the
+// stage is clean. Stages run in declaration order, which encodes the
+// paper's masking order — "syntax errors and structural mismatches have
+// to be handled earlier since they can mask attribute differences and
+// policy behavior differences" (§3.1). The transcript label comes from
+// each Finding's Stage field, since one pass may surface findings of
+// several kinds (the Campion differ emits both structural and semantic
+// findings).
 type PipelineStage interface {
-	// Check returns the first outstanding finding against the current
-	// configurations (keyed by target), or nil when clean.
-	Check(configs map[string]string) (*Finding, error)
-}
-
-// suiteEnumerator is the optional stage seam for batched verification: a
-// stage that can list its independent checks against the current
-// configurations, in scan order, so the driver can prefetch them all
-// against the verification backend (suite.Backend) before the stage scan
-// reads them back from the cache. Against a REST client the prefetch is
-// one round-trip per endpoint, issued in parallel.
-type suiteEnumerator interface {
-	SuiteChecks(configs map[string]string) []SuiteCheck
+	// Checks lists the stage's checks against the current configurations
+	// (keyed by target), in scan order.
+	Checks(configs map[string]string) []SuiteCheck
+	// Finding returns the finding the result of check i reports, or nil
+	// when that check is clean.
+	Finding(i int, res SuiteResult) *Finding
 }
 
 // Pipeline declares a VPP repair loop: an ordered stage list plus the
@@ -52,15 +47,19 @@ type suiteEnumerator interface {
 type Pipeline struct {
 	Stages []PipelineStage
 	Human  HumanOracle
-	// Cache, when set, is the verification cache the stages check through.
-	// Each iteration the driver collects every enumerable stage's
-	// outstanding checks and prefetches them against the cache's backend
-	// seam — one batched round-trip per endpoint for the REST client, a
-	// no-op for unbatched verifiers; the stage scan then reads the results from the
-	// cache instead of issuing one call per check. After the scan
-	// RunPipeline flushes the iteration's new results to the cache's
-	// durable tier as one pack.
-	Cache *CachedVerifier
+	// Verifier evaluates the stages' checks. When it is a CachedVerifier
+	// over a batched backend (the REST client), every stage lists its
+	// checks at the top of each iteration and the driver prefetches them
+	// all in one batched call — one round-trip per endpoint — before the
+	// scan reads the same lists back as cache hits. Otherwise a stage
+	// lists its checks only when the scan reaches it, so a finding in an
+	// earlier stage skips the later ones. After the scan a CachedVerifier
+	// flushes the iteration's new results to its durable tier as one pack.
+	Verifier Verifier
+	// Workers bounds the pool that evaluates one stage's checks; values
+	// <= 1 scan them in order. The lowest-index finding wins either way,
+	// so the transcript does not depend on it (see scanFirst).
+	Workers int
 	// MaxAttemptsPerFinding bounds automated prompts per distinct finding
 	// before punting to the human.
 	MaxAttemptsPerFinding int
@@ -113,12 +112,9 @@ func RunPipeline(sess *session, configs map[string]string, p Pipeline) (verified
 			}
 		}
 		sess.iterations++
-		if err := p.prefetch(configs); err != nil {
-			return false, err
-		}
-		finding, err := firstFinding(p.Stages, configs)
-		if p.Cache != nil {
-			p.Cache.Flush()
+		finding, err := p.firstFinding(configs)
+		if cache, ok := p.Verifier.(*CachedVerifier); ok {
+			cache.Flush()
 		}
 		if err != nil {
 			return false, err
@@ -167,33 +163,40 @@ func RunPipeline(sess *session, configs map[string]string, p Pipeline) (verified
 	return false, nil
 }
 
-// prefetch warms the pipeline's verification cache with every enumerable
-// stage's outstanding checks — dispatched through the backend seam as one
-// batched call per iteration (one round-trip per endpoint) when the
-// verifier takes batches, nothing otherwise.
-func (p *Pipeline) prefetch(configs map[string]string) error {
-	if p.Cache == nil || !p.Cache.Batched() {
-		return nil
-	}
-	var checks []SuiteCheck
-	for _, st := range p.Stages {
-		if e, ok := st.(suiteEnumerator); ok {
-			checks = append(checks, e.SuiteChecks(configs)...)
-		}
-	}
-	return p.Cache.Prefetch(checks)
-}
-
 // firstFinding scans the stages in masking order and returns the first
-// outstanding finding, or nil when every stage is clean.
-func firstFinding(stages []PipelineStage, configs map[string]string) (*Finding, error) {
-	for _, st := range stages {
-		f, err := st.Check(configs)
-		if err != nil {
+// outstanding finding, or nil when every stage is clean. Against a
+// batched cache every stage lists its checks up front, the whole
+// iteration is prefetched, and the scan reads those same lists; in
+// process each stage lists its checks when the scan reaches it.
+func (p *Pipeline) firstFinding(configs map[string]string) (*Finding, error) {
+	var lists [][]SuiteCheck
+	if cache, ok := p.Verifier.(*CachedVerifier); ok && cache.Batched() {
+		lists = make([][]SuiteCheck, len(p.Stages))
+		var all []SuiteCheck
+		for i, st := range p.Stages {
+			lists[i] = st.Checks(configs)
+			all = append(all, lists[i]...)
+		}
+		if err := cache.Prefetch(all); err != nil {
 			return nil, err
 		}
-		if f != nil {
-			return f, nil
+	}
+	for i, st := range p.Stages {
+		var checks []SuiteCheck
+		if lists != nil {
+			checks = lists[i]
+		} else {
+			checks = st.Checks(configs)
+		}
+		f, err := scanFirst(len(checks), p.Workers, func(j int) (*Finding, error) {
+			res, err := p.Verifier.Check(checks[j])
+			if err != nil {
+				return nil, err
+			}
+			return st.Finding(j, res), nil
+		})
+		if f != nil || err != nil {
+			return f, err
 		}
 	}
 	return nil, nil

@@ -13,12 +13,6 @@ import (
 	"repro/internal/netgen"
 )
 
-// localVerdict is one requirement's local-check outcome.
-type localVerdict struct {
-	Violation lightyear.Violation
-	Bad       bool
-}
-
 // TestSharedRevisionConcurrentChecks races the lazily filled compiled-policy
 // slot of a shared revision. Several goroutines check every requirement of
 // a random:12 spec, each starting at a different requirement, through one
@@ -51,18 +45,18 @@ func TestSharedRevisionConcurrentChecks(t *testing.T) {
 	}
 	reqs := lightyear.SpecFor(topo)
 
-	check := func(v core.LocalVerifier, req lightyear.Requirement) localVerdict {
-		viol, bad, err := v.CheckLocalPolicy(configs[req.Router], req)
+	check := func(v core.LocalVerifier, req lightyear.Requirement) core.SuiteResult {
+		res, err := v.Check(core.SuiteCheck{Kind: core.SuiteLocal, Req: &req, Config: configs[req.Router]})
 		if err != nil {
 			t.Error(err)
 		}
-		return localVerdict{viol, bad}
+		return res
 	}
-	want := make([]localVerdict, len(reqs))
+	want := make([]core.SuiteResult, len(reqs))
 	violations := 0
 	for i, req := range reqs {
 		want[i] = check(core.LocalVerifier{}, req)
-		if want[i].Bad {
+		if want[i].Violated {
 			violations++
 		}
 	}
@@ -72,10 +66,10 @@ func TestSharedRevisionConcurrentChecks(t *testing.T) {
 
 	const workers = 4
 	shared := core.LocalVerifier{Parses: batfish.NewParseCache()}
-	got := make([][]localVerdict, workers)
+	got := make([][]core.SuiteResult, workers)
 	var wg sync.WaitGroup
 	for w := range workers {
-		got[w] = make([]localVerdict, len(reqs))
+		got[w] = make([]core.SuiteResult, len(reqs))
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

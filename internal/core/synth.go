@@ -124,18 +124,26 @@ func synthPipeline(v Verifier, topo *topology.Topology, tasks []modularizer.Task
 	// deterministic order the finding selection (scanFirst) and the
 	// batched prefetch both key on. Dual-homed routers therefore
 	// contribute one contiguous block per attachment, not one per router.
+	routers := make([]string, len(tasks))
+	var specs []*topology.RouterSpec
 	var locals []localCheck
-	for _, task := range tasks {
+	for i, task := range tasks {
+		routers[i] = task.Router
+		if spec := topo.Router(task.Router); spec != nil {
+			specs = append(specs, spec)
+		}
 		for _, req := range task.LocalSpec {
 			locals = append(locals, localCheck{router: task.Router, req: req})
 		}
 	}
-	p := Pipeline{
+	return Pipeline{
 		Stages: []PipelineStage{
-			synthSyntaxStage{v: v, tasks: tasks, workers: opts.SuiteParallelism},
-			synthTopologyStage{v: v, topo: topo, tasks: tasks, workers: opts.SuiteParallelism},
-			synthLocalPolicyStage{v: v, checks: locals, workers: opts.SuiteParallelism},
+			synthSyntaxStage{routers: routers},
+			synthTopologyStage{specs: specs},
+			synthLocalPolicyStage{checks: locals},
 		},
+		Verifier:              v,
+		Workers:               opts.SuiteParallelism,
 		Human:                 opts.Human,
 		MaxAttemptsPerFinding: opts.MaxAttemptsPerFinding,
 		MaxIterations:         opts.MaxIterations,
@@ -143,10 +151,6 @@ func synthPipeline(v Verifier, topo *topology.Topology, tasks []modularizer.Task
 			return fmt.Sprintf("For router %s: %s", f.Target, manual)
 		},
 	}
-	if cache, ok := v.(*CachedVerifier); ok {
-		p.Cache = cache
-	}
-	return p
 }
 
 // Synthesize runs the full VPP synthesis pipeline on a topology: the human
@@ -476,88 +480,60 @@ func (l *lockedModel) Complete(messages []llm.Message) (string, error) {
 }
 
 // synthSyntaxStage checks every router's configuration with the Batfish
-// syntax verifier, in topology order. The per-router checks are
-// independent, so with workers > 1 they fan out via scanFirst while the
-// reported finding stays the sequential scan's.
-type synthSyntaxStage struct {
-	v       Verifier
-	tasks   []modularizer.Task
-	workers int
-}
+// syntax verifier, in topology order.
+type synthSyntaxStage struct{ routers []string }
 
-// Check implements PipelineStage.
-func (s synthSyntaxStage) Check(configs map[string]string) (*Finding, error) {
-	return scanFirst(len(s.tasks), s.workers, func(i int) (*Finding, error) {
-		task := s.tasks[i]
-		warns, err := s.v.CheckSyntax(configs[task.Router])
-		if err != nil || len(warns) == 0 {
-			return nil, err
-		}
-		w := warns[0]
-		return &Finding{
-			Key:    "syntax:" + task.Router + ":" + w.Reason + ":" + w.Text,
-			Target: task.Router,
-			Stage:  StageSyntax,
-			Humanized: fmt.Sprintf("In the configuration of router %s: %s",
-				task.Router, humanizer.Syntax(w)),
-			Raw: w.String(),
-		}, nil
-	})
-}
-
-// SuiteChecks implements suiteEnumerator.
-func (s synthSyntaxStage) SuiteChecks(configs map[string]string) []SuiteCheck {
-	out := make([]SuiteCheck, 0, len(s.tasks))
-	for _, task := range s.tasks {
-		out = append(out, SuiteCheck{Kind: SuiteSyntax, Config: configs[task.Router]})
+// Checks implements PipelineStage.
+func (s synthSyntaxStage) Checks(configs map[string]string) []SuiteCheck {
+	out := make([]SuiteCheck, len(s.routers))
+	for i, router := range s.routers {
+		out[i] = SuiteCheck{Kind: SuiteSyntax, Config: configs[router]}
 	}
 	return out
+}
+
+// Finding implements PipelineStage.
+func (s synthSyntaxStage) Finding(i int, res SuiteResult) *Finding {
+	if len(res.Warnings) == 0 {
+		return nil
+	}
+	router, w := s.routers[i], res.Warnings[0]
+	return &Finding{
+		Key:    "syntax:" + router + ":" + w.Reason + ":" + w.Text,
+		Target: router,
+		Stage:  StageSyntax,
+		Humanized: fmt.Sprintf("In the configuration of router %s: %s",
+			router, humanizer.Syntax(w)),
+		Raw: w.String(),
+	}
 }
 
 // synthTopologyStage checks every router's configuration against its
-// topology spec.
-type synthTopologyStage struct {
-	v       Verifier
-	topo    *topology.Topology
-	tasks   []modularizer.Task
-	workers int
-}
+// topology spec; the specs are resolved once, when the pipeline is built.
+type synthTopologyStage struct{ specs []*topology.RouterSpec }
 
-// Check implements PipelineStage.
-func (s synthTopologyStage) Check(configs map[string]string) (*Finding, error) {
-	return scanFirst(len(s.tasks), s.workers, func(i int) (*Finding, error) {
-		task := s.tasks[i]
-		spec := s.topo.Router(task.Router)
-		if spec == nil {
-			return nil, nil
-		}
-		finds, err := s.v.VerifyTopology(*spec, configs[task.Router])
-		if err != nil || len(finds) == 0 {
-			return nil, err
-		}
-		f := finds[0]
-		return &Finding{
-			Key:       "topology:" + task.Router + ":" + f.Issue,
-			Target:    task.Router,
-			Stage:     StageTopology,
-			Humanized: humanizer.Topology(f),
-			Raw:       f.String(),
-		}, nil
-	})
-}
-
-// SuiteChecks implements suiteEnumerator.
-func (s synthTopologyStage) SuiteChecks(configs map[string]string) []SuiteCheck {
-	out := make([]SuiteCheck, 0, len(s.tasks))
-	for _, task := range s.tasks {
-		spec := s.topo.Router(task.Router)
-		if spec == nil {
-			continue
-		}
-		out = append(out, SuiteCheck{Kind: SuiteTopology, Spec: spec,
-			Config: configs[task.Router]})
+// Checks implements PipelineStage.
+func (s synthTopologyStage) Checks(configs map[string]string) []SuiteCheck {
+	out := make([]SuiteCheck, len(s.specs))
+	for i, spec := range s.specs {
+		out[i] = SuiteCheck{Kind: SuiteTopology, Spec: spec, Config: configs[spec.Name]}
 	}
 	return out
+}
+
+// Finding implements PipelineStage.
+func (s synthTopologyStage) Finding(i int, res SuiteResult) *Finding {
+	if len(res.Findings) == 0 {
+		return nil
+	}
+	router, f := s.specs[i].Name, res.Findings[0]
+	return &Finding{
+		Key:       "topology:" + router + ":" + f.Issue,
+		Target:    router,
+		Stage:     StageTopology,
+		Humanized: humanizer.Topology(f),
+		Raw:       f.String(),
+	}
 }
 
 // localCheck is one (router, requirement) pair of the local-policy stage,
@@ -573,41 +549,33 @@ type localCheck struct {
 
 // synthLocalPolicyStage checks every router's Lightyear local-policy
 // requirements.
-type synthLocalPolicyStage struct {
-	v       Verifier
-	checks  []localCheck
-	workers int
-}
+type synthLocalPolicyStage struct{ checks []localCheck }
 
-// Check implements PipelineStage.
-func (s synthLocalPolicyStage) Check(configs map[string]string) (*Finding, error) {
-	return scanFirst(len(s.checks), s.workers, func(i int) (*Finding, error) {
-		lc := s.checks[i]
-		viol, bad, err := s.v.CheckLocalPolicy(configs[lc.router], lc.req)
-		if err != nil || !bad {
-			return nil, err
-		}
-		return &Finding{
-			// The attempt budget tracks findings per attachment: the
-			// identity segment keeps two same-shaped obligations on one
-			// router (a dual-homed pair) from sharing a budget.
-			Key: "semantic:" + lc.router + ":" + lc.req.Attachment.String() +
-				":" + lc.req.Policy + ":" + lc.req.Description,
-			Target:    lc.router,
-			Stage:     StageSemantic,
-			Humanized: humanizer.Semantic(viol),
-			Raw:       viol.String(),
-		}, nil
-	})
-}
-
-// SuiteChecks implements suiteEnumerator.
-func (s synthLocalPolicyStage) SuiteChecks(configs map[string]string) []SuiteCheck {
-	out := make([]SuiteCheck, 0, len(s.checks))
+// Checks implements PipelineStage.
+func (s synthLocalPolicyStage) Checks(configs map[string]string) []SuiteCheck {
+	out := make([]SuiteCheck, len(s.checks))
 	for i := range s.checks {
 		lc := &s.checks[i]
-		out = append(out, SuiteCheck{Kind: SuiteLocal, Req: &lc.req,
-			Config: configs[lc.router]})
+		out[i] = SuiteCheck{Kind: SuiteLocal, Req: &lc.req, Config: configs[lc.router]}
 	}
 	return out
+}
+
+// Finding implements PipelineStage.
+func (s synthLocalPolicyStage) Finding(i int, res SuiteResult) *Finding {
+	if !res.Violated {
+		return nil
+	}
+	lc := &s.checks[i]
+	return &Finding{
+		// The attempt budget tracks findings per attachment: the
+		// identity segment keeps two same-shaped obligations on one
+		// router (a dual-homed pair) from sharing a budget.
+		Key: "semantic:" + lc.router + ":" + lc.req.Attachment.String() +
+			":" + lc.req.Policy + ":" + lc.req.Description,
+		Target:    lc.router,
+		Stage:     StageSemantic,
+		Humanized: humanizer.Semantic(*res.Violation),
+		Raw:       res.Violation.String(),
+	}
 }

@@ -133,15 +133,15 @@ func Translate(ciscoConfig string, opts TranslateOptions) (*Result, error) {
 	}
 	p := Pipeline{
 		Stages: []PipelineStage{
-			translationSyntaxStage{v: opts.Verifier},
-			translationDiffStage{v: opts.Verifier, original: ciscoConfig},
+			translationSyntaxStage{},
+			translationDiffStage{original: ciscoConfig},
 		},
+		Verifier:              opts.Verifier,
 		Human:                 opts.Human,
 		MaxAttemptsPerFinding: opts.MaxAttemptsPerFinding,
 		MaxIterations:         opts.MaxIterations,
 		RawFeedback:           opts.RawFeedback,
 		PrintAfterFix:         true,
-		Cache:                 cache,
 	}
 	p.saver = ck.sequentialSaver(phaseTranslate, sess, configs)
 	p.resume = ps
@@ -170,50 +170,44 @@ func Translate(ciscoConfig string, opts TranslateOptions) (*Result, error) {
 // verifier. It runs first: "syntax errors and structural mismatches have
 // to be handled earlier since they can mask attribute differences and
 // policy behavior differences" (§3.1).
-type translationSyntaxStage struct{ v Verifier }
+type translationSyntaxStage struct{}
 
-// Check implements PipelineStage.
-func (s translationSyntaxStage) Check(configs map[string]string) (*Finding, error) {
-	warns, err := s.v.CheckSyntax(configs[translationTarget])
-	if err != nil {
-		return nil, err
+// Checks implements PipelineStage.
+func (translationSyntaxStage) Checks(configs map[string]string) []SuiteCheck {
+	return []SuiteCheck{{Kind: SuiteSyntax, Config: configs[translationTarget]}}
+}
+
+// Finding implements PipelineStage.
+func (translationSyntaxStage) Finding(_ int, res SuiteResult) *Finding {
+	if len(res.Warnings) == 0 {
+		return nil
 	}
-	if len(warns) == 0 {
-		return nil, nil
-	}
-	w := warns[0]
+	w := res.Warnings[0]
 	return &Finding{
 		Key:       "syntax:" + w.Text + ":" + w.Reason,
 		Target:    translationTarget,
 		Stage:     StageSyntax,
 		Humanized: humanizer.Syntax(w),
 		Raw:       w.String(),
-	}, nil
-}
-
-// SuiteChecks implements suiteEnumerator.
-func (s translationSyntaxStage) SuiteChecks(configs map[string]string) []SuiteCheck {
-	return []SuiteCheck{{Kind: SuiteSyntax, Config: configs[translationTarget]}}
+	}
 }
 
 // translationDiffStage compares the translation against the original with
 // the Campion differ; structural and attribute findings carry the
 // structure label, policy-behavior findings the semantic label.
-type translationDiffStage struct {
-	v        Verifier
-	original string
+type translationDiffStage struct{ original string }
+
+// Checks implements PipelineStage.
+func (s translationDiffStage) Checks(configs map[string]string) []SuiteCheck {
+	return []SuiteCheck{{Kind: SuiteDiff, Original: s.original, Config: configs[translationTarget]}}
 }
 
-// Check implements PipelineStage.
-func (s translationDiffStage) Check(configs map[string]string) (*Finding, error) {
-	findings, err := s.v.DiffTranslation(s.original, configs[translationTarget])
-	if err != nil {
-		return nil, err
+// Finding implements PipelineStage.
+func (translationDiffStage) Finding(_ int, res SuiteResult) *Finding {
+	if len(res.Diffs) == 0 {
+		return nil
 	}
-	if len(findings) == 0 {
-		return nil, nil
-	}
-	f := findings[0]
+	f := res.Diffs[0]
 	stage := StageStructure
 	if f.Kind == campion.PolicyBehaviorDifference {
 		stage = StageSemantic
@@ -224,13 +218,7 @@ func (s translationDiffStage) Check(configs map[string]string) (*Finding, error)
 		Stage:     stage,
 		Humanized: humanizer.Campion(f),
 		Raw:       f.String(),
-	}, nil
-}
-
-// SuiteChecks implements suiteEnumerator.
-func (s translationDiffStage) SuiteChecks(configs map[string]string) []SuiteCheck {
-	return []SuiteCheck{{Kind: SuiteDiff, Original: s.original,
-		Config: configs[translationTarget]}}
+	}
 }
 
 // findingKey builds a stable identity for a finding so the attempt budget

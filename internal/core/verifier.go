@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"repro/internal/batfish"
 	"repro/internal/campion"
 	"repro/internal/lightyear"
@@ -15,15 +17,11 @@ import (
 // run in-process (LocalVerifier) or behind the REST wrapper
 // (rest.Client) — the repro note's "call verifier via REST wrapper".
 type Verifier interface {
-	// CheckSyntax returns parse/lint warnings for a config (either dialect).
-	CheckSyntax(config string) ([]netcfg.ParseWarning, error)
-	// DiffTranslation compares an original Cisco config against a Juniper
-	// translation (Campion).
-	DiffTranslation(original, translation string) ([]campion.Finding, error)
-	// VerifyTopology checks one router's config against its spec.
-	VerifyTopology(spec topology.RouterSpec, config string) ([]topology.Finding, error)
-	// CheckLocalPolicy checks one Lightyear requirement against a config.
-	CheckLocalPolicy(config string, req lightyear.Requirement) (lightyear.Violation, bool, error)
+	// Check evaluates one independent check of the suite: a config's
+	// syntax, a router's config against its topology spec, one local
+	// policy requirement, or a translation against its original. A
+	// violated local-policy result carries its Violation.
+	Check(c SuiteCheck) (SuiteResult, error)
 	// GlobalNoTransit runs the BGP simulation and checks the global policy.
 	GlobalNoTransit(t *topology.Topology, configs map[string]string) (*lightyear.GlobalResult, error)
 }
@@ -47,27 +45,36 @@ func (v LocalVerifier) parsed(config string) *netcfg.Parsed {
 	return batfish.ParseAndCheck(config)
 }
 
-// CheckSyntax implements Verifier.
-func (v LocalVerifier) CheckSyntax(config string) ([]netcfg.ParseWarning, error) {
-	return v.parsed(config).CheckWarnings, nil
-}
-
-// DiffTranslation implements Verifier.
-func (v LocalVerifier) DiffTranslation(original, translation string) ([]campion.Finding, error) {
-	orig := v.parsed(original).Device
-	trans := v.parsed(translation).Device
-	return campion.Diff(orig, trans), nil
-}
-
-// VerifyTopology implements Verifier.
-func (v LocalVerifier) VerifyTopology(spec topology.RouterSpec, config string) ([]topology.Finding, error) {
-	return topology.Verify(&spec, v.parsed(config).Device), nil
-}
-
-// CheckLocalPolicy implements Verifier.
-func (v LocalVerifier) CheckLocalPolicy(config string, req lightyear.Requirement) (lightyear.Violation, bool, error) {
-	viol, bad := lightyear.Check(v.parsed(config), req)
-	return viol, bad, nil
+// Check implements Verifier. It is the single mapping from check kinds
+// to evaluators, shared by the engine and batfishd's batch handler.
+// Malformed checks — a topology check with no spec, a local check with
+// no requirement, an unknown kind — return a descriptive error instead
+// of panicking: checks can arrive over the wire from peers the process
+// does not control, and one bad check must not take the evaluator down.
+func (v LocalVerifier) Check(c SuiteCheck) (SuiteResult, error) {
+	switch c.Kind {
+	case SuiteSyntax:
+		return SuiteResult{Warnings: v.parsed(c.Config).CheckWarnings}, nil
+	case SuiteTopology:
+		if c.Spec == nil {
+			return SuiteResult{}, fmt.Errorf("malformed %s check: no router spec", SuiteTopology)
+		}
+		return SuiteResult{Findings: topology.Verify(c.Spec, v.parsed(c.Config).Device)}, nil
+	case SuiteLocal:
+		if c.Req == nil {
+			return SuiteResult{}, fmt.Errorf("malformed %s check: no requirement", SuiteLocal)
+		}
+		viol, bad := lightyear.Check(v.parsed(c.Config), *c.Req)
+		if !bad {
+			return SuiteResult{}, nil
+		}
+		return SuiteResult{Violated: true, Violation: &viol}, nil
+	case SuiteDiff:
+		orig := v.parsed(c.Original).Device
+		return SuiteResult{Diffs: campion.Diff(orig, v.parsed(c.Config).Device)}, nil
+	default:
+		return SuiteResult{}, fmt.Errorf("unknown suite check kind %q", c.Kind)
+	}
 }
 
 // GlobalNoTransit implements Verifier.

@@ -101,7 +101,8 @@ type Campaign struct {
 	// the remainder of the sweep runs, and reused cases cost nothing
 	// (their recorded stats, ElapsedMS included, enter the report
 	// verbatim). A missing file starts fresh; a checkpoint from different
-	// campaign knobs is an error.
+	// campaign knobs, or one recording another case under a sweep case's
+	// key, is an error.
 	Resume bool
 	// AbortAfterCases, when > 0, aborts Run with ErrCampaignAborted after
 	// that many fresh case results were checkpointed — the in-process
@@ -240,7 +241,7 @@ func (c *Campaign) Run(ctx context.Context) (*Report, error) {
 	if c.Checkpoint != "" {
 		key := c.campaignKey()
 		if c.Resume {
-			done, err = loadCampaignCheckpoint(c.Checkpoint, key)
+			done, err = loadCampaignCheckpoint(c.Checkpoint, key, cases)
 			if err != nil {
 				return nil, err
 			}

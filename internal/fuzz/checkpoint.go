@@ -1,6 +1,7 @@
 package fuzz
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -63,9 +64,11 @@ func (c *Campaign) campaignKey() string {
 
 // loadCampaignCheckpoint reads the results a killed campaign left
 // behind. A missing file is a fresh start; an unreadable file, a newer
-// format version, or a key from different campaign knobs is an error the
-// caller surfaces rather than silently restarting.
-func loadCampaignCheckpoint(path, key string) (map[string]CaseResult, error) {
+// format version, a key from different campaign knobs, or a result
+// recorded under a sweep case's key for another case is an error the
+// caller surfaces rather than silently restarting. Cases compare by their
+// JSON encodings, the form the checkpoint stores them in.
+func loadCampaignCheckpoint(path, key string, sweep []Case) (map[string]CaseResult, error) {
 	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
 		return nil, nil
@@ -83,6 +86,19 @@ func loadCampaignCheckpoint(path, key string) (map[string]CaseResult, error) {
 	}
 	if ck.Key != "" && key != "" && ck.Key != key {
 		return nil, fmt.Errorf("resume: checkpoint %s belongs to a campaign with different knobs", path)
+	}
+	for _, cs := range sweep {
+		prev, ok := ck.Results[caseKey(cs)]
+		if !ok {
+			continue
+		}
+		// A Case is plain data, so encoding it cannot fail.
+		got, _ := json.Marshal(prev.Case)
+		want, _ := json.Marshal(cs)
+		if !bytes.Equal(got, want) {
+			return nil, fmt.Errorf("resume: checkpoint %s records case %s under the key %s of the sweep's case %s",
+				path, prev.Case, caseKey(cs), cs)
+		}
 	}
 	return ck.Results, nil
 }

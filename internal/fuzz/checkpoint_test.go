@@ -2,7 +2,9 @@ package fuzz
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -98,5 +100,52 @@ func TestCampaignResumeRefusesDifferentKnobs(t *testing.T) {
 	_, err := other.Run(context.Background())
 	if err == nil || !strings.Contains(err.Error(), "different knobs") {
 		t.Fatalf("knob mismatch not refused: err = %v", err)
+	}
+}
+
+// forgeCase rewrites one recorded result of a campaign checkpoint so it
+// names another case, with a failure that case never had.
+func forgeCase(t testing.TB, data []byte, key string, forged Case) []byte {
+	t.Helper()
+	var ck campaignCheckpoint
+	if err := json.Unmarshal(data, &ck); err != nil {
+		t.Fatal(err)
+	}
+	res, ok := ck.Results[key]
+	if !ok {
+		t.Fatalf("the checkpoint records no %s", key)
+	}
+	res.Case = forged
+	res.Failure = &Failure{Property: PropVerified, Detail: "forged"}
+	ck.Results[key] = res
+	out, err := json.Marshal(ck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestCampaignResumeRefusesForeignCase resumes a random:4 sweep whose
+// checkpoint records, under its one case's key, a failed random:60 case:
+// a case outside the sweep must not enter the report, so the resume fails
+// naming the key.
+func TestCampaignResumeRefusesForeignCase(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "campaign.json")
+	c := Campaign{Family: "random", Sizes: []int{4}, Seeds: 1, Checkpoint: path}
+	if _, err := c.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	forged := forgeCase(t, data, "random:4:1", Case{Family: "random", Size: 60, Seed: 3, ExtraEdges: -1})
+	if err := os.WriteFile(path, forged, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c.Resume = true
+	rep, err := c.Run(context.Background())
+	if err == nil || !strings.Contains(err.Error(), "random:4:1") {
+		t.Fatalf("resume = %+v, %v; want an error naming the key random:4:1", rep, err)
 	}
 }

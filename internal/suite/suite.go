@@ -1,17 +1,19 @@
 // Package suite defines the transport-neutral form of the verification
-// suite's independent checks: the unit the repair pipeline's stages
-// enumerate, the incremental verification cache memoizes, and the REST
-// batch endpoint ships — one Check in, one Result out, whatever the
-// transport. It is a leaf package so the engine (internal/core) and the
-// REST client/server (internal/batfish/rest) can share the types without
-// importing each other.
+// suite's independent checks: the unit the repair pipeline's stages list,
+// the incremental verification cache memoizes, and the REST batch
+// endpoint ships — one Check in, one Result out, whatever the transport.
+// The mapping from a check's kind to its evaluator is
+// core.LocalVerifier.Check, which the engine and batfishd share. This is
+// a leaf package so the engine (internal/core) and the REST client and
+// server (internal/batfish/rest) can share the types without importing
+// each other.
 package suite
 
 import (
 	"context"
 	"crypto/sha256"
 	"encoding/json"
-	"fmt"
+	"errors"
 
 	"repro/internal/campion"
 	"repro/internal/lightyear"
@@ -49,59 +51,27 @@ type Check struct {
 }
 
 // Result is the outcome of one Check; which fields are meaningful depends
-// on the check's kind.
+// on the check's kind. It is the one result type of the suite: the
+// evaluator returns it, the engine's cache keeps it, a batch response
+// carries it (embedded in rest.BatchResult) and the durable tier stores
+// it, all in this JSON form, so a clean result encodes as {}.
 type Result struct {
-	Warnings  []netcfg.ParseWarning
-	Findings  []topology.Finding
-	Diffs     []campion.Finding
-	Violated  bool
-	Violation *lightyear.Violation
+	Warnings  []netcfg.ParseWarning `json:"warnings,omitempty"`
+	Findings  []topology.Finding    `json:"findings,omitempty"`
+	Diffs     []campion.Finding     `json:"diffs,omitempty"`
+	Violated  bool                  `json:"violated,omitempty"`
+	Violation *lightyear.Violation  `json:"violation,omitempty"`
 }
 
-// Checker is the minimal per-check surface a Check can be evaluated
-// against — the per-config subset of the engine's Verifier, which both
-// the in-process suite and the REST client satisfy.
-type Checker interface {
-	CheckSyntax(config string) ([]netcfg.ParseWarning, error)
-	DiffTranslation(original, translation string) ([]campion.Finding, error)
-	VerifyTopology(spec topology.RouterSpec, config string) ([]topology.Finding, error)
-	CheckLocalPolicy(config string, req lightyear.Requirement) (lightyear.Violation, bool, error)
-}
-
-// Eval dispatches one Check onto a Checker. It is the single mapping from
-// check kinds to verifier calls, shared by the engine's cache and
-// batfishd's batch handler. Malformed checks — a topology check with no
-// spec, a local check with no requirement — return a descriptive error
-// instead of panicking: checks can arrive over the wire from peers the
-// process does not control (a buggy remote client), and one bad check
-// must not take the whole evaluator down.
-func Eval(v Checker, c Check) (Result, error) {
-	switch c.Kind {
-	case KindSyntax:
-		warns, err := v.CheckSyntax(c.Config)
-		return Result{Warnings: warns}, err
-	case KindTopology:
-		if c.Spec == nil {
-			return Result{}, fmt.Errorf("malformed %s check: no router spec", KindTopology)
-		}
-		finds, err := v.VerifyTopology(*c.Spec, c.Config)
-		return Result{Findings: finds}, err
-	case KindLocal:
-		if c.Req == nil {
-			return Result{}, fmt.Errorf("malformed %s check: no requirement", KindLocal)
-		}
-		viol, bad, err := v.CheckLocalPolicy(c.Config, *c.Req)
-		res := Result{Violated: bad}
-		if bad {
-			res.Violation = &viol
-		}
-		return res, err
-	case KindDiff:
-		diffs, err := v.DiffTranslation(c.Original, c.Config)
-		return Result{Diffs: diffs}, err
-	default:
-		return Result{}, fmt.Errorf("unknown suite check kind %q", c.Kind)
+// Validate refuses a result no evaluator produces: one that is violated
+// but carries no violation. A result that enters the process from
+// outside it, in a batch response or from a disk tier, is checked with
+// it, so the stages can read a violated result's Violation.
+func (r *Result) Validate() error {
+	if r.Violated && r.Violation == nil {
+		return errors.New("violated but carried no violation")
 	}
+	return nil
 }
 
 // Key derives a Check's content address: a SHA-256 over the kind and every

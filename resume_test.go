@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -212,6 +213,44 @@ func TestResumeRefusesDifferentGraph(t *testing.T) {
 	_, err := Synthesize(second, SynthesizeOptions{CheckpointPath: ckPath, Resume: true})
 	if err == nil || !strings.Contains(err.Error(), "different run") {
 		t.Fatalf("resume onto another graph of the same name and size not refused: err = %v", err)
+	}
+}
+
+// TestResumeRefusesPhaselessCheckpoint resumes a checkpoint file that
+// names no phase, and one that names an unknown phase, in each of the
+// three loops: the sequential and 2-lane synthesis loops and translation.
+// Each resume must fail with an error that names the file and says what
+// is wrong with its phase.
+func TestResumeRefusesPhaselessCheckpoint(t *testing.T) {
+	loops := map[string]func(path string) error{
+		"synth-sequential": func(path string) error {
+			_, err := Synthesize(mustTopo(t, "star", 3), SynthesizeOptions{CheckpointPath: path, Resume: true})
+			return err
+		},
+		"synth-parallel": func(path string) error {
+			_, err := Synthesize(mustTopo(t, "star", 3),
+				SynthesizeOptions{Parallelism: 2, CheckpointPath: path, Resume: true})
+			return err
+		},
+		"translate": func(path string) error {
+			_, err := Translate(ExampleCiscoConfig(), TranslateOptions{CheckpointPath: path, Resume: true})
+			return err
+		},
+	}
+	for loop, resume := range loops {
+		for file, want := range map[string]string{
+			`{}`:                "names no phase",
+			`{"phase":"bogus"}`: `unknown phase "bogus"`,
+		} {
+			path := filepath.Join(t.TempDir(), "checkpoint.json")
+			if err := os.WriteFile(path, []byte(file), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			err := resume(path)
+			if err == nil || !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), path) {
+				t.Errorf("%s resuming %s: err = %v, want one naming %s and saying %q", loop, file, err, path, want)
+			}
+		}
 	}
 }
 
