@@ -141,6 +141,33 @@ func TestKilledEndpointFailsTheRun(t *testing.T) {
 	}
 }
 
+// TestUncachedRESTBatchesPerStage: without the cache, a REST verifier is
+// still asked for each stage's whole check list in one batch. A
+// sequential uncached run over two endpoints must reproduce the
+// in-process transcript and send each endpoint at most one batch per
+// stage per iteration, not one per check.
+func TestUncachedRESTBatchesPerStage(t *testing.T) {
+	baseline, err := Synthesize(mustTopo(t, "random", 12),
+		SynthesizeOptions{DisableVerifierCache: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	client := fleet(t, 2)
+	res, err := Synthesize(mustTopo(t, "random", 12),
+		SynthesizeOptions{Verifier: client, DisableVerifierCache: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameRun(t, "uncached 2-endpoint", baseline, res)
+	const stages = 3 // syntax, topology, local policy
+	for _, s := range client.Stats() {
+		if s.Batches == 0 || s.Batches > int64(res.Iterations*stages) {
+			t.Errorf("%s: %d batches for %d iterations of %d stages",
+				s.Endpoint, s.Batches, res.Iterations, stages)
+		}
+	}
+}
+
 // TestConfiguredBackendByteIdentical is the CI matrix hook: the workflow
 // runs the suite once per backend, setting COSYNTH_TEST_BACKEND to
 // "in-process" or "sharded-N", and this test re-runs the byte-identical

@@ -54,7 +54,19 @@
 // propagates communities across internal hops, the local obligations
 // compose into the global no-transit guarantee on any graph
 // (CoverageComplete is the proof obligation; the seeded random-graph
-// fuzz test exercises it end to end).
+// fuzz test exercises it end to end). Either scheme derives three
+// requirements per ISP attachment, one per route-map obligation as
+// Lightyear checks them: the ingress tag, one egress drop listing every
+// other attachment's community in topology order with the peer each is
+// learned from, and the egress permit of clean routes. All of one
+// route-map's obligations share that route-map's slice (Panda et al.),
+// so the drop is one check: it scans its communities in order and
+// reports the first one the route-map permits, narrowed to that
+// community and carrying that community's description, rendered only
+// then. Finding keys and prompts therefore read exactly as they did when
+// each community was its own requirement, while the checks every
+// iteration keys, caches, ships, persists and traces fall from O(A²) to
+// O(A) for A attachments.
 //
 // # Topology scenario registry
 //
@@ -159,7 +171,11 @@
 // incremental re-verification. Each iteration's prefetch becomes one
 // batched round-trip per endpoint, issued concurrently (benchmark E16
 // measures 1 vs 3 endpoints), with per-endpoint round-trip and latency
-// counters (Client.Stats). The client does not move work between
+// counters (Client.Stats). Without the cache (cosynth -no-cache), which
+// re-verifies every check on every iteration, each stage the scan
+// reaches is one batched round-trip per endpoint instead: a sequential
+// random:40 run over two endpoints sends 36 batches, where asking check
+// by check sent 1,864. The client does not move work between
 // endpoints: every endpoint gives every check the same answer, so
 // failover would only add availability, and no workload loses an
 // endpoint. A batch fails as a whole with the error of the
@@ -189,7 +205,8 @@
 // ten alternating 20 s wire-random-75 pairs on a shared 2-CPU machine,
 // the median run went from 0.48 s to 0.43 s, CPU from 0.61 s to 0.53 s
 // and allocation from 123 MB to 109 MB, with identical transcripts, while
-// the bytes sent rose from 2.17 MB to 3.40 MB. A request no longer names
+// the bytes sent rose from 2.17 MB to 3.40 MB (version 9 brought them to
+// 1.81 MB, below). A request no longer names
 // a topology family, so it cannot make batfishd generate one. Config
 // texts are named by their index in the batch's body table instead of by
 // digest: the table lives in the one request, so neither side computes a
@@ -197,6 +214,19 @@
 // table, failing the batch with a 400 that names the check otherwise.
 // cosynth accepts a repeatable, comma-separated -rest endpoint list and
 // -shards N to spawn in-process shard servers for tests and benchmarks.
+//
+// One check per route-map. Version 9 ships each egress route-map's
+// community drops as one requirement (see the spec model above) instead
+// of one per other attachment. On a traced wire-random-75 run the batched
+// checks fell from 5,856 to 384 over the same 8 round-trips, and the
+// bytes sent from 3,399,503 to 1,813,046. Keying a check JSON-encodes
+// its requirement (suite.KeyD): in six merged CPU profiles of `cosynth
+// -mode notransit -topo random:75 -shards 2` that took 28% of CPU with a
+// requirement per community, and 12% after. Over ten alternating 20 s
+// wire-random-75 pairs on a shared 2-CPU machine, the median run went
+// from 0.334 s to 0.143 s, CPU from 0.46 s to 0.21 s and allocation from
+// 108 MB to 51 MB, with identical transcripts. Durable entries written
+// under version 8 go cold: their keys hash the old requirement JSON.
 //
 // # Concurrent per-router synthesis
 //
@@ -316,15 +346,18 @@
 // (netcfg.Parsed.CompiledPolicy). Every later local check of that
 // revision reads the slot, in process and inside batfishd, whose checks
 // share its parse cache. It used to compile on every query, and an
-// egress route-map carries one EgressDropsCommunity requirement per other
-// ISP attachment, 73 of them on random:75. A symbolic class's community
-// condition is two sorted slices, so conjoining two is a merge rather
-// than two map copies. On cobench synth-random-75 (seed 0, five
-// alternating pairs on a 2-CPU machine) the median run fell from 5.82 s
-// to 0.93 s and allocation from 2,182 MB to 248 MB; a traced run put a
-// local check at 39 µs against 1,726 µs, with the same 5,552 local
-// checks and 78 parses. The BGP simulation of the global check is now
-// about 84% of that run's wall time.
+// egress route-map is asked about every other ISP attachment's
+// community, 73 of them on random:75: then one EgressDropsCommunity
+// requirement each, now one requirement listing them all. A symbolic
+// class's community condition is two sorted slices, so conjoining two is
+// a merge rather than two map copies. On cobench synth-random-75 (seed
+// 0, five alternating pairs on a 2-CPU machine) the median run fell from
+// 5.82 s to 0.93 s and allocation from 2,182 MB to 248 MB; a traced run
+// put a local check at 39 µs against 1,726 µs, with the same 5,552 local
+// checks and 78 parses. The BGP simulation of the global check was then
+// about 84% of that run's wall time. Grouping each egress route-map's
+// drops into one requirement later cut the run's local checks from
+// 5,552 to 224.
 //
 // # Fuzzing the LLM error space
 //

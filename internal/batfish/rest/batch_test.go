@@ -29,10 +29,11 @@ import (
 
 func lightyearRequirement() lightyear.Requirement {
 	return lightyear.Requirement{
-		Kind:      lightyear.EgressDropsCommunity,
-		Router:    "R1",
-		Policy:    "FILTER",
-		Community: netcfg.MustCommunity("100:1"),
+		Kind:        lightyear.EgressDropsCommunity,
+		Router:      "R1",
+		Policy:      "FILTER",
+		Communities: []netcfg.Community{netcfg.MustCommunity("100:1")},
+		LearnedFrom: []string{"ISP1"},
 	}
 }
 
@@ -216,7 +217,7 @@ func TestBatchRefusesViolatedWithoutViolation(t *testing.T) {
 
 // TestBatchResultWireKeys pins the wire form of a batch result: the
 // embedded suite.Result encodes its fields at the top level under the
-// keys protocol version 8 defines, beside "error", and a clean result
+// keys the protocol defines, beside "error", and a clean result
 // encodes as {}.
 func TestBatchResultWireKeys(t *testing.T) {
 	checks := batchChecks(t)

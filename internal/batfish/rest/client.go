@@ -438,6 +438,13 @@ func errResponseTooLarge(path string) error {
 // protocol version. It fails naming every endpoint that does not answer;
 // a server on another version yields an error wrapping
 // errProtocolMismatch that names both versions.
+//
+// The probe closes its connections before returning, so their TIME_WAIT
+// sockets sit on the client's ephemeral ports. Left idle, they were
+// closed by a stopping server, whose listening ports then held them: in
+// back-to-back 20 s wire-random-75 runs, which start, probe and stop two
+// loopback shards thousands of times, that slowed a shard's listener
+// start-up from 0.15 ms to 2.5 ms.
 func (c *Client) Health() error {
 	var errs []error
 	for _, ep := range c.eps {
@@ -445,6 +452,7 @@ func (c *Client) Health() error {
 			errs = append(errs, fmt.Errorf("batfishd at %s: %w", ep.base, err))
 		}
 	}
+	c.http.CloseIdleConnections()
 	return errors.Join(errs...)
 }
 

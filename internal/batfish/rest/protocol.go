@@ -66,9 +66,14 @@ const (
 // name texts by index instead of carrying them inline. Version 8 ships
 // spec and requirement bodies inline: checks lost their content-digest
 // body references, and the request lost the scenario name the server
-// built its registry of bodies from. There is no negotiation; a peer on
-// another version is refused.
-const BatchProtocolVersion = 8
+// built its registry of bodies from. Version 9 ships one egress-drop
+// requirement per egress route-map: it lists the communities to drop
+// with the peer each is learned from (Communities, LearnedFrom) instead
+// of naming one Community, and a violation names the one community that
+// failed. A version-8 peer would read such a requirement's zero
+// Community and answer a wrong "clean". There is no negotiation; a peer
+// on another version is refused.
+const BatchProtocolVersion = 9
 
 // ProtocolHeader is the request header carrying BatchProtocolVersion.
 const ProtocolHeader = "X-Batfishd-Protocol"

@@ -5,10 +5,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/suite"
 )
@@ -24,6 +26,9 @@ func TestProtocolHeaderRequired(t *testing.T) {
 		for _, tc := range []struct{ header, client string }{
 			{"", "client speaks no version"},
 			{"4", "client speaks v4"},
+			// v8 shipped one egress-drop requirement per community; a
+			// v8 peer would read a v9 group's zero Community.
+			{"8", "client speaks v8"},
 		} {
 			req, err := http.NewRequest(http.MethodPost, srv.URL+path, strings.NewReader(`{}`))
 			if err != nil {
@@ -45,6 +50,32 @@ func TestProtocolHeaderRequired(t *testing.T) {
 					path, tc.header, resp.StatusCode, e.Error, tc.client, server)
 			}
 		}
+	}
+}
+
+// TestHealthClosesItsConnections pins that the probe leaves no idle
+// connection for the server to close: a running server sees the probe's
+// connection closed, which only the client does.
+func TestHealthClosesItsConnections(t *testing.T) {
+	closed := make(chan struct{}, 1)
+	srv := httptest.NewUnstartedServer(NewHandler())
+	srv.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+		if s == http.StateClosed {
+			select {
+			case closed <- struct{}{}:
+			default:
+			}
+		}
+	}
+	srv.Start()
+	t.Cleanup(srv.Close)
+	if err := NewClient(srv.URL).Health(); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the health probe left its connection open for the server to close")
 	}
 }
 

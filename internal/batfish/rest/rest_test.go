@@ -92,10 +92,11 @@ func TestTopologyRoundTrip(t *testing.T) {
 func TestLocalRoundTrip(t *testing.T) {
 	c := newOneCheckClient(t)
 	req := lightyear.Requirement{
-		Kind:      lightyear.EgressDropsCommunity,
-		Router:    "R1",
-		Policy:    "FILTER",
-		Community: netcfg.MustCommunity("100:1"),
+		Kind:        lightyear.EgressDropsCommunity,
+		Router:      "R1",
+		Policy:      "FILTER",
+		Communities: []netcfg.Community{netcfg.MustCommunity("100:1")},
+		LearnedFrom: []string{"ISP1"},
 	}
 	cfg := "hostname R1\n" +
 		"ip community-list 1 permit 100:1\n" +

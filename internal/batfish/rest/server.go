@@ -107,15 +107,18 @@ func handleHealth(w http.ResponseWriter, r *http.Request) {
 // reads and the response body the client reads. It is 3 GiB. A batch
 // carries each config text once and every spec and requirement inline;
 // the largest batch bodies measured under `cosynth -mode notransit
-// -shards 2` on an x86-64 Linux host are 1,523,031 bytes at random:75,
-// 8,419,717 bytes at random:200 and 37,111,479 bytes at random:400. When
-// each check carried its config inline, random:200 reached 544.6 MB.
-// Responses can be large too: the global check of random:600's first
-// drafts, with 298,662 transit violations, encodes to a 20,375,379-byte
-// NoTransitResponse. The bound stays well above these: random, ring and
-// dual-homed allow 1,000 routers, where no batch has been measured, and
-// the requirements of a batch grow with the square of the external
-// attachments.
+// -shards 2` on an x86-64 Linux host are 623,941 bytes at random:75,
+// 3,501,106 bytes at random:200 and 14,743,682 bytes at random:400. With
+// one egress-drop requirement per pair of attachments they were
+// 1,523,031, 8,419,717 and 37,111,479 bytes, and when each check carried
+// its config inline, random:200 reached 544.6 MB. Responses can be large
+// too: the global check of random:600's first drafts, with 298,662
+// transit violations, encodes to a 20,375,379-byte NoTransitResponse. The
+// bound stays well above these: random, ring and dual-homed allow 1,000
+// routers, where no batch has been measured, and a batch's requirements
+// still grow with the square of the external attachments, since each
+// attachment's egress-drop requirement lists every other attachment's
+// community.
 const maxBody int64 = 3 << 30
 
 // decode reads a JSON POST body after checking the request speaks this

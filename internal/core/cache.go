@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
@@ -458,14 +457,10 @@ func (c *CachedVerifier) Prefetch(checks []SuiteCheck) error {
 		span(0)
 		return nil
 	}
-	results, err := c.backend.CheckBatch(context.Background(), missing)
+	results, err := checkBatch(c.backend, missing)
 	span(len(missing))
 	if err != nil {
 		return err
-	}
-	if len(results) != len(missing) {
-		return fmt.Errorf("batched backend returned %d results for %d checks",
-			len(results), len(missing))
 	}
 	c.prefetches.Inc()
 	c.batchedChecks.Add(uint64(len(missing)))

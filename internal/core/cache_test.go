@@ -50,8 +50,8 @@ func testRequirement() lightyear.Requirement {
 		Kind:        lightyear.EgressDropsCommunity,
 		Router:      "R1",
 		Policy:      "FILTER",
-		Community:   netcfg.MustCommunity("100:1"),
-		Description: "test requirement",
+		Communities: []netcfg.Community{netcfg.MustCommunity("100:1")},
+		LearnedFrom: []string{"ISP1"},
 	}
 }
 

@@ -539,9 +539,10 @@ func (s synthTopologyStage) Finding(i int, res SuiteResult) *Finding {
 // localCheck is one (router, requirement) pair of the local-policy stage,
 // flattened so the per-requirement checks — several of which pile onto
 // the star hub or onto one dual-homed attachment router — can fan out
-// individually. The requirement carries its attachment identity, so each
-// check is one attachment-scoped unit of independent work for the
-// concurrency and cache layers.
+// individually. A requirement is one route-map's obligation at one
+// attachment (an egress route-map's community drops are one
+// requirement), so each check is one attachment-scoped unit of
+// independent work for the concurrency and cache layers.
 type localCheck struct {
 	router string
 	req    lightyear.Requirement
@@ -566,14 +567,17 @@ func (s synthLocalPolicyStage) Finding(i int, res SuiteResult) *Finding {
 	if !res.Violated {
 		return nil
 	}
-	lc := &s.checks[i]
+	router := s.checks[i].router
+	// The violation's requirement is the obligation that failed: for an
+	// egress route-map's drops, the one community it names.
+	req := &res.Violation.Requirement
 	return &Finding{
 		// The attempt budget tracks findings per attachment: the
 		// identity segment keeps two same-shaped obligations on one
 		// router (a dual-homed pair) from sharing a budget.
-		Key: "semantic:" + lc.router + ":" + lc.req.Attachment.String() +
-			":" + lc.req.Policy + ":" + lc.req.Description,
-		Target:    lc.router,
+		Key: "semantic:" + router + ":" + req.Attachment.String() +
+			":" + req.Policy + ":" + req.Description,
+		Target:    router,
 		Stage:     StageSemantic,
 		Humanized: humanizer.Semantic(*res.Violation),
 		Raw:       res.Violation.String(),

@@ -376,7 +376,8 @@ func (c *Campaign) RunCase(cs Case) CaseResult {
 	for _, r := range reqs {
 		if r.Attachment == (lightyear.AttachmentRef{}) && !netgen.IsStar(topo) {
 			return fail(PropCoverage,
-				fmt.Sprintf("requirement %q lacks an attachment identity", r.Description))
+				fmt.Sprintf("%s requirement on %s policy %s lacks an attachment identity",
+					r.Kind, r.Router, r.Policy))
 		}
 	}
 

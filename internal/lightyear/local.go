@@ -94,9 +94,11 @@ func SpecFor(t *topology.Topology) []Requirement {
 // the no-transit policy for an arbitrary topology: every ISP attachment
 // tags incoming routes with its own community at ingress, and at egress
 // denies routes carrying any other attachment's community while
-// permitting untagged (customer) routes. Because the BGP simulation
-// propagates communities across internal hops, the local obligations
-// compose into the global no-transit guarantee on any graph.
+// permitting untagged (customer) routes: three requirements per
+// attachment, one of them dropping every other attachment's community.
+// Because the BGP simulation propagates communities across internal
+// hops, the local obligations compose into the global no-transit
+// guarantee on any graph.
 func LocalNoTransitSpec(t *topology.Topology) []Requirement {
 	attaches := ISPAttachments(t)
 	var all []netcfg.Community
@@ -116,33 +118,31 @@ func LocalNoTransitSpec(t *topology.Topology) []Requirement {
 				"Every route %s accepts from %s must carry community %s after ingress processing.",
 				a.Router, a.Peer.PeerName, tag),
 		})
-		others := 0
-		for _, b := range attaches {
+		drops := Requirement{
+			Kind:        EgressDropsCommunity,
+			Router:      a.Router,
+			Attachment:  a.Ref(DirOut),
+			Policy:      a.EgressPolicy(),
+			Communities: make([]netcfg.Community, 0, len(attaches)-1),
+			LearnedFrom: make([]string, 0, len(attaches)-1),
+		}
+		for k, b := range attaches {
+			// b ranges over every *other attachment*, including a second
+			// ISP on the same router: the no-transit pair between two
+			// ISPs homed on one router is enforced by this same egress
+			// obligation.
 			if b.Router == a.Router && b.Peer.PeerName == a.Peer.PeerName {
 				continue
 			}
-			// Note b ranges over every *other attachment*, including a
-			// second ISP on the same router: the no-transit pair between
-			// two ISPs homed on one router is enforced by these same
-			// egress obligations.
-			others++
-			reqs = append(reqs, Requirement{
-				Kind:       EgressDropsCommunity,
-				Router:     a.Router,
-				Attachment: a.Ref(DirOut),
-				Policy:     a.EgressPolicy(),
-				Community:  b.Community(),
-				Description: fmt.Sprintf(
-					"%s must not export to %s any route carrying community %s (learned from %s).",
-					a.Router, a.Peer.PeerName, b.Community(), b.Peer.PeerName),
-			})
+			drops.Communities = append(drops.Communities, all[k])
+			drops.LearnedFrom = append(drops.LearnedFrom, b.Peer.PeerName)
 		}
 		// A lone attachment has no transit to prevent, so no egress filter
 		// is prompted for — and none must be required, or the undefined
 		// route-map would be an unfixable violation (the modularizer emits
 		// the egress sentence only when there is something to filter).
-		if others > 0 {
-			reqs = append(reqs, Requirement{
+		if len(drops.Communities) > 0 {
+			reqs = append(reqs, drops, Requirement{
 				Kind:        EgressPermitsClean,
 				Router:      a.Router,
 				Attachment:  a.Ref(DirOut),

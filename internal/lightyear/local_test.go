@@ -69,9 +69,10 @@ func TestSpecForDispatch(t *testing.T) {
 		t.Errorf("R1 has %d requirements, want 0 (customer attachment only)", byRouter["R1"])
 	}
 	for _, router := range []string{"R2", "R3", "R4", "R5"} {
-		// One ingress, three egress-drops (one per other ISP), one clean.
-		if byRouter[router] != 5 {
-			t.Errorf("%s has %d requirements, want 5", router, byRouter[router])
+		// One ingress, one egress-drop (of the three other ISPs'
+		// communities), one clean.
+		if byRouter[router] != 3 {
+			t.Errorf("%s has %d requirements, want 3", router, byRouter[router])
 		}
 	}
 }
@@ -207,10 +208,13 @@ func TestDualHomedSpecDerivation(t *testing.T) {
 	// The egress of R2's first attachment must drop the second's tag.
 	found := false
 	for _, r := range reqs {
-		if r.Kind == EgressDropsCommunity &&
-			r.Attachment == r2[0].Ref(DirOut) &&
-			r.Community == r2[1].Community() {
-			found = true
+		if r.Kind != EgressDropsCommunity || r.Attachment != r2[0].Ref(DirOut) {
+			continue
+		}
+		for k, c := range r.Communities {
+			if c == r2[1].Community() && r.LearnedFrom[k] == r2[1].Peer.PeerName {
+				found = true
+			}
 		}
 	}
 	if !found {

@@ -24,8 +24,10 @@ const (
 	// IngressAddsCommunity: every route accepted by the policy must carry
 	// the community after evaluation.
 	IngressAddsCommunity ReqKind = iota
-	// EgressDropsCommunity: the policy must deny every route carrying the
-	// community.
+	// EgressDropsCommunity: the policy must deny every route carrying any
+	// of the listed communities. One requirement covers one egress
+	// route-map: all of a route-map's obligations share its slice, so
+	// they are one check, scanned in list order.
 	EgressDropsCommunity
 	// EgressPermitsClean: the policy must permit routes carrying none of
 	// the listed communities.
@@ -66,6 +68,19 @@ func (a AttachmentRef) String() string {
 	return a.Router + arrow + a.Peer
 }
 
+// String names the kind as the Go constant does.
+func (k ReqKind) String() string {
+	switch k {
+	case IngressAddsCommunity:
+		return "IngressAddsCommunity"
+	case EgressDropsCommunity:
+		return "EgressDropsCommunity"
+	case EgressPermitsClean:
+		return "EgressPermitsClean"
+	}
+	return fmt.Sprintf("ReqKind(%d)", int(k))
+}
+
 // Requirement is one locally-checkable obligation on one route policy at
 // one attachment point. Router is kept alongside the Attachment identity
 // because transcripts, violation phrasings, and the repair loop's
@@ -74,15 +89,38 @@ type Requirement struct {
 	Kind   ReqKind
 	Router string
 	// Attachment is the per-attachment identity (zero on hand-built
-	// requirements). It is omitted from JSON when zero so requirements
-	// without an identity serialize exactly as they did before the
-	// attachment model — the REST client's old-server fallback relies on
-	// being able to ship a v1-shaped payload.
-	Attachment  AttachmentRef `json:",omitzero"`
-	Policy      string
-	Community   netcfg.Community   // for IngressAdds / EgressDrops
-	Communities []netcfg.Community // for EgressPermitsClean
-	Description string             // NL rendering for specs and prompts
+	// requirements), omitted from JSON when zero.
+	Attachment AttachmentRef `json:",omitzero"`
+	Policy     string
+	Community  netcfg.Community // for IngressAdds
+	// Communities are, for EgressDrops, the communities to drop in scan
+	// order and, for EgressPermitsClean, the ones a clean route lacks.
+	Communities []netcfg.Community
+	// LearnedFrom names, for EgressDrops, the peer each of Communities is
+	// learned from; it is rendered into the Description of the one
+	// community a violation names.
+	LearnedFrom []string `json:",omitempty"`
+	// Description is the NL rendering for specs and prompts. An
+	// EgressDrops requirement has none of its own: each community gets
+	// one when a violation names it (see dropsAt).
+	Description string
+}
+
+// dropsAt narrows an EgressDropsCommunity requirement to its i-th
+// community and renders that community's Description: the requirement a
+// violation of that community reports, so its finding key and prompt
+// read as those of a one-community obligation.
+func (r Requirement) dropsAt(i int) Requirement {
+	c := r.Communities[i]
+	var from string
+	if i < len(r.LearnedFrom) {
+		from = r.LearnedFrom[i]
+	}
+	r.Communities = []netcfg.Community{c}
+	r.LearnedFrom = []string{from}
+	r.Description = fmt.Sprintf("%s must not export to %s any route carrying community %s (learned from %s).",
+		r.Router, r.Attachment.Peer, c, from)
+	return r
 }
 
 // Violation reports a requirement that does not hold, with a witness route.
@@ -137,21 +175,20 @@ func NoTransitSpec(t *topology.Topology) []Requirement {
 				"Every route R1 accepts from R%d must carry community %s after ingress processing.",
 				i, tag),
 		})
+		drops := Requirement{
+			Kind:       EgressDropsCommunity,
+			Router:     "R1",
+			Attachment: AttachmentRef{Router: "R1", Peer: spoke, Direction: DirOut},
+			Policy:     EgressPolicyName(i),
+		}
 		for _, j := range spokes {
-			if j == i {
-				continue
+			if j != i {
+				drops.Communities = append(drops.Communities, netgen.ISPCommunity(j))
+				drops.LearnedFrom = append(drops.LearnedFrom, fmt.Sprintf("R%d", j))
 			}
-			other := netgen.ISPCommunity(j)
-			reqs = append(reqs, Requirement{
-				Kind:       EgressDropsCommunity,
-				Router:     "R1",
-				Attachment: AttachmentRef{Router: "R1", Peer: spoke, Direction: DirOut},
-				Policy:     EgressPolicyName(i),
-				Community:  other,
-				Description: fmt.Sprintf(
-					"R1 must not export to R%d any route carrying community %s (learned from R%d).",
-					i, other, j),
-			})
+		}
+		if len(drops.Communities) > 0 {
+			reqs = append(reqs, drops)
 		}
 		reqs = append(reqs, Requirement{
 			Kind:        EgressPermitsClean,
@@ -184,11 +221,17 @@ func indexOf(name string) int {
 // returning a violation with a witness route if it fails. The revision's
 // compiled policies are shared by every check of it (see
 // batfish.SearchRoutePolicies); a hand-built device is checked as
-// &netcfg.Parsed{Device: dev}, wrapped afresh after each edit.
+// &netcfg.Parsed{Device: dev}, wrapped afresh after each edit. An
+// EgressDropsCommunity requirement reports its first violated community
+// in list order, narrowed to that community (dropsAt); an undefined
+// route-map violates its first community.
 func Check(rev *netcfg.Parsed, req Requirement) (Violation, bool) {
 	dev := rev.Device
 	pol := dev.RoutePolicies[req.Policy]
 	if pol == nil {
+		if req.Kind == EgressDropsCommunity && len(req.Communities) > 0 {
+			req = req.dropsAt(0)
+		}
 		return Violation{
 			Requirement: req,
 			Explanation: fmt.Sprintf("The route-map %s is not defined, so the local policy %q cannot hold.",
@@ -199,21 +242,23 @@ func Check(rev *netcfg.Parsed, req Requirement) (Violation, bool) {
 	case IngressAddsCommunity:
 		return checkIngressAdds(dev, pol, req)
 	case EgressDropsCommunity:
-		res, err := batfish.SearchRoutePolicies(rev, batfish.SearchQuery{
-			Policy: req.Policy,
-			Action: "permit",
-			Constraints: batfish.RouteConstraints{
-				HasCommunities: []string{req.Community.String()},
-			},
-		})
-		if err == nil && res.Found {
-			return Violation{
-				Requirement: req,
-				Witness:     witnessRoute(res),
-				Explanation: fmt.Sprintf(
-					"The route-map %s permits routes that have the community %s. However, they should be denied.",
-					req.Policy, req.Community),
-			}, true
+		for i, c := range req.Communities {
+			res, err := batfish.SearchRoutePolicies(rev, batfish.SearchQuery{
+				Policy: req.Policy,
+				Action: "permit",
+				Constraints: batfish.RouteConstraints{
+					HasCommunities: []string{c.String()},
+				},
+			})
+			if err == nil && res.Found {
+				return Violation{
+					Requirement: req.dropsAt(i),
+					Witness:     witnessRoute(res),
+					Explanation: fmt.Sprintf(
+						"The route-map %s permits routes that have the community %s. However, they should be denied.",
+						req.Policy, c),
+				}, true
+			}
 		}
 	case EgressPermitsClean:
 		var lacks []string
@@ -379,7 +424,7 @@ func CheckAll(reqs []Requirement, revs map[string]*netcfg.Parsed) []Violation {
 // CoverageComplete is the modular proof obligation: the requirement set
 // implies global no-transit iff for every ordered pair of distinct ISP
 // attachment points (i, j) there is an ingress-tag requirement at i and
-// an egress-drop requirement of i's tag at j's egress. This is the
+// an egress-drop requirement listing i's tag at j's egress. This is the
 // "local policies imply the global one" check the paper attributes to
 // Lightyear's proof technique. Star topologies check the paper's
 // hub-centric scheme; all other graphs check the attachment-point scheme.
@@ -409,7 +454,9 @@ func coverageCompleteLocal(t *topology.Topology, reqs []Requirement) error {
 			if egress[k] == nil {
 				egress[k] = map[netcfg.Community]bool{}
 			}
-			egress[k][r.Community] = true
+			for _, c := range r.Communities {
+				egress[k][c] = true
+			}
 		}
 	}
 	attaches := ISPAttachments(t)
@@ -443,7 +490,9 @@ func coverageCompleteStar(t *topology.Topology, reqs []Requirement) error {
 			if egress[r.Policy] == nil {
 				egress[r.Policy] = map[netcfg.Community]bool{}
 			}
-			egress[r.Policy][r.Community] = true
+			for _, c := range r.Communities {
+				egress[r.Policy][c] = true
+			}
 		}
 	}
 	for i := range t.Routers {

@@ -1,6 +1,8 @@
 package lightyear
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -14,9 +16,10 @@ func TestNoTransitSpecShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	reqs := NoTransitSpec(topo)
-	// 6 spokes: 6 ingress + 6*5 egress-drop + 6 egress-permit = 42.
-	if len(reqs) != 42 {
-		t.Fatalf("requirements = %d, want 42", len(reqs))
+	// 6 spokes: 6 ingress + 6 egress-drop (5 communities each) + 6
+	// egress-permit = 18.
+	if len(reqs) != 18 {
+		t.Fatalf("requirements = %d, want 18", len(reqs))
 	}
 	var ingress, drop, clean int
 	for _, r := range reqs {
@@ -28,12 +31,16 @@ func TestNoTransitSpecShape(t *testing.T) {
 			ingress++
 		case EgressDropsCommunity:
 			drop++
+			if len(r.Communities) != 5 || len(r.LearnedFrom) != 5 || r.Description != "" {
+				t.Errorf("%s drops %d communities learned from %d peers, description %q; "+
+					"want 5, 5 and none", r.Policy, len(r.Communities), len(r.LearnedFrom), r.Description)
+			}
 		case EgressPermitsClean:
 			clean++
 		}
 	}
-	if ingress != 6 || drop != 30 || clean != 6 {
-		t.Errorf("breakdown = %d/%d/%d, want 6/30/6", ingress, drop, clean)
+	if ingress != 6 || drop != 6 || clean != 6 {
+		t.Errorf("breakdown = %d/%d/%d, want 6/6/6", ingress, drop, clean)
 	}
 	if err := CoverageComplete(topo, reqs); err != nil {
 		t.Errorf("coverage: %v", err)
@@ -46,16 +53,26 @@ func TestCoverageDetectsMissingObligation(t *testing.T) {
 		t.Fatal(err)
 	}
 	reqs := NoTransitSpec(topo)
-	// Remove one egress-drop requirement: the composition proof must fail.
-	var pruned []Requirement
-	for _, r := range reqs {
-		if r.Kind == EgressDropsCommunity && r.Policy == EgressPolicyName(2) &&
-			r.Community == netgen.ISPCommunity(3) {
+	// Prune one community from one egress-drop group: the composition
+	// proof must fail.
+	pruned := false
+	for i, r := range reqs {
+		if r.Kind != EgressDropsCommunity || r.Policy != EgressPolicyName(2) {
 			continue
 		}
-		pruned = append(pruned, r)
+		var keep []netcfg.Community
+		for _, c := range r.Communities {
+			if c != netgen.ISPCommunity(3) {
+				keep = append(keep, c)
+			}
+		}
+		pruned = len(keep) < len(r.Communities)
+		reqs[i].Communities = keep
 	}
-	if err := CoverageComplete(topo, pruned); err == nil {
+	if !pruned {
+		t.Fatalf("no egress-drop group of %s lists %s", EgressPolicyName(2), netgen.ISPCommunity(3))
+	}
+	if err := CoverageComplete(topo, reqs); err == nil {
 		t.Fatal("incomplete requirement set passed the coverage check")
 	}
 }
@@ -145,20 +162,29 @@ func TestCheckIngressDetectsMissingTag(t *testing.T) {
 	}
 }
 
+// hubDrops is R1's egress-drop requirement toward R2, listing the
+// communities of the given spokes.
+func hubDrops(spokes ...int) Requirement {
+	req := Requirement{Kind: EgressDropsCommunity, Router: "R1",
+		Attachment: AttachmentRef{Router: "R1", Peer: "R2", Direction: DirOut},
+		Policy:     EgressPolicyName(2)}
+	for _, j := range spokes {
+		req.Communities = append(req.Communities, netgen.ISPCommunity(j))
+		req.LearnedFrom = append(req.LearnedFrom, fmt.Sprintf("R%d", j))
+	}
+	return req
+}
+
 func TestCheckEgressDropsCorrectFilter(t *testing.T) {
 	dev := hubDevice(correctEgress)
-	req := Requirement{Kind: EgressDropsCommunity, Router: "R1",
-		Policy: EgressPolicyName(2), Community: netgen.ISPCommunity(3)}
-	if v, bad := Check(&netcfg.Parsed{Device: dev}, req); bad {
+	if v, bad := Check(&netcfg.Parsed{Device: dev}, hubDrops(3, 4)); bad {
 		t.Fatalf("correct filter flagged: %s", v.Explanation)
 	}
 }
 
 func TestCheckEgressDetectsANDSemantics(t *testing.T) {
 	dev := hubDevice(andEgress)
-	req := Requirement{Kind: EgressDropsCommunity, Router: "R1",
-		Policy: EgressPolicyName(2), Community: netgen.ISPCommunity(3)}
-	v, bad := Check(&netcfg.Parsed{Device: dev}, req)
+	v, bad := Check(&netcfg.Parsed{Device: dev}, hubDrops(3, 4))
 	if !bad {
 		t.Fatal("AND-semantics filter passed the egress check")
 	}
@@ -167,6 +193,31 @@ func TestCheckEgressDetectsANDSemantics(t *testing.T) {
 	}
 	if v.Witness == nil || !v.Witness.HasCommunity(netgen.ISPCommunity(3)) {
 		t.Errorf("witness should carry the leaked community: %v", v.Witness)
+	}
+	// The violation names the first leaked community alone, with that
+	// community's rendering of the obligation.
+	want := hubDrops(3)
+	want.Description = "R1 must not export to R2 any route carrying community 101:1 (learned from R3)."
+	if !reflect.DeepEqual(v.Requirement, want) {
+		t.Errorf("violated requirement = %+v, want %+v", v.Requirement, want)
+	}
+}
+
+// TestCheckEgressDropsScansInOrder: a filter that drops R3's community
+// but leaks R4's is reported against R4's, the first violated one.
+func TestCheckEgressDropsScansInOrder(t *testing.T) {
+	dev := hubDevice(correctEgress)
+	pol := dev.RoutePolicies[EgressPolicyName(2)]
+	pol.Clauses = append(pol.Clauses[:1], pol.Clauses[2:]...)
+	v, bad := Check(&netcfg.Parsed{Device: dev}, hubDrops(3, 4))
+	if !bad {
+		t.Fatal("filter leaking 102:1 passed the egress check")
+	}
+	if got := v.Requirement.Communities; len(got) != 1 || got[0] != netgen.ISPCommunity(4) {
+		t.Errorf("violated communities = %v, want [%s]", got, netgen.ISPCommunity(4))
+	}
+	if !strings.Contains(v.Requirement.Description, "(learned from R4)") {
+		t.Errorf("description = %q, want R4's obligation", v.Requirement.Description)
 	}
 }
 
@@ -189,11 +240,16 @@ func TestCheckEgressPermitsClean(t *testing.T) {
 
 func TestCheckMissingPolicyIsViolation(t *testing.T) {
 	dev := netcfg.NewDevice("R1", netcfg.VendorCisco)
-	req := Requirement{Kind: EgressDropsCommunity, Router: "R1",
-		Policy: "NOPE", Community: netgen.ISPCommunity(2)}
+	req := hubDrops(3, 4)
+	req.Policy = "NOPE"
 	v, bad := Check(&netcfg.Parsed{Device: dev}, req)
 	if !bad || !strings.Contains(v.Explanation, "not defined") {
 		t.Fatalf("missing policy: bad=%v %s", bad, v.Explanation)
+	}
+	// An undefined route-map violates the group's first community.
+	if !strings.Contains(v.Explanation, "(learned from R3)") ||
+		v.Requirement.Description == "" || len(v.Requirement.Communities) != 1 {
+		t.Errorf("missing policy reported %+v: %s", v.Requirement, v.Explanation)
 	}
 }
 

@@ -43,10 +43,10 @@ type Check struct {
 	Original string
 	// Spec is the router spec for topology checks.
 	Spec *topology.RouterSpec
-	// Req is the Lightyear requirement for local-policy checks; it
-	// carries the per-attachment identity (Requirement.Attachment), so a
-	// suite check is attachment-scoped — the cache memoizes and the batch
-	// transport ships one independent unit per attachment obligation.
+	// Req is the Lightyear requirement for local-policy checks: one
+	// route-map's obligation at one attachment, whose identity it carries
+	// (Requirement.Attachment). The cache memoizes and the batch
+	// transport ship one independent unit per route-map obligation.
 	Req *lightyear.Requirement
 }
 
