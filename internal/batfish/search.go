@@ -2,6 +2,7 @@ package batfish
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/netcfg"
 	"repro/internal/symbolic"
@@ -99,14 +100,13 @@ type SearchResult struct {
 // encoding per route-map, each policy of a revision is compiled into its
 // accept space on the first query that names it, kept in the revision's
 // slot (netcfg.Parsed.CompiledPolicy), and every later query on that
-// revision is answered from the compiled form. A bare device is searched
-// as a fresh revision, &netcfg.Parsed{Device: dev}, which compiles on
-// every call.
+// revision is answered from the compiled form; FirstPermitted and
+// DeniesLacking read the same slot. A bare device is searched as a fresh
+// revision, &netcfg.Parsed{Device: dev}, which compiles on every call.
 func SearchRoutePolicies(rev *netcfg.Parsed, q SearchQuery) (SearchResult, error) {
-	dev := rev.Device
-	pol := dev.RoutePolicies[q.Policy]
-	if pol == nil {
-		return SearchResult{}, fmt.Errorf("policy %q is not defined on %s", q.Policy, dev.Hostname)
+	accept, err := compiled(rev, q.Policy)
+	if err != nil {
+		return SearchResult{}, err
 	}
 	input, err := q.Constraints.Space()
 	if err != nil {
@@ -121,12 +121,90 @@ func SearchRoutePolicies(rev *netcfg.Parsed, q SearchQuery) (SearchResult, error
 	default:
 		return SearchResult{}, fmt.Errorf("action must be permit or deny, got %q", q.Action)
 	}
-	accept := rev.CompiledPolicy(q.Policy, func() any {
-		return symbolic.AcceptSpace(pol, dev)
-	}).(symbolic.Space)
+	return search(accept, input, action), nil
+}
+
+// FirstPermitted is the group query of an egress drops list: it scans
+// comms in order and returns the index of the first community c such that
+// the named policy permits some BGP route carrying c, with the answer
+// SearchRoutePolicies gives to {Action: "permit", HasCommunities: [c]},
+// witness included. It returns -1 and a result that found nothing when
+// the policy denies every route carrying any of comms.
+//
+// The scan reads the compiled accept classes directly: a community that
+// no class admits, because each forbids it or admits no BGP route, is
+// clean and costs a binary search per class and no allocation. The full
+// search runs only for the first community a class admits.
+func FirstPermitted(rev *netcfg.Parsed, policy string, comms []netcfg.Community) (int, SearchResult, error) {
+	accept, err := compiled(rev, policy)
+	if err != nil {
+		return -1, SearchResult{}, err
+	}
+	for i, c := range comms {
+		if !admitsAny(accept, c) {
+			continue
+		}
+		if res := search(accept, bgpRoutes(symbolic.RequireComm(c)), netcfg.Permit); res.Found {
+			return i, res, nil
+		}
+	}
+	return -1, SearchResult{}, nil
+}
+
+// DeniesLacking answers SearchRoutePolicies' {Action: "deny",
+// LacksCommunities: lacks} with the communities as values: whether the
+// named policy denies some BGP route that carries none of lacks, and a
+// witness if so. The input condition forbids one sorted, de-duplicated
+// copy of lacks.
+func DeniesLacking(rev *netcfg.Parsed, policy string, lacks []netcfg.Community) (SearchResult, error) {
+	accept, err := compiled(rev, policy)
+	if err != nil {
+		return SearchResult{}, err
+	}
+	forbid := slices.Compact(slices.Sorted(slices.Values(lacks)))
+	return search(accept, bgpRoutes(symbolic.CommCond{Forbid: forbid}), netcfg.Deny), nil
+}
+
+// compiled returns the revision's compiled accept space of the named
+// policy, compiling it into the revision's slot on first use. It is the
+// slot's one writer, so the slot holds one type.
+func compiled(rev *netcfg.Parsed, name string) (symbolic.Space, error) {
+	pol := rev.Device.RoutePolicies[name]
+	if pol == nil {
+		return nil, fmt.Errorf("policy %q is not defined on %s", name, rev.Device.Hostname)
+	}
+	return rev.CompiledPolicy(name, func() any {
+		return symbolic.AcceptSpace(pol, rev.Device)
+	}).(symbolic.Space), nil
+}
+
+// bgpRoutes is the input space of BGP routes of any prefix whose
+// communities meet cond: RouteConstraints.Space's result for constraints
+// that name communities only.
+func bgpRoutes(cond symbolic.CommCond) symbolic.Space {
+	return symbolic.Space{{Prefixes: symbolic.FullPrefixSet(), Comms: cond, Protos: symbolic.MaskBGP}}
+}
+
+// admitsAny reports whether some accept class can hold a BGP route
+// carrying c: one that does not forbid c and admits BGP. Accept classes
+// are non-empty, so such a class meets bgpRoutes(RequireComm(c)).
+func admitsAny(accept symbolic.Space, c netcfg.Community) bool {
+	for _, cls := range accept {
+		if cls.Protos&symbolic.MaskBGP == 0 {
+			continue
+		}
+		if _, forbidden := slices.BinarySearch(cls.Comms.Forbid, c); !forbidden {
+			return true
+		}
+	}
+	return false
+}
+
+// search answers one query against a compiled accept space.
+func search(accept, input symbolic.Space, action netcfg.Action) SearchResult {
 	witness, found := symbolic.Search(accept, symbolic.Query{Input: input, Action: action})
 	if !found {
-		return SearchResult{Found: false}, nil
+		return SearchResult{Found: false}
 	}
 	return SearchResult{
 		Found:              true,
@@ -134,5 +212,5 @@ func SearchRoutePolicies(rev *netcfg.Parsed, q SearchQuery) (SearchResult, error
 		WitnessPrefix:      witness.Prefix.String(),
 		WitnessCommunities: witness.CommunityStrings(),
 		WitnessProtocol:    witness.Protocol.String(),
-	}, nil
+	}
 }

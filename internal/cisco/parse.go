@@ -11,7 +11,9 @@
 package cisco
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -41,6 +43,12 @@ type parser struct {
 	mode   mode
 	curIfc *netcfg.Interface
 	curMap *netcfg.PolicyClause
+
+	// unsorted indexes by sequence number the clauses of each route-map
+	// that received a clause below its highest sequence number; Parse
+	// sorts those route-maps once, when the text ends. A route-map whose
+	// clauses arrive in order stays sorted and is binary-searched.
+	unsorted map[*netcfg.RoutePolicy]map[int]*netcfg.PolicyClause
 }
 
 // Parse parses a Cisco IOS configuration into the vendor-neutral IR,
@@ -61,6 +69,9 @@ func Parse(text string) (*netcfg.Device, []netcfg.ParseWarning) {
 			continue
 		}
 		p.parseLine(lineNo, line)
+	}
+	for rp := range p.unsorted {
+		slices.SortFunc(rp.Clauses, func(a, b *netcfg.PolicyClause) int { return cmp.Compare(a.Seq, b.Seq) })
 	}
 	return p.dev, p.warnings
 }
@@ -207,16 +218,57 @@ func (p *parser) enterRouteMap(lineNo int, line string, fields []string) {
 	} else if len(rp.Clauses) > 0 {
 		seq = rp.Clauses[len(rp.Clauses)-1].Seq + 10
 	}
-	cl := rp.Clause(seq)
+	cl := p.clause(rp, seq)
 	if cl == nil {
 		cl = &netcfg.PolicyClause{Seq: seq, Action: action}
-		rp.Clauses = append(rp.Clauses, cl)
-		rp.SortClauses()
+		p.addClause(rp, cl)
 	} else {
 		cl.Action = action
 	}
 	p.curMap = cl
 	p.mode = modeRouteMap
+}
+
+// clause returns a route-map's clause with the given sequence number, or
+// nil.
+func (p *parser) clause(rp *netcfg.RoutePolicy, seq int) *netcfg.PolicyClause {
+	if idx := p.unsorted[rp]; idx != nil {
+		return idx[seq]
+	}
+	i, found := slices.BinarySearchFunc(rp.Clauses, seq, func(cl *netcfg.PolicyClause, seq int) int {
+		return cmp.Compare(cl.Seq, seq)
+	})
+	if !found {
+		return nil
+	}
+	return rp.Clauses[i]
+}
+
+// addClause adds a clause with a new sequence number to its route-map. A
+// clause below the highest number so far goes in just before the last
+// one, so the last clause always holds the highest number, and the
+// route-map is indexed until Parse sorts it.
+func (p *parser) addClause(rp *netcfg.RoutePolicy, cl *netcfg.PolicyClause) {
+	n := len(rp.Clauses)
+	idx := p.unsorted[rp]
+	if n == 0 || cl.Seq > rp.Clauses[n-1].Seq {
+		rp.Clauses = append(rp.Clauses, cl)
+	} else {
+		if idx == nil {
+			idx = make(map[int]*netcfg.PolicyClause, n+1)
+			for _, c := range rp.Clauses {
+				idx[c.Seq] = c
+			}
+			if p.unsorted == nil {
+				p.unsorted = map[*netcfg.RoutePolicy]map[int]*netcfg.PolicyClause{}
+			}
+			p.unsorted[rp] = idx
+		}
+		rp.Clauses = slices.Insert(rp.Clauses, n-1, cl)
+	}
+	if idx != nil {
+		idx[cl.Seq] = cl
+	}
 }
 
 func (p *parser) parseInterfaceSub(lineNo int, line string, fields []string) {

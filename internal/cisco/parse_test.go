@@ -1,6 +1,7 @@
 package cisco
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -230,6 +231,69 @@ func TestRouteMapImplicitSequence(t *testing.T) {
 	m := dev.RoutePolicies["m"]
 	if len(m.Clauses) != 2 || m.Clauses[0].Seq != 10 || m.Clauses[1].Seq != 20 {
 		t.Fatalf("clauses = %+v", m.Clauses)
+	}
+}
+
+// TestRouteMapClauseOrder checks where clauses land when they arrive out
+// of sequence order: the parser appends each new clause and places it by
+// sequence number, and the result must be the list that sorting the
+// route-map after every clause gave. Route-map a arrives in order and
+// re-enters a sequence number while sorted; route-map b arrives as 30,
+// 10, 20 and re-enters 30 while unsorted; route-map d arrives in
+// descending order. Each re-entry flips the clause's action and keeps its
+// earlier lines, and an implicit sequence number is the highest so far
+// plus 10.
+func TestRouteMapClauseOrder(t *testing.T) {
+	cfg := `route-map a permit 10
+ match community 1
+route-map a deny 20
+route-map a deny 10
+route-map a deny
+route-map b deny 30
+ match community 3
+route-map b permit 10
+route-map b permit 20
+ set metric 5
+route-map b permit 30
+ set local-preference 200
+route-map b deny
+route-map c permit
+route-map d deny 30
+route-map d deny 20
+route-map d permit 10
+route-map d deny 20
+`
+	dev, warns := Parse(cfg)
+	if len(warns) != 0 {
+		t.Fatal(warns)
+	}
+	want := map[string][]*netcfg.PolicyClause{
+		"a": {
+			{Seq: 10, Action: netcfg.Deny, Matches: []netcfg.Match{netcfg.MatchCommunityList{List: "1"}}},
+			{Seq: 20, Action: netcfg.Deny},
+			{Seq: 30, Action: netcfg.Deny},
+		},
+		"b": {
+			{Seq: 10, Action: netcfg.Permit},
+			{Seq: 20, Action: netcfg.Permit, Sets: []netcfg.SetAction{netcfg.SetMED{MED: 5}}},
+			{Seq: 30, Action: netcfg.Permit, Matches: []netcfg.Match{netcfg.MatchCommunityList{List: "3"}},
+				Sets: []netcfg.SetAction{netcfg.SetLocalPref{Pref: 200}}},
+			{Seq: 40, Action: netcfg.Deny},
+		},
+		"c": {{Seq: 10, Action: netcfg.Permit}},
+		"d": {
+			{Seq: 10, Action: netcfg.Permit},
+			{Seq: 20, Action: netcfg.Deny},
+			{Seq: 30, Action: netcfg.Deny},
+		},
+	}
+	if len(dev.RoutePolicies) != len(want) {
+		t.Fatalf("route-maps %v, want %d", dev.PolicyNames(), len(want))
+	}
+	for name, clauses := range want {
+		if got := dev.RoutePolicies[name]; got == nil || !reflect.DeepEqual(got.Clauses, clauses) {
+			t.Errorf("route-map %s: clauses %+v, want %+v", name, got, clauses)
+		}
 	}
 }
 

@@ -30,7 +30,9 @@ const undefinedPolicy = "FUZZ_UNDEFINED_ROUTE_MAP"
 // requirement with the same Description, witness and explanation. For
 // every route-map of the parsed device the list holds the communities
 // the route-map references and two it may not, derived from salt, which
-// also shuffles the order. An undefined route-map is checked too. The
+// also shuffles the order. An EgressPermitsClean requirement over the
+// same list must answer as SearchRoutePolicies does with the list as
+// string LacksCommunities. An undefined route-map is checked too. The
 // seeds are FuzzSearchPolicy's.
 func FuzzEgressDrops(f *testing.F) {
 	f.Add(exampledata.CiscoExample, uint64(0))
@@ -67,14 +69,75 @@ func FuzzEgressDrops(f *testing.F) {
 				req.Communities = append(req.Communities, c)
 				req.LearnedFrom = append(req.LearnedFrom, fmt.Sprintf("ISP%d", i+2))
 			}
-			got, gotBad := lightyear.Check(&netcfg.Parsed{Device: dev}, req)
+			rev := &netcfg.Parsed{Device: dev}
+			got, gotBad := lightyear.Check(rev, req)
 			want, wantBad := perCommunityDrops(&netcfg.Parsed{Device: dev}, req)
 			if gotBad != wantBad || !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s over %v: grouped check (%v) %+v, per-community reference (%v) %+v",
 					name, comms, gotBad, got, wantBad, want)
 			}
+			// The clean-permit requirement over the same list, its first
+			// community repeated, checked on the revision the drops check
+			// compiled, against a fresh revision's string-constraint search.
+			clean := lightyear.Requirement{
+				Kind:        lightyear.EgressPermitsClean,
+				Router:      "R1",
+				Attachment:  req.Attachment,
+				Policy:      name,
+				Communities: append(slices.Clone(comms), comms[0]),
+				Description: "R1 must export to ISP1 routes that carry no ISP community (customer routes).",
+			}
+			got, gotBad = lightyear.Check(rev, clean)
+			want, wantBad = stringClean(&netcfg.Parsed{Device: dev}, clean)
+			if gotBad != wantBad || !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s lacking %v: check (%v) %+v, string-constraint reference (%v) %+v",
+					name, clean.Communities, gotBad, got, wantBad, want)
+			}
 		}
 	})
+}
+
+// stringClean is the EgressPermitsClean evaluator the value query
+// replaced: one SearchRoutePolicies deny query whose LacksCommunities are
+// the requirement's communities formatted as strings.
+func stringClean(rev *netcfg.Parsed, req lightyear.Requirement) (lightyear.Violation, bool) {
+	if rev.Device.RoutePolicies[req.Policy] == nil {
+		return lightyear.Violation{
+			Requirement: req,
+			Explanation: fmt.Sprintf("The route-map %s is not defined, so the local policy %q cannot hold.",
+				req.Policy, req.Description),
+		}, true
+	}
+	var lacks []string
+	for _, c := range req.Communities {
+		lacks = append(lacks, c.String())
+	}
+	res, err := batfish.SearchRoutePolicies(rev, batfish.SearchQuery{
+		Policy:      req.Policy,
+		Action:      "deny",
+		Constraints: batfish.RouteConstraints{LacksCommunities: lacks},
+	})
+	if err != nil || !res.Found {
+		return lightyear.Violation{}, false
+	}
+	return lightyear.Violation{
+		Requirement: req,
+		Witness:     witness(res),
+		Explanation: fmt.Sprintf(
+			"The route-map %s denies routes that carry no ISP community (for example %s). "+
+				"However, customer routes should be permitted.",
+			req.Policy, res.WitnessPrefix),
+	}, true
+}
+
+// witness rebuilds a violation's witness route from a search result, as
+// the checks do.
+func witness(res batfish.SearchResult) *netcfg.Route {
+	w := netcfg.NewRoute(netcfg.MustPrefix(res.WitnessPrefix))
+	for _, cs := range res.WitnessCommunities {
+		w.AddCommunity(netcfg.MustCommunity(cs))
+	}
+	return w
 }
 
 // perCommunityDrops is the per-community egress-drop evaluator the
@@ -101,13 +164,9 @@ func perCommunityDrops(rev *netcfg.Parsed, group lightyear.Requirement) (lightye
 			Constraints: batfish.RouteConstraints{HasCommunities: []string{c.String()}},
 		})
 		if err == nil && res.Found {
-			w := netcfg.NewRoute(netcfg.MustPrefix(res.WitnessPrefix))
-			for _, cs := range res.WitnessCommunities {
-				w.AddCommunity(netcfg.MustCommunity(cs))
-			}
 			return lightyear.Violation{
 				Requirement: one,
-				Witness:     w,
+				Witness:     witness(res),
 				Explanation: fmt.Sprintf(
 					"The route-map %s permits routes that have the community %s. However, they should be denied.",
 					one.Policy, c),

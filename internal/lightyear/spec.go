@@ -224,7 +224,10 @@ func indexOf(name string) int {
 // &netcfg.Parsed{Device: dev}, wrapped afresh after each edit. An
 // EgressDropsCommunity requirement reports its first violated community
 // in list order, narrowed to that community (dropsAt); an undefined
-// route-map violates its first community.
+// route-map violates its first community. Both egress kinds ask their
+// question once, with the communities as values: the drops list is one
+// scan of the compiled accept classes (batfish.FirstPermitted), and the
+// clean-permit condition one search (batfish.DeniesLacking).
 func Check(rev *netcfg.Parsed, req Requirement) (Violation, bool) {
 	dev := rev.Device
 	pol := dev.RoutePolicies[req.Policy]
@@ -242,36 +245,18 @@ func Check(rev *netcfg.Parsed, req Requirement) (Violation, bool) {
 	case IngressAddsCommunity:
 		return checkIngressAdds(dev, pol, req)
 	case EgressDropsCommunity:
-		for i, c := range req.Communities {
-			res, err := batfish.SearchRoutePolicies(rev, batfish.SearchQuery{
-				Policy: req.Policy,
-				Action: "permit",
-				Constraints: batfish.RouteConstraints{
-					HasCommunities: []string{c.String()},
-				},
-			})
-			if err == nil && res.Found {
-				return Violation{
-					Requirement: req.dropsAt(i),
-					Witness:     witnessRoute(res),
-					Explanation: fmt.Sprintf(
-						"The route-map %s permits routes that have the community %s. However, they should be denied.",
-						req.Policy, c),
-				}, true
-			}
+		i, res, err := batfish.FirstPermitted(rev, req.Policy, req.Communities)
+		if err == nil && res.Found {
+			return Violation{
+				Requirement: req.dropsAt(i),
+				Witness:     witnessRoute(res),
+				Explanation: fmt.Sprintf(
+					"The route-map %s permits routes that have the community %s. However, they should be denied.",
+					req.Policy, req.Communities[i]),
+			}, true
 		}
 	case EgressPermitsClean:
-		var lacks []string
-		for _, c := range req.Communities {
-			lacks = append(lacks, c.String())
-		}
-		res, err := batfish.SearchRoutePolicies(rev, batfish.SearchQuery{
-			Policy: req.Policy,
-			Action: "deny",
-			Constraints: batfish.RouteConstraints{
-				LacksCommunities: lacks,
-			},
-		})
+		res, err := batfish.DeniesLacking(rev, req.Policy, req.Communities)
 		if err == nil && res.Found {
 			return Violation{
 				Requirement: req,

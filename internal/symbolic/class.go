@@ -2,6 +2,7 @@ package symbolic
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/netcfg"
@@ -52,6 +53,21 @@ func (c CommCond) Consistent() bool {
 func (c CommCond) And(d CommCond) (CommCond, bool) {
 	out := CommCond{Req: mergeComms(c.Req, d.Req), Forbid: mergeComms(c.Forbid, d.Forbid)}
 	return out, out.Consistent()
+}
+
+// insertComm returns the sorted, duplicate-free slice s with x added: s
+// itself when it holds x, else a new slice one longer, so s is never
+// written. It is mergeComms(s, []netcfg.Community{x}) with one allocation.
+func insertComm(s []netcfg.Community, x netcfg.Community) []netcfg.Community {
+	i, found := slices.BinarySearch(s, x)
+	if found {
+		return s
+	}
+	out := make([]netcfg.Community, len(s)+1)
+	copy(out, s[:i])
+	out[i] = x
+	copy(out[i+1:], s[i:])
+	return out
 }
 
 // mergeComms returns the sorted union of two sorted, duplicate-free
@@ -262,24 +278,38 @@ func (c Class) Subtract(d Class) Space {
 		return Space{c}
 	}
 	var out Space
-	// Routes in c whose prefix is outside d's prefixes.
-	if ps := c.Prefixes.Subtract(d.Prefixes); !ps.Empty() {
-		out = append(out, Class{Prefixes: ps, Comms: c.Comms, Protos: c.Protos})
+	// Routes in c whose prefix is outside d's prefixes. When d admits
+	// every prefix there are none, and the shared prefix region is c's
+	// own: the full atom's intersection leaves an in-range atom as it is.
+	inter := c.Prefixes
+	if !d.Prefixes.full() {
+		if ps := c.Prefixes.Subtract(d.Prefixes); !ps.Empty() {
+			out = append(out, Class{Prefixes: ps, Comms: c.Comms, Protos: c.Protos})
+		}
+		inter = c.Prefixes.Intersect(d.Prefixes)
+		if inter.Empty() {
+			return out
+		}
 	}
-	inter := c.Prefixes.Intersect(d.Prefixes)
-	if inter.Empty() {
-		return out
+	// Routes in the shared prefix region violating d's community
+	// condition: one class per literal of d, negated, skipped when c
+	// already holds the literal itself (c.Comms.And(neg) would fail).
+	for _, comm := range d.Comms.Req {
+		if _, conflict := slices.BinarySearch(c.Comms.Req, comm); !conflict {
+			comms := CommCond{Req: c.Comms.Req, Forbid: insertComm(c.Comms.Forbid, comm)}
+			out = append(out, Class{Prefixes: inter, Comms: comms, Protos: c.Protos})
+		}
 	}
-	// Routes in the shared prefix region violating d's community condition.
-	for _, neg := range d.Comms.Negations() {
-		if comms, ok := c.Comms.And(neg); ok {
+	for _, comm := range d.Comms.Forbid {
+		if _, conflict := slices.BinarySearch(c.Comms.Forbid, comm); !conflict {
+			comms := CommCond{Req: insertComm(c.Comms.Req, comm), Forbid: c.Comms.Forbid}
 			out = append(out, Class{Prefixes: inter, Comms: comms, Protos: c.Protos})
 		}
 	}
 	// Routes in the shared prefix region satisfying both community
 	// conditions but outside d's protocols.
-	if both, ok := c.Comms.And(d.Comms); ok {
-		if protos := c.Protos &^ d.Protos; protos != 0 {
+	if protos := c.Protos &^ d.Protos; protos != 0 {
+		if both, ok := c.Comms.And(d.Comms); ok {
 			out = append(out, Class{Prefixes: inter, Comms: both, Protos: protos})
 		}
 	}
@@ -351,16 +381,23 @@ func (s Space) Intersect(t Space) Space {
 	return out
 }
 
-// Subtract returns s \ t.
+// Subtract returns s \ t. A space whose classes are all non-empty is
+// not copied, and subtracting from a single class returns that class's
+// own difference.
 func (s Space) Subtract(t Space) Space {
-	cur := make(Space, 0, len(s))
+	cur := s
 	for _, c := range s {
-		if !c.Empty() {
-			cur = append(cur, c)
+		if c.Empty() {
+			cur = s.Union(nil) // drops the empty classes
+			break
 		}
 	}
 	for _, b := range t {
 		if b.Empty() {
+			continue
+		}
+		if len(cur) == 1 {
+			cur = cur[0].Subtract(b)
 			continue
 		}
 		var next Space

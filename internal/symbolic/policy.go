@@ -71,14 +71,19 @@ func communityListSpace(cl *netcfg.CommunityList) Space {
 
 // ClauseGuard computes the space matched by a clause: the intersection of
 // all its match conditions (AND semantics). A clause with no matches
-// matches everything.
+// matches everything. Every match space's classes are non-empty with
+// in-range atoms, so the full space is Intersect's identity on them and
+// the first match's space starts the conjunction as it is.
 func ClauseGuard(cl *netcfg.PolicyClause, env netcfg.PolicyEnv) Space {
-	guard := FullSpace()
-	for _, m := range cl.Matches {
+	if len(cl.Matches) == 0 {
+		return FullSpace()
+	}
+	guard := MatchSpace(cl.Matches[0], env)
+	for _, m := range cl.Matches[1:] {
 		guard = guard.Intersect(MatchSpace(m, env))
-		if guard.Empty() {
-			return nil
-		}
+	}
+	if guard.Empty() {
+		return nil
 	}
 	return guard
 }
@@ -94,6 +99,15 @@ type Region struct {
 // AcceptRegions compiles a policy into its accept regions: clause k's
 // region is guard(k) minus the guards of all earlier clauses
 // (first-match-wins). A nil policy accepts everything unchanged.
+//
+// It is the route-map compile behind batfish.SearchRoutePolicies, run once
+// per route-map of a revision. Only a permit clause is intersected with
+// what remains; every clause is subtracted from it. On the egress maps of
+// the repair loop (one deny stanza per other ISP community, then a
+// permit) what remains is one class, and subtracting a community match
+// from it costs a constant number of allocations: the class's forbidden
+// communities are copied once, one longer. The regions are exact, not
+// simplified: witnesses are sampled from them.
 func AcceptRegions(p *netcfg.RoutePolicy, env netcfg.PolicyEnv) []Region {
 	if p == nil {
 		return []Region{{Space: FullSpace(), ClauseSeq: -1}}
@@ -102,9 +116,10 @@ func AcceptRegions(p *netcfg.RoutePolicy, env netcfg.PolicyEnv) []Region {
 	var out []Region
 	for _, cl := range p.Clauses {
 		guard := ClauseGuard(cl, env)
-		reached := remaining.Intersect(guard)
-		if cl.Action == netcfg.Permit && !reached.Empty() {
-			out = append(out, Region{Space: reached, ClauseSeq: cl.Seq, Sets: cl.Sets})
+		if cl.Action == netcfg.Permit {
+			if reached := remaining.Intersect(guard); !reached.Empty() {
+				out = append(out, Region{Space: reached, ClauseSeq: cl.Seq, Sets: cl.Sets})
+			}
 		}
 		remaining = remaining.Subtract(guard)
 		if remaining.Empty() {
@@ -118,7 +133,7 @@ func AcceptRegions(p *netcfg.RoutePolicy, env netcfg.PolicyEnv) []Region {
 func AcceptSpace(p *netcfg.RoutePolicy, env netcfg.PolicyEnv) Space {
 	var out Space
 	for _, r := range AcceptRegions(p, env) {
-		out = out.Union(r.Space)
+		out = append(out, r.Space...)
 	}
 	return out
 }

@@ -146,6 +146,10 @@ type PrefixSet []Atom
 // FullPrefixSet matches every announced prefix.
 func FullPrefixSet() PrefixSet { return PrefixSet{FullAtom()} }
 
+// full reports whether the set is FullPrefixSet's one atom, the prefix
+// set of every community and protocol match.
+func (s PrefixSet) full() bool { return len(s) == 1 && s[0] == FullAtom() }
+
 // Empty reports whether the set matches nothing.
 func (s PrefixSet) Empty() bool {
 	for _, a := range s {
