@@ -404,6 +404,72 @@ func TestParallelRunTracesRenders(t *testing.T) {
 	}
 }
 
+// TestTraceSeparatesEvaluation checks that a traced in-process run tells
+// dispatch apart from evaluation: it emits one evaluate span per check the
+// cache evaluated, each inside a local_check span of the same kind, router
+// and attachment, and -trace-summary lists evaluate as a nested stage,
+// leaving the top-level marks where they were.
+func TestTraceSeparatesEvaluation(t *testing.T) {
+	var buf bytes.Buffer
+	tracer := obs.NewTracer(&buf)
+	res, err := Synthesize(mustTopo(t, "random", 20), SynthesizeOptions{Trace: tracer})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tracer.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	var evals, checks []obs.Event
+	dec := json.NewDecoder(bytes.NewReader(buf.Bytes()))
+	for dec.More() {
+		var ev obs.Event
+		if err := dec.Decode(&ev); err != nil {
+			t.Fatal(err)
+		}
+		switch ev.Stage {
+		case obs.StageEvaluate:
+			evals = append(evals, ev)
+		case obs.StageLocalCheck:
+			checks = append(checks, ev)
+		}
+	}
+	if res.CacheStats == nil || uint64(len(evals)) != res.CacheStats.Misses || len(evals) == 0 {
+		t.Fatalf("%d evaluate spans; the cache counted %+v", len(evals), res.CacheStats)
+	}
+	end := func(ev obs.Event) time.Time { return ev.TS.Add(time.Duration(ev.DurNS)) }
+	for _, ev := range evals {
+		inside := false
+		for _, c := range checks {
+			if c.Outcome == "check" && c.Detail == ev.Detail && c.Router == ev.Router &&
+				c.Attachment == ev.Attachment && !ev.TS.Before(c.TS) && !end(ev).After(end(c)) {
+				inside = true
+				break
+			}
+		}
+		if !inside {
+			t.Fatalf("evaluate span %+v lies inside no local_check span of its check", ev)
+		}
+	}
+	summary, err := obs.Summarize(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	marked := map[string]bool{}
+	for _, line := range strings.Split(summary.String(), "\n") {
+		if f := strings.Fields(line); len(f) > 0 && summary.Stages[f[0]] != nil {
+			marked[f[0]] = strings.HasSuffix(line, "*")
+		}
+	}
+	if m, ok := marked[obs.StageEvaluate]; !ok || m {
+		t.Errorf("the summary lists evaluate %v, marked %v; want it listed unmarked:\n%s", ok, m, summary)
+	}
+	for _, stage := range []string{obs.StageLocalCheck, obs.StageLLMCall, obs.StageGlobalCheck} {
+		if !marked[stage] {
+			t.Errorf("the summary does not mark %s as a top-level stage:\n%s", stage, summary)
+		}
+	}
+}
+
 // TestBatchedRESTSynthesisByteIdentical runs the same gate over the REST
 // wrapper: the batched, cached loop against batfishd must reproduce the
 // in-process sequential loop's transcript exactly.

@@ -297,7 +297,7 @@
 // argument). Each Run also compiles the network before its first round:
 // every session's route-maps are resolved against their device once, with
 // the leading permit-only community-list clauses indexed by community;
-// every originated prefix gets a number, and each node's RIB is a row
+// every simulated prefix gets a number, and each node's RIB is a row
 // indexed by it; a route is built only when it is installed, or when a
 // route-map must read or write it first; and the Result shares the
 // installed routes and answers CanReach with at most 34 lookups instead
@@ -309,10 +309,36 @@
 // fat-tree:10, from 0.12 s and 20 MB to 12 ms and 6 MB on random:75, and
 // from 1.36 s and 141 MB to 0.10 s and 39 MB on random:200; cobench's
 // synth-fattree-10 run_s fell from 0.44 s to 0.12 s (seed 5, medians of
-// ten alternating pairs). A network that would need more than
-// batfish.MaxRIBSlots RIB slots, one per speaker and originated prefix,
-// is refused with an error. The round cap grows with the number of
-// speakers, so deep rings converge: ring:130 needs about 65 rounds.
+// ten alternating pairs).
+//
+// The check simulates only the slice of the network its verdict reads.
+// The verdict asks CanReach about the ISPs' and customers' own prefixes
+// and nothing else, and CanReach answers for a prefix from the entries
+// for it and for the prefixes containing it. So the check hands those
+// stub prefixes to Sim.Run, which simulates only the originated prefixes
+// that equal or contain one of them; the routers' link subnets drop out.
+// By the same slicing argument each simulated prefix ends with exactly
+// the routes a simulation of every prefix gives it, so no verdict
+// changes. The tests hold the slice to the unsliced run on golden
+// configurations, on every synthesis error class's drafts and on mutated
+// networks whose routers originate a stub's prefix or a supernet of it
+// (TestDeltaRoundsMatchReference, FuzzSimulate and
+// TestGlobalSliceMatchesUnsliced). On golden configurations the verdict
+// reads 50 of fat-tree:10's 600 originated prefixes (175 speakers), 75 of
+// random:75's 256 and 185 of random:200's 666. Timed alone on a shared
+// 2-CPU machine (medians of ten checks, in two rounds), one check went
+// from 46–57 ms and 15.1 MB allocated to 6.4–7.4 ms and 1.9 MB on
+// fat-tree:10, from 18 ms and 6.1 MB to 7.4–10 ms and 2.1 MB on
+// random:75, and from 109–133 ms and 39 MB to 42–51 ms and 12 MB on
+// random:200. On fat-tree:10 the rounds still take
+// over half of what is left, and the set-up, route-map compiles included,
+// about a quarter (a CPU profile of the check alone). cobench's
+// synth-fattree-10 run_s fell from 0.099 s to 0.058 s (medians of ten
+// alternating pairs), and its traced global check from 47 ms to 4.9 ms,
+// 43% of wall to 8%. A network whose slice would need more than
+// batfish.MaxRIBSlots RIB slots, one per speaker and simulated prefix, is
+// refused with an error. The round cap grows with the number of speakers,
+// so deep rings converge: ring:130 needs about 65 rounds.
 //
 // # Configuration pipeline
 //

@@ -11,6 +11,20 @@ import (
 // external test package, whose differential tests compare it with Run.
 func (s *Sim) RunFullRounds() (*Result, error) { return s.runFullRounds() }
 
+// Originated returns every prefix the network's nodes originate, in name
+// order of the nodes, repeats included. Run(s.Originated()) simulates
+// every originated prefix: the unsliced run, which the tests hold the
+// slices of the global check to.
+func (s *Sim) Originated() []netcfg.Prefix {
+	var out []netcfg.Prefix
+	for _, n := range s.sortedNodes() {
+		for _, r := range n.origin {
+			out = append(out, r.Prefix)
+		}
+	}
+	return out
+}
+
 // Nodes returns the names of the result's nodes, sorted.
 func (r *Result) Nodes() []string {
 	return slices.Sorted(maps.Keys(r.rows))

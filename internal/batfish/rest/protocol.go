@@ -85,12 +85,14 @@ type HealthResponse struct {
 }
 
 // NoTransitRequest asks for the global no-transit check of one
-// configuration set on one topology. The server simulates the whole
-// network from scratch on every request (lightyear.CheckGlobalNoTransit).
-// The simulation keeps one RIB slot per (speaker, originated prefix)
-// pair, and a network needing more than batfish.MaxRIBSlots (1<<26) is
-// refused with a 422 naming the bound: one router with 8,200 external
-// neighbors of one prefix each is just over it.
+// configuration set on one topology. The server simulates the network
+// from scratch on every request (lightyear.CheckGlobalNoTransit): every
+// speaker, and the originated prefixes that equal or contain an ISP's or
+// a customer's prefix, the only ones the verdict reads. The simulation
+// keeps one RIB slot per (speaker, simulated prefix) pair, and a network
+// needing more than batfish.MaxRIBSlots (1<<26) is refused with a 422
+// naming the bound: one router with 8,200 external neighbors of one
+// prefix each is just over it.
 type NoTransitRequest struct {
 	Topology *topology.Topology `json:"topology"`
 	Configs  map[string]string  `json:"configs"`

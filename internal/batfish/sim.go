@@ -10,10 +10,13 @@ import (
 )
 
 // MaxRIBSlots bounds the RIB rows one Run allocates. Every speaker keeps
-// one slot per originated prefix, whatever propagates, so a network costs
-// speakers × prefixes pointers: 1<<26 slots is 512 MiB. The largest
-// registry network, dual-homed:1000, needs about 15 M slots, and
-// random:1000 about 6.2 M.
+// one slot per simulated prefix (each originated prefix in the Run's
+// slice), whatever propagates, so a Run costs speakers × simulated
+// prefixes pointers: 1<<26 slots is 512 MiB. The global check's slice of
+// the largest registry network, dual-homed:1000 (2,999 speakers, 1,999 of
+// its 4,998 originated prefixes), needs about 6.0 M slots, and of
+// random:1000 (1,896 speakers, 896 of 3,290 prefixes) about 1.7 M;
+// simulating every originated prefix would take 15 M and 6.2 M.
 const MaxRIBSlots = 1 << 26
 
 // Sim is the BGP control-plane simulator: the paper's final global check
@@ -28,10 +31,23 @@ const MaxRIBSlots = 1 << 26
 // the lowest peer node name. Propagation runs in synchronous rounds to a
 // fixpoint.
 //
+// A Run simulates a slice of the network: the originated prefixes that
+// equal or contain one of the prefixes its caller will query, which are
+// the only entries CanReach reads to answer for a queried prefix. A
+// prefix's propagation never reads another prefix's entries (the slicing
+// argument Panda et al. verify isolation with): deliver reads and writes
+// only the announced prefix's entry, and the route-maps are pure
+// functions of the route. So every simulated prefix ends with the routes,
+// in every node, that simulating every originated prefix gives it, and
+// the prefixes left out change no answer about a queried one. Each
+// simulated prefix also changes in the same rounds it would alone, so a
+// Run's rounds are the most any one simulated prefix needs.
+//
 // Each round announces only the RIB entries the previous round changed
-// (the first round announces every originated route), and reaches exactly
-// the RIBs, Iterations and Converged that re-announcing every entry every
-// round would. Three facts make these delta rounds exact:
+// (the first round announces every simulated originated route), and
+// reaches exactly the RIBs, Iterations and Converged that re-announcing
+// every entry every round would. Three facts make these delta rounds
+// exact:
 //
 //   - deliver replaces an entry only with a strictly better candidate, so
 //     each entry moves along a chain of ever better routes;
@@ -66,7 +82,7 @@ const MaxRIBSlots = 1 << 26
 //     what the session announces. A compiled route-map reads only the
 //     route and its own device's lists, so the policies stay pure
 //     functions of the route within a Run, and the argument above holds.
-//   - The originated prefixes are numbered in address order, and each
+//   - The simulated prefixes are numbered in address order, and each
 //     node's RIB is a row indexed by that number, as is each round's
 //     delta. A prefix's propagation never reads another prefix's entries,
 //     so the numbering changes no outcome, and sorting a node's changed
@@ -278,12 +294,14 @@ func (n *simNode) sessionTo(peer *simNode) *session {
 // stays valid and unchanged for as long as it is held. Callers must not
 // modify the routes it returns.
 type Result struct {
-	// Iterations is the number of propagation rounds to convergence.
+	// Iterations is the number of propagation rounds the simulated
+	// prefixes took to reach a fixpoint: the most any one of them needs.
 	Iterations int
-	// Converged is false if the round cap was hit before a fixpoint.
+	// Converged is false if the round cap was hit before every simulated
+	// prefix reached a fixpoint.
 	Converged bool
 
-	// index numbers the originated prefixes, lens lists their distinct
+	// index numbers the simulated prefixes, lens lists their distinct
 	// lengths in increasing order, and rows holds each node's RIB by
 	// prefix number.
 	index map[netcfg.Prefix]int32
@@ -295,11 +313,14 @@ type Result struct {
 // repeat a number.
 type delta [][]int32
 
-// Run propagates announcements to a fixpoint and returns per-node RIBs. It
-// refuses a network whose RIB rows would take more than MaxRIBSlots slots.
-func (s *Sim) Run() (*Result, error) {
+// Run propagates the slice of the network that answers for the queried
+// prefixes to a fixpoint, and returns per-node RIBs. It simulates each
+// originated prefix that equals or contains a queried one, and leaves
+// every other originated prefix out: the Result holds no route for it. It
+// refuses a slice whose RIB rows would take more than MaxRIBSlots slots.
+func (s *Sim) Run(queried []netcfg.Prefix) (*Result, error) {
 	order := s.sortedNodes()
-	res, changed, err := s.reset(order)
+	res, changed, err := s.reset(order, queried)
 	if err != nil {
 		return nil, err
 	}
@@ -312,32 +333,29 @@ func (s *Sim) Run() (*Result, error) {
 	return res, nil
 }
 
-// reset numbers the originated prefixes, resolves the sessions, and
-// installs each node's originated routes as its whole RIB, in fresh rows.
+// reset numbers the slice's prefixes (the originated prefixes that equal
+// or contain a queried one), resolves the sessions, and installs each
+// node's originated routes in the slice as its whole RIB, in fresh rows.
 // It returns the Result those rows belong to and the installed entries:
 // the first round's announcements.
-func (s *Sim) reset(order []*simNode) (*Result, delta, error) {
-	res := &Result{index: map[netcfg.Prefix]int32{}, rows: make(map[string][]*candidate, len(order))}
-	var prefixes []netcfg.Prefix
+func (s *Sim) reset(order []*simNode, queried []netcfg.Prefix) (*Result, delta, error) {
+	var originated []netcfg.Prefix
 	for _, n := range order {
 		for _, r := range n.origin {
-			if _, dup := res.index[r.Prefix]; !dup {
-				res.index[r.Prefix] = 0
-				prefixes = append(prefixes, r.Prefix)
-			}
+			originated = append(originated, r.Prefix)
 		}
 	}
+	prefixes := slice(originated, queried)
 	if need := len(order) * len(prefixes); need > MaxRIBSlots {
-		return nil, nil, fmt.Errorf("the BGP simulation needs %d RIB slots (%d speakers × %d originated prefixes), over the bound of %d (MaxRIBSlots)",
+		return nil, nil, fmt.Errorf("the BGP simulation needs %d RIB slots (%d speakers × %d simulated prefixes), over the bound of %d (MaxRIBSlots)",
 			need, len(order), len(prefixes), MaxRIBSlots)
 	}
 	slices.SortFunc(prefixes, comparePrefixes)
+	res := &Result{index: make(map[netcfg.Prefix]int32, len(prefixes)), lens: lengths(prefixes),
+		rows: make(map[string][]*candidate, len(order))}
 	for i, p := range prefixes {
 		res.index[p] = int32(i)
-		res.lens = append(res.lens, p.Len)
 	}
-	slices.Sort(res.lens)
-	res.lens = slices.Compact(res.lens)
 	s.connect(order)
 	slots := make([]*candidate, len(order)*len(prefixes))
 	installed := make(delta, len(order))
@@ -346,12 +364,56 @@ func (s *Sim) reset(order []*simNode) (*Result, delta, error) {
 		n.rib = slots[id*len(prefixes) : (id+1)*len(prefixes) : (id+1)*len(prefixes)]
 		res.rows[n.name] = n.rib
 		for _, r := range n.origin {
-			i := res.index[r.Prefix]
-			n.rib[i] = &candidate{route: *r.Clone()}
-			installed[id] = append(installed[id], i)
+			if i, ok := res.index[r.Prefix]; ok {
+				n.rib[i] = &candidate{route: *r.Clone()}
+				installed[id] = append(installed[id], i)
+			}
 		}
 	}
 	return res, installed, nil
+}
+
+// slice returns the originated prefixes that equal or contain one of the
+// queried prefixes, each once, reusing originated's array. It finds them
+// as CanReach does, probing each queried prefix and its masks to the
+// originated lengths, and marks them in a set of the originated prefixes,
+// so what it allocates grows with those and not with queries × lengths.
+func slice(originated, queried []netcfg.Prefix) []netcfg.Prefix {
+	read := make(map[netcfg.Prefix]bool, len(originated))
+	for _, q := range originated {
+		read[q] = false
+	}
+	mark := func(q netcfg.Prefix) {
+		if _, ok := read[q]; ok {
+			read[q] = true
+		}
+	}
+	lens := lengths(originated)
+	for _, p := range queried {
+		mark(p)
+		for _, l := range lens {
+			if l > p.Len {
+				break
+			}
+			mark(netcfg.Prefix{Addr: p.Addr & netcfg.Mask(l), Len: l})
+		}
+	}
+	return slices.DeleteFunc(originated, func(q netcfg.Prefix) bool {
+		keep := read[q]
+		delete(read, q) // a later copy of q is a repeat
+		return !keep
+	})
+}
+
+// lengths returns the distinct lengths of the prefixes, in increasing
+// order.
+func lengths(prefixes []netcfg.Prefix) []int {
+	lens := make([]int, len(prefixes))
+	for i, p := range prefixes {
+		lens[i] = p.Len
+	}
+	slices.Sort(lens)
+	return slices.Compact(lens)
 }
 
 // maxRounds caps a run's rounds. Every run terminates without it: each
@@ -526,7 +588,8 @@ func comparePrefixes(a, b netcfg.Prefix) int {
 }
 
 // Route returns node's selected route for exactly the prefix p, with its
-// post-import attributes, or nil when it has none.
+// post-import attributes, or nil when it has none or the Run did not
+// simulate p.
 func (r *Result) Route(node string, p netcfg.Prefix) *netcfg.Route {
 	if c := r.entry(r.rows[node], p); c != nil {
 		return &c.route
@@ -543,11 +606,12 @@ func (r *Result) entry(row []*candidate, p netcfg.Prefix) *candidate {
 }
 
 // CanReach reports whether node has a route covering the prefix: one for
-// p itself, or for a prefix containing it. A RIB prefix q contains p
-// exactly when q.Len <= p.Len and q is p masked to q.Len, so CanReach
-// probes p and p masked to each length up to p.Len that some originated
-// prefix has: at most 34 lookups, whatever the size of the RIB, and
-// usually three or four, since a network originates few lengths. The
+// p itself, or for a prefix containing it. For a prefix the Run was given,
+// it answers as a Run of every originated prefix would. A RIB prefix q
+// contains p exactly when q.Len <= p.Len and q is p masked to q.Len, so
+// CanReach probes p and p masked to each length up to p.Len that some
+// simulated prefix has: at most 34 lookups, whatever the size of the RIB,
+// and usually three or four, since a network originates few lengths. The
 // global check asks about every pair of ISPs, so at random:200 probing
 // all 33 lengths took a fifth of the check.
 func (r *Result) CanReach(node string, p netcfg.Prefix) bool {

@@ -12,15 +12,15 @@ import (
 )
 
 // runFullRounds is the reference Run's delta rounds are checked against.
-// It shares Run's set-up (sessions, prefix numbering and fresh rows) and
-// round cap, and none of its delivery: every round re-announces every
-// entry of every node from a RIB map of its own, scanned in prefix order;
-// every offered route is cloned; both route-maps run through
-// netcfg.EvalPolicy; and the loop check, the originated-wins rule and
-// better run on the materialized route.
+// It simulates every originated prefix. It shares Run's set-up (sessions,
+// prefix numbering and fresh rows) and round cap, and none of its
+// delivery: every round re-announces every entry of every node from a RIB
+// map of its own, scanned in prefix order; every offered route is cloned;
+// both route-maps run through netcfg.EvalPolicy; and the loop check, the
+// originated-wins rule and better run on the materialized route.
 func (s *Sim) runFullRounds() (*Result, error) {
 	order := s.sortedNodes()
-	res, _, err := s.reset(order)
+	res, _, err := s.reset(order, s.Originated())
 	if err != nil {
 		return nil, err
 	}
@@ -158,10 +158,11 @@ func sameResult(a, b *Result) bool {
 	return true
 }
 
-// mustRun runs the simulation and fails the test on an error.
+// mustRun simulates every originated prefix and fails the test on an
+// error.
 func mustRun(t *testing.T, sim *Sim) *Result {
 	t.Helper()
-	res, err := sim.Run()
+	res, err := sim.Run(sim.Originated())
 	if err != nil {
 		t.Fatal(err)
 	}

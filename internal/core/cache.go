@@ -372,7 +372,8 @@ func (c *CachedVerifier) Flush() {
 // the whole dispatch — key hashing, cache lookup, and (on a miss) the
 // verifier call — so a traced run's verification time is attributed even
 // when the cache answers most of it; Outcome distinguishes "hit" from a
-// verifier "check".
+// verifier "check". The verifier call has an evaluate span of its own
+// inside it, so the trace tells dispatch apart from evaluation.
 func (c *CachedVerifier) Check(sc SuiteCheck) (SuiteResult, error) {
 	var start time.Time
 	if c.tracer != nil || c.verifySeconds != nil {
@@ -400,7 +401,7 @@ func (c *CachedVerifier) Check(sc SuiteCheck) (SuiteResult, error) {
 		return res, nil
 	}
 	c.traceCache(obs.StageCacheMiss, "", sc)
-	res, err := c.v.Check(sc)
+	res, err := c.evaluate(sc)
 	span("check")
 	if err != nil {
 		return SuiteResult{}, err
@@ -409,6 +410,20 @@ func (c *CachedVerifier) Check(sc SuiteCheck) (SuiteResult, error) {
 	c.remember(key, res)
 	c.persist(key, res)
 	return res, nil
+}
+
+// evaluate runs one missed check on the verifier, in an evaluate span
+// when tracing.
+func (c *CachedVerifier) evaluate(sc SuiteCheck) (SuiteResult, error) {
+	if c.tracer == nil {
+		return c.v.Check(sc)
+	}
+	start := time.Now()
+	res, err := c.v.Check(sc)
+	ev := obs.Event{Stage: obs.StageEvaluate, Run: c.runLabel, Detail: string(sc.Kind)}
+	fillCheckIdentity(&ev, sc)
+	c.tracer.Span(start, ev)
+	return res, err
 }
 
 // Prefetch warms the cache with every not-yet-cached check in one batched

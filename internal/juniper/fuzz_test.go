@@ -1,6 +1,8 @@
 package juniper_test
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/cisco"
@@ -11,11 +13,14 @@ import (
 )
 
 // FuzzParse feeds arbitrary text to the parser: it must never panic, must
-// always return a device, and one Print∘Parse round trip must be a fixpoint
-// even for garbage input — the printer emits only what the parser accepts.
-// The seeds are hand-picked Junos shapes, the golden translation of the
-// example configuration, and the simulated model's Cisco drafts and
-// repaired configs (foreign-dialect text the parser must survive).
+// always return a device whose policies' clauses are in strictly
+// ascending sequence order, and one Print∘Parse round trip must be a
+// fixpoint even for garbage input — the printer emits only what the
+// parser accepts. The seeds are hand-picked Junos shapes, a policy of
+// many terms, numbered out of order, re-entered and named, the golden
+// translation of the example configuration, and the simulated model's
+// Cisco drafts and repaired configs (foreign-dialect text the parser must
+// survive).
 func FuzzParse(f *testing.F) {
 	for _, s := range []string{
 		juniper.SampleJunos,
@@ -25,6 +30,13 @@ func FuzzParse(f *testing.F) {
 	} {
 		f.Add(s)
 	}
+	var terms strings.Builder
+	terms.WriteString("policy-options { community C members 100:1; policy-statement p {\n")
+	for k := 300; k > 0; k-- {
+		fmt.Fprintf(&terms, "term %d { then reject; }\nterm t%d { from community C; then accept; }\n", 10*k, k)
+	}
+	terms.WriteString("term 1500 { then accept; }\nthen reject;\n} }\n")
+	f.Add(terms.String())
 	src, _ := cisco.Parse(exampledata.CiscoExample)
 	f.Add(juniper.Print(translate.Golden(src)))
 	seeds, err := fuzz.ParserSeeds()
@@ -38,6 +50,14 @@ func FuzzParse(f *testing.F) {
 		dev, _ := juniper.Parse(text)
 		if dev == nil {
 			t.Fatal("nil device")
+		}
+		for _, name := range dev.PolicyNames() {
+			cls := dev.RoutePolicies[name].Clauses
+			for i := 1; i < len(cls); i++ {
+				if cls[i-1].Seq >= cls[i].Seq {
+					t.Fatalf("policy %s: clause %d follows %d", name, cls[i].Seq, cls[i-1].Seq)
+				}
+			}
 		}
 		text1 := juniper.Print(dev)
 		dev2, _ := juniper.Parse(text1)

@@ -12,14 +12,35 @@ import (
 // Anything unrecognized becomes a netcfg.ParseWarning; Parse never fails.
 func Parse(text string) (*netcfg.Device, []netcfg.ParseWarning) {
 	tree, warns := ParseTree(text)
-	in := &interp{dev: netcfg.NewDevice("", netcfg.VendorJuniper), warnings: warns}
+	in := &interp{dev: netcfg.NewDevice("", netcfg.VendorJuniper), warnings: warns,
+		terms: map[string]*termIndex{}}
 	in.walkRoot(tree)
+	for _, idx := range in.terms {
+		if idx.unsorted {
+			idx.rp.SortClauses()
+		}
+	}
 	return in.dev, in.warnings
 }
 
 type interp struct {
 	dev      *netcfg.Device
 	warnings []netcfg.ParseWarning
+	// terms indexes each policy-statement's clauses, by policy name, while
+	// the text is walked.
+	terms map[string]*termIndex
+}
+
+// termIndex indexes one policy-statement's clauses by sequence number, so
+// a term finds its clause without a scan of the clauses before it.
+type termIndex struct {
+	rp    *netcfg.RoutePolicy
+	bySeq map[int]*netcfg.PolicyClause
+	// max is the highest sequence number so far.
+	max int
+	// unsorted is set once a clause arrived below max; Parse sorts such a
+	// policy once, when the text ends.
+	unsorted bool
 }
 
 func (in *interp) warn(n *Node, reason string) {
@@ -408,46 +429,57 @@ func (in *interp) walkPolicyStatement(n *Node) {
 		in.warn(n, "policy-statement requires a name")
 		return
 	}
-	rp := in.dev.RoutePolicies[name]
-	if rp == nil {
-		rp = &netcfg.RoutePolicy{Name: name}
-		in.dev.RoutePolicies[name] = rp
+	idx := in.terms[name]
+	if idx == nil {
+		idx = &termIndex{rp: &netcfg.RoutePolicy{Name: name}, bySeq: map[int]*netcfg.PolicyClause{}}
+		in.dev.RoutePolicies[name] = idx.rp
+		in.terms[name] = idx
 	}
 	for _, t := range n.Children {
 		switch t.Key(0) {
 		case "term":
-			in.walkTerm(rp, t)
+			// A numeric name is the term's sequence number.
+			seq, err := strconv.Atoi(t.Key(1))
+			if err != nil {
+				seq = idx.next()
+			}
+			in.walkTerm(idx.clause(seq), t)
 		case "then":
 			// top-level then (default action)
-			cl := &netcfg.PolicyClause{Seq: nextSeq(rp), Action: netcfg.Deny}
-			in.applyThenKeys(cl, t, t.Keys[1:])
-			rp.Clauses = append(rp.Clauses, cl)
+			in.applyThenKeys(idx.clause(idx.next()), t, t.Keys[1:])
 		default:
 			in.warn(t, "unsupported policy-statement construct")
 		}
 	}
-	rp.SortClauses()
 }
 
-func nextSeq(rp *netcfg.RoutePolicy) int {
-	if len(rp.Clauses) == 0 {
+// next returns the number of an unnumbered clause: 10 above every clause
+// so far, so that it gets a clause of its own after all of them.
+func (idx *termIndex) next() int {
+	if len(idx.bySeq) == 0 {
 		return 10
 	}
-	return rp.Clauses[len(rp.Clauses)-1].Seq + 10
+	return idx.max + 10
 }
 
-func (in *interp) walkTerm(rp *netcfg.RoutePolicy, t *Node) {
-	seq := 0
-	if n, err := strconv.Atoi(t.Key(1)); err == nil {
-		seq = n
+// clause returns the policy's clause numbered seq, appending a new deny
+// clause when there is none.
+func (idx *termIndex) clause(seq int) *netcfg.PolicyClause {
+	if cl := idx.bySeq[seq]; cl != nil {
+		return cl
+	}
+	if len(idx.bySeq) > 0 && seq < idx.max {
+		idx.unsorted = true
 	} else {
-		seq = nextSeq(rp)
+		idx.max = seq
 	}
-	cl := rp.Clause(seq)
-	if cl == nil {
-		cl = &netcfg.PolicyClause{Seq: seq, Action: netcfg.Deny}
-		rp.Clauses = append(rp.Clauses, cl)
-	}
+	cl := &netcfg.PolicyClause{Seq: seq, Action: netcfg.Deny}
+	idx.bySeq[seq] = cl
+	idx.rp.Clauses = append(idx.rp.Clauses, cl)
+	return cl
+}
+
+func (in *interp) walkTerm(cl *netcfg.PolicyClause, t *Node) {
 	for _, c := range t.Children {
 		switch c.Key(0) {
 		case "from":

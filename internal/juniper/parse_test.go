@@ -1,6 +1,7 @@
 package juniper
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -335,6 +336,94 @@ func TestPrintParseFixpoint(t *testing.T) {
 		dev2, _ := Parse(text1)
 		if Print(dev2) != text1 {
 			t.Errorf("not a fixpoint for input %.40q", in)
+		}
+	}
+}
+
+// TestPolicyTermOrder pins how terms become clauses. A numeric term name
+// is the clause's sequence number; any other name, and a policy's
+// top-level then, takes 10 above every number so far, so it gets a clause
+// of its own after all earlier ones. A re-entered number, in the same
+// policy-statement or a later one of the same name, adds to its clause,
+// and every policy's clauses end in number order. The "merge" policy is
+// the named term that used to be numbered from the last term entered
+// (20 + 10) and merged into term 30.
+func TestPolicyTermOrder(t *testing.T) {
+	cfg := `policy-options {
+    community C members 100:1;
+    community D members 100:2;
+    policy-statement inorder {
+        term 10 { then accept; }
+        term 20 { from community C; then reject; }
+        term last { then accept; }
+    }
+    policy-statement outoforder {
+        term 30 { then accept; }
+        term 10 { then reject; }
+        term 20 { then accept; }
+    }
+    policy-statement reentered {
+        term 20 { then accept; }
+        term 10 { then reject; }
+        term 20 { from community C; }
+    }
+    policy-statement reentered {
+        term 10 { from community D; then accept; }
+        term last { then reject; }
+    }
+    policy-statement merge {
+        term 30 { then accept; }
+        term 50 { then reject; }
+        term 20 { then reject; }
+        term foo { from community C; then accept; }
+    }
+    policy-statement final {
+        term 30 { then accept; }
+        term 10 { then reject; }
+        then accept;
+    }
+}
+`
+	dev, warns := Parse(cfg)
+	if len(warns) != 0 {
+		t.Fatal(warns)
+	}
+	c := netcfg.MatchCommunityList{List: "C"}
+	d := netcfg.MatchCommunityList{List: "D"}
+	want := map[string][]*netcfg.PolicyClause{
+		"inorder": {
+			{Seq: 10, Action: netcfg.Permit},
+			{Seq: 20, Action: netcfg.Deny, Matches: []netcfg.Match{c}},
+			{Seq: 30, Action: netcfg.Permit},
+		},
+		"outoforder": {
+			{Seq: 10, Action: netcfg.Deny},
+			{Seq: 20, Action: netcfg.Permit},
+			{Seq: 30, Action: netcfg.Permit},
+		},
+		"reentered": {
+			{Seq: 10, Action: netcfg.Permit, Matches: []netcfg.Match{d}},
+			{Seq: 20, Action: netcfg.Permit, Matches: []netcfg.Match{c}},
+			{Seq: 30, Action: netcfg.Deny},
+		},
+		"merge": {
+			{Seq: 20, Action: netcfg.Deny},
+			{Seq: 30, Action: netcfg.Permit},
+			{Seq: 50, Action: netcfg.Deny},
+			{Seq: 60, Action: netcfg.Permit, Matches: []netcfg.Match{c}},
+		},
+		"final": {
+			{Seq: 10, Action: netcfg.Deny},
+			{Seq: 30, Action: netcfg.Permit},
+			{Seq: 40, Action: netcfg.Permit},
+		},
+	}
+	if len(dev.RoutePolicies) != len(want) {
+		t.Fatalf("policies %v, want %d", dev.PolicyNames(), len(want))
+	}
+	for name, clauses := range want {
+		if got := dev.RoutePolicies[name]; got == nil || !reflect.DeepEqual(got.Clauses, clauses) {
+			t.Errorf("policy %s: clauses %v, want %v", name, got, clauses)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package lightyear
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/batfish"
 	"repro/internal/netcfg"
@@ -10,7 +11,7 @@ import (
 )
 
 // GlobalResult reports the whole-network check of the global no-transit
-// policy, produced by the full BGP simulation (CheckGlobalNoTransit).
+// policy, produced by the BGP simulation (CheckGlobalNoTransit).
 type GlobalResult struct {
 	// Violations lists transit paths that must not exist (ISP i reaches
 	// ISP j's prefix through the customer network).
@@ -18,7 +19,9 @@ type GlobalResult struct {
 	// MissingReachability lists required connectivity that is absent
 	// (an ISP cannot reach the customer, or vice versa).
 	MissingReachability []string
-	Converged           bool
+	// Converged is false if the simulation hit its round cap before the
+	// prefixes it simulated, the stub prefixes' slice, reached a fixpoint.
+	Converged bool
 }
 
 // OK reports whether the global policy holds.
@@ -36,27 +39,45 @@ type externalStub struct {
 	customer bool
 }
 
-// CheckGlobalNoTransit runs the full BGP simulation on any topology and
+// CheckGlobalNoTransit runs the BGP simulation on any topology and
 // verifies the global policy: no two ISPs can reach each other through
 // the network, while every ISP and every customer can reach each other
 // (§4.1). External speakers are derived from the topology dictionary's
 // external neighbors — their originated prefixes come from the spec's
 // prefixes field, falling back to the star generator's conventions
 // (CUSTOMER originates CustomerPrefix, ISP behind Ri originates
-// ISPPrefix(i)) when the field is absent. A network whose simulation
-// would need more than batfish.MaxRIBSlots RIB slots is refused with an
-// error.
+// ISPPrefix(i)) when the field is absent. The verdict reads only those
+// stub prefixes, so the simulation is the slice of the network they need
+// (batfish.Sim.Run): the originated prefixes that equal or contain a stub
+// prefix. The routers' other networks, such as their link subnets, are
+// left out, which changes no verdict. A network whose slice would need
+// more than batfish.MaxRIBSlots RIB slots is refused with an error.
 func CheckGlobalNoTransit(t *topology.Topology, devs map[string]*netcfg.Device) (*GlobalResult, error) {
-	sim := batfish.NewSim()
+	sim, isps, customers, err := globalSim(t, devs)
+	if err != nil {
+		return nil, err
+	}
+	res, err := sim.Run(stubPrefixes(isps, customers))
+	if err != nil {
+		return nil, err
+	}
+	return evalNoTransit(res, isps, customers), nil
+}
+
+// globalSim builds the network the global check simulates: every router
+// of the topology, and one external stub per external neighbor, returned
+// split into ISPs and customers.
+func globalSim(t *topology.Topology, devs map[string]*netcfg.Device) (sim *batfish.Sim, isps, customers []externalStub, err error) {
+	sim = batfish.NewSim()
 	var stubs []externalStub
 	for i := range t.Routers {
 		spec := &t.Routers[i]
 		dev := devs[spec.Name]
 		if dev == nil {
-			return nil, fmt.Errorf("router %s has no configuration", spec.Name)
+			return nil, nil, nil, fmt.Errorf("router %s has no configuration", spec.Name)
 		}
 		if err := sim.AddDevice(spec.Name, dev); err != nil {
-			return nil, err
+			return nil, nil, nil, err
 		}
 		ispPeers := 0
 		for _, nb := range spec.Neighbors {
@@ -70,15 +91,14 @@ func CheckGlobalNoTransit(t *topology.Topology, devs map[string]*netcfg.Device) 
 			}
 			stub, err := stubFor(spec, nb, ispPeers)
 			if err != nil {
-				return nil, err
+				return nil, nil, nil, err
 			}
 			stubs = append(stubs, stub)
 		}
 	}
-	var isps, customers []externalStub
 	for _, s := range stubs {
 		if err := sim.AddExternal(s.name, s.addr, s.asn, s.prefixes); err != nil {
-			return nil, err
+			return nil, nil, nil, err
 		}
 		if s.customer {
 			customers = append(customers, s)
@@ -86,14 +106,21 @@ func CheckGlobalNoTransit(t *topology.Topology, devs map[string]*netcfg.Device) 
 			isps = append(isps, s)
 		}
 	}
-	res, err := sim.Run()
-	if err != nil {
-		return nil, err
-	}
-	return evalNoTransit(res, isps, customers), nil
+	return sim, isps, customers, nil
 }
 
-// evalNoTransit derives the global verdict from a converged simulation.
+// stubPrefixes lists every stub's own prefixes: all that evalNoTransit
+// asks CanReach about, and so all the simulation needs to answer.
+func stubPrefixes(isps, customers []externalStub) []netcfg.Prefix {
+	var out []netcfg.Prefix
+	for _, s := range slices.Concat(isps, customers) {
+		out = append(out, s.prefixes...)
+	}
+	return out
+}
+
+// evalNoTransit derives the global verdict from a converged simulation. It
+// queries only the stubs' own prefixes (stubPrefixes).
 func evalNoTransit(res *batfish.Result, isps, customers []externalStub) *GlobalResult {
 	out := &GlobalResult{Converged: res.Converged}
 	for _, isp := range isps {

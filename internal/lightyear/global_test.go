@@ -2,6 +2,8 @@ package lightyear_test
 
 import (
 	"fmt"
+	"math/rand/v2"
+	"reflect"
 	"runtime"
 	"strconv"
 	"strings"
@@ -11,6 +13,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/lightyear"
 	"repro/internal/llm"
+	"repro/internal/modularizer"
 	"repro/internal/netcfg"
 	"repro/internal/netgen"
 	"repro/internal/topology"
@@ -285,4 +288,103 @@ func TestGlobalNoTransitRefusesOversizedNetwork(t *testing.T) {
 	if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<20 {
 		t.Errorf("the refused check allocated %d MB", grew>>20)
 	}
+}
+
+// TestGlobalSliceMatchesUnsliced checks that CheckGlobalNoTransit, which
+// simulates only the slice of the network its verdict reads, returns the
+// verdict of a simulation of every originated prefix, field for field.
+// The networks are every registry scenario's golden configurations, the
+// first drafts of every synthesis error class with the error on every
+// router, and seeded mutations of the golden configurations: a router
+// originates a supernet of a stub's prefix or an exact copy of an ISP's,
+// or drops a neighbor's export or import route-map.
+func TestGlobalSliceMatchesUnsliced(t *testing.T) {
+	for i, sc := range netgen.Scenarios() {
+		t.Run(sc.Name, func(t *testing.T) {
+			topo, err := sc.Generate(sc.DefaultSize)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, configs := goldenConfigs(t, topo)
+			requireSlicedVerdict(t, "golden", topo, parseConfigs(configs))
+			for _, e := range llm.AllSynthErrors() {
+				requireSlicedVerdict(t, "draft with "+e.String(), topo, draftConfigs(t, topo, e))
+			}
+			isp, customer, err := lightyear.StubPrefixes(topo, parseConfigs(configs))
+			if err != nil {
+				t.Fatal(err)
+			}
+			stubs := append(isp, customer...)
+			rng := rand.New(rand.NewPCG(uint64(i), 29))
+			for k := range 30 {
+				devs := parseConfigs(configs)
+				for range 1 + rng.IntN(3) {
+					dev := devs[topo.Routers[rng.IntN(len(topo.Routers))].Name]
+					if dev.BGP == nil || len(dev.BGP.Neighbors) == 0 {
+						continue
+					}
+					nb := dev.BGP.Neighbors[rng.IntN(len(dev.BGP.Neighbors))]
+					switch rng.IntN(4) {
+					case 0:
+						p := stubs[rng.IntN(len(stubs))]
+						dev.BGP.Networks = append(dev.BGP.Networks, netcfg.NewPrefix(p.Addr, p.Len-1-rng.IntN(12)))
+					case 1:
+						dev.BGP.Networks = append(dev.BGP.Networks, isp[rng.IntN(len(isp))])
+					case 2:
+						nb.ExportPolicy = ""
+					case 3:
+						nb.ImportPolicy = ""
+					}
+				}
+				requireSlicedVerdict(t, fmt.Sprintf("mutation %d", k), topo, devs)
+			}
+		})
+	}
+}
+
+// requireSlicedVerdict fails unless CheckGlobalNoTransit returns the
+// verdict of the unsliced simulation.
+func requireSlicedVerdict(t *testing.T, label string, topo *topology.Topology, devs map[string]*netcfg.Device) {
+	t.Helper()
+	got, err := lightyear.CheckGlobalNoTransit(topo, devs)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	want, err := lightyear.CheckGlobalNoTransitUnsliced(topo, devs)
+	if err != nil {
+		t.Fatalf("%s: unsliced: %v", label, err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: the sliced verdict %+v differs from the unsliced %+v", label, got, want)
+	}
+}
+
+// parseConfigs parses every configuration, warnings ignored.
+func parseConfigs(configs map[string]string) map[string]*netcfg.Device {
+	devs := make(map[string]*netcfg.Device, len(configs))
+	for name, text := range configs {
+		devs[name], _ = batfish.ParseConfig(text)
+	}
+	return devs
+}
+
+// draftConfigs returns the model's first draft of every router of the
+// topology, with the error class injected on every router.
+func draftConfigs(t *testing.T, topo *topology.Topology, e llm.SynthError) map[string]*netcfg.Device {
+	t.Helper()
+	tasks := modularizer.Tasks(topo)
+	errs := map[string][]llm.SynthError{}
+	for _, task := range tasks {
+		errs[task.Router] = []llm.SynthError{e}
+	}
+	model := llm.NewSynthesizer(llm.SynthConfig{Seed: 1, Errors: errs})
+	texts := map[string]string{}
+	for _, task := range tasks {
+		text, err := model.Complete([]llm.Message{{Role: llm.RoleAutomated, Content: task.Prompt}})
+		if err != nil {
+			t.Fatalf("%s draft of %s: %v", e, task.Router, err)
+		}
+		texts[task.Router] = text
+	}
+	return parseConfigs(texts)
 }

@@ -25,8 +25,14 @@ const (
 	StageParse = "parse"
 	// StageLocalCheck is one verification dispatch through the cached
 	// verifier — a single check or a prefetch batch (Outcome "check" or
-	// "prefetch"); cache lookups, parses and batch RPCs nest inside it.
+	// "prefetch"); key hashing, cache lookups, evaluations, parses and
+	// batch RPCs nest inside it.
 	StageLocalCheck = "local_check"
+	// StageEvaluate is the verifier's evaluation of one check the cache
+	// missed, nested in that check's local_check span and keyed like it
+	// (Detail is the check kind). The local_check time a run's evaluate
+	// spans do not cover is dispatch: key hashing and cache lookups.
+	StageEvaluate = "evaluate"
 	// StageGlobalCheck is one global no-transit check: one cold
 	// whole-network BGP simulation.
 	StageGlobalCheck = "global_check"
