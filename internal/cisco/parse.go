@@ -16,6 +16,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"repro/internal/netcfg"
 )
@@ -49,39 +50,106 @@ type parser struct {
 	// sorts those route-maps once, when the text ends. A route-map whose
 	// clauses arrive in order stays sorted and is binary-searched.
 	unsorted map[*netcfg.RoutePolicy]map[int]*netcfg.PolicyClause
+
+	// fields holds the current line's words; no handler keeps it past
+	// its line.
+	fields []string
 }
 
 // Parse parses a Cisco IOS configuration into the vendor-neutral IR,
 // returning the device and any parse warnings. Parse never fails outright;
 // a config consisting only of garbage yields an empty device and one
 // warning per line.
+//
+// The text is walked in place: each line is a substring of it, and its
+// words go into one slice reused from line to line.
 func Parse(text string) (*netcfg.Device, []netcfg.ParseWarning) {
 	p := &parser{dev: netcfg.NewDevice("", netcfg.VendorCisco)}
-	for i, raw := range strings.Split(text, "\n") {
-		line := strings.TrimSpace(raw)
-		lineNo := i + 1
-		if line == "" || strings.HasPrefix(line, "!") {
-			if line == "!" {
-				p.mode = modeTop
-				p.curIfc = nil
-				p.curMap = nil
-			}
-			continue
+	for lineNo, more := 1, true; more; lineNo++ {
+		raw := text
+		if i := strings.IndexByte(text, '\n'); i >= 0 {
+			raw, text = text[:i], text[i+1:]
+		} else {
+			more = false
 		}
-		p.parseLine(lineNo, line)
+		if line := strings.TrimSpace(raw); !p.separator(line) {
+			p.parseLine(lineNo, line, p.split(line))
+		}
 	}
+	p.finish()
+	return p.dev, p.warnings
+}
+
+// separator reports whether a trimmed line is blank or a "!" comment, and
+// leaves any mode on a bare "!".
+func (p *parser) separator(line string) bool {
+	if line != "" && line[0] != '!' {
+		return false
+	}
+	if line == "!" {
+		p.mode = modeTop
+		p.curIfc = nil
+		p.curMap = nil
+	}
+	return true
+}
+
+// split returns the words of a trimmed line, as strings.Fields does. An
+// ASCII line is split into p.fields, reused from line to line; a line
+// holding any other byte goes to strings.Fields, which splits at Unicode
+// white space.
+func (p *parser) split(line string) []string {
+	f := p.fields[:0]
+	for i := 0; i < len(line); {
+		for i < len(line) && byteClass[line[i]] == spaceByte {
+			i++
+		}
+		start := i
+		for i < len(line) && byteClass[line[i]] == wordByte {
+			i++
+		}
+		if i < len(line) && byteClass[line[i]] == nonASCIIByte {
+			return strings.Fields(line)
+		}
+		if i > start {
+			f = append(f, line[start:i])
+		}
+	}
+	p.fields = f
+	return f
+}
+
+// byteClass sorts bytes for split: ASCII white space as strings.Fields
+// knows it, the other ASCII bytes, and the bytes of non-ASCII runes.
+var byteClass = func() (c [256]uint8) {
+	for b := utf8.RuneSelf; b < len(c); b++ {
+		c[b] = nonASCIIByte
+	}
+	for _, b := range "\t\n\v\f\r " {
+		c[b] = spaceByte
+	}
+	return c
+}()
+
+const (
+	wordByte = iota
+	spaceByte
+	nonASCIIByte
+)
+
+// finish sorts the route-maps whose clauses arrived out of order, once the
+// text has ended.
+func (p *parser) finish() {
 	for rp := range p.unsorted {
 		slices.SortFunc(rp.Clauses, func(a, b *netcfg.PolicyClause) int { return cmp.Compare(a.Seq, b.Seq) })
 	}
-	return p.dev, p.warnings
 }
 
 func (p *parser) warn(line int, text, reason string) {
 	p.warnings = append(p.warnings, netcfg.ParseWarning{Line: line, Text: text, Reason: reason})
 }
 
-func (p *parser) parseLine(lineNo int, line string) {
-	fields := strings.Fields(line)
+func (p *parser) parseLine(lineNo int, line string, fields []string) {
 	head := strings.ToLower(fields[0])
 
 	// Forbidden session keywords are always top-level errors.

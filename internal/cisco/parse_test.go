@@ -343,3 +343,19 @@ func TestParsePrintParseFixpoint(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestSignedNumbersWarn: IOS refuses a sign in an address or a
+// community, and so does the parser.
+func TestSignedNumbersWarn(t *testing.T) {
+	for _, c := range []struct{ text, reason string }{
+		{"interface e0\n ip address +10.0.0.1 255.255.255.0\n", "invalid ip address"},
+		{"ip community-list standard X permit +100:1\n", "invalid community value in community-list"},
+		{"route-map m permit 10\n set community 100:-0 additive\n", "invalid community value"},
+		{"router bgp 1\n neighbor -0.1.2.3 remote-as 2\n", "invalid neighbor address"},
+	} {
+		_, warns := Parse(c.text)
+		if len(warns) != 1 || warns[0].Reason != c.reason {
+			t.Errorf("Parse(%q) warnings = %v, want one %q", c.text, warns, c.reason)
+		}
+	}
+}

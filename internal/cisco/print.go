@@ -1,7 +1,6 @@
 package cisco
 
 import (
-	"fmt"
 	"strconv"
 	"strings"
 
@@ -10,120 +9,227 @@ import (
 
 // Print renders a device in Cisco IOS syntax. The output is deterministic
 // (sorted names, stable ordering) so that golden tests and round-trip
-// properties hold.
+// properties hold. It is written into one builder, sized up front from
+// the device's counts, through netcfg's append formatters.
 func Print(d *netcfg.Device) string {
-	var b strings.Builder
+	var p printer
+	p.Grow(sizeHint(d))
 	if d.Hostname != "" {
-		fmt.Fprintf(&b, "hostname %s\n!\n", d.Hostname)
+		p.put("hostname ", d.Hostname, "\n!\n")
 	}
 	for _, ifc := range d.Interfaces {
-		printInterface(&b, ifc)
+		p.printInterface(ifc)
 	}
 	if d.OSPF != nil {
-		printOSPF(&b, d.OSPF)
+		p.printOSPF(d.OSPF)
 	}
 	if d.BGP != nil {
-		printBGP(&b, d.BGP)
+		p.printBGP(d.BGP)
 	}
 	for _, name := range d.PrefixListNames() {
-		printPrefixList(&b, d.PrefixLists[name])
+		p.printPrefixList(d.PrefixLists[name])
 	}
 	for _, name := range d.CommunityListNames() {
-		printCommunityList(&b, d.CommunityLists[name])
+		p.printCommunityList(d.CommunityLists[name])
 	}
 	for _, sr := range d.StaticRoutes {
-		fmt.Fprintf(&b, "ip route %s %s %s\n", netcfg.FormatIP(sr.Prefix.Addr),
-			sr.Prefix.MaskString(), netcfg.FormatIP(sr.NextHop))
+		p.WriteString("ip route ")
+		p.ip(sr.Prefix.Addr)
+		p.WriteByte(' ')
+		p.ip(netcfg.Mask(sr.Prefix.Len))
+		p.WriteByte(' ')
+		p.ip(sr.NextHop)
+		p.WriteByte('\n')
 	}
 	if len(d.StaticRoutes) > 0 {
-		b.WriteString("!\n")
+		p.WriteString("!\n")
 	}
 	for _, name := range d.PolicyNames() {
-		printRouteMap(&b, d.RoutePolicies[name])
+		p.printRouteMap(d.RoutePolicies[name])
 	}
-	return b.String()
+	return p.String()
 }
 
-func printInterface(b *strings.Builder, ifc *netcfg.Interface) {
-	fmt.Fprintf(b, "interface %s\n", ifc.Name)
+// printer is the builder Print writes into, with scratch space for the
+// numbers it formats.
+type printer struct {
+	strings.Builder
+	scratch [24]byte
+}
+
+func (p *printer) put(parts ...string) {
+	for _, s := range parts {
+		p.WriteString(s)
+	}
+}
+
+func (p *printer) ip(v uint32) { p.Write(netcfg.AppendIP(p.scratch[:0], v)) }
+
+func (p *printer) int(v int64) { p.Write(strconv.AppendInt(p.scratch[:0], v, 10)) }
+
+func (p *printer) prefix(x netcfg.Prefix) { p.Write(x.Append(p.scratch[:0])) }
+
+func (p *printer) community(c netcfg.Community) { p.Write(c.Append(p.scratch[:0])) }
+
+// sizeHint estimates the length of Print's text from the device's
+// counts and names, taking numbers at their usual widths; the builder
+// grows if the guess falls short.
+func sizeHint(d *netcfg.Device) int {
+	n := 16 + len(d.Hostname)
+	for _, ifc := range d.Interfaces {
+		n += 56 + len(ifc.Name) + len(ifc.Description)
+	}
+	if o := d.OSPF; o != nil {
+		n += 48 + 24*len(o.PassiveInterfaces) + 48*len(o.Networks)
+	}
+	if b := d.BGP; b != nil {
+		n += 48 + 40*len(b.Networks) + 40*len(b.Redistribute)
+		for _, nb := range b.Neighbors {
+			n += 40 + len(nb.Description) + len(nb.ImportPolicy) + len(nb.ExportPolicy)
+			for _, s := range []string{nb.Description, nb.ImportPolicy, nb.ExportPolicy} {
+				if s != "" {
+					n += 32
+				}
+			}
+		}
+	}
+	for name, pl := range d.PrefixLists {
+		n += 2 + (56+len(name))*len(pl.Entries)
+	}
+	for name, cl := range d.CommunityLists {
+		n += 2 + (36+len(name))*len(cl.Entries)
+	}
+	n += 2 + 48*len(d.StaticRoutes)
+	for name, rp := range d.RoutePolicies {
+		n += 2
+		for _, cl := range rp.Clauses {
+			n += 22 + len(name) + 24*len(cl.Matches) + 28*len(cl.Sets)
+		}
+	}
+	return n
+}
+
+func (p *printer) printInterface(ifc *netcfg.Interface) {
+	p.put("interface ", ifc.Name, "\n")
 	if ifc.Description != "" {
-		fmt.Fprintf(b, " description %s\n", ifc.Description)
+		p.put(" description ", ifc.Description, "\n")
 	}
 	if ifc.HasAddress {
-		fmt.Fprintf(b, " ip address %s %s\n", netcfg.FormatIP(ifc.Address.Addr), ifc.Address.MaskString())
+		p.WriteString(" ip address ")
+		p.ip(ifc.Address.Addr)
+		p.WriteByte(' ')
+		p.ip(netcfg.Mask(ifc.Address.Len))
+		p.WriteByte('\n')
 	}
 	if ifc.OSPFCost > 0 {
-		fmt.Fprintf(b, " ip ospf cost %d\n", ifc.OSPFCost)
+		p.WriteString(" ip ospf cost ")
+		p.int(int64(ifc.OSPFCost))
+		p.WriteByte('\n')
 	}
 	if ifc.Shutdown {
-		b.WriteString(" shutdown\n")
+		p.WriteString(" shutdown\n")
 	}
-	b.WriteString("!\n")
+	p.WriteString("!\n")
 }
 
-func printOSPF(b *strings.Builder, o *netcfg.OSPF) {
-	fmt.Fprintf(b, "router ospf %d\n", o.ProcessID)
+func (p *printer) printOSPF(o *netcfg.OSPF) {
+	p.WriteString("router ospf ")
+	p.int(int64(o.ProcessID))
+	p.WriteByte('\n')
 	if o.RouterID != 0 {
-		fmt.Fprintf(b, " router-id %s\n", netcfg.FormatIP(o.RouterID))
+		p.WriteString(" router-id ")
+		p.ip(o.RouterID)
+		p.WriteByte('\n')
 	}
-	for _, p := range o.PassiveInterfaces {
-		fmt.Fprintf(b, " passive-interface %s\n", p)
+	for _, name := range o.PassiveInterfaces {
+		p.put(" passive-interface ", name, "\n")
 	}
 	for _, n := range o.Networks {
-		fmt.Fprintf(b, " network %s %s area %d\n",
-			netcfg.FormatIP(n.Prefix.Addr), n.Prefix.WildcardString(), n.Area)
+		p.WriteString(" network ")
+		p.ip(n.Prefix.Addr)
+		p.WriteByte(' ')
+		p.ip(^netcfg.Mask(n.Prefix.Len))
+		p.WriteString(" area ")
+		p.int(n.Area)
+		p.WriteByte('\n')
 	}
-	b.WriteString("!\n")
+	p.WriteString("!\n")
 }
 
-func printBGP(b *strings.Builder, bgp *netcfg.BGP) {
-	fmt.Fprintf(b, "router bgp %d\n", bgp.ASN)
+func (p *printer) printBGP(bgp *netcfg.BGP) {
+	p.WriteString("router bgp ")
+	p.int(int64(bgp.ASN))
+	p.WriteByte('\n')
 	if bgp.RouterID != 0 {
-		fmt.Fprintf(b, " bgp router-id %s\n", netcfg.FormatIP(bgp.RouterID))
+		p.WriteString(" bgp router-id ")
+		p.ip(bgp.RouterID)
+		p.WriteByte('\n')
 	}
 	for _, n := range bgp.Networks {
-		fmt.Fprintf(b, " network %s mask %s\n", netcfg.FormatIP(n.Addr), n.MaskString())
+		p.WriteString(" network ")
+		p.ip(n.Addr)
+		p.WriteString(" mask ")
+		p.ip(netcfg.Mask(n.Len))
+		p.WriteByte('\n')
 	}
 	for _, r := range bgp.Redistribute {
+		p.put(" redistribute ", r.Protocol.String())
 		if r.Policy != "" {
-			fmt.Fprintf(b, " redistribute %s route-map %s\n", r.Protocol, r.Policy)
-		} else {
-			fmt.Fprintf(b, " redistribute %s\n", r.Protocol)
+			p.put(" route-map ", r.Policy)
 		}
+		p.WriteByte('\n')
 	}
 	for _, n := range bgp.Neighbors {
-		addr := netcfg.FormatIP(n.Addr)
 		if n.RemoteAS != 0 {
-			fmt.Fprintf(b, " neighbor %s remote-as %d\n", addr, n.RemoteAS)
+			p.neighbor(n.Addr, " remote-as ")
+			p.int(int64(n.RemoteAS))
+			p.WriteByte('\n')
 		}
 		if n.LocalAS != 0 && n.LocalAS != bgp.ASN {
-			fmt.Fprintf(b, " neighbor %s local-as %d\n", addr, n.LocalAS)
+			p.neighbor(n.Addr, " local-as ")
+			p.int(int64(n.LocalAS))
+			p.WriteByte('\n')
 		}
 		if n.Description != "" {
-			fmt.Fprintf(b, " neighbor %s description %s\n", addr, n.Description)
+			p.neighbor(n.Addr, " description ")
+			p.put(n.Description, "\n")
 		}
 		if n.ImportPolicy != "" {
-			fmt.Fprintf(b, " neighbor %s route-map %s in\n", addr, n.ImportPolicy)
+			p.neighbor(n.Addr, " route-map ")
+			p.put(n.ImportPolicy, " in\n")
 		}
 		if n.ExportPolicy != "" {
-			fmt.Fprintf(b, " neighbor %s route-map %s out\n", addr, n.ExportPolicy)
+			p.neighbor(n.Addr, " route-map ")
+			p.put(n.ExportPolicy, " out\n")
 		}
 	}
-	b.WriteString("!\n")
+	p.WriteString("!\n")
 }
 
-func printPrefixList(b *strings.Builder, pl *netcfg.PrefixList) {
+// neighbor starts a " neighbor <addr><attr>" line.
+func (p *printer) neighbor(addr uint32, attr string) {
+	p.WriteString(" neighbor ")
+	p.ip(addr)
+	p.WriteString(attr)
+}
+
+func (p *printer) printPrefixList(pl *netcfg.PrefixList) {
 	for _, e := range pl.Entries {
-		fmt.Fprintf(b, "ip prefix-list %s seq %d %s %s", pl.Name, e.Seq, e.Action, e.Prefix)
+		p.put("ip prefix-list ", pl.Name, " seq ")
+		p.int(int64(e.Seq))
+		p.put(" ", e.Action.String(), " ")
+		p.prefix(e.Prefix)
 		if e.Ge > 0 {
-			fmt.Fprintf(b, " ge %d", e.Ge)
+			p.WriteString(" ge ")
+			p.int(int64(e.Ge))
 		}
 		if e.Le > 0 {
-			fmt.Fprintf(b, " le %d", e.Le)
+			p.WriteString(" le ")
+			p.int(int64(e.Le))
 		}
-		b.WriteString("\n")
+		p.WriteByte('\n')
 	}
-	b.WriteString("!\n")
+	p.WriteString("!\n")
 }
 
 // printCommunityList and printRouteMap emit nothing for an empty object:
@@ -132,62 +238,76 @@ func printPrefixList(b *strings.Builder, pl *netcfg.PrefixList) {
 // still names its list; a route-map line whose sequence number is invalid
 // still names its map), so printing them would break the Print∘Parse
 // fixpoint.
-func printCommunityList(b *strings.Builder, cl *netcfg.CommunityList) {
+func (p *printer) printCommunityList(cl *netcfg.CommunityList) {
 	if len(cl.Entries) == 0 {
 		return
 	}
-	for _, e := range cl.Entries {
-		if _, err := strconv.Atoi(cl.Name); err == nil {
-			fmt.Fprintf(b, "ip community-list %s %s %s\n", cl.Name, e.Action, e.Community)
-		} else {
-			fmt.Fprintf(b, "ip community-list standard %s %s %s\n", cl.Name, e.Action, e.Community)
-		}
+	kind := "ip community-list standard "
+	if _, err := strconv.Atoi(cl.Name); err == nil {
+		kind = "ip community-list "
 	}
-	b.WriteString("!\n")
+	for _, e := range cl.Entries {
+		p.put(kind, cl.Name, " ", e.Action.String(), " ")
+		p.community(e.Community)
+		p.WriteByte('\n')
+	}
+	p.WriteString("!\n")
 }
 
-func printRouteMap(b *strings.Builder, rp *netcfg.RoutePolicy) {
+func (p *printer) printRouteMap(rp *netcfg.RoutePolicy) {
 	if len(rp.Clauses) == 0 {
 		return
 	}
 	for _, cl := range rp.Clauses {
-		fmt.Fprintf(b, "route-map %s %s %d\n", rp.Name, cl.Action, cl.Seq)
+		p.put("route-map ", rp.Name, " ", cl.Action.String(), " ")
+		p.int(int64(cl.Seq))
+		p.WriteByte('\n')
 		for _, m := range cl.Matches {
 			switch m := m.(type) {
 			case netcfg.MatchPrefixList:
-				fmt.Fprintf(b, " match ip address prefix-list %s\n", m.List)
+				p.put(" match ip address prefix-list ", m.List, "\n")
 			case netcfg.MatchCommunityList:
-				fmt.Fprintf(b, " match community %s\n", m.List)
+				p.put(" match community ", m.List, "\n")
 			case netcfg.MatchCommunityLiteral:
 				// Invalid on purpose: the simulated LLM emits this form and
 				// the syntax checker must flag it.
-				fmt.Fprintf(b, " match community %s\n", m.Community)
+				p.WriteString(" match community ")
+				p.community(m.Community)
+				p.WriteByte('\n')
 			case netcfg.MatchProtocol:
-				fmt.Fprintf(b, " match source-protocol %s\n", m.Protocol)
+				p.put(" match source-protocol ", m.Protocol.String(), "\n")
 			case netcfg.MatchASPathRegex:
-				fmt.Fprintf(b, " match as-path %s\n", m.Regex)
+				p.put(" match as-path ", m.Regex, "\n")
 			}
 		}
 		for _, s := range cl.Sets {
 			switch s := s.(type) {
 			case netcfg.SetMED:
-				fmt.Fprintf(b, " set metric %d\n", s.MED)
+				p.WriteString(" set metric ")
+				p.int(int64(s.MED))
+				p.WriteByte('\n')
 			case netcfg.SetLocalPref:
-				fmt.Fprintf(b, " set local-preference %d\n", s.Pref)
+				p.WriteString(" set local-preference ")
+				p.int(int64(s.Pref))
+				p.WriteByte('\n')
 			case netcfg.SetCommunity:
-				parts := make([]string, len(s.Communities))
+				p.WriteString(" set community ")
 				for i, c := range s.Communities {
-					parts[i] = c.String()
+					if i > 0 {
+						p.WriteByte(' ')
+					}
+					p.community(c)
 				}
 				if s.Additive {
-					fmt.Fprintf(b, " set community %s additive\n", strings.Join(parts, " "))
-				} else {
-					fmt.Fprintf(b, " set community %s\n", strings.Join(parts, " "))
+					p.WriteString(" additive")
 				}
+				p.WriteByte('\n')
 			case netcfg.SetNextHop:
-				fmt.Fprintf(b, " set ip next-hop %s\n", netcfg.FormatIP(s.Hop))
+				p.WriteString(" set ip next-hop ")
+				p.ip(s.Hop)
+				p.WriteByte('\n')
 			}
 		}
 	}
-	b.WriteString("!\n")
+	p.WriteString("!\n")
 }

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
 // scanFirst evaluates n independent checks and returns what a sequential
 // in-order scan with early exit would return: the outcome (finding or
@@ -11,11 +8,13 @@ import (
 // all are clean.
 //
 // With workers <= 1 it is that sequential scan. With workers > 1 the
-// checks fan out onto a bounded pool; determinism is preserved because a
-// parallel run returns the lowest-index outcome and every index below it
-// was verified clean — so the winning finding (and therefore the
-// transcript) is byte-identical to the sequential scan's. Indexes above an
-// already-found outcome are skipped, mirroring the sequential early exit.
+// checks run in consecutive waves of workers indexes, one goroutine per
+// index, and the scan stops after the first wave that holds an outcome,
+// returning that wave's lowest. Every index below it was verified clean,
+// so the winning finding (and therefore the transcript) is byte-identical
+// to the sequential scan's. Which checks ran is a function of the input
+// alone, not of scheduling: every index of the waves up to that one, so
+// the cache counters repeat from run to run.
 func scanFirst(n, workers int, check func(i int) (*Finding, error)) (*Finding, error) {
 	if workers > n {
 		workers = n
@@ -34,43 +33,24 @@ func scanFirst(n, workers int, check func(i int) (*Finding, error)) (*Finding, e
 		f   *Finding
 		err error
 	}
-	results := make([]outcome, n)
-	var next atomic.Int64 // next index to claim
-	var best atomic.Int64 // lowest index known to have an outcome
-	best.Store(int64(n))
+	wave := make([]outcome, workers)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := next.Add(1) - 1
-				if i >= int64(n) {
-					return
-				}
-				// Indexes only grow and best only shrinks: once this
-				// worker's index passes the best outcome, every later
-				// index will too.
-				if i >= best.Load() {
-					return
-				}
-				f, err := check(int(i))
-				if f == nil && err == nil {
-					continue
-				}
-				results[i] = outcome{f: f, err: err}
-				for {
-					cur := best.Load()
-					if i >= cur || best.CompareAndSwap(cur, i) {
-						break
-					}
-				}
+	for lo := 0; lo < n; lo += workers {
+		hi := min(lo+workers, n)
+		for i := lo; i < hi; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				f, err := check(i)
+				wave[i-lo] = outcome{f: f, err: err}
+			}()
+		}
+		wg.Wait()
+		for _, o := range wave[:hi-lo] {
+			if o.f != nil || o.err != nil {
+				return o.f, o.err
 			}
-		}()
-	}
-	wg.Wait()
-	if w := best.Load(); w < int64(n) {
-		return results[w].f, results[w].err
+		}
 	}
 	return nil, nil
 }

@@ -16,11 +16,11 @@ import (
 // always return a device whose policies' clauses are in strictly
 // ascending sequence order, and one Print∘Parse round trip must be a
 // fixpoint even for garbage input — the printer emits only what the
-// parser accepts. The seeds are hand-picked Junos shapes, a policy of
-// many terms, numbered out of order, re-entered and named, the golden
-// translation of the example configuration, and the simulated model's
-// Cisco drafts and repaired configs (foreign-dialect text the parser must
-// survive).
+// parser accepts. The seeds are hand-picked Junos shapes, names the
+// printer must quote, a policy of many terms, numbered out of order,
+// re-entered and named, the golden translation of the example
+// configuration, and the simulated model's Cisco drafts and repaired
+// configs (foreign-dialect text the parser must survive).
 func FuzzParse(f *testing.F) {
 	for _, s := range []string{
 		juniper.SampleJunos,
@@ -28,6 +28,9 @@ func FuzzParse(f *testing.F) {
 		"garbage { nested { x; } }",
 		"interfaces { ge-0/0/0 { unit 0 { family inet { address 1.2.3.4/31; } } } }",
 	} {
+		f.Add(s)
+	}
+	for _, s := range juniper.QuotedNameConfigs {
 		f.Add(s)
 	}
 	var terms strings.Builder

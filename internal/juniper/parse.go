@@ -83,6 +83,12 @@ func (in *interp) walkInterfaces(ifs *Node) {
 			continue
 		}
 		name := phys.Key(0)
+		if name == "" {
+			// Only a quoted "" is empty. Its interfaces would be named
+			// ".0", which walkOSPF refuses as an OSPF interface name.
+			in.warn(phys, "interface requires a name")
+			continue
+		}
 		var desc string
 		sawUnit := false
 		for _, c := range phys.Children {

@@ -427,3 +427,81 @@ func TestPolicyTermOrder(t *testing.T) {
 		}
 	}
 }
+
+// quotedNameConfigs hold names the printer must quote: a unit and a
+// policy-statement whose names hold a space, and names that are empty or
+// hold the other characters the lexer splits words at.
+var quotedNameConfigs = []string{
+	`interfaces { ge-0/0/0 { unit "0 0" { family inet { address 1.2.3.4/31; } } } }`,
+	`policy-options { policy-statement "A B" { term 10 { then accept; } } }`,
+	"system { host-name \"core 1\"; }\ninterfaces { \"e 0\" { unit \"{x}\" { description d; } } }\n" +
+		"protocols { bgp { group g { neighbor 1.2.3.4 { peer-as 2; import \"in #1\"; export \"out;2\"; } } }\n" +
+		"  ospf { area 0 { interface \"e 0.1\" { metric 5; } } } }\n" +
+		"policy-options { prefix-list \"p\tl\" { 10.0.0.0/8; } community \"\" members 100:1;\n" +
+		"  policy-statement \"in #1\" { term 10 { from { prefix-list \"p\tl\"; community \"\"; } then { community add \"\"; accept; } } }\n" +
+		"  policy-statement \"out;2\" { term 10 { then reject; } } }\n",
+}
+
+// TestPrintQuotesNames: a name holding a character the lexer splits at
+// is printed quoted, so it parses back whole and Print∘Parse is a
+// fixpoint. Printed bare, unit "0 0" read back as unit 0 and
+// policy-statement "A B" as A.
+func TestPrintQuotesNames(t *testing.T) {
+	for _, in := range quotedNameConfigs {
+		dev1, _ := Parse(in)
+		text1 := Print(dev1)
+		dev2, _ := Parse(text1)
+		if text2 := Print(dev2); text2 != text1 {
+			t.Errorf("not a fixpoint:\nfirst print:\n%s\nsecond print:\n%s", text1, text2)
+		}
+		for _, ifc := range dev1.Interfaces {
+			if dev2.Interface(ifc.Name) == nil {
+				t.Errorf("interface %q lost in:\n%s", ifc.Name, text1)
+			}
+		}
+		for name := range dev1.RoutePolicies {
+			if dev2.RoutePolicies[name] == nil {
+				t.Errorf("policy-statement %q lost in:\n%s", name, text1)
+			}
+		}
+		for name := range dev1.PrefixLists {
+			if dev2.PrefixLists[name] == nil {
+				t.Errorf("prefix-list %q lost in:\n%s", name, text1)
+			}
+		}
+		for name := range dev1.CommunityLists {
+			if dev2.CommunityLists[name] == nil {
+				t.Errorf("community %q lost in:\n%s", name, text1)
+			}
+		}
+		if dev2.Hostname != dev1.Hostname {
+			t.Errorf("host-name %q read back as %q", dev1.Hostname, dev2.Hostname)
+		}
+		if !reflect.DeepEqual(dev2.BGP, dev1.BGP) {
+			t.Errorf("BGP %+v read back as %+v", dev1.BGP, dev2.BGP)
+		}
+	}
+	dev, _ := Parse(quotedNameConfigs[0])
+	if dev.Interface("ge-0/0/0.0 0") == nil {
+		t.Errorf("unit \"0 0\" not parsed whole: %v", dev.Interfaces)
+	}
+	dev, _ = Parse(quotedNameConfigs[1])
+	if dev.RoutePolicies["A B"] == nil {
+		t.Errorf("policy-statement \"A B\" not parsed whole: %v", dev.PolicyNames())
+	}
+}
+
+// TestSignedNumbersWarn: Junos takes no sign in an address or a
+// community member.
+func TestSignedNumbersWarn(t *testing.T) {
+	for _, c := range []struct{ text, reason string }{
+		{"routing-options { router-id +1.2.3.4; }", "invalid router-id"},
+		{"protocols { bgp { group g { neighbor -0.1.2.3 { peer-as 2; } } } }", "invalid neighbor address"},
+		{"policy-options { community C members +100:-0; }", "invalid community member"},
+	} {
+		_, warns := Parse(c.text)
+		if len(warns) != 1 || warns[0].Reason != c.reason {
+			t.Errorf("Parse(%q) warnings = %v, want one %q", c.text, warns, c.reason)
+		}
+	}
+}

@@ -19,7 +19,7 @@ func Print(d *netcfg.Device) string {
 	var b strings.Builder
 	if d.Hostname != "" {
 		b.WriteString("system {\n")
-		fmt.Fprintf(&b, "    host-name %s;\n", d.Hostname)
+		fmt.Fprintf(&b, "    host-name %s;\n", quoteName(d.Hostname))
 		b.WriteString("}\n")
 	}
 	printInterfaces(&b, d)
@@ -27,6 +27,16 @@ func Print(d *netcfg.Device) string {
 	printProtocols(&b, d)
 	printPolicyOptions(&b, d)
 	return b.String()
+}
+
+// quoteName returns a name as one token of the lexer: in double quotes
+// when it is empty or holds a character the lexer splits words at. No
+// parsed name holds a double quote or a newline, which no token carries.
+func quoteName(s string) string {
+	if s == "" || strings.ContainsAny(s, " \t\r{};#") {
+		return `"` + s + `"`
+	}
+	return s
 }
 
 // SplitIfcName splits a logical interface name ("ge-0/0/0.0") into its
@@ -55,10 +65,10 @@ func printInterfaces(b *strings.Builder, d *netcfg.Device) {
 		units[phys] = append(units[phys], ifc)
 	}
 	for _, phys := range physOrder {
-		fmt.Fprintf(b, "    %s {\n", phys)
+		fmt.Fprintf(b, "    %s {\n", quoteName(phys))
 		for _, ifc := range units[phys] {
 			_, unit := SplitIfcName(ifc.Name)
-			fmt.Fprintf(b, "        unit %s {\n", unit)
+			fmt.Fprintf(b, "        unit %s {\n", quoteName(unit))
 			if ifc.Description != "" {
 				fmt.Fprintf(b, "            description \"%s\";\n", ifc.Description)
 			}
@@ -119,10 +129,10 @@ func printProtocols(b *strings.Builder, d *netcfg.Device) {
 				fmt.Fprintf(b, "                peer-as %d;\n", n.RemoteAS)
 			}
 			if n.ImportPolicy != "" {
-				fmt.Fprintf(b, "                import %s;\n", n.ImportPolicy)
+				fmt.Fprintf(b, "                import %s;\n", quoteName(n.ImportPolicy))
 			}
 			if n.ExportPolicy != "" {
-				fmt.Fprintf(b, "                export %s;\n", n.ExportPolicy)
+				fmt.Fprintf(b, "                export %s;\n", quoteName(n.ExportPolicy))
 			}
 			b.WriteString("            }\n")
 		}
@@ -161,7 +171,7 @@ func printOSPF(b *strings.Builder, d *netcfg.Device) {
 	for _, area := range areaOrder {
 		fmt.Fprintf(b, "        area %s {\n", netcfg.FormatIP(uint32(area)))
 		for _, ifc := range areas[area] {
-			fmt.Fprintf(b, "            interface %s {\n", ifc.Name)
+			fmt.Fprintf(b, "            interface %s {\n", quoteName(ifc.Name))
 			if ifc.OSPFPassive {
 				b.WriteString("                passive;\n")
 			}
@@ -182,7 +192,7 @@ func printPolicyOptions(b *strings.Builder, d *netcfg.Device) {
 	b.WriteString("policy-options {\n")
 	for _, name := range d.PrefixListNames() {
 		pl := d.PrefixLists[name]
-		fmt.Fprintf(b, "    prefix-list %s {\n", name)
+		fmt.Fprintf(b, "    prefix-list %s {\n", quoteName(name))
 		for _, e := range pl.Entries {
 			fmt.Fprintf(b, "        %s;\n", e.Prefix)
 		}
@@ -193,7 +203,7 @@ func printPolicyOptions(b *strings.Builder, d *netcfg.Device) {
 		printPolicyStatement(b, d, d.RoutePolicies[name], comms)
 	}
 	for _, name := range comms.names() {
-		fmt.Fprintf(b, "    community %s members %s;\n", name, strings.Join(comms.members(name), " "))
+		fmt.Fprintf(b, "    community %s members %s;\n", quoteName(name), strings.Join(comms.members(name), " "))
 	}
 	b.WriteString("}\n")
 }
@@ -253,7 +263,7 @@ func (cn *communityNamer) names() []string {
 func (cn *communityNamer) members(name string) []string { return cn.synth[name] }
 
 func printPolicyStatement(b *strings.Builder, d *netcfg.Device, rp *netcfg.RoutePolicy, comms *communityNamer) {
-	fmt.Fprintf(b, "    policy-statement %s {\n", rp.Name)
+	fmt.Fprintf(b, "    policy-statement %s {\n", quoteName(rp.Name))
 	for _, cl := range rp.Clauses {
 		fmt.Fprintf(b, "        term %d {\n", cl.Seq)
 		if len(cl.Matches) > 0 {
@@ -261,9 +271,9 @@ func printPolicyStatement(b *strings.Builder, d *netcfg.Device, rp *netcfg.Route
 			for _, m := range cl.Matches {
 				switch m := m.(type) {
 				case netcfg.MatchPrefixList:
-					fmt.Fprintf(b, "                prefix-list %s;\n", m.List)
+					fmt.Fprintf(b, "                prefix-list %s;\n", quoteName(m.List))
 				case netcfg.MatchCommunityList:
-					fmt.Fprintf(b, "                community %s;\n", m.List)
+					fmt.Fprintf(b, "                community %s;\n", quoteName(m.List))
 				case netcfg.MatchCommunityLiteral:
 					fmt.Fprintf(b, "                community %s;\n", m.Community)
 				case netcfg.MatchProtocol:
@@ -288,7 +298,7 @@ func printPolicyStatement(b *strings.Builder, d *netcfg.Device, rp *netcfg.Route
 				if s.Additive {
 					verb = "add"
 				}
-				fmt.Fprintf(b, "                community %s %s;\n", verb, comms.nameFor(s.Communities))
+				fmt.Fprintf(b, "                community %s %s;\n", verb, quoteName(comms.nameFor(s.Communities)))
 			case netcfg.SetNextHop:
 				fmt.Fprintf(b, "                next-hop %s;\n", netcfg.FormatIP(s.Hop))
 			}

@@ -98,7 +98,7 @@ var errMissingSentence = fmt.Errorf("topology description missing expected sente
 
 func (g *GlobalSynthesizer) parseTopology(content string) error {
 	g.specs = nil
-	for _, m := range reASRouter.FindAllStringSubmatch(content, -1) {
+	for _, m := range reASRouter.findAll(content) {
 		asn, _ := strconv.ParseUint(m[2], 10, 32)
 		g.specs = append(g.specs, globalRouterSpec{name: m[1], asn: uint32(asn), routerID: m[3]})
 	}

@@ -2,7 +2,6 @@ package llm
 
 import (
 	"fmt"
-	"math/rand"
 	"regexp"
 	"sort"
 	"strconv"
@@ -207,16 +206,16 @@ func (st *routerState) scopedPeers(e SynthError) []string {
 // and injects the configured errors.
 type Synthesizer struct {
 	cfg     SynthConfig
-	rng     *rand.Rand
 	routers map[string]*routerState
 	// policyOwner maps route-map names to the router that defines them,
 	// so correction prompts that only mention a policy can be routed.
 	policyOwner map[string]string
 	last        string // most recently (re)generated router
-	// draws counts rng draws (see RNGCursor). The synthesizer's current
-	// error model is fully deterministic — the plan decides everything —
-	// so the cursor stays 0; it exists so checkpoint/resume can verify
-	// replayed stochastic state the day a probabilistic knob is added.
+	// draws counts random draws (see RNGCursor). The synthesizer's
+	// current error model is fully deterministic — the plan decides
+	// everything — so it holds no random source and the cursor stays 0;
+	// the cursor exists so checkpoint/resume can verify replayed
+	// stochastic state the day a probabilistic knob is added.
 	draws int64
 	// tracer is the optional trace sink (nil = off), adopted through
 	// SetObs — the engine forwards its own sink when the run is traced —
@@ -234,7 +233,6 @@ func (s *Synthesizer) SetObs(reg *obs.Registry, tr *obs.Tracer) { s.tracer = tr 
 func NewSynthesizer(cfg SynthConfig) *Synthesizer {
 	return &Synthesizer{
 		cfg:         cfg,
-		rng:         rand.New(rand.NewSource(cfg.Seed)),
 		routers:     map[string]*routerState{},
 		policyOwner: map[string]string{},
 	}
@@ -282,15 +280,50 @@ func (s *Synthesizer) ActiveErrors(router string) []SynthError {
 
 var (
 	reGenerate  = regexp.MustCompile(`Generate the Cisco IOS configuration file for router (\w+)\.`)
-	reASRouter  = regexp.MustCompile(`Router (\w+) has AS number (\d+) and router ID ([\d.]+)\.`)
-	reIfc       = regexp.MustCompile(`Router \w+ has interface (\S+) with IP address ([\d./]+)\.`)
-	reNeighbor  = regexp.MustCompile(`Router \w+ is connected to (?:router|external peer) (\S+) at IP address ([\d.]+) in AS (\d+)\.`)
-	reNetworks  = regexp.MustCompile(`Router \w+ announces the networks: (.+)\.`)
-	reIngress   = regexp.MustCompile(`At the ingress from \S+ \(neighbor ([\d.]+)\), apply route-map (\S+) that adds the community (\S+)`)
-	reEgress    = regexp.MustCompile(`At the egress to \S+ \(neighbor ([\d.]+)\), apply route-map (\S+) that denies any route carrying any of the communities ([\d: ]+) and permits`)
+	reASRouter  = promptPattern{regexp.MustCompile(`Router (\w+) has AS number (\d+) and router ID ([\d.]+)\.`), " has AS number "}
+	reIfc       = promptPattern{regexp.MustCompile(`Router \w+ has interface (\S+) with IP address ([\d./]+)\.`), " has interface "}
+	reNeighbor  = promptPattern{regexp.MustCompile(`Router \w+ is connected to (?:router|external peer) (\S+) at IP address ([\d.]+) in AS (\d+)\.`), " is connected to "}
+	reNetworks  = promptPattern{regexp.MustCompile(`Router \w+ announces the networks: (.+)\.`), " announces the networks: "}
+	reIngress   = promptPattern{regexp.MustCompile(`At the ingress from \S+ \(neighbor ([\d.]+)\), apply route-map (\S+) that adds the community (\S+)`), "At the ingress from "}
+	reEgress    = promptPattern{regexp.MustCompile(`At the egress to \S+ \(neighbor ([\d.]+)\), apply route-map (\S+) that denies any route carrying any of the communities ([\d: ]+) and permits`), "At the egress to "}
 	reRouterIn  = regexp.MustCompile(`router (R\d+)`)
 	reAddPolicy = regexp.MustCompile(`Add to router R1 a new route-map (\S+) that adds the community (\S+) additively to every route received from the CUSTOMER neighbor ([\d.]+)`)
 )
+
+// A promptPattern is a regexp over the modularizer's sentences together
+// with a literal, its lead, that every match holds. No pattern can match a
+// newline (none uses \s, (?s) or a class that holds one), so each match
+// lies on one line, and a line without the lead holds none: running the
+// regexp only on the lines that hold the lead finds exactly the matches a
+// scan of the whole prompt finds, in the same order.
+type promptPattern struct {
+	*regexp.Regexp
+	lead string
+}
+
+// findAll returns what FindAllStringSubmatch(content, -1) returns.
+func (p promptPattern) findAll(content string) [][]string {
+	var out [][]string
+	for line := range strings.Lines(content) {
+		if strings.Contains(line, p.lead) {
+			out = append(out, p.FindAllStringSubmatch(line, -1)...)
+		}
+	}
+	return out
+}
+
+// find returns what FindStringSubmatch(content) returns: the leftmost
+// match, which lies on the first line that holds a match.
+func (p promptPattern) find(content string) []string {
+	for line := range strings.Lines(content) {
+		if strings.Contains(line, p.lead) {
+			if m := p.FindStringSubmatch(line); m != nil {
+				return m
+			}
+		}
+	}
+	return nil
+}
 
 // Complete implements Model.
 func (s *Synthesizer) Complete(messages []Message) (string, error) {
@@ -330,7 +363,7 @@ func (s *Synthesizer) generate(messages []Message, content, router string) (stri
 	}
 	dev := netcfg.NewDevice(router, netcfg.VendorCisco)
 
-	if m := reASRouter.FindStringSubmatch(content); m != nil {
+	if m := reASRouter.find(content); m != nil {
 		asn, _ := strconv.ParseUint(m[2], 10, 32)
 		b := dev.EnsureBGP(uint32(asn))
 		if id, err := netcfg.ParseIP(m[3]); err == nil {
@@ -339,7 +372,7 @@ func (s *Synthesizer) generate(messages []Message, content, router string) (stri
 	} else {
 		return "", fmt.Errorf("prompt for %s lacks the AS/router-ID sentence", router)
 	}
-	for i, m := range reIfc.FindAllStringSubmatch(content, -1) {
+	for _, m := range reIfc.findAll(content) {
 		addr, length, err := splitCIDR(m[2])
 		if err != nil {
 			return "", fmt.Errorf("prompt interface %q: %v", m[2], err)
@@ -347,9 +380,8 @@ func (s *Synthesizer) generate(messages []Message, content, router string) (stri
 		ifc := dev.EnsureInterface(m[1])
 		ifc.Address = netcfg.Prefix{Addr: addr, Len: length}
 		ifc.HasAddress = true
-		_ = i
 	}
-	for _, m := range reNeighbor.FindAllStringSubmatch(content, -1) {
+	for _, m := range reNeighbor.findAll(content) {
 		ip, err := netcfg.ParseIP(m[2])
 		if err != nil {
 			return "", fmt.Errorf("prompt neighbor %q: %v", m[2], err)
@@ -359,7 +391,7 @@ func (s *Synthesizer) generate(messages []Message, content, router string) (stri
 		nb.RemoteAS = uint32(asn)
 		nb.Description = m[1]
 	}
-	if m := reNetworks.FindStringSubmatch(content); m != nil {
+	if m := reNetworks.find(content); m != nil {
 		for _, p := range strings.Split(m[1], ", ") {
 			pfx, err := netcfg.ParsePrefix(strings.TrimSpace(p))
 			if err != nil {
@@ -370,7 +402,7 @@ func (s *Synthesizer) generate(messages []Message, content, router string) (stri
 	}
 
 	// Policy instructions (hub only).
-	for _, m := range reIngress.FindAllStringSubmatch(content, -1) {
+	for _, m := range reIngress.findAll(content) {
 		ip, _ := netcfg.ParseIP(m[1])
 		comm, err := netcfg.ParseCommunity(m[3])
 		if err != nil {
@@ -387,7 +419,7 @@ func (s *Synthesizer) generate(messages []Message, content, router string) (stri
 		s.policyOwner[pol.Name] = router
 		st.ingressPols[strings.TrimPrefix(pol.Name, "ADD_COMM_")] = pol.Name
 	}
-	for _, m := range reEgress.FindAllStringSubmatch(content, -1) {
+	for _, m := range reEgress.findAll(content) {
 		ip, _ := netcfg.ParseIP(m[1])
 		var comms []netcfg.Community
 		for _, cs := range strings.Fields(m[3]) {
@@ -589,14 +621,46 @@ func (s *Synthesizer) target(content string) *routerState {
 	return nil
 }
 
-// render prints the router's config with its live errors applied: the
-// whole config, printed from a transformed clone of the golden device.
+// render prints the router's config with its live errors applied. The
+// golden device is printed as it stands unless a fault mutates the device;
+// then a clone takes the mutations. The text-level faults are added to
+// the printed text either way.
 func (s *Synthesizer) render(st *routerState) string {
 	var start time.Time
 	if s.tracer != nil {
 		start = time.Now()
 	}
-	dev := st.golden.Clone()
+	dev := st.golden
+	if st.mutates() {
+		dev = dev.Clone()
+		st.mutate(dev)
+	}
+	text := st.print(dev)
+	if s.tracer != nil {
+		s.tracer.Span(start, obs.Event{Stage: obs.StageRender, Router: st.name,
+			Bytes: int64(len(text))})
+	}
+	return text
+}
+
+// mutates reports whether a live fault changes the device before it is
+// printed, i.e. whether mutate has anything to do.
+func (st *routerState) mutates() bool {
+	if st.interfere {
+		return true
+	}
+	for _, e := range [...]SynthError{SErrTopoWrongIP, SErrTopoMissingNetwork,
+		SErrMissingAdditive, SErrAndOr, SErrEgressDenyAll, SErrMatchCommunityLiteral} {
+		if st.active[e] || len(st.scoped[e]) > 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// mutate applies the live device-level faults to dev, a clone of the
+// golden device.
+func (st *routerState) mutate(dev *netcfg.Device) {
 	if st.active[SErrTopoWrongIP] {
 		if len(dev.Interfaces) > 0 {
 			dev.Interfaces[0].Address.Addr++ // off-by-one address
@@ -652,25 +716,24 @@ func (s *Synthesizer) render(st *routerState) string {
 			}
 		}
 	}
+}
 
+// print renders dev in Cisco syntax with the live text-level faults
+// added; it only reads dev.
+func (st *routerState) print(dev *netcfg.Device) string {
 	text := cisco.Print(dev)
 	if st.active[SErrCommunityListRegex] {
-		text += fmt.Sprintf("ip community-list standard COMM_LIST_%s_OUT permit .+\n", st.name)
+		text += "ip community-list standard COMM_LIST_" + st.name + "_OUT permit .+\n"
 	}
 	if st.active[SErrNeighborOutsideBGP] && dev.BGP != nil && len(dev.BGP.Neighbors) > 0 {
 		nb := dev.BGP.Neighbors[0]
 		if nb.ImportPolicy != "" {
 			// Re-emit the attachment outside any block: the misplacement.
-			text += fmt.Sprintf("neighbor %s route-map %s in\n",
-				netcfg.FormatIP(nb.Addr), nb.ImportPolicy)
+			text += "neighbor " + netcfg.FormatIP(nb.Addr) + " route-map " + nb.ImportPolicy + " in\n"
 		}
 	}
 	if st.active[SErrCLIKeywords] {
 		text = "configure terminal\n" + text + "exit\nwrite\nend\n"
-	}
-	if s.tracer != nil {
-		s.tracer.Span(start, obs.Event{Stage: obs.StageRender, Router: st.name,
-			Bytes: int64(len(text))})
 	}
 	return text
 }

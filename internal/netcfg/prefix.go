@@ -45,26 +45,73 @@ func NewPrefix(addr uint32, length int) Prefix {
 	return Prefix{Addr: addr & Mask(length), Len: length}
 }
 
-// ParseIP parses a dotted-quad IPv4 address into its 32-bit value.
+// ParseIP parses a dotted-quad IPv4 address into its 32-bit value. Each
+// part is one or more ASCII digits (leading zeros allowed) worth at most
+// 255; a sign is not a digit, so "+1.2.3.4" is refused as IOS refuses it.
 func ParseIP(s string) (uint32, error) {
-	parts := strings.Split(strings.TrimSpace(s), ".")
-	if len(parts) != 4 {
-		return 0, fmt.Errorf("invalid IPv4 address %q", s)
-	}
+	rest := strings.TrimSpace(s)
 	var v uint32
-	for _, p := range parts {
-		n, err := strconv.Atoi(p)
-		if err != nil || n < 0 || n > 255 {
+	for i := 0; i < 4; i++ {
+		if i > 0 {
+			if rest == "" || rest[0] != '.' {
+				return 0, fmt.Errorf("invalid IPv4 address %q", s)
+			}
+			rest = rest[1:]
+		}
+		n, tail, ok := scanDecimal(rest, 255)
+		if !ok {
 			return 0, fmt.Errorf("invalid IPv4 address %q", s)
 		}
-		v = v<<8 | uint32(n)
+		v = v<<8 | n
+		rest = tail
+	}
+	if rest != "" {
+		return 0, fmt.Errorf("invalid IPv4 address %q", s)
 	}
 	return v, nil
 }
 
+// scanDecimal reads the run of ASCII digits that starts s, and returns its
+// value and the rest of s. ok is false when the run is empty or its value
+// exceeds max.
+func scanDecimal(s string, max uint32) (n uint32, rest string, ok bool) {
+	i := 0
+	for ; i < len(s) && '0' <= s[i] && s[i] <= '9'; i++ {
+		n = n*10 + uint32(s[i]-'0')
+		if n > max {
+			return 0, s, false
+		}
+	}
+	return n, s[i:], i > 0
+}
+
+// AppendIP appends the dotted quad of a 32-bit value to dst.
+func AppendIP(dst []byte, v uint32) []byte {
+	dst = appendOctet(dst, v>>24)
+	dst = append(dst, '.')
+	dst = appendOctet(dst, v>>16&0xff)
+	dst = append(dst, '.')
+	dst = appendOctet(dst, v>>8&0xff)
+	dst = append(dst, '.')
+	return appendOctet(dst, v&0xff)
+}
+
+// appendOctet appends b (at most 255) in decimal.
+func appendOctet(dst []byte, b uint32) []byte {
+	switch {
+	case b >= 100:
+		return append(dst, byte('0'+b/100), byte('0'+b/10%10), byte('0'+b%10))
+	case b >= 10:
+		return append(dst, byte('0'+b/10), byte('0'+b%10))
+	default:
+		return append(dst, byte('0'+b))
+	}
+}
+
 // FormatIP renders a 32-bit value as a dotted quad.
 func FormatIP(v uint32) string {
-	return fmt.Sprintf("%d.%d.%d.%d", v>>24&0xff, v>>16&0xff, v>>8&0xff, v&0xff)
+	var buf [15]byte
+	return string(AppendIP(buf[:0], v))
 }
 
 // ParsePrefix parses "a.b.c.d/len" notation.
@@ -94,9 +141,16 @@ func MustPrefix(s string) Prefix {
 	return p
 }
 
+// Append appends the prefix in "a.b.c.d/len" form to dst.
+func (p Prefix) Append(dst []byte) []byte {
+	dst = append(AppendIP(dst, p.Addr), '/')
+	return strconv.AppendInt(dst, int64(p.Len), 10)
+}
+
 // String renders the prefix in "a.b.c.d/len" form.
 func (p Prefix) String() string {
-	return fmt.Sprintf("%s/%d", FormatIP(p.Addr), p.Len)
+	var buf [18]byte
+	return string(p.Append(buf[:0]))
 }
 
 // Contains reports whether q falls inside p (q at least as long as p and
@@ -136,18 +190,19 @@ func NewCommunity(high, low uint16) Community {
 	return Community(uint32(high)<<16 | uint32(low))
 }
 
-// ParseCommunity parses "high:low" notation.
+// ParseCommunity parses "high:low" notation. Each half is one or more
+// ASCII digits worth at most 65535, with no sign.
 func ParseCommunity(s string) (Community, error) {
 	colon := strings.IndexByte(s, ':')
 	if colon < 0 {
 		return 0, fmt.Errorf("community %q missing ':'", s)
 	}
-	high, err := strconv.Atoi(s[:colon])
-	if err != nil || high < 0 || high > 0xffff {
+	high, rest, ok := scanDecimal(s[:colon], 0xffff)
+	if !ok || rest != "" {
 		return 0, fmt.Errorf("invalid community %q", s)
 	}
-	low, err := strconv.Atoi(s[colon+1:])
-	if err != nil || low < 0 || low > 0xffff {
+	low, rest, ok := scanDecimal(s[colon+1:], 0xffff)
+	if !ok || rest != "" {
 		return 0, fmt.Errorf("invalid community %q", s)
 	}
 	return NewCommunity(uint16(high), uint16(low)), nil
@@ -162,7 +217,14 @@ func MustCommunity(s string) Community {
 	return c
 }
 
+// Append appends the community in "high:low" form to dst.
+func (c Community) Append(dst []byte) []byte {
+	dst = append(strconv.AppendUint(dst, uint64(c>>16), 10), ':')
+	return strconv.AppendUint(dst, uint64(c&0xffff), 10)
+}
+
 // String renders the community in "high:low" form.
 func (c Community) String() string {
-	return fmt.Sprintf("%d:%d", uint32(c)>>16, uint32(c)&0xffff)
+	var buf [11]byte
+	return string(c.Append(buf[:0]))
 }
