@@ -69,8 +69,7 @@ func requireSameRun(t *testing.T, label string, baseline, got *Result) {
 func TestShardedSynthesisByteIdentical(t *testing.T) {
 	for _, info := range Topologies() {
 		t.Run(info.Name, func(t *testing.T) {
-			baseline, err := Synthesize(mustTopo(t, info.Name, info.DefaultSize),
-				SynthesizeOptions{DisableVerifierCache: true})
+			baseline, err := Synthesize(mustTopo(t, info.Name, info.DefaultSize), SynthesizeOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -89,11 +88,11 @@ func TestShardedSynthesisByteIdentical(t *testing.T) {
 }
 
 // requirePrefetched asserts a batched run's prefetches answered every
-// lookup its stage scans made.
+// lookup its stage scans made, from the result tier.
 func requirePrefetched(t *testing.T, label string, stats *core.CacheStats) {
 	t.Helper()
-	if stats == nil || stats.Prefetches == 0 || stats.Misses != 0 {
-		t.Errorf("%s: %v, want batched prefetches and no scan misses", label, stats)
+	if stats == nil || stats.Prefetches == 0 || stats.Misses != 0 || stats.Hits == 0 {
+		t.Errorf("%s: %v, want batched prefetches and only hits in the scans", label, stats)
 	}
 }
 
@@ -141,33 +140,6 @@ func TestKilledEndpointFailsTheRun(t *testing.T) {
 	}
 }
 
-// TestUncachedRESTBatchesPerStage: without the cache, a REST verifier is
-// still asked for each stage's whole check list in one batch. A
-// sequential uncached run over two endpoints must reproduce the
-// in-process transcript and send each endpoint at most one batch per
-// stage per iteration, not one per check.
-func TestUncachedRESTBatchesPerStage(t *testing.T) {
-	baseline, err := Synthesize(mustTopo(t, "random", 12),
-		SynthesizeOptions{DisableVerifierCache: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	client := fleet(t, 2)
-	res, err := Synthesize(mustTopo(t, "random", 12),
-		SynthesizeOptions{Verifier: client, DisableVerifierCache: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireSameRun(t, "uncached 2-endpoint", baseline, res)
-	const stages = 3 // syntax, topology, local policy
-	for _, s := range client.Stats() {
-		if s.Batches == 0 || s.Batches > int64(res.Iterations*stages) {
-			t.Errorf("%s: %d batches for %d iterations of %d stages",
-				s.Endpoint, s.Batches, res.Iterations, stages)
-		}
-	}
-}
-
 // TestConfiguredBackendByteIdentical is the CI matrix hook: the workflow
 // runs the suite once per backend, setting COSYNTH_TEST_BACKEND to
 // "in-process" or "sharded-N", and this test re-runs the byte-identical
@@ -191,8 +163,7 @@ func TestConfiguredBackendByteIdentical(t *testing.T) {
 	for _, info := range Topologies() {
 		info := info
 		t.Run(fmt.Sprintf("%s/%s", info.Name, backend), func(t *testing.T) {
-			baseline, err := Synthesize(mustTopo(t, info.Name, info.DefaultSize),
-				SynthesizeOptions{DisableVerifierCache: true})
+			baseline, err := Synthesize(mustTopo(t, info.Name, info.DefaultSize), SynthesizeOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -239,7 +210,7 @@ func TestVariantGraphShardedByteIdentical(t *testing.T) {
 		}
 		return topo
 	}
-	baseline, err := Synthesize(variant(), SynthesizeOptions{Seed: 7, DisableVerifierCache: true})
+	baseline, err := Synthesize(variant(), SynthesizeOptions{Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,17 +239,17 @@ func (w *statusWriter) WriteHeader(status int) {
 }
 
 // TestAcceleratedSynthesisByteIdentical is the acceptance gate for the
-// verification acceleration layer: on every registry scenario, the
-// incremental cache plus the concurrent suite scan must produce a
-// transcript (and configs, and leverage) byte-identical to the pre-cache
-// sequential loop.
+// concurrent suite scan: on every registry scenario, the scan on 8
+// workers must produce a transcript (and configs, and leverage)
+// byte-identical to the sequential loop. In process there is no result
+// tier, so the accelerated run's dispatch layer answers nothing from it
+// and evaluates every check it reaches.
 func TestAcceleratedSynthesisByteIdentical(t *testing.T) {
 	for _, info := range Topologies() {
 		info := info
 		t.Run(info.Name, func(t *testing.T) {
 			topo := mustTopo(t, info.Name, info.DefaultSize)
-			baseline, err := Synthesize(topo,
-				SynthesizeOptions{DisableVerifierCache: true})
+			baseline, err := Synthesize(topo, SynthesizeOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -288,8 +259,8 @@ func TestAcceleratedSynthesisByteIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			requireSameRun(t, "accelerated", baseline, accelerated)
-			if accelerated.CacheStats == nil || accelerated.CacheStats.Hits == 0 {
-				t.Errorf("cache saw no hits: %v", accelerated.CacheStats)
+			if st := accelerated.CacheStats; st == nil || st.Hits != 0 || st.Misses == 0 {
+				t.Errorf("in process the result tier answered checks: %v", st)
 			}
 
 			// Telemetry leg: the same accelerated run with the full
@@ -478,7 +449,7 @@ func TestBatchedRESTSynthesisByteIdentical(t *testing.T) {
 	t.Cleanup(srv.Close)
 	client := rest.NewClient(srv.URL)
 
-	baseline, err := SynthesizeNoTransit(SynthesizeOptions{DisableVerifierCache: true})
+	baseline, err := SynthesizeNoTransit(SynthesizeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -503,22 +474,22 @@ func TestBatchedRESTSynthesisByteIdentical(t *testing.T) {
 	}
 }
 
-// TestTranslationCacheByteIdentical runs the translation gate: the cached
-// loop, in process and over one and three REST endpoints, must emit the
-// uncached loop's transcript, and a batched run's prefetches must answer
-// every lookup its scans make.
+// TestTranslationCacheByteIdentical runs the translation gate: the
+// result tier, in process under a disk tier and over one and three REST
+// endpoints, must emit the in-process loop's transcript, and a batched
+// run's prefetches must answer every lookup its scans make.
 func TestTranslationCacheByteIdentical(t *testing.T) {
-	baseline, err := Translate(ExampleCiscoConfig(), TranslateOptions{DisableVerifierCache: true})
+	baseline, err := Translate(ExampleCiscoConfig(), TranslateOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cached, err := Translate(ExampleCiscoConfig(), TranslateOptions{})
+	cached, err := Translate(ExampleCiscoConfig(), TranslateOptions{CacheDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	requireSameRun(t, "cached", baseline, cached)
-	if cached.CacheStats == nil {
-		t.Error("cached translation reported no stats")
+	if cached.CacheStats == nil || cached.CacheStats.DiskWrites == 0 {
+		t.Errorf("the disk tier took no results: %v", cached.CacheStats)
 	}
 	for _, n := range []int{1, 3} {
 		label := fmt.Sprintf("%d-endpoint", n)

@@ -31,15 +31,11 @@ type TranslateOptions struct {
 	// ErrorClasses restricts the injected translation errors; nil injects
 	// the paper's full Table 2 scenario.
 	ErrorClasses []llm.TranslateError
-	// DisableVerifierCache turns off the incremental verification cache,
-	// restoring the seed behaviour of re-parsing and re-verifying the
-	// translation on every iteration.
-	DisableVerifierCache bool
-	// CacheDir mounts a durable disk tier under the verification cache:
+	// CacheDir mounts a durable disk tier under the verification results:
 	// each repair iteration's new results are written as one pack, so they
 	// persist across process restarts, shared by every run — translation
 	// or synthesis — pointed at the same directory. An unusable directory
-	// is an error; ignored under DisableVerifierCache.
+	// is an error.
 	CacheDir string
 	// CheckpointPath turns on crash checkpoints: the repair loop snapshots
 	// its progress to this file (atomically) every iteration. With Resume,
@@ -76,13 +72,12 @@ func Translate(ciscoConfig string, opts TranslateOptions) (*Result, error) {
 		}
 	}
 	copts := core.TranslateOptions{
-		Model:        llm.NewTranslator(cfg),
-		Verifier:     opts.Verifier,
-		DisableCache: opts.DisableVerifierCache,
-		Metrics:      opts.Metrics,
-		Trace:        opts.Trace,
+		Model:    llm.NewTranslator(cfg),
+		Verifier: opts.Verifier,
+		Metrics:  opts.Metrics,
+		Trace:    opts.Trace,
 	}
-	if opts.CacheDir != "" && !opts.DisableVerifierCache {
+	if opts.CacheDir != "" {
 		d, err := durable.Open(opts.CacheDir, durable.Options{})
 		if err != nil {
 			return nil, err
@@ -140,10 +135,6 @@ type SynthesizeOptions struct {
 	// that speeds up the star hub, where all repair concentrates on one
 	// router.
 	SuiteParallelism int
-	// DisableVerifierCache turns off the incremental verification cache,
-	// restoring the paper's behaviour of re-verifying every router on
-	// every iteration.
-	DisableVerifierCache bool
 	// ErrorPlan replaces the simulated LLM's default error scenario with
 	// an attachment-keyed injection plan (see internal/fuzz): which error
 	// classes fire at which (router, external-neighbor, direction) site.
@@ -151,13 +142,12 @@ type SynthesizeOptions struct {
 	// plan injects nothing. This is the seam cofuzz counterexamples
 	// replay through (`cosynth -errors plan.json`).
 	ErrorPlan []llm.SiteErrors
-	// CacheDir mounts a durable disk tier under the verification cache:
+	// CacheDir mounts a durable disk tier under the verification results:
 	// each repair iteration's new results are written as one pack, so they
 	// persist across process restarts, shared by every run pointed at the
 	// same directory (including concurrent cosynth/cofuzz processes and
 	// batfishd shards mounting it with -cache-dir, which see them at their
-	// own next write). An unusable directory is an error; ignored under
-	// DisableVerifierCache.
+	// own next write). An unusable directory is an error.
 	CacheDir string
 	// CheckpointPath turns on crash checkpoints: sequential runs snapshot
 	// the repair loop every iteration, parallel runs snapshot after every
@@ -195,11 +185,10 @@ func Synthesize(topo *topology.Topology, opts SynthesizeOptions) (*Result, error
 		NoIIP:            opts.DisableIIP,
 		Parallelism:      opts.Parallelism,
 		SuiteParallelism: opts.SuiteParallelism,
-		DisableCache:     opts.DisableVerifierCache,
 		Metrics:          opts.Metrics,
 		Trace:            opts.Trace,
 	}
-	if opts.CacheDir != "" && !opts.DisableVerifierCache {
+	if opts.CacheDir != "" {
 		d, err := durable.Open(opts.CacheDir, durable.Options{})
 		if err != nil {
 			return nil, err

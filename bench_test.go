@@ -362,66 +362,14 @@ func BenchmarkParallelVsSequentialSynthesis(b *testing.B) {
 	}
 }
 
-// BenchmarkIncrementalVerification (E14, extension) measures the
-// incremental re-verification cache: cached vs uncached sequential
-// synthesis on the 16-router full mesh (the re-scan-heavy case), the
-// 16-router star (the hub-concentrated case), the dual-homed ring (two
-// attachment-scoped obligation blocks per router), and the seeded random
-// graph (mixed single-/dual-homing). The cached loop re-checks only the
-// attachment-scoped units whose configuration the last prompt changed;
-// transcripts are byte-identical either way (see
-// TestAcceleratedSynthesisByteIdentical).
-func BenchmarkIncrementalVerification(b *testing.B) {
-	for _, sc := range []struct {
-		scenario string
-		size     int
-	}{{"full-mesh", 16}, {"star", 16}, {"dual-homed", 8}, {"random", 12}} {
-		sc := sc
-		for _, cached := range []bool{false, true} {
-			cached := cached
-			mode := "uncached"
-			if cached {
-				mode = "cached"
-			}
-			b.Run(fmt.Sprintf("%s-%d/%s", sc.scenario, sc.size, mode), func(b *testing.B) {
-				var res *core.Result
-				for i := 0; i < b.N; i++ {
-					topo, err := netgen.Generate(sc.scenario, sc.size)
-					if err != nil {
-						b.Fatal(err)
-					}
-					res, err = Synthesize(topo, SynthesizeOptions{
-						DisableVerifierCache: !cached})
-					if err != nil {
-						b.Fatal(err)
-					}
-				}
-				if !res.Verified {
-					b.Fatalf("%s-%d did not verify", sc.scenario, sc.size)
-				}
-				wallMS := float64(b.Elapsed().Milliseconds()) / float64(b.N)
-				b.ReportMetric(wallMS, "wall-ms-per-run")
-				metrics := map[string]float64{
-					"cached":          boolMetric(cached),
-					"routers":         float64(sc.size),
-					"wall-ms-per-run": wallMS,
-				}
-				if res.CacheStats != nil {
-					metrics["cache-hits"] = float64(res.CacheStats.Hits)
-					metrics["cache-misses"] = float64(res.CacheStats.Misses)
-				}
-				benchJSON(b, metrics)
-			})
-		}
-	}
-}
-
 // BenchmarkBatchedRESTVerifier (E15, extension) contrasts the batched REST
-// transport (protocol v2, carrying per-attachment requirement identities)
-// with the seed's one-HTTP-call-per-check loop on the fat-tree and on the
-// seeded random graph: with the cache and /v1/batch, each pipeline
-// iteration costs at most one verification round-trip (plus one final
-// global check per run), however many attachment-scoped checks it carries.
+// transport with a per-check one on the fat-tree and on the seeded random
+// graph, both behind the client-side result tier. The per-check leg hides
+// the client's batch seam, so each check the result tier misses is its own
+// call; it counts only those misses, not the seed's tier-free loop of one
+// call per check. With /v1/batch, each pipeline iteration costs at most one
+// verification round-trip (plus one final global check per run), however
+// many attachment-scoped checks it carries.
 func BenchmarkBatchedRESTVerifier(b *testing.B) {
 	srv := httptest.NewServer(rest.NewHandler())
 	defer srv.Close()
@@ -442,8 +390,8 @@ func BenchmarkBatchedRESTVerifier(b *testing.B) {
 				client := rest.NewClient(srv.URL)
 				var verifier Verifier = client
 				if !batched {
-					// Hide the client's batch seam, so the uncached
-					// loop asks for one check per call, as the seed did.
+					// Hide the client's batch seam, so each check the
+					// result tier misses is one call.
 					verifier = struct{ Verifier }{client}
 				}
 				var res *core.Result
@@ -452,10 +400,7 @@ func BenchmarkBatchedRESTVerifier(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					res, err = Synthesize(topo, SynthesizeOptions{
-						Verifier:             verifier,
-						DisableVerifierCache: !batched,
-					})
+					res, err = Synthesize(topo, SynthesizeOptions{Verifier: verifier})
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -471,7 +416,7 @@ func BenchmarkBatchedRESTVerifier(b *testing.B) {
 					"rest-calls-per-run": callsPerRun,
 					"wall-ms-per-run":    wallMS,
 				}
-				if res.CacheStats != nil {
+				if batched {
 					iters := float64(res.CacheStats.Prefetches)
 					metrics["iterations-per-run"] = iters
 					// The acceptance shape: ≤ 1 verification round-trip per

@@ -40,6 +40,13 @@
 // endpoint must answer its health probe at startup, and a run whose
 // endpoint stops answering fails with an error naming it.
 //
+// Verification re-checks the drafts after every prompt, as the paper's
+// loop does. In process each check is evaluated on its revision's parse,
+// which is made once per run, and the closing "cache:" line counts every
+// check as a miss. Over -rest endpoints, or with -cache-dir, results are
+// also memoized by check: the "cache:" line then counts hits, and
+// -cache-dir persists the results across runs ("disk tier: N hits").
+//
 // Observability: -metrics-addr serves the run's metrics registry over
 // HTTP (GET /metrics Prometheus text, GET /debug/vars JSON) for the
 // run's duration; -trace streams structured JSONL trace events (one
@@ -90,7 +97,6 @@ func main() {
 	n := flag.Int("n", 0, "topology size for -mode notransit (routers, or pod arity for fat-tree); 0 = scenario default; a :size in -topo wins")
 	parallel := flag.Int("parallel", 0, "per-router repair workers for -mode notransit (<=1: sequential)")
 	suiteParallel := flag.Int("suite-parallel", 0, "per-iteration verifier-suite workers (<=1: sequential scan)")
-	noCache := flag.Bool("no-cache", false, "disable the incremental verification cache")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	blockProfile := flag.String("blockprofile", "", "write a goroutine blocking profile to this file on exit")
@@ -117,7 +123,7 @@ func main() {
 	cacheDir := flag.String("cache-dir", "",
 		"durable verification-cache directory: each repair iteration's results are written as one pack, "+
 			"so they persist across runs and reach concurrent cosynth/cofuzz processes at their next "+
-			"iteration; it is the cache's disk tier, so -no-cache refuses it")
+			"iteration")
 	checkpointPath := flag.String("checkpoint", "",
 		"crash-checkpoint file: the repair loop snapshots progress here every iteration "+
 			"(parallel runs: after every completed router)")
@@ -127,11 +133,6 @@ func main() {
 		"also write the transcript, punted findings, and summary to this file — the deterministic "+
 			"run record, for diffing a resumed run against an uninterrupted one")
 	flag.Parse()
-	if *noCache && *cacheDir != "" {
-		fmt.Fprintln(os.Stderr, "cosynth: -no-cache and -cache-dir cannot be combined: "+
-			"-cache-dir mounts the disk tier of the verification cache that -no-cache turns off")
-		os.Exit(2)
-	}
 	seedSet := false
 	flag.Visit(func(f *flag.Flag) {
 		if f.Name == "seed" {
@@ -222,8 +223,8 @@ func main() {
 			cfg = string(data)
 		}
 		res, err = repro.Translate(cfg, repro.TranslateOptions{
-			Seed: *seed, Verifier: verifier, DisableVerifierCache: *noCache,
-			CacheDir: *cacheDir, CheckpointPath: *checkpointPath, Resume: *resume,
+			Seed: *seed, Verifier: verifier, CacheDir: *cacheDir,
+			CheckpointPath: *checkpointPath, Resume: *resume,
 			Metrics: reg, Trace: tracer})
 	case "notransit":
 		name, size, perr := netgen.ParseScenarioArg(*topoName)
@@ -271,8 +272,7 @@ func main() {
 		}
 		res, err = repro.Synthesize(topo, repro.SynthesizeOptions{
 			Seed: *seed, Verifier: verifier, Parallelism: *parallel,
-			SuiteParallelism: *suiteParallel, DisableVerifierCache: *noCache,
-			ErrorPlan: plan, CacheDir: *cacheDir,
+			SuiteParallelism: *suiteParallel, ErrorPlan: plan, CacheDir: *cacheDir,
 			CheckpointPath: *checkpointPath, Resume: *resume,
 			Metrics: reg, Trace: tracer})
 	default:

@@ -86,26 +86,37 @@
 //
 // # Verification acceleration layer
 //
-// The paper's loop re-verifies the whole network after every prompt; this
-// library keeps that loop's transcripts while removing its redundant work
-// through three cooperating layers, each independently optional:
+// The paper's loop re-verifies the drafts after every prompt, and so does
+// this one: every check the scan reaches is answered for the current
+// revision. What the library removes is the redundant work around each
+// check:
 //
-// Cache. Every per-config check — syntax, topology, local policy,
-// translation diff — is memoized by core.CachedVerifier, keyed by a hash
-// of the check's inputs (config text plus spec/requirement, including
-// the requirement's per-attachment identity, so each attachment is its
-// own unit of incremental re-verification). A pipeline iteration
-// therefore only re-verifies the attachment-scoped checks of the router
-// whose configuration the last prompt changed; every other result is a
-// cache hit.
-// Beneath it, one netcfg.ParseCache per run (threaded through
+// Parse memo. One netcfg.ParseCache per run (threaded through
 // internal/batfish into the cisco and juniper parsers' single-parse
 // ParseAndCheck entry points) parses each configuration revision exactly
 // once, no matter how many stages, requirements, and iterations inspect
-// it — including the final BGP simulation. Results are pure functions of
-// their inputs, so transcripts are byte-identical with the cache on or
-// off (TestAcceleratedSynthesisByteIdentical pins this on every registry
-// scenario); benchmark E14 measures the win.
+// it — including the final BGP simulation — and each revision compiles
+// each of its route-maps once (below). In process that is the only memo:
+// core.CachedVerifier, the dispatch layer every run goes through, hands
+// each check straight to core.LocalVerifier. Re-checking a router the
+// last prompt did not change costs about what looking its result up
+// would: a lookup keys the check by hashing its spec or requirement's
+// JSON, where the re-check reads the memoized parse and its compiled
+// route-maps. So an in-process run's CacheStats read 0 hits and count
+// every check evaluated as a miss.
+//
+// Result tier. Where a result costs more to fetch than to key — over the
+// REST client, or under a mounted disk tier (below) — CachedVerifier also
+// memoizes results, keyed by a hash of the check's inputs (config text
+// plus spec/requirement, including the requirement's per-attachment
+// identity, so each attachment is its own unit of incremental
+// re-verification). A pipeline iteration then fetches only the
+// attachment-scoped checks of the router the last prompt changed; every
+// other result is a hit. Results are pure functions of their inputs, so
+// transcripts are byte-identical whichever path answers
+// (TestResultTierMatchesTierFreeLoop holds the tier to the in-process
+// loop on random error plans, over REST and on a cold and a warm disk
+// tier).
 //
 // Concurrent suite. Within one pipeline iteration, a stage's per-router
 // and per-requirement checks are independent, so SuiteParallelism fans
@@ -113,32 +124,23 @@
 // topology-order finding wins, exactly what the sequential scan would
 // have reported, so transcripts stay byte-identical. The pool takes the
 // checks in waves of its size and stops after the wave holding the first
-// finding, so which checks run, and the cache's hit and miss counts,
-// repeat from run to run as well. This is the only lever that speeds up
-// the star hub, where every policy concentrates on one router and
+// finding, so which checks run, and so the dispatch counters, repeat
+// from run to run as well. This is the only lever that speeds up the
+// star hub, where every policy concentrates on one router and
 // per-router parallelism has nothing to split.
 //
 // Batch transport. When the verifier is remote (rest.Client against
 // batfishd), each iteration first has every stage list its checks and
-// ships the not-yet-cached ones as a single /v1/batch round-trip
+// ships the ones the result tier lacks as a single /v1/batch round-trip
 // (CachedVerifier.Prefetch through the backend seam); the stage scan
-// then reads the same lists back as pure cache hits. One round-trip per
-// iteration replaces one per check — benchmark E15 measures it on the
-// fat-tree. A lone Check call is a one-check batch on the same path.
-// The server evaluates a batch on its own worker pool with a
-// request-scoped parse cache (or a shared one, below). A batch carries
-// each distinct configuration text once, in a body table, and each check
-// names its config, and a diff check its original, by index into it, so
-// a revision that many obligations check crosses the wire once per
-// batch. With the texts inline, cobench's wire-random-75 sent 63.5 MB per
-// run for about 80 distinct revisions and spent most of its CPU encoding
-// and decoding that JSON; the table cut that to about 2.1 MB (3.4 MB
-// since spec and requirement bodies travel inline, below), and the batch
-// handlers' share of wall time fell from 0.71–0.75 to 0.29–0.32. Over ten
-// alternating 20 s pairs on a shared 2-CPU machine, its median run fell
-// from 0.99 s to 0.34 s (seed 0) and from 1.08 s to 0.39 s (seed 5), and
-// at seed 0 its CPU from 1.37 s to 0.46 s and its allocation from 687 MB
-// to 138 MB.
+// then reads the same lists back as hits. One round-trip per iteration
+// replaces one per check — benchmark E15 measures it on the fat-tree. A
+// lone Check call is a one-check batch on the same path. The server
+// evaluates a batch on its own worker pool with a request-scoped parse
+// cache (or a shared one, below). A batch carries each distinct
+// configuration text once, in a body table, and each check names its
+// config, and a diff check its original, by index into it, so a revision
+// that many obligations check crosses the wire once per batch.
 //
 // # Distributed verification
 //
@@ -146,13 +148,14 @@
 // whole-network GlobalNoTransit. core.LocalVerifier.Check is the one
 // mapping from check kinds to evaluators: the engine evaluates through it
 // in process, and batfishd's batch handler evaluates every check it
-// receives through it. Verification dispatches through a cached verifier
-// (core.CachedVerifier) over either the in-process suite or the REST
+// receives through it. Every run dispatches through one
+// core.CachedVerifier, over either the in-process suite or the REST
 // client (rest.Client). The client also implements the batch seam,
 // suite.Backend: a batch of independent checks in, positional results
-// out. The cache batches exactly when its verifier implements that seam.
+// out. The dispatch layer batches exactly when its verifier implements
+// that seam.
 // Each stage lists its checks once per iteration: against a batching
-// cache every stage lists up front, the driver prefetches all the lists
+// verifier every stage lists up front, the driver prefetches all the lists
 // in one call, and the scan reads the same lists; in process a stage
 // lists only when the scan reaches it, so an earlier stage's finding
 // still skips it. One result type, suite.Result, crosses the wire
@@ -174,11 +177,7 @@
 // incremental re-verification. Each iteration's prefetch becomes one
 // batched round-trip per endpoint, issued concurrently (benchmark E16
 // measures 1 vs 3 endpoints), with per-endpoint round-trip and latency
-// counters (Client.Stats). Without the cache (cosynth -no-cache), which
-// re-verifies every check on every iteration, each stage the scan
-// reaches is one batched round-trip per endpoint instead: a sequential
-// random:40 run over two endpoints sends 36 batches, where asking check
-// by check sent 1,864. The client does not move work between
+// counters (Client.Stats). The client does not move work between
 // endpoints: every endpoint gives every check the same answer, so
 // failover would only add availability, and no workload loses an
 // endpoint. A batch fails as a whole with the error of the
@@ -240,9 +239,9 @@
 // pure functions of their seed) give every worker a private session, so
 // no lock serializes the hot prompt path; models that cannot fork fall
 // back to a mutex-guarded shared session. All workers share one
-// CachedVerifier, whose state is striped across 64 shards so concurrent
-// lookups do not contend on one lock (the parse cache beneath it is
-// striped the same way). Per-router transcripts merge deterministically
+// CachedVerifier and its parse cache; both memo maps are grow-only
+// sync.Maps, so concurrent lookups do not contend on one lock.
+// Per-router transcripts merge deterministically
 // in topology order: on runs that converge, leverage accounting, punted
 // findings, and final configurations are identical whichever model
 // sharing mode served them (TestForkedParallelSynthesisByteIdentical
@@ -349,21 +348,13 @@
 // route-map compiled once. The simulated LLM prints the whole config from
 // its transformed IR (cisco.Print), and batfish.NewParseCache memoizes one
 // whole-revision parse per text, shared by the syntax, topology,
-// local-policy and simulation stages. The cache is keyed by the text
-// itself, so a hit is one map lookup that neither copies nor digests the
-// text and allocates nothing. It used to SHA-256 a copy of the text on
-// every call, about a quarter of the CPU of an in-process random:75 run
-// with 2 lanes; on cobench synth-random-75 (one set per side on a shared
-// 2-CPU machine) a traced local check fell from about 26 µs to 12 µs and
-// allocation from 115 MB to 55 MB, with the same 5,552 local checks and
-// 78 parses. A stanza-incremental layer
-// (a per-section render memo, a fragment parse sub-cache with a
+// local-policy and simulation stages. The cache is a sync.Map keyed by
+// the text itself, so a hit hashes the text once and neither copies nor
+// digests it, and allocates nothing. A stanza-incremental layer (a
+// per-section render memo, a fragment parse sub-cache with a
 // split-resume memo, and a durable fragment tier) used to sit on both
 // steps behind off-switches. It was removed because it paid for nothing
-// end to end: with it off, the cobench synth and wire workloads moved by
-// less than their run-to-run spread (synth-random-75 median run 5.34 s
-// against 5.37 s), and warm restarts got faster (1.017 s to 0.931 s),
-// because decoding fragments from disk cost six times more than parsing
+// end to end, and decoding fragments from disk cost more than parsing
 // the text again. Transcripts are pinned to digests taken before the
 // removal (testdata/transcripts.json).
 //
@@ -492,9 +483,10 @@
 // SIGKILL):
 //
 // Durable verification cache. internal/durable is a disk tier mounted
-// under the striped in-memory verification cache, content-addressed by
-// the same suite.Key (sha256 over the check's wire form) the memory
-// stripes and the batched protocol already use. It stores results in
+// under the result tier, and mounting it switches that tier on in
+// process. It is content-addressed by the same suite.Key (sha256 over
+// the check's wire form) the memory tier and the batched protocol
+// already use. It stores results in
 // immutable packs of many entries, each written atomically (temp file,
 // fsync, rename) and named by the SHA-256 trailer that checksums it. The
 // engine queues the results it computes and flushes them as one pack
@@ -508,22 +500,13 @@
 // touches verification — the engine (Translate/Synthesize options
 // CacheDir, cosynth/cofuzz -cache-dir) and batfishd -cache-dir — so a
 // restarted run answers from disk what its predecessor already proved
-// (CacheStats.DiskHits/DiskWrites). In-process shards mount none, and
-// cosynth refuses -cache-dir under -no-cache: mounted into its shards
-// there, every check travelled alone and wrote one fsynced pack, so a
-// cold random:75 run over 2 shards wrote 5,707 packs in 20.0 s, against
-// 1.0–1.1 s without the directory.
-// Concurrent processes see each other's results at their own next pack
-// write, so at the writer's iteration boundary, not result by result.
-// Packs replaced one file per result: on the benchmark's
-// restart-random-75 workload (random:75, 2 lanes, a shared 2-CPU
-// machine, medians of 10 runs) a cold run into an empty directory went
-// from 2.53 s to 0.28 s, writing about 80 packs instead of 5,707 files,
-// and a warm restart from 0.27 s to 0.17 s. An entry is the JSON of
-// suite.Result, whose empty fields are omitted, so a clean result is {}:
-// that cold run writes 221,458 bytes of packs, against 666,387 when every
-// field was spelled out. The tier changes cost, never results: the
-// warm-restart tests re-prove byte-identical transcripts.
+// (CacheStats.DiskHits/DiskWrites). In-process shards (cosynth and
+// cofuzz -shards) mount none. Concurrent processes see each other's
+// results at their own next pack write, so at the writer's iteration
+// boundary, not result by result. An entry is the JSON of suite.Result,
+// whose empty fields are omitted, so a clean result is {}. The tier
+// changes cost, never results: the warm-restart tests re-prove
+// byte-identical transcripts.
 //
 // Checkpoint and resume. With CheckpointPath set (cosynth -checkpoint),
 // the pipeline snapshots progress atomically after every save point:
@@ -584,9 +567,10 @@
 //
 // Traces: -trace streams one JSONL obs.Event per pipeline action —
 // llm_call, render, parse, local_check (outcome hit/check/prefetch),
-// global_check (one cold simulation), cache_hit
-// and cache_miss (tier memory/disk), batch_rpc (per shard, with check
-// count and bytes), retry, checkpoint_save,
+// evaluate (nested in a local_check), global_check (one cold
+// simulation), cache_hit and cache_miss (tier memory/disk, where the
+// result tier is on), batch_rpc (per shard, with check count and bytes),
+// retry, cache_flush, checkpoint_save,
 // checkpoint_restore, fuzz_case, and one closing run span — keyed by
 // run label, iteration, router, and attachment. `cosynth
 // -trace-summary trace.jsonl` folds a trace into the per-stage and

@@ -1,7 +1,7 @@
 package cisco
 
 import (
-	"strconv"
+	"math"
 	"strings"
 
 	"repro/internal/netcfg"
@@ -22,8 +22,8 @@ func (p *parser) parsePrefixList(lineNo int, line string, fields []string) {
 			p.warn(lineNo, line, "prefix-list seq expects a number")
 			return
 		}
-		n, err := strconv.Atoi(rest[1])
-		if err != nil {
+		n, ok := number(rest[1], math.MaxUint32)
+		if !ok {
 			p.warn(lineNo, line, "invalid prefix-list sequence number")
 			return
 		}
@@ -51,8 +51,8 @@ func (p *parser) parsePrefixList(lineNo int, line string, fields []string) {
 	entry.Prefix = pfx
 	rest = rest[2:]
 	for len(rest) >= 2 {
-		n, err := strconv.Atoi(rest[1])
-		if err != nil || n < 0 || n > 32 {
+		n, ok := number(rest[1], 32)
+		if !ok {
 			p.warn(lineNo, line, "invalid prefix-length bound in prefix-list entry")
 			return
 		}
@@ -156,7 +156,7 @@ func Check(text string) []netcfg.ParseWarning {
 // ParseAndCheck parses the text once and returns the device together with
 // both warning feeds: the parser's own warnings and the full Check output
 // (parse plus lint). Callers that need the IR and the syntax verdict for
-// the same configuration revision — the verification cache in particular —
+// the same configuration revision — the parse cache in particular —
 // avoid the second parse a separate Check call would cost.
 func ParseAndCheck(text string) (dev *netcfg.Device, parseWarns, checkWarns []netcfg.ParseWarning) {
 	dev, parseWarns = Parse(text)

@@ -13,8 +13,8 @@ package cisco
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
-	"strconv"
 	"strings"
 	"unicode/utf8"
 
@@ -229,8 +229,8 @@ func (p *parser) enterRouter(lineNo int, line string, fields []string) {
 		p.mode = modeTop
 		return
 	}
-	n, err := strconv.Atoi(fields[2])
-	if err != nil || n <= 0 {
+	n, ok := number(fields[2], math.MaxUint32)
+	if !ok || n == 0 {
 		p.warn(lineNo, line, "invalid process/AS number")
 		p.mode = modeTop
 		return
@@ -276,8 +276,8 @@ func (p *parser) enterRouteMap(lineNo int, line string, fields []string) {
 		p.dev.RoutePolicies[name] = rp
 	}
 	if len(fields) >= 4 {
-		n, err := strconv.Atoi(fields[3])
-		if err != nil {
+		n, ok := number(fields[3], math.MaxUint32)
+		if !ok {
 			p.warn(lineNo, line, "invalid route-map sequence number")
 			p.mode = modeTop
 			return
@@ -365,8 +365,8 @@ func (p *parser) parseInterfaceSub(lineNo int, line string, fields []string) {
 			return
 		}
 		if len(fields) >= 4 && strings.ToLower(fields[1]) == "ospf" && strings.ToLower(fields[2]) == "cost" {
-			n, err := strconv.Atoi(fields[3])
-			if err != nil || n < 0 {
+			n, ok := number(fields[3], math.MaxUint32)
+			if !ok {
 				p.warn(lineNo, line, "invalid ospf cost")
 				return
 			}
@@ -408,14 +408,14 @@ func (p *parser) parseOSPFSub(lineNo int, line string, fields []string) {
 		}
 		addr, err1 := netcfg.ParseIP(fields[1])
 		wild, err2 := netcfg.ParseIP(fields[2])
-		area, err3 := strconv.ParseInt(fields[4], 10, 64)
-		if err1 != nil || err2 != nil || err3 != nil {
+		area, ok := number(fields[4], math.MaxUint32)
+		if err1 != nil || err2 != nil || !ok {
 			p.warn(lineNo, line, "invalid network statement")
 			return
 		}
 		o.Networks = append(o.Networks, netcfg.OSPFNetwork{
 			Prefix: netcfg.NewPrefix(addr, maskLen(^wild)),
-			Area:   area,
+			Area:   int64(area),
 		})
 	default:
 		p.warn(lineNo, line, "unknown command in router ospf mode")
@@ -488,8 +488,8 @@ func (p *parser) parseNeighbor(lineNo int, line string, fields []string, b *netc
 			p.warn(lineNo, line, "remote-as expects an AS number")
 			return
 		}
-		asn, err := strconv.ParseUint(fields[3], 10, 32)
-		if err != nil {
+		asn, ok := number(fields[3], math.MaxUint32)
+		if !ok {
 			p.warn(lineNo, line, "invalid AS number")
 			return
 		}
@@ -499,8 +499,8 @@ func (p *parser) parseNeighbor(lineNo int, line string, fields []string, b *netc
 			p.warn(lineNo, line, "local-as expects an AS number")
 			return
 		}
-		asn, err := strconv.ParseUint(fields[3], 10, 32)
-		if err != nil {
+		asn, ok := number(fields[3], math.MaxUint32)
+		if !ok {
 			p.warn(lineNo, line, "invalid AS number")
 			return
 		}
@@ -539,7 +539,7 @@ func (p *parser) parseRedistribute(lineNo int, line string, fields []string, b *
 	r := netcfg.Redistribution{Protocol: proto}
 	rest := fields[2:]
 	if len(rest) > 0 {
-		if _, err := strconv.Atoi(rest[0]); err == nil {
+		if _, ok := number(rest[0], math.MaxUint32); ok {
 			rest = rest[1:] // optional process id, e.g. "redistribute ospf 1"
 		}
 	}
@@ -626,15 +626,15 @@ func (p *parser) parseRouteMapSet(lineNo int, line string, fields []string, cl *
 	}
 	switch strings.ToLower(fields[1]) {
 	case "metric":
-		n, err := strconv.Atoi(fields[2])
-		if err != nil {
+		n, ok := number(fields[2], math.MaxUint32)
+		if !ok {
 			p.warn(lineNo, line, "invalid metric value")
 			return
 		}
 		cl.Sets = append(cl.Sets, netcfg.SetMED{MED: n})
 	case "local-preference":
-		n, err := strconv.Atoi(fields[2])
-		if err != nil {
+		n, ok := number(fields[2], math.MaxUint32)
+		if !ok {
 			p.warn(lineNo, line, "invalid local-preference value")
 			return
 		}
@@ -692,6 +692,13 @@ func (p *parser) parseTopSub(lineNo int, line string, fields []string) {
 	default:
 		p.warn(lineNo, line, "unknown top-level command")
 	}
+}
+
+// number reads a field that is all ASCII digits, worth at most max. IOS
+// takes no sign where it takes a number, so "+16" and "-5" are refused.
+func number(field string, max uint32) (int, bool) {
+	n, rest, ok := netcfg.ScanDecimal(field, max)
+	return int(n), ok && rest == ""
 }
 
 // maskLen converts a contiguous netmask to a prefix length; non-contiguous

@@ -345,13 +345,33 @@ func TestParsePrintParseFixpoint(t *testing.T) {
 }
 
 // TestSignedNumbersWarn: IOS refuses a sign in an address or a
-// community, and so does the parser.
+// community, and so does the parser; it also refuses a number past its
+// field's 32 bits rather than wrapping it.
 func TestSignedNumbersWarn(t *testing.T) {
 	for _, c := range []struct{ text, reason string }{
 		{"interface e0\n ip address +10.0.0.1 255.255.255.0\n", "invalid ip address"},
 		{"ip community-list standard X permit +100:1\n", "invalid community value in community-list"},
 		{"route-map m permit 10\n set community 100:-0 additive\n", "invalid community value"},
 		{"router bgp 1\n neighbor -0.1.2.3 remote-as 2\n", "invalid neighbor address"},
+		{"ip prefix-list L seq 5 permit 10.0.0.0/+8 ge +16\n", "invalid prefix in prefix-list entry"},
+		{"ip prefix-list L seq 5 permit 10.0.0.0/-0\n", "invalid prefix in prefix-list entry"},
+		{"ip prefix-list L seq +5 permit 10.0.0.0/8\n", "invalid prefix-list sequence number"},
+		{"ip prefix-list L seq 5 permit 10.0.0.0/8 ge +16\n", "invalid prefix-length bound in prefix-list entry"},
+		{"ip prefix-list L seq 5 permit 10.0.0.0/8 le -0\n", "invalid prefix-length bound in prefix-list entry"},
+		{"router bgp +65000\n", "invalid process/AS number"},
+		{"router ospf -1\n", "invalid process/AS number"},
+		{"route-map m permit +10\n", "invalid route-map sequence number"},
+		{"interface e0\n ip ospf cost -0\n", "invalid ospf cost"},
+		{"route-map m permit 10\n set metric -5\n", "invalid metric value"},
+		{"route-map m permit 10\n set local-preference +200\n", "invalid local-preference value"},
+		{"router ospf 1\n network 10.0.0.0 0.0.0.255 area -0\n", "invalid network statement"},
+		{"router bgp 1\n redistribute ospf +1\n", "malformed redistribute statement"},
+		{"router bgp 1\n neighbor 1.2.3.4 remote-as +2\n", "invalid AS number"},
+		{"router bgp 1\n neighbor 1.2.3.4 remote-as 4294967297\n", "invalid AS number"},
+		{"router bgp 1\n neighbor 1.2.3.4 local-as 4294967296\n", "invalid AS number"},
+		{"router bgp 4294967297\n", "invalid process/AS number"},
+		{"route-map m permit 10\n set metric 99999999999\n", "invalid metric value"},
+		{"ip prefix-list L seq 4294967301 permit 10.0.0.0/8\n", "invalid prefix-list sequence number"},
 	} {
 		_, warns := Parse(c.text)
 		if len(warns) != 1 || warns[0].Reason != c.reason {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
@@ -36,10 +37,12 @@ const (
 
 // CacheStats are a CachedVerifier's counters.
 type CacheStats struct {
-	// Hits and Misses count the Check calls the cache answered from
-	// memory or disk and the ones it evaluated on the verifier, over every
-	// check kind. A batched run's prefetch fills the cache before the
-	// scan, so its scan reads only hits.
+	// Hits and Misses count the Check calls the result tier answered from
+	// memory or disk and the ones evaluated on the verifier, over every
+	// check kind. In process without a disk tier there is no result tier:
+	// Hits stays 0 and Misses counts every check evaluated. A batched
+	// run's prefetch fills the tier before the scan, so its scan reads
+	// only hits.
 	Hits   uint64
 	Misses uint64
 	// Prefetches counts batched prefetch calls that shipped work — one
@@ -48,7 +51,7 @@ type CacheStats struct {
 	Prefetches    uint64
 	BatchedChecks uint64
 	// DiskHits counts checks the durable disk tier answered after the
-	// memory stripes missed (each still counts toward Hits — the backend
+	// memory tier missed (each still counts toward Hits — the backend
 	// was spared), and DiskWrites the results Flush persisted to it. Both
 	// stay zero without a mounted durable cache.
 	DiskHits   uint64
@@ -80,13 +83,22 @@ func (s CacheStats) String() string {
 	return base
 }
 
-// CachedVerifier memoizes the Check calls of a Verifier — syntax,
-// topology, local policy, and translation diff — keyed by a hash of the
-// check's inputs (config text plus spec/requirement). A pipeline iteration
-// therefore only re-verifies the router whose configuration the last
-// prompt changed: every other router's results are cache hits. Results are
-// pure functions of their inputs, so transcripts are byte-identical to the
-// uncached loop.
+// CachedVerifier is the one dispatch layer every run verifies through:
+// it wraps a Verifier with the run's counters, trace spans and dispatch
+// histogram, the batched prefetch, and the result tier, which memoizes
+// Check calls — syntax, topology, local policy, and translation diff —
+// keyed by a hash of the check's inputs (config text plus
+// spec/requirement).
+//
+// The result tier is read and filled only where a result costs more to
+// fetch than to key: when the verifier is not the in-process
+// LocalVerifier (the REST client, or a custom suite), or when a durable
+// disk tier is mounted. In process without one, Check evaluates directly
+// on the LocalVerifier, whose parse cache parses each configuration
+// revision once: re-checking an unchanged router against its memoized
+// parse costs about what a tier hit does, since keying a check hashes its
+// spec or requirement's JSON. Results are pure functions of their inputs,
+// so transcripts are byte-identical whichever path answers.
 //
 // When the verifier also implements the batch seam, suite.Backend (the
 // REST client, rest.Client), Prefetch ships all outstanding misses as one
@@ -100,21 +112,23 @@ func (s CacheStats) String() string {
 // router changes.
 //
 // CachedVerifier is safe for concurrent use and may be shared by the
-// parallel per-router repair workers: the result map is striped into
-// cacheShards independently-locked shards selected by the first key byte
-// (the key is a SHA-256, so the stripe assignment is uniform), which keeps
-// 8+ workers from serializing on one RWMutex.
+// parallel per-router repair workers: the result tier is a grow-only
+// sync.Map, which keeps concurrent workers from serializing on one lock.
 type CachedVerifier struct {
 	v Verifier
 	// backend is v as a batch seam, nil when v is not one: then Prefetch
 	// does nothing and every miss is evaluated on its own.
 	backend suite.Backend
+	// local reports that v is the in-process LocalVerifier: then the
+	// result tier is bypassed unless a disk tier is mounted (see tiered).
+	local bool
 
-	shards [cacheShards]cacheShard
+	// results is the memory tier, suite key → SuiteResult.
+	results sync.Map
 
-	// disk is the optional durable tier underneath the memory stripes
-	// (see SetDurable): an in-memory miss consults it before dispatching
-	// to the backend, and every backend result is queued in pending until
+	// disk is the optional durable tier underneath the memory tier (see
+	// SetDurable): an in-memory miss consults it before dispatching to
+	// the backend, and every backend result is queued in pending until
 	// Flush persists the queue as one pack.
 	disk      *durable.Cache
 	pendingMu sync.Mutex
@@ -143,63 +157,50 @@ type CachedVerifier struct {
 	verifySeconds *obs.Histogram
 }
 
-// cacheShards is the stripe count of the memoized-result map. 64 shards
-// keep the per-shard collision probability negligible for any realistic
-// worker count while costing one fixed 64-entry array per verifier.
-const cacheShards = 64
-
-// cacheShard is one independently-locked stripe of the result map.
-type cacheShard struct {
-	mu      sync.RWMutex
-	results map[[sha256.Size]byte]SuiteResult
-}
-
-// shard selects a key's stripe by its first hash byte.
-func (c *CachedVerifier) shard(key [sha256.Size]byte) *cacheShard {
-	return &c.shards[key[0]%cacheShards]
-}
-
-// NewCachedVerifier wraps a verifier with result memoization. nil (and the
-// zero LocalVerifier) become a LocalVerifier threaded with a shared parse
-// cache, so each configuration revision is parsed once per run instead of
-// once per stage per iteration.
+// NewCachedVerifier wraps a verifier in the dispatch layer. nil (and the
+// zero LocalVerifier) become a LocalVerifier threaded with a fresh parse
+// cache, so each configuration revision is parsed once per run instead
+// of once per stage per iteration.
 //
-// The cache batches exactly when the verifier implements suite.Backend
+// The layer batches exactly when the verifier implements suite.Backend
 // (rest.Client). The in-process suite does not, so it evaluates lazily and
 // the stage scan keeps its early exit: there is no round-trip to amortize.
 func NewCachedVerifier(v Verifier) *CachedVerifier {
 	if v == nil {
 		v = LocalVerifier{}
 	}
-	if lv, ok := v.(LocalVerifier); ok && lv.Parses == nil {
+	lv, local := v.(LocalVerifier)
+	if local && lv.Parses == nil {
 		v = LocalVerifier{Parses: batfish.NewParseCache()}
 	}
 	c := &CachedVerifier{
-		v: v, digests: suite.NewDigests(),
+		v: v, local: local, digests: suite.NewDigests(),
 		hits: &obs.Counter{}, misses: &obs.Counter{},
 		prefetches: &obs.Counter{}, batchedChecks: &obs.Counter{},
 		diskHits: &obs.Counter{}, diskWrites: &obs.Counter{},
-	}
-	for i := range c.shards {
-		c.shards[i].results = map[[sha256.Size]byte]SuiteResult{}
 	}
 	c.backend, _ = v.(suite.Backend)
 	return c
 }
 
+// tiered reports whether Check reads and fills the result tier: always
+// over a verifier that is not the in-process LocalVerifier, and in
+// process only under a mounted disk tier.
+func (c *CachedVerifier) tiered() bool { return !c.local || c.disk != nil }
+
 // Batched reports whether the verifier takes batches, i.e. whether eager
 // per-iteration prefetching pays for itself.
 func (c *CachedVerifier) Batched() bool { return c.backend != nil }
 
-// SetDurable mounts a disk-backed tier under the memory stripes: an
-// in-memory miss consults it (a hit is decoded, promoted into memory, and
-// served without touching the backend), and every result the backend
-// computes is queued for it; Flush writes the queue as one pack, so later
-// runs — and concurrent processes sharing the directory — restart warm.
-// nil unmounts. The disk tier never changes a result: entries are
-// content-addressed by suite.Key and results are pure functions of the
-// keyed inputs, so transcripts stay byte-identical whether a result came
-// from memory, disk, or the backend.
+// SetDurable mounts a disk-backed tier under the memory tier, and so
+// switches the result tier on in process too: an in-memory miss consults
+// it (a hit is decoded, promoted into memory, and served without touching
+// the backend), and every result the backend computes is queued for it;
+// Flush writes the queue as one pack, so later runs — and concurrent
+// processes sharing the directory — restart warm. nil unmounts. The disk
+// tier never changes a result: entries are content-addressed by suite.Key
+// and results are pure functions of the keyed inputs, so transcripts stay
+// byte-identical whether a result came from memory, disk, or the backend.
 func (c *CachedVerifier) SetDurable(d *durable.Cache) {
 	c.disk = d
 }
@@ -285,7 +286,7 @@ func fillCheckIdentity(ev *obs.Event, sc SuiteCheck) {
 }
 
 // lookup returns the memoized result for a check, if present, along with
-// the tier that answered ("memory" or "disk"): first the memory stripe,
+// the tier that answered ("memory" or "disk"): first the memory tier,
 // then the mounted durable tier, whose hit is promoted into memory so it
 // is paid for once per process. A disk entry that fails to decode, or is
 // violated with no violation, reads as a miss and is recomputed: the
@@ -293,12 +294,8 @@ func fillCheckIdentity(ev *obs.Event, sc SuiteCheck) {
 // such an entry means a format drift or another writer's fault, and must
 // not crash the scan.
 func (c *CachedVerifier) lookup(key [sha256.Size]byte) (SuiteResult, string, bool) {
-	s := c.shard(key)
-	s.mu.RLock()
-	res, ok := s.results[key]
-	s.mu.RUnlock()
-	if ok {
-		return res, "memory", true
+	if res, ok := c.results.Load(key); ok {
+		return res.(SuiteResult), "memory", true
 	}
 	if c.disk == nil {
 		return SuiteResult{}, "", false
@@ -313,16 +310,15 @@ func (c *CachedVerifier) lookup(key [sha256.Size]byte) (SuiteResult, string, boo
 		return SuiteResult{}, "", false
 	}
 	c.diskHits.Inc()
-	c.remember(key, dres)
-	return dres, "disk", true
+	return c.remember(key, dres), "disk", true
 }
 
-// remember memoizes one result in its memory stripe.
-func (c *CachedVerifier) remember(key [sha256.Size]byte, res SuiteResult) {
-	s := c.shard(key)
-	s.mu.Lock()
-	s.results[key] = res
-	s.mu.Unlock()
+// remember memoizes one result in the memory tier and returns the one
+// kept: when concurrent misses on a key race, the first result stored
+// wins and every caller gets it.
+func (c *CachedVerifier) remember(key [sha256.Size]byte, res SuiteResult) SuiteResult {
+	kept, _ := c.results.LoadOrStore(key, res)
+	return kept.(SuiteResult)
 }
 
 // persist queues one result for the durable tier's next pack, if mounted.
@@ -367,13 +363,14 @@ func (c *CachedVerifier) Flush() {
 	c.tracer.Span(start, ev)
 }
 
-// Check implements Verifier: it answers one suite check through the
-// cache, evaluating a miss on the verifier. The local_check span covers
-// the whole dispatch — key hashing, cache lookup, and (on a miss) the
-// verifier call — so a traced run's verification time is attributed even
-// when the cache answers most of it; Outcome distinguishes "hit" from a
-// verifier "check". The verifier call has an evaluate span of its own
-// inside it, so the trace tells dispatch apart from evaluation.
+// Check implements Verifier: it answers one suite check, through the
+// result tier when tiered, evaluating a miss on the verifier. The
+// local_check span covers the whole dispatch — key hashing, tier lookup,
+// and (on a miss) the verifier call — so a traced run's verification time
+// is attributed even when the tier answers most of it; Outcome
+// distinguishes "hit" from a verifier "check". The verifier call has an
+// evaluate span of its own inside it, so the trace tells dispatch apart
+// from evaluation.
 func (c *CachedVerifier) Check(sc SuiteCheck) (SuiteResult, error) {
 	var start time.Time
 	if c.tracer != nil || c.verifySeconds != nil {
@@ -393,6 +390,15 @@ func (c *CachedVerifier) Check(sc SuiteCheck) (SuiteResult, error) {
 			c.tracer.Span(start, ev)
 		}
 	}
+	if !c.tiered() {
+		res, err := c.evaluate(sc, start)
+		span("check")
+		if err != nil {
+			return SuiteResult{}, err
+		}
+		c.misses.Inc()
+		return res, nil
+	}
 	key := suite.KeyD(sc, c.digests)
 	if res, tier, ok := c.lookup(key); ok {
 		c.hits.Inc()
@@ -401,24 +407,28 @@ func (c *CachedVerifier) Check(sc SuiteCheck) (SuiteResult, error) {
 		return res, nil
 	}
 	c.traceCache(obs.StageCacheMiss, "", sc)
-	res, err := c.evaluate(sc)
+	res, err := c.evaluate(sc, time.Time{})
 	span("check")
 	if err != nil {
 		return SuiteResult{}, err
 	}
 	c.misses.Inc()
-	c.remember(key, res)
 	c.persist(key, res)
-	return res, nil
+	return c.remember(key, res), nil
 }
 
-// evaluate runs one missed check on the verifier, in an evaluate span
-// when tracing.
-func (c *CachedVerifier) evaluate(sc SuiteCheck) (SuiteResult, error) {
+// evaluate runs one check on the verifier, in an evaluate span when
+// tracing. The span starts at start, or now when start is zero: without
+// the result tier nothing runs between the two, so the check's
+// local_check span passes its own start and the evaluate span nests in
+// it exactly.
+func (c *CachedVerifier) evaluate(sc SuiteCheck, start time.Time) (SuiteResult, error) {
 	if c.tracer == nil {
 		return c.v.Check(sc)
 	}
-	start := time.Now()
+	if start.IsZero() {
+		start = time.Now()
+	}
 	res, err := c.v.Check(sc)
 	ev := obs.Event{Stage: obs.StageEvaluate, Run: c.runLabel, Detail: string(sc.Kind)}
 	fillCheckIdentity(&ev, sc)
@@ -472,10 +482,14 @@ func (c *CachedVerifier) Prefetch(checks []SuiteCheck) error {
 		span(0)
 		return nil
 	}
-	results, err := checkBatch(c.backend, missing)
+	results, err := c.backend.CheckBatch(context.Background(), missing)
 	span(len(missing))
 	if err != nil {
 		return err
+	}
+	if len(results) != len(missing) {
+		return fmt.Errorf("batched backend returned %d results for %d checks",
+			len(results), len(missing))
 	}
 	c.prefetches.Inc()
 	c.batchedChecks.Add(uint64(len(missing)))

@@ -121,7 +121,8 @@ func TestCachedVerifierInvalidatesOnConfigChange(t *testing.T) {
 
 // driveConcurrently hammers one shared CachedVerifier from many workers
 // mixing all four check kinds; run under -race this is the concurrency
-// test for the cache (both the result map and the shared parse cache).
+// test for the dispatch layer: the shared parse cache in process, and
+// the result tier as well over REST.
 func driveConcurrently(t *testing.T, cv *CachedVerifier) {
 	t.Helper()
 	spec := topology.RouterSpec{Name: "R1", ASN: 1}
@@ -163,12 +164,11 @@ func TestCachedVerifierConcurrentInProcess(t *testing.T) {
 	driveConcurrently(t, NewCachedVerifier(nil))
 }
 
-// TestCachedVerifierStripedHammer drives the sharded result map from 16
+// TestCachedVerifierStripedHammer drives the result tier from 16
 // goroutines at once — the scale configuration's worker count doubled —
-// over enough distinct checks (SHA-keyed, so uniformly spread across all
-// 64 stripes) that a regression to one shared mutex surfaces under -race
-// and as serialization. Results must stay correct and the counters must
-// balance: every lookup is either a hit or a miss.
+// over 512 distinct checks, through a verifier that is not the bare
+// LocalVerifier, so the tier is on. Results must stay correct and the
+// counters must balance: every lookup is either a hit or a miss.
 func TestCachedVerifierStripedHammer(t *testing.T) {
 	v := &countingVerifier{}
 	c := NewCachedVerifier(v)
@@ -277,5 +277,89 @@ func TestDiskEntryViolatedWithoutViolationIsRecomputed(t *testing.T) {
 	}
 	if n, hits := under.local.Load(), cv.Stats().DiskHits; n != 1 || hits != 0 {
 		t.Errorf("%d evaluations and %d disk hits, want 1 and 0", n, hits)
+	}
+}
+
+// TestInProcessResultTier pins where the result tier is on: in process it
+// is off, so every check is evaluated (on the shared parse) and counted
+// as a miss; a mounted disk tier switches it on, so a repeated check is a
+// hit.
+func TestInProcessResultTier(t *testing.T) {
+	check := syntaxCheck("hostname R1\n")
+	cv := NewCachedVerifier(nil)
+	for i := 0; i < 3; i++ {
+		if _, err := cv.Check(check); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := cv.Stats(); st.Hits != 0 || st.Misses != 3 {
+		t.Errorf("in process: %v, want 0 hits / 3 misses", st)
+	}
+	d, err := durable.Open(t.TempDir(), durable.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cv = NewCachedVerifier(nil)
+	cv.SetDurable(d)
+	for i := 0; i < 3; i++ {
+		if _, err := cv.Check(check); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := cv.Stats(); st.Hits != 2 || st.Misses != 1 {
+		t.Errorf("under a disk tier: %v, want 2 hits / 1 miss", st)
+	}
+}
+
+// barrierVerifier answers each call with a result naming the call, but
+// only once every one of its callers has entered Check, so concurrent
+// first sights of one key all miss.
+type barrierVerifier struct {
+	LocalVerifier
+	entered sync.WaitGroup
+	calls   atomic.Int64
+}
+
+func (v *barrierVerifier) Check(SuiteCheck) (SuiteResult, error) {
+	n := v.calls.Add(1)
+	v.entered.Done()
+	v.entered.Wait()
+	return SuiteResult{Warnings: []netcfg.ParseWarning{{Line: int(n)}}}, nil
+}
+
+// TestResultTierFirstResultWins: when concurrent misses on one key race,
+// the first result stored is kept, and every caller, and every later
+// hit, gets that one.
+func TestResultTierFirstResultWins(t *testing.T) {
+	const workers = 4
+	v := &barrierVerifier{}
+	v.entered.Add(workers)
+	cv := NewCachedVerifier(v)
+	check := syntaxCheck("hostname R1\n")
+	got := make([]SuiteResult, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			res, err := cv.Check(check)
+			if err != nil {
+				t.Error(err)
+			}
+			got[w] = res
+		}(w)
+	}
+	wg.Wait()
+	later, err := cv.Check(check)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for w, res := range got {
+		if !reflect.DeepEqual(res, later) {
+			t.Errorf("worker %d got %v, the tier kept %v", w, res, later)
+		}
+	}
+	if st := cv.Stats(); st.Misses != workers || st.Hits != 1 {
+		t.Errorf("%v, want %d misses and 1 hit", st, workers)
 	}
 }

@@ -94,8 +94,8 @@ type Result struct {
 	// the workers' private loops. The fuzz campaign's oracle asserts this
 	// stays bounded in the injected-error count.
 	Iterations int
-	// CacheStats reports the incremental verification cache's counters for
-	// the run; nil when the cache was disabled.
+	// CacheStats reports the run's dispatch counters (see CachedVerifier);
+	// the engine sets it on every run it completes.
 	CacheStats *CacheStats
 	// Global is the final whole-network BGP simulation's result. nil when
 	// the run never reached the global check (local repair failed,

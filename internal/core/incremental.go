@@ -39,9 +39,10 @@ func AddPolicyIncremental(topo *topology.Topology, configs map[string]string,
 		opts.Verifier = LocalVerifier{}
 	}
 	// The non-interference re-check re-verifies every requirement on each
-	// attempt even though only R1's config changes; the cache makes each
-	// (revision, requirement) pair cost one verification and each revision
-	// one parse.
+	// attempt even though only R1's config changes. The parse cache makes
+	// each revision cost one parse; in process every requirement is checked
+	// again against that parse, and only a REST verifier or a disk tier adds
+	// the result tier that answers a repeated (revision, requirement) pair.
 	opts.Verifier = NewCachedVerifier(opts.Verifier)
 	if opts.MaxAttempts == 0 {
 		opts.MaxAttempts = 8

@@ -1,12 +1,6 @@
 package core
 
-import (
-	"context"
-	"fmt"
-
-	"repro/internal/llm"
-	"repro/internal/suite"
-)
+import "repro/internal/llm"
 
 // Finding is one outstanding verifier finding surfaced by a pipeline
 // stage: a stable identity (for the attempt budget), the configuration it
@@ -59,10 +53,9 @@ type Pipeline struct {
 	// all in one batched call — one round-trip per endpoint — before the
 	// scan reads the same lists back as cache hits. Otherwise a stage
 	// lists its checks only when the scan reaches it, so a finding in an
-	// earlier stage skips the later ones; an uncached batched backend
-	// then evaluates each stage's list in one batched call. After the
-	// scan a CachedVerifier flushes the iteration's new results to its
-	// durable tier as one pack.
+	// earlier stage skips the later ones. After the scan a CachedVerifier
+	// flushes the iteration's new results to its durable tier as one
+	// pack.
 	Verifier Verifier
 	// Workers bounds the pool that evaluates one stage's checks; values
 	// <= 1 scan them in order. The lowest-index finding wins either way,
@@ -175,25 +168,8 @@ func RunPipeline(sess *session, configs map[string]string, p Pipeline) (verified
 // outstanding finding, or nil when every stage is clean. Against a
 // batched cache every stage lists its checks up front, the whole
 // iteration is prefetched, and the scan reads those same lists; in
-// process each stage lists its checks when the scan reaches it. A
-// batched backend without the cache (DisableCache over REST) is asked
-// for each reached stage's whole list in one call, whose results are
-// then scanned in order.
+// process each stage lists its checks when the scan reaches it.
 func (p *Pipeline) firstFinding(configs map[string]string) (*Finding, error) {
-	if b, ok := p.Verifier.(suite.Backend); ok {
-		for _, st := range p.Stages {
-			results, err := checkBatch(b, st.Checks(configs))
-			if err != nil {
-				return nil, err
-			}
-			for j, res := range results {
-				if f := st.Finding(j, res); f != nil {
-					return f, nil
-				}
-			}
-		}
-		return nil, nil
-	}
 	var lists [][]SuiteCheck
 	if cache, ok := p.Verifier.(*CachedVerifier); ok && cache.Batched() {
 		lists = make([][]SuiteCheck, len(p.Stages))
@@ -225,21 +201,4 @@ func (p *Pipeline) firstFinding(configs map[string]string) (*Finding, error) {
 		}
 	}
 	return nil, nil
-}
-
-// checkBatch evaluates checks in one call on a batched backend and
-// refuses a reply that does not carry one result per check.
-func checkBatch(b suite.Backend, checks []SuiteCheck) ([]SuiteResult, error) {
-	if len(checks) == 0 {
-		return nil, nil
-	}
-	results, err := b.CheckBatch(context.Background(), checks)
-	if err != nil {
-		return nil, err
-	}
-	if len(results) != len(checks) {
-		return nil, fmt.Errorf("batched backend returned %d results for %d checks",
-			len(results), len(checks))
-	}
-	return results, nil
 }

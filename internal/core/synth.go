@@ -60,14 +60,10 @@ type SynthOptions struct {
 	// hub, where every policy lives on one router and the per-router pool
 	// has nothing to parallelize. Values <= 1 scan sequentially.
 	SuiteParallelism int
-	// DisableCache turns off the incremental verification cache, restoring
-	// the paper's behaviour of re-verifying every router's configuration
-	// on every iteration (the E14 baseline).
-	DisableCache bool
-	// DurableCache mounts a disk-backed tier under the verification cache
-	// (see CachedVerifier.SetDurable): results persist across process
-	// restarts and are shared with any concurrent run or resumed run
-	// pointed at the same directory. Ignored under DisableCache.
+	// DurableCache mounts a disk-backed result tier under the run's
+	// verifier (see CachedVerifier.SetDurable): results persist across
+	// process restarts and are shared with any concurrent run or resumed
+	// run pointed at the same directory.
 	DurableCache *durable.Cache
 	// Checkpoint periodically snapshots repair-loop progress to an
 	// atomically-written file so a killed run can resume (see
@@ -179,19 +175,14 @@ func Synthesize(topo *topology.Topology, opts SynthOptions) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	// One incremental-verification cache for the whole run: it is shared
-	// by the parallel per-router workers and by the final global check, so
-	// a configuration revision is verified (and parsed) once no matter how
-	// many stages and iterations inspect it.
-	var cache *CachedVerifier
-	if !opts.DisableCache {
-		cache = NewCachedVerifier(opts.Verifier)
-		cache.SetDurable(opts.DurableCache)
-		cache.SetObs(opts.Metrics, opts.Trace, opts.RunLabel)
-		opts.Verifier = cache
-	} else if opts.Metrics != nil && opts.DurableCache != nil {
-		opts.DurableCache.SetMetrics(opts.Metrics)
-	}
+	// One dispatch layer for the whole run: it is shared by the parallel
+	// per-router workers and by the final global check, so a
+	// configuration revision is parsed once no matter how many stages and
+	// iterations inspect it.
+	cache := NewCachedVerifier(opts.Verifier)
+	cache.SetDurable(opts.DurableCache)
+	cache.SetObs(opts.Metrics, opts.Trace, opts.RunLabel)
+	opts.Verifier = cache
 	sess := newSession(opts.Model, opts.IIP)
 	sess.tracer, sess.runLabel = opts.Trace, opts.RunLabel
 	if opts.Trace != nil {
@@ -269,11 +260,9 @@ func Synthesize(topo *topology.Topology, opts SynthOptions) (*Result, error) {
 		Iterations:     sess.iterations,
 		Global:         global,
 	}
-	if cache != nil {
-		cache.Flush()
-		stats := cache.MergedStats()
-		res.CacheStats = &stats
-	}
+	cache.Flush()
+	stats := cache.MergedStats()
+	res.CacheStats = &stats
 	opts.Trace.Span(runStart, obs.Event{Stage: obs.StageRun, Run: opts.RunLabel,
 		Iter: res.Iterations, Checks: len(res.Configs)})
 	return res, nil

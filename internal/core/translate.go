@@ -29,12 +29,8 @@ type TranslateOptions struct {
 	// is that actionable, humanized feedback is what makes the inner loop
 	// work (§1); this option measures the difference.
 	RawFeedback bool
-	// DisableCache turns off the incremental verification cache, restoring
-	// the seed behaviour of re-parsing and re-verifying the translation on
-	// every iteration.
-	DisableCache bool
-	// DurableCache mounts a disk-backed tier under the verification cache
-	// (see CachedVerifier.SetDurable). Ignored under DisableCache.
+	// DurableCache mounts a disk-backed result tier under the run's
+	// verifier (see CachedVerifier.SetDurable).
 	DurableCache *durable.Cache
 	// Checkpoint periodically snapshots repair-loop progress to an
 	// atomically-written file so a killed run can resume (see
@@ -95,15 +91,10 @@ func Translate(ciscoConfig string, opts TranslateOptions) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	var cache *CachedVerifier
-	if !opts.DisableCache {
-		cache = NewCachedVerifier(opts.Verifier)
-		cache.SetDurable(opts.DurableCache)
-		cache.SetObs(opts.Metrics, opts.Trace, opts.RunLabel)
-		opts.Verifier = cache
-	} else if opts.Metrics != nil && opts.DurableCache != nil {
-		opts.DurableCache.SetMetrics(opts.Metrics)
-	}
+	cache := NewCachedVerifier(opts.Verifier)
+	cache.SetDurable(opts.DurableCache)
+	cache.SetObs(opts.Metrics, opts.Trace, opts.RunLabel)
+	opts.Verifier = cache
 	sess := newSession(opts.Model, opts.IIP)
 	sess.tracer, sess.runLabel = opts.Trace, opts.RunLabel
 
@@ -156,11 +147,9 @@ func Translate(ciscoConfig string, opts TranslateOptions) (*Result, error) {
 		PuntedFindings: sess.punted,
 		Iterations:     sess.iterations,
 	}
-	if cache != nil {
-		cache.Flush()
-		stats := cache.MergedStats()
-		res.CacheStats = &stats
-	}
+	cache.Flush()
+	stats := cache.MergedStats()
+	res.CacheStats = &stats
 	opts.Trace.Span(runStart, obs.Event{Stage: obs.StageRun, Run: opts.RunLabel,
 		Iter: res.Iterations})
 	return res, nil

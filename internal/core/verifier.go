@@ -26,11 +26,14 @@ type Verifier interface {
 	GlobalNoTransit(t *topology.Topology, configs map[string]string) (*lightyear.GlobalResult, error)
 }
 
-// LocalVerifier runs the suite in-process. The zero value parses each
-// configuration on every call, faithfully re-doing the work the paper's
-// loop re-does; with Parses set, each configuration revision is parsed
-// exactly once and the resulting device is shared (read-only) across the
-// syntax, topology, local-policy, and simulation stages.
+// LocalVerifier runs the suite in process. The zero value parses each
+// configuration on every call; with Parses set, each configuration
+// revision is parsed exactly once and the resulting device, with its
+// compiled route-maps, is shared (read-only) across the syntax, topology,
+// local-policy, and simulation stages. The engine runs it with a parse
+// cache (NewCachedVerifier threads one in) and, without a disk tier,
+// evaluates every check on it directly: a check against a memoized parse
+// costs about what looking up its memoized result would.
 type LocalVerifier struct {
 	// Parses is an optional shared parse cache (see batfish.NewParseCache).
 	Parses *netcfg.ParseCache

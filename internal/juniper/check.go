@@ -14,7 +14,7 @@ func Check(text string) []netcfg.ParseWarning {
 // ParseAndCheck parses the text once and returns the device together with
 // both warning feeds: the parser's own warnings and the full Check output
 // (parse plus lint). Callers that need the IR and the syntax verdict for
-// the same configuration revision — the verification cache in particular —
+// the same configuration revision — the parse cache in particular —
 // avoid the second parse a separate Check call would cost.
 func ParseAndCheck(text string) (dev *netcfg.Device, parseWarns, checkWarns []netcfg.ParseWarning) {
 	dev, parseWarns = Parse(text)

@@ -5,3 +5,7 @@ const SampleJunos = sampleJunos
 
 // QuotedNameConfigs exposes the configurations whose names need quoting.
 var QuotedNameConfigs = quotedNameConfigs
+
+// ASPathConfigs exposes the configurations whose as-path regexes hold
+// characters Go's %q escapes.
+var ASPathConfigs = asPathConfigs

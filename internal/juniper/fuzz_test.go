@@ -33,6 +33,9 @@ func FuzzParse(f *testing.F) {
 	for _, s := range juniper.QuotedNameConfigs {
 		f.Add(s)
 	}
+	for _, s := range juniper.ASPathConfigs {
+		f.Add(s)
+	}
 	var terms strings.Builder
 	terms.WriteString("policy-options { community C members 100:1; policy-statement p {\n")
 	for k := 300; k > 0; k-- {

@@ -505,3 +505,40 @@ func TestSignedNumbersWarn(t *testing.T) {
 		}
 	}
 }
+
+// asPathConfigs hold as-path regexes that Go's %q would escape: a
+// backslash, a tab and a non-ASCII byte, bare and quoted.
+var asPathConfigs = []string{
+	`policy-options { policy-statement p { term 10 { from as-path a\b; then accept; } } }`,
+	"policy-options { policy-statement p { term 10 { from { as-path \"^65000\t(_\\d+)* é$\"; } then reject; } } }",
+}
+
+// TestPrintASPathVerbatim: the lexer reads a quoted word verbatim, so the
+// printer quotes an as-path regex without escapes. Printed with %q,
+// `a\b` read back as `a\\b` and printed as `"a\\\\b"`.
+func TestPrintASPathVerbatim(t *testing.T) {
+	regex := func(dev *netcfg.Device) string {
+		for _, cl := range dev.RoutePolicies["p"].Clauses {
+			for _, m := range cl.Matches {
+				if re, ok := m.(netcfg.MatchASPathRegex); ok {
+					return re.Regex
+				}
+			}
+		}
+		return ""
+	}
+	for _, in := range asPathConfigs {
+		dev1, warns := Parse(in)
+		if len(warns) != 0 || regex(dev1) == "" {
+			t.Fatalf("Parse(%q): regex %q, warnings %v", in, regex(dev1), warns)
+		}
+		text1 := Print(dev1)
+		dev2, _ := Parse(text1)
+		if got, want := regex(dev2), regex(dev1); got != want {
+			t.Errorf("as-path %q read back as %q from:\n%s", want, got, text1)
+		}
+		if text2 := Print(dev2); text2 != text1 {
+			t.Errorf("not a fixpoint:\nfirst print:\n%s\nsecond print:\n%s", text1, text2)
+		}
+	}
+}

@@ -281,7 +281,9 @@ func printPolicyStatement(b *strings.Builder, d *netcfg.Device, rp *netcfg.Route
 				case netcfg.MatchRouteFilter:
 					printRouteFilter(b, m)
 				case netcfg.MatchASPathRegex:
-					fmt.Fprintf(b, "                as-path %q;\n", m.Regex)
+					// Quoted verbatim, as the lexer reads a quoted word: an
+					// escape would be read back as part of the regex.
+					fmt.Fprintf(b, "                as-path \"%s\";\n", m.Regex)
 				}
 			}
 			b.WriteString("            }\n")

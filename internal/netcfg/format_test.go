@@ -2,6 +2,7 @@ package netcfg
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"testing"
@@ -43,12 +44,48 @@ func refParseCommunity(s string) (Community, error) {
 	return NewCommunity(uint16(high), uint16(low)), nil
 }
 
+// refParsePrefix is ParsePrefix as strconv.Atoi wrote it, less the sign.
+func refParsePrefix(s string) (Prefix, error) {
+	slash := strings.IndexByte(s, '/')
+	if slash < 0 {
+		return Prefix{}, fmt.Errorf("prefix %q missing /len", s)
+	}
+	addr, err := refParseIP(s[:slash])
+	if err != nil {
+		return Prefix{}, err
+	}
+	length, err := refAtoi(s[slash+1:])
+	if err != nil || length < 0 || length > 32 {
+		return Prefix{}, fmt.Errorf("invalid prefix length in %q", s)
+	}
+	return NewPrefix(addr, length), nil
+}
+
 // refAtoi is strconv.Atoi refusing a leading sign.
 func refAtoi(s string) (int, error) {
 	if strings.HasPrefix(s, "+") || strings.HasPrefix(s, "-") {
 		return 0, fmt.Errorf("signed number %q", s)
 	}
 	return strconv.Atoi(s)
+}
+
+// checkScan holds ScanDecimal(s, max) to strconv.ParseUint on the run of
+// digits that starts s: the same value and rest when that run is non-empty
+// and worth at most max, a refusal otherwise.
+func checkScan(t *testing.T, s string, max uint32) {
+	t.Helper()
+	digits := len(s) - len(strings.TrimLeft(s, "0123456789"))
+	want, err := strconv.ParseUint(s[:digits], 10, 64)
+	wantOK := digits > 0 && err == nil && want <= uint64(max)
+	n, rest, ok := ScanDecimal(s, max)
+	switch {
+	case ok != wantOK:
+		t.Fatalf("ScanDecimal(%q, %d) ok = %v; reference %v (%d, %v)", s, max, ok, wantOK, want, err)
+	case ok && (uint64(n) != want || rest != s[digits:]):
+		t.Fatalf("ScanDecimal(%q, %d) = %d, %q; reference %d, %q", s, max, n, rest, want, s[digits:])
+	case !ok && (n != 0 || rest != s):
+		t.Fatalf("ScanDecimal(%q, %d) refused with %d, %q; want 0 and the whole text", s, max, n, rest)
+	}
 }
 
 func sameResult[T comparable](t *testing.T, what, in string, got T, gotErr error, want T, wantErr error) {
@@ -68,6 +105,11 @@ func checkText(t *testing.T, s string, v uint32, length int) {
 	c, err := ParseCommunity(s)
 	refC, refErr := refParseCommunity(s)
 	sameResult(t, "ParseCommunity", s, c, err, refC, refErr)
+	pfx, err := ParsePrefix(s)
+	refPfx, refErr := refParsePrefix(s)
+	sameResult(t, "ParsePrefix", s, pfx, err, refPfx, refErr)
+	checkScan(t, s, math.MaxUint32)
+	checkScan(t, s, v)
 
 	if got, want := FormatIP(v), fmt.Sprintf("%d.%d.%d.%d", v>>24, v>>16&0xff, v>>8&0xff, v&0xff); got != want {
 		t.Fatalf("FormatIP(%#x) = %q, want %q", v, got, want)
@@ -98,13 +140,17 @@ func checkText(t *testing.T, s string, v uint32, length int) {
 }
 
 // numberSeeds are texts at the scanners' edges: signs, leading zeros,
-// overflow, spaces, and stray separators.
+// overflow (of 32 bits too), spaces, and stray separators.
 var numberSeeds = []string{
 	"", "1.2.3.4", " 10.0.0.1\t", "255.255.255.255", "256.0.0.0", "0255.0.0.00001",
 	"000000000000000000000001.2.3.4", "99999999999999999999.1.2.3", "1.2.3", "1.2.3.4.",
 	"1..2.3", "+1.2.3.4", "-0.1.2.3", "1.+2.3.4", "1.2.3.-4", "1. 2.3.4", " 1.2.3.4",
 	"100:1", "0:0", "65535:65535", "65536:1", "100:65536", "+100:-0", "-1:1", "100:+1",
 	"00100:0001", "100:1:2", ":1", "100:", " 100:1", "a:b",
+	"10.0.0.0/8", "10.0.0.0/+8", "10.0.0.0/-0", "+10.0.0.0/8", "1.2.3.4/32", "1.2.3.4/33",
+	"1.2.3.4/", "1.2.3.4/008", "1.2.3.4/99999999999999999999", "/8", "1.2.3.4/8/8", " 1.2.3.4/8",
+	"4294967295", "4294967296", "4294967297", "4294967301", "99999999999", "42949672950",
+	"0004294967295x", "429496729", "18446744073709551617",
 }
 
 func TestNumberTextMatchesReference(t *testing.T) {
@@ -113,10 +159,11 @@ func TestNumberTextMatchesReference(t *testing.T) {
 	}
 }
 
-// FuzzNumberText holds ParseIP and ParseCommunity to the strconv
-// references above on arbitrary text, and FormatIP, Prefix.String and
-// Append, MaskString, WildcardString and Community.String to their fmt
-// forms on arbitrary values, round trips included.
+// FuzzNumberText holds ParseIP, ParseCommunity, ParsePrefix and ScanDecimal
+// (under math.MaxUint32 and under v) to the strconv references above on
+// arbitrary text, and FormatIP, Prefix.String and Append, MaskString,
+// WildcardString and Community.String to their fmt forms on arbitrary
+// values, round trips included.
 func FuzzNumberText(f *testing.F) {
 	for i, s := range numberSeeds {
 		f.Add(s, uint32(i)*0x9e3779b9, int8(i%40-4))
@@ -126,8 +173,8 @@ func FuzzNumberText(f *testing.F) {
 	})
 }
 
-// TestParseRejectsSigns: IOS and Junos take no sign in an address or a
-// community, and strconv.Atoi used to let one through.
+// TestParseRejectsSigns: IOS and Junos take no sign in an address, a
+// community or a prefix length, and strconv.Atoi used to let one through.
 func TestParseRejectsSigns(t *testing.T) {
 	for _, s := range []string{"+1.2.3.4", "-0.1.2.3", "1.2.+3.4", "10.0.0.-1"} {
 		if v, err := ParseIP(s); err == nil {
@@ -137,6 +184,11 @@ func TestParseRejectsSigns(t *testing.T) {
 	for _, s := range []string{"+100:-0", "+100:1", "100:+1", "-0:0"} {
 		if c, err := ParseCommunity(s); err == nil {
 			t.Errorf("ParseCommunity(%q) = %v, want an error", s, c)
+		}
+	}
+	for _, s := range []string{"10.0.0.0/+8", "10.0.0.0/-0", "+10.0.0.0/8"} {
+		if p, err := ParsePrefix(s); err == nil {
+			t.Errorf("ParsePrefix(%q) = %v, want an error", s, p)
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package netcfg
 
 import (
-	"hash/maphash"
 	"sync"
 	"time"
 
@@ -49,32 +48,19 @@ func (p *Parsed) CompiledPolicy(name string, compile func() any) any {
 // ParseFunc parses one configuration revision into its Parsed product.
 type ParseFunc func(text string) *Parsed
 
-// parseShards is the stripe count of the revision map. A text picks its
-// stripe by a seeded maphash of its bytes, which is uniform and allocates
-// nothing; 64 independently-locked shards keep concurrent repair workers
-// (and a shard server's batch pool) from serializing on one lock.
-const parseShards = 64
-
-// parseShard is one independently-locked stripe of the revision map.
-type parseShard struct {
-	mu      sync.RWMutex
-	entries map[string]*Parsed
-}
-
 // ParseCache memoizes a ParseFunc keyed by the configuration text itself,
 // so each revision of a config is parsed exactly once no matter how many
 // verifier stages and repair iterations inspect it, and equal texts share
-// one product whatever memory backs them. A hit is one map lookup: it
-// neither copies nor digests the text, and allocates nothing. The cache
-// keeps each revision's text beside its product. It is safe for
-// concurrent use — the map is striped into independently locked shards —
-// and concurrent misses on the same revision may parse twice, but both
-// results are identical and one wins.
+// one product whatever memory backs them. A hit is one sync.Map lookup,
+// which hashes the text once: it neither copies nor digests the text, and
+// allocates nothing. The cache keeps each revision's text beside its
+// product and never evicts. It is safe for concurrent use, and concurrent
+// misses on the same revision may parse twice, but the first product
+// stored wins and every caller shares it.
 type ParseCache struct {
 	parse ParseFunc
 
-	seed   maphash.Seed // stripe selection
-	shards [parseShards]parseShard
+	entries sync.Map // text → *Parsed
 	// Counters are obs instruments from birth; SetObs adopts them into a
 	// registry (counts preserved) and optionally binds a trace sink that
 	// sees one parse span per cache-missing revision.
@@ -85,43 +71,31 @@ type ParseCache struct {
 
 // NewParseCache returns an empty cache over the given parser.
 func NewParseCache(parse ParseFunc) *ParseCache {
-	c := &ParseCache{parse: parse, seed: maphash.MakeSeed(), hits: &obs.Counter{}, misses: &obs.Counter{}}
-	for i := range c.shards {
-		c.shards[i].entries = map[string]*Parsed{}
-	}
-	return c
+	return &ParseCache{parse: parse, hits: &obs.Counter{}, misses: &obs.Counter{}}
 }
 
 // Parse returns the memoized parse product for the text, parsing on first
 // sight of the revision.
 func (c *ParseCache) Parse(text string) *Parsed {
-	s := &c.shards[maphash.String(c.seed, text)%parseShards]
-	s.mu.RLock()
-	p := s.entries[text]
-	s.mu.RUnlock()
-	if p != nil {
+	if p, ok := c.entries.Load(text); ok {
 		c.hits.Inc()
-		return p
+		return p.(*Parsed)
 	}
 	var start time.Time
 	if c.tracer != nil {
 		start = time.Now()
 	}
-	p = c.parse(text)
+	p := c.parse(text)
 	if c.tracer != nil {
 		c.tracer.Span(start, obs.Event{Stage: obs.StageParse, Bytes: int64(len(text))})
 	}
-	s.mu.Lock()
-	if prev, ok := s.entries[text]; ok {
+	if prev, loaded := c.entries.LoadOrStore(text, p); loaded {
 		// A concurrent miss beat us to it; keep the first result so every
 		// caller shares one device.
-		p = prev
 		c.hits.Inc()
-	} else {
-		s.entries[text] = p
-		c.misses.Inc()
+		return prev.(*Parsed)
 	}
-	s.mu.Unlock()
+	c.misses.Inc()
 	return p
 }
 
@@ -152,11 +126,9 @@ func (c *ParseCache) SetObs(reg *obs.Registry, tr *obs.Tracer) {
 // Len returns the number of cached revisions.
 func (c *ParseCache) Len() int {
 	n := 0
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.RLock()
-		n += len(s.entries)
-		s.mu.RUnlock()
-	}
+	c.entries.Range(func(_, _ any) bool {
+		n++
+		return true
+	})
 	return n
 }

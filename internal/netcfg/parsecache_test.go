@@ -98,11 +98,10 @@ func TestParseCacheConcurrent(t *testing.T) {
 	}
 }
 
-// TestParseCacheStripedHammer drives every stripe of the sharded revision
-// map from 16 goroutines at once — enough concurrent writers that a
-// single-mutex regression shows up under -race and as contention, and
-// enough distinct revisions (512, hash-striped) that all 64 shards see
-// traffic. Every caller must observe the one shared product per revision.
+// TestParseCacheStripedHammer drives the revision map from 16 goroutines
+// at once over 512 distinct revisions — enough concurrent first sights
+// that a lost write or a second product shows up, under -race in CI.
+// Every caller must observe the one shared product per revision.
 func TestParseCacheStripedHammer(t *testing.T) {
 	var calls atomic.Int64
 	c := NewParseCache(countingParser(&calls))

@@ -58,7 +58,7 @@ func ParseIP(s string) (uint32, error) {
 			}
 			rest = rest[1:]
 		}
-		n, tail, ok := scanDecimal(rest, 255)
+		n, tail, ok := ScanDecimal(rest, 255)
 		if !ok {
 			return 0, fmt.Errorf("invalid IPv4 address %q", s)
 		}
@@ -71,18 +71,22 @@ func ParseIP(s string) (uint32, error) {
 	return v, nil
 }
 
-// scanDecimal reads the run of ASCII digits that starts s, and returns its
+// ScanDecimal reads the run of ASCII digits that starts s, and returns its
 // value and the rest of s. ok is false when the run is empty or its value
-// exceeds max.
-func scanDecimal(s string, max uint32) (n uint32, rest string, ok bool) {
+// exceeds max. A sign is not a digit: the config front ends read every
+// number through it, since IOS and Junos take none where they take a
+// number. The sum is kept in 64 bits, so it cannot wrap before it is
+// compared with max, whatever max is.
+func ScanDecimal(s string, max uint32) (n uint32, rest string, ok bool) {
+	var sum uint64
 	i := 0
 	for ; i < len(s) && '0' <= s[i] && s[i] <= '9'; i++ {
-		n = n*10 + uint32(s[i]-'0')
-		if n > max {
+		sum = sum*10 + uint64(s[i]-'0')
+		if sum > uint64(max) {
 			return 0, s, false
 		}
 	}
-	return n, s[i:], i > 0
+	return uint32(sum), s[i:], i > 0
 }
 
 // AppendIP appends the dotted quad of a 32-bit value to dst.
@@ -114,7 +118,8 @@ func FormatIP(v uint32) string {
 	return string(AppendIP(buf[:0], v))
 }
 
-// ParsePrefix parses "a.b.c.d/len" notation.
+// ParsePrefix parses "a.b.c.d/len" notation; the length is digits only,
+// at most 32.
 func ParsePrefix(s string) (Prefix, error) {
 	slash := strings.IndexByte(s, '/')
 	if slash < 0 {
@@ -124,11 +129,11 @@ func ParsePrefix(s string) (Prefix, error) {
 	if err != nil {
 		return Prefix{}, err
 	}
-	length, err := strconv.Atoi(s[slash+1:])
-	if err != nil || length < 0 || length > 32 {
+	length, rest, ok := ScanDecimal(s[slash+1:], 32)
+	if !ok || rest != "" {
 		return Prefix{}, fmt.Errorf("invalid prefix length in %q", s)
 	}
-	return NewPrefix(addr, length), nil
+	return NewPrefix(addr, int(length)), nil
 }
 
 // MustPrefix is ParsePrefix that panics on error; intended for tests and
@@ -197,11 +202,11 @@ func ParseCommunity(s string) (Community, error) {
 	if colon < 0 {
 		return 0, fmt.Errorf("community %q missing ':'", s)
 	}
-	high, rest, ok := scanDecimal(s[:colon], 0xffff)
+	high, rest, ok := ScanDecimal(s[:colon], 0xffff)
 	if !ok || rest != "" {
 		return 0, fmt.Errorf("invalid community %q", s)
 	}
-	low, rest, ok := scanDecimal(s[colon+1:], 0xffff)
+	low, rest, ok := ScanDecimal(s[colon+1:], 0xffff)
 	if !ok || rest != "" {
 		return 0, fmt.Errorf("invalid community %q", s)
 	}

@@ -1,6 +1,6 @@
 // Package suite defines the transport-neutral form of the verification
 // suite's independent checks: the unit the repair pipeline's stages list,
-// the incremental verification cache memoizes, and the REST batch
+// the result tier memoizes (core.CachedVerifier), and the REST batch
 // endpoint ships — one Check in, one Result out, whatever the transport.
 // The mapping from a check's kind to its evaluator is
 // core.LocalVerifier.Check, which the engine and batfishd share. This is
