@@ -197,38 +197,27 @@
 // Inline bodies. Every check carries its router spec or requirement in
 // full. Protocol version 7 let a check ship a 64-hex content digest
 // instead, resolved against a registry of the scenario family's bodies
-// that the client and every batfishd built from the same generator. Once
-// the body table carried each config text once per batch, those
-// references saved only about 1.2 MB of loopback traffic per
-// wire-random-75 run, and building the registries cost more CPU than
-// that saved: in six merged CPU profiles of `cosynth -mode notransit
-// -topo random:75 -shards 2` the builds took 14% of CPU, more than
-// evaluating every batched check (13%). Version 8 deleted them. Over
-// ten alternating 20 s wire-random-75 pairs on a shared 2-CPU machine,
-// the median run went from 0.48 s to 0.43 s, CPU from 0.61 s to 0.53 s
-// and allocation from 123 MB to 109 MB, with identical transcripts, while
-// the bytes sent rose from 2.17 MB to 3.40 MB (version 9 brought them to
-// 1.81 MB, below). A request no longer names
-// a topology family, so it cannot make batfishd generate one. Config
-// texts are named by their index in the batch's body table instead of by
-// digest: the table lives in the one request, so neither side computes a
-// digest, and the server only checks that each index falls inside the
-// table, failing the batch with a 400 that names the check otherwise.
-// cosynth accepts a repeatable, comma-separated -rest endpoint list and
-// -shards N to spawn in-process shard servers for tests and benchmarks.
+// that the client and every batfishd built from the same generator; once
+// the body table carried each config text once per batch, building the
+// registries cost more CPU than the references saved, and version 8
+// deleted them. A request no longer names a topology family, so it
+// cannot make batfishd generate one. Config texts are named by their
+// index in the batch's body table instead of by digest: the table lives
+// in the one request, so neither side computes a digest, and the server
+// only checks that each index falls inside the table, failing the batch
+// with a 400 that names the check otherwise. cosynth accepts a
+// repeatable, comma-separated -rest endpoint list and -shards N to spawn
+// in-process shard servers for tests and benchmarks.
 //
 // One check per route-map. Version 9 ships each egress route-map's
 // community drops as one requirement (see the spec model above) instead
-// of one per other attachment. On a traced wire-random-75 run the batched
-// checks fell from 5,856 to 384 over the same 8 round-trips, and the
-// bytes sent from 3,399,503 to 1,813,046. Keying a check JSON-encodes
-// its requirement (suite.KeyD): in six merged CPU profiles of `cosynth
-// -mode notransit -topo random:75 -shards 2` that took 28% of CPU with a
-// requirement per community, and 12% after. Over ten alternating 20 s
-// wire-random-75 pairs on a shared 2-CPU machine, the median run went
-// from 0.334 s to 0.143 s, CPU from 0.46 s to 0.21 s and allocation from
-// 108 MB to 51 MB, with identical transcripts. Durable entries written
-// under version 8 go cold: their keys hash the old requirement JSON.
+// of one per other attachment, so a batch carries O(A) local checks for A
+// attachments, not O(A²). A check's key hashes its config's digest and
+// the digest of its spec's or requirement's JSON (suite.KeyD); the
+// dispatch layer computes each digest once per run, keyed by the spec or
+// requirement the pipeline's stages hold, while batfishd, whose requests
+// decode new ones every time, computes them per check. Durable entries
+// written under an earlier key layout go cold.
 //
 // # Concurrent per-router synthesis
 //
@@ -281,37 +270,24 @@
 // batfish.Sim and simulates to a fixpoint ("as a final step", §4.1),
 // reached through Verifier.GlobalNoTransit in process and through a
 // stateless POST /v1/notransit over the wire. Two faster variants used
-// to sit beside it and were removed, because neither paid end to end. A
+// to sit beside it and were removed, because neither paid end to end: a
 // compositional check (verified local specs plus sampled falsification)
-// ran in no benchmark workload and was the slower one where measured:
-// 368 s against 185 s for the simulated random:200 cell in BENCH_PR10. A
-// persistent simulator session, in process and inside batfishd,
-// re-simulated only the changed routers, but nothing re-checks per
-// iteration at scale: every cobench workload runs one cold check per
-// run, and on random:75 final configurations the session's first check
-// cost what a cold one does (861 ms and 159 MB against 878 ms and
-// 152 MB, on a 2-CPU machine). Only the global-prompting ablation and
-// the §6 add-policy run re-check, on 7- and 5-router stars where a cold
-// check takes 0.66 ms and 0.38 ms, so the session saved at most about
-// 4 ms per run. The one check runs in delta rounds: a round announces
-// only the RIB entries the previous round changed, which reaches exactly
-// the RIBs that re-announcing every entry reaches (batfish.Sim gives the
+// and a persistent simulator session that re-simulated only the changed
+// routers. Nothing re-checks per iteration at scale, and only the
+// global-prompting ablation and the §6 add-policy run re-check, on small
+// stars. The one check runs in delta rounds: a round announces only the
+// RIB entries the previous round changed, which reaches exactly the RIBs
+// that re-announcing every entry reaches (batfish.Sim gives the
 // argument). Each Run also compiles the network before its first round:
-// every session's route-maps are resolved against their device once, with
-// the leading permit-only community-list clauses indexed by community;
-// every simulated prefix gets a number, and each node's RIB is a row
-// indexed by it; a route is built only when it is installed, or when a
-// route-map must read or write it first; and the Result shares the
+// every session's route-maps are resolved against their device once,
+// with the leading permit-only community-list clauses indexed by
+// community; every simulated prefix gets a number, and each node's RIB is
+// a row indexed by it; a route is built only when it is installed, or
+// when a route-map must read or write it first; and the Result shares the
 // installed routes and answers CanReach with at most 34 lookups instead
-// of a scan of the RIB. A prefix's propagation never reads another prefix's
-// entries, the slicing argument Panda et al. verify isolation with, so
-// the numbering changes no outcome. Timed alone on golden configurations
-// on a shared 2-CPU machine (median of three 10-check runs), one check
-// went from 0.33 s and 99 MB allocated to 32 ms and 15 MB on
-// fat-tree:10, from 0.12 s and 20 MB to 12 ms and 6 MB on random:75, and
-// from 1.36 s and 141 MB to 0.10 s and 39 MB on random:200; cobench's
-// synth-fattree-10 run_s fell from 0.44 s to 0.12 s (seed 5, medians of
-// ten alternating pairs).
+// of a scan of the RIB. A prefix's propagation never reads another
+// prefix's entries, the slicing argument Panda et al. verify isolation
+// with, so the numbering changes no outcome.
 //
 // The check simulates only the slice of the network its verdict reads.
 // The verdict asks CanReach about the ISPs' and customers' own prefixes
@@ -325,120 +301,74 @@
 // configurations, on every synthesis error class's drafts and on mutated
 // networks whose routers originate a stub's prefix or a supernet of it
 // (TestDeltaRoundsMatchReference, FuzzSimulate and
-// TestGlobalSliceMatchesUnsliced). On golden configurations the verdict
-// reads 50 of fat-tree:10's 600 originated prefixes (175 speakers), 75 of
-// random:75's 256 and 185 of random:200's 666. Timed alone on a shared
-// 2-CPU machine (medians of ten checks, in two rounds), one check went
-// from 46–57 ms and 15.1 MB allocated to 6.4–7.4 ms and 1.9 MB on
-// fat-tree:10, from 18 ms and 6.1 MB to 7.4–10 ms and 2.1 MB on
-// random:75, and from 109–133 ms and 39 MB to 42–51 ms and 12 MB on
-// random:200. On fat-tree:10 the rounds still take
-// over half of what is left, and the set-up, route-map compiles included,
-// about a quarter (a CPU profile of the check alone). cobench's
-// synth-fattree-10 run_s fell from 0.099 s to 0.058 s (medians of ten
-// alternating pairs), and its traced global check from 47 ms to 4.9 ms,
-// 43% of wall to 8%. A network whose slice would need more than
-// batfish.MaxRIBSlots RIB slots, one per speaker and simulated prefix, is
-// refused with an error. The round cap grows with the number of speakers,
-// so deep rings converge: ring:130 needs about 65 rounds.
+// TestGlobalSliceMatchesUnsliced). A network whose slice would need more
+// than batfish.MaxRIBSlots RIB slots, one per speaker and simulated
+// prefix, is refused with an error. The round cap grows with the number
+// of speakers, so deep rings converge: ring:130 needs about 65 rounds.
 //
 // # Configuration pipeline
 //
 // Each configuration revision is printed once, parsed once, and has each
-// route-map compiled once. The simulated LLM prints the whole config from
-// its transformed IR (cisco.Print), and batfish.NewParseCache memoizes one
-// whole-revision parse per text, shared by the syntax, topology,
-// local-policy and simulation stages. The cache is a sync.Map keyed by
-// the text itself, so a hit hashes the text once and neither copies nor
-// digests it, and allocates nothing. A stanza-incremental layer (a
-// per-section render memo, a fragment parse sub-cache with a
-// split-resume memo, and a durable fragment tier) used to sit on both
-// steps behind off-switches. It was removed because it paid for nothing
-// end to end, and decoding fragments from disk cost more than parsing
-// the text again. Transcripts are pinned to digests taken before the
-// removal (testdata/transcripts.json).
+// route-map compiled once, and every per-router step is one pass over
+// that router's own input. On random graphs the output itself grows as
+// the square of the attachment count (each ISP-facing router's egress
+// route-map denies every other ISP's community), so a step quadratic in
+// one router's text would make the whole run cubic.
 //
-// Like Batfish, which answers searchRoutePolicies from one symbolic
-// encoding per route-map, batfish.SearchRoutePolicies compiles a policy
-// into its accept space (symbolic.AcceptSpace) on the first query that
-// names it and keeps the result in the revision's slot
-// (netcfg.Parsed.CompiledPolicy). Every later local check of that
-// revision reads the slot, in process and inside batfishd, whose checks
-// share its parse cache. It used to compile on every query, and an
-// egress route-map is asked about every other ISP attachment's
-// community, 73 of them on random:75: then one EgressDropsCommunity
-// requirement each, now one requirement listing them all. A symbolic
-// class's community condition is two sorted slices, so conjoining two is
-// a merge rather than two map copies. On cobench synth-random-75 (seed
-// 0, five alternating pairs on a 2-CPU machine) the median run fell from
-// 5.82 s to 0.93 s and allocation from 2,182 MB to 248 MB; a traced run
-// put a local check at 39 µs against 1,726 µs, with the same 5,552 local
-// checks and 78 parses. The BGP simulation of the global check was then
-// about 84% of that run's wall time. Grouping each egress route-map's
-// drops into one requirement later cut the run's local checks from
-// 5,552 to 224.
+// The prompt path. The modularizer appends each router's sentences and
+// policy instructions to one builder, grown once to a bound on the
+// prompt's length, without fmt. The simulated LLM reads the sentences
+// back with one small scanner of literals and fields (llm's sentence):
+// each field is a greedy run of one byte class that gives bytes back only
+// until the rest of the sentence matches, which is what the regexps it
+// replaced return, leftmost match first. It prints its golden device as
+// it stands unless a fault mutates it.
 //
-// Every per-revision step on an egress route-map now costs a constant
-// number of allocations per clause and per community. The repair loop's
-// fix for the route-map AND/OR error gives each other ISP's community
-// its own deny stanza, so on random:75 each of the 74 egress maps holds
-// 73 deny clauses. Every attachment has such a map, so a step that grows
-// faster than linearly in its clauses makes a whole random-graph run grow
-// as the attachment count cubed. Three steps did:
-//
-//   - cisco.Parse re-sorted a route-map on every new clause. It now
-//     appends the clause, finds a re-entered sequence number by binary
-//     search (or, once clauses arrive out of order, in an index) and
-//     sorts such a route-map once when the text ends: a 20,000-clause
-//     route-map in descending order parses in about 22 ms, not 2.3-2.7 s.
-//   - symbolic.AcceptRegions intersected deny clauses with what remained
-//     and built spaces it threw away. The 74 final egress maps of
-//     random:75 now compile in 3.1-4.1 ms and 27.5k allocations, not
-//     12.8-14.4 ms and 92.5k, into the same classes atom for atom.
-//   - The drops check ran one SearchRoutePolicies per community, each
-//     formatting the community and parsing it back. batfish.FirstPermitted
-//     scans the list against the compiled accept classes, a binary search
-//     per class and no allocation for a clean community, and searches in
-//     full only for the first community a class admits.
-//
-// On cobench synth-random-75 (ten alternating 20 s pairs on a shared
-// 2-CPU machine) the median run fell from 0.067 s to 0.051 s, CPU from
-// 0.117 s to 0.087 s and allocation from 26.0 MB to 20.3 MB. One traced
-// sample per side put a local check at 45 µs against 155 µs, and the
-// run's parse spans at 12.1 ms against 16.5 ms, with the same 224 local
-// checks, 78 parses and 391 verify checks. Parsing is not negligible
-// there: 12.1 ms of parse spans against a 51 ms median untraced run.
-//
-// The config text itself goes through in one pass. Every LLM turn returns
-// a whole router configuration and the syntax stage parses it back, so
-// rendering and parsing sit on the loop: 82 turns on random:75 and 132 on
-// fat-tree:10. cisco.Print writes one builder, sized up front from the
+// The text path. cisco.Print writes one builder, sized up front from the
 // device's counts, through netcfg's append formatters (AppendIP,
 // Prefix.Append and Community.Append, which FormatIP and the String
 // methods wrap), with no fmt. cisco.Parse walks the text in place and
 // splits each ASCII line into one slice of words reused from line to
 // line; a line holding any other byte goes to strings.Fields, so white
 // space keeps its Unicode meaning. netcfg.ParseIP and ParseCommunity scan
-// digits in place and, as IOS does, refuse a sign. The simulated LLM
-// prints its golden device as it stands unless a fault mutates it, and
-// runs each prompt regexp only on the lines holding the regexp's literal
-// lead: no pattern can match a newline, so it finds what a scan of the
-// whole prompt finds. The fmt printer, the strings.Split and
-// strings.Fields line loop and the whole-prompt matching stay in the
-// tests as the references the fuzz targets hold the new code to
-// (FuzzPrintReference, FuzzParseReference, FuzzNumberText,
-// FuzzPromptPatterns). Over random:75's final configurations
-// (BenchmarkPrint and BenchmarkParse in internal/cisco, three alternating
-// runs per side on a shared 2-CPU machine) Print went from 55-65 MB/s to
-// 244-286 MB/s, and from 32,364 allocations and 3.0 MB per pass to 185
-// and 0.7 MB; Parse went from 69-82 MB/s to 114-129 MB/s, and from 46,580
-// allocations and 3.0 MB to 27,970 and 1.5 MB. On cobench synth-random-75
-// (ten alternating 20 s pairs) the median run fell from 0.041 s to
-// 0.028 s, CPU from 0.073 s to 0.047 s and allocation from 16.5 MB to
-// 10.7 MB. Three traced pairs put the simulated LLM at a median 12.3 ms
-// against 27.1 ms, rendering at 13% of it against 42%, and parse spans
-// at 8.2 ms against 11.3 ms, with the same 82 LLM calls, 78 parses, 224
-// local checks and 391 verify checks.
+// digits in place and, as IOS does, refuse a sign. A route-map clause is
+// appended and found again by binary search (or, once clauses arrive out
+// of order, in an index), and such a route-map is sorted once when the
+// text ends. batfish.NewParseCache memoizes one whole-revision parse per
+// text, shared by the syntax, topology, local-policy and simulation
+// stages; it is a sync.Map keyed by the text itself, so a hit neither
+// copies nor digests it.
+//
+// The topology check. topology.Verify parses each spec string once per
+// call and answers every membership test, of a declared network or
+// neighbor in the spec and of a spec network, neighbor or interface in
+// the configuration, by binary search of a sorted copy.
+//
+// The route-map compile. Like Batfish, which answers searchRoutePolicies
+// from one symbolic encoding per route-map, batfish.SearchRoutePolicies
+// compiles a policy into its accept regions (symbolic.AcceptRegions) on
+// the first query that names it and keeps them in the revision's slot
+// (netcfg.Parsed.CompiledPolicy); every later local check of that
+// revision reads the slot, in process and inside batfishd. A symbolic
+// class's community condition is two sorted slices, so conjoining two is
+// a merge. Only a permit clause is intersected with what remains, and a
+// run of deny clauses whose guard is one community, over every prefix
+// and every protocol, is folded into one sorted merge into each
+// remaining class's forbidden list. The repair loop's fix for the
+// route-map AND/OR error gives each other ISP's community its own deny
+// stanza, so an egress map is one such run and a permit, and compiles in
+// time and bytes linear in its clauses. The drops check
+// (batfish.FirstPermitted) scans a requirement's communities against the
+// compiled classes, a binary search per class, and searches in full only
+// for the first community a class admits.
+//
+// Each rewritten step keeps the form it replaced in its tests as the
+// reference a fuzz target holds it to: FuzzPrintReference and
+// FuzzParseReference (the fmt printer, and the strings.Split and
+// strings.Fields line loop), FuzzNumberText (strconv and fmt forms),
+// FuzzPromptPatterns (the prompt regexps), FuzzVerifyReference (the
+// quadratic topology check) and FuzzAcceptRegions (the clause-by-clause
+// compile).
 //
 // # Fuzzing the LLM error space
 //

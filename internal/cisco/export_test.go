@@ -5,3 +5,7 @@ var (
 	ReferencePrint = refPrint
 	ReferenceParse = refParse
 )
+
+// QuotedASPathConfig exposes the route-map whose as-path regex holds a
+// quote.
+const QuotedASPathConfig = quotedASPathConfig

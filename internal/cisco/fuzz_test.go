@@ -54,6 +54,7 @@ func addSeeds(f *testing.F) {
 		"ip community-list standard X permit +100:1\n" +
 		"route-map\u00a0m permit 10\n set community 100:1\u2003additive\n" +
 		"hostname\u0085R1\r\n\trouter bgp 1\v\n neighbor 1.2.3.4 remote-as\f2\n")
+	f.Add(cisco.QuotedASPathConfig)
 	seeds, err := fuzz.ParserSeeds()
 	if err != nil {
 		f.Fatal(err)

@@ -602,6 +602,13 @@ func (p *parser) parseRouteMapMatch(lineNo int, line string, fields []string, cl
 			p.warn(lineNo, line, "match as-path expects one access-list or regex")
 			return
 		}
+		// IOS names an as-path access-list here, and no list name holds
+		// a quote; the Junos printer must quote the regex, and its lexer
+		// ends a quoted word at the first one.
+		if strings.Contains(fields[2], `"`) {
+			p.warn(lineNo, line, "match as-path names an access-list, which holds no quote")
+			return
+		}
 		cl.Matches = append(cl.Matches, netcfg.MatchASPathRegex{Regex: fields[2]})
 	case "source-protocol":
 		if len(fields) != 3 {

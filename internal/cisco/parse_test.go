@@ -379,3 +379,21 @@ func TestSignedNumbersWarn(t *testing.T) {
 		}
 	}
 }
+
+// quotedASPathConfig applies a route-map whose match as-path holds a
+// quote.
+const quotedASPathConfig = "router bgp 1\n neighbor 1.2.3.4 remote-as 2\n neighbor 1.2.3.4 route-map M out\n!\n" +
+	"route-map M permit 10\n match as-path a\"b\n!\n"
+
+// TestMatchASPathQuoteWarns: an IOS match as-path names an access-list,
+// which holds no quote, so a word holding one is refused with a warning
+// and the clause keeps no as-path match.
+func TestMatchASPathQuoteWarns(t *testing.T) {
+	dev, warns := Parse(quotedASPathConfig)
+	if len(warns) != 1 || !strings.Contains(warns[0].Reason, "as-path") {
+		t.Fatalf("warnings = %v, want one on the as-path match", warns)
+	}
+	if m := dev.RoutePolicies["M"].Clauses[0].Matches; len(m) != 0 {
+		t.Fatalf("matches = %v, want none", m)
+	}
+}

@@ -134,9 +134,10 @@ type CachedVerifier struct {
 	pendingMu sync.Mutex
 	pending   []durable.Entry
 
-	// digests memoizes each configuration revision's TextDigest, so the
-	// thousands of check keys a run derives against the same few revisions
-	// hash each revision body once (suite.KeyD).
+	// digests memoizes each configuration revision's TextDigest, and each
+	// spec's and requirement's body digest per pointer, so the thousands
+	// of check keys a run derives against the same few revisions and
+	// stage lists hash each body once (suite.KeyD).
 	digests *suite.Digests
 
 	// The counters are obs instruments from birth (standalone atomics);
@@ -174,7 +175,7 @@ func NewCachedVerifier(v Verifier) *CachedVerifier {
 		v = LocalVerifier{Parses: batfish.NewParseCache()}
 	}
 	c := &CachedVerifier{
-		v: v, local: local, digests: suite.NewDigests(),
+		v: v, local: local, digests: suite.NewRunDigests(),
 		hits: &obs.Counter{}, misses: &obs.Counter{},
 		prefetches: &obs.Counter{}, batchedChecks: &obs.Counter{},
 		diskHits: &obs.Counter{}, diskWrites: &obs.Counter{},

@@ -8,9 +8,12 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/batfish"
 	"repro/internal/durable"
 	"repro/internal/lightyear"
+	"repro/internal/llm"
 	"repro/internal/netcfg"
+	"repro/internal/netgen"
 	"repro/internal/suite"
 	"repro/internal/topology"
 )
@@ -361,5 +364,49 @@ func TestResultTierFirstResultWins(t *testing.T) {
 	}
 	if st := cv.Stats(); st.Misses != workers || st.Hits != 1 {
 		t.Errorf("%v, want %d misses and 1 hit", st, workers)
+	}
+}
+
+// keyCheckingVerifier is the in-process suite behind a type the dispatch
+// layer does not treat as in process, so its result tier keys every
+// check; it keys every check it is asked again, with one run memo, and
+// counts the keys that differ from suite.Key computed fresh.
+type keyCheckingVerifier struct {
+	LocalVerifier
+	d                *suite.Digests
+	checked, differs atomic.Int64
+}
+
+func (v *keyCheckingVerifier) Check(c SuiteCheck) (SuiteResult, error) {
+	v.checked.Add(1)
+	if suite.KeyD(c, v.d) != suite.Key(c) {
+		v.differs.Add(1)
+	}
+	return v.LocalVerifier.Check(c)
+}
+
+// TestRunDigestKeysMatchFreshKeys: the dispatch layer memoizes each spec's
+// and requirement's digest by pointer for the run, which holds only while
+// no stage changes a spec or requirement a check points to. On every
+// registry scenario, sequentially and on 4 lanes, every check keyed with
+// a run memo must key as suite.Key computed fresh does.
+func TestRunDigestKeysMatchFreshKeys(t *testing.T) {
+	for _, sc := range netgen.Scenarios() {
+		topo, err := sc.Generate(sc.DefaultSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, par := range []int{1, 4} {
+			v := &keyCheckingVerifier{LocalVerifier: LocalVerifier{Parses: batfish.NewParseCache()},
+				d: suite.NewRunDigests()}
+			model := llm.NewSynthesizer(llm.DefaultSynthConfig())
+			if _, err := Synthesize(topo, SynthOptions{Model: model, Verifier: v, Parallelism: par}); err != nil {
+				t.Fatalf("%s: %v", sc.Name, err)
+			}
+			if v.checked.Load() == 0 || v.differs.Load() != 0 {
+				t.Fatalf("%s, %d lanes: %d of %d memoized keys differ from suite.Key",
+					sc.Name, par, v.differs.Load(), v.checked.Load())
+			}
+		}
 	}
 }

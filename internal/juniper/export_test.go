@@ -9,3 +9,6 @@ var QuotedNameConfigs = quotedNameConfigs
 // ASPathConfigs exposes the configurations whose as-path regexes hold
 // characters Go's %q escapes.
 var ASPathConfigs = asPathConfigs
+
+// DotUnitConfigs exposes the configurations whose unit names hold a dot.
+var DotUnitConfigs = dotUnitConfigs

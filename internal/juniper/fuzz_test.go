@@ -36,6 +36,9 @@ func FuzzParse(f *testing.F) {
 	for _, s := range juniper.ASPathConfigs {
 		f.Add(s)
 	}
+	for _, s := range juniper.DotUnitConfigs {
+		f.Add(s)
+	}
 	var terms strings.Builder
 	terms.WriteString("policy-options { community C members 100:1; policy-statement p {\n")
 	for k := 300; k > 0; k-- {

@@ -115,7 +115,9 @@ func (in *interp) walkInterfaces(ifs *Node) {
 
 func (in *interp) walkUnit(phys, desc string, unit *Node) {
 	unitNo := unit.Key(1)
-	if unitNo == "" {
+	// An interface is named physical.unit, split at its last dot, so a
+	// unit name holding a dot would not read back as itself.
+	if unitNo == "" || strings.Contains(unitNo, ".") {
 		in.warn(unit, "unit requires a number")
 		unitNo = "0"
 	}

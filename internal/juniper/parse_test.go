@@ -542,3 +542,38 @@ func TestPrintASPathVerbatim(t *testing.T) {
 		}
 	}
 }
+
+// dotUnitConfigs hold a unit whose name holds a dot.
+var dotUnitConfigs = []string{
+	"interfaces{{unit .",
+	"interfaces {000000000{ unit .",
+	`interfaces { ge-0/0/0 { unit "1.2" { family inet { address 1.2.3.4/31; } } } }`,
+}
+
+// TestUnitNameWithDotWarns: an interface is named physical.unit and split
+// at its last dot, so a unit name holding a dot is refused as an empty
+// one is, with a warning, and read as unit 0. Accepted, unit . named the
+// interface _anonymous.., which printed as unit "" and read back as unit
+// 0: Print∘Parse was not a fixpoint.
+func TestUnitNameWithDotWarns(t *testing.T) {
+	for _, in := range dotUnitConfigs {
+		dev1, warns := Parse(in)
+		refused := false
+		for _, w := range warns {
+			refused = refused || w.Reason == "unit requires a number"
+		}
+		if !refused {
+			t.Errorf("Parse(%q): no unit warning in %v", in, warns)
+		}
+		for _, ifc := range dev1.Interfaces {
+			if !strings.HasSuffix(ifc.Name, ".0") {
+				t.Errorf("Parse(%q): interface %q, want unit 0", in, ifc.Name)
+			}
+		}
+		text1 := Print(dev1)
+		dev2, _ := Parse(text1)
+		if text2 := Print(dev2); text2 != text1 {
+			t.Errorf("not a fixpoint:\nfirst print:\n%s\nsecond print:\n%s", text1, text2)
+		}
+	}
+}

@@ -185,7 +185,7 @@ func stubFor(spec *topology.RouterSpec, nb topology.NeighborSpec, ispPeers int) 
 		// not of the R<i> form with i fitting an address octet, or several
 		// ISPs on one router) key the fallback prefix on the peer AS so
 		// distinct ISPs never share a stub prefix.
-		idx := indexOf(spec.Name)
+		idx := RouterIndex(spec.Name)
 		switch {
 		case s.customer:
 			s.prefixes = []netcfg.Prefix{netgen.CustomerPrefix()}

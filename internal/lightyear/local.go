@@ -73,7 +73,7 @@ func ISPAttachments(t *topology.Topology) []Attachment {
 	var out []Attachment
 	for _, ap := range t.ExternalAttachments() {
 		if !netgen.IsCustomerPeer(ap.Peer.PeerName) {
-			out = append(out, Attachment{Router: ap.Router, Index: indexOf(ap.Router), Peer: ap.Peer})
+			out = append(out, Attachment{Router: ap.Router, Index: RouterIndex(ap.Router), Peer: ap.Peer})
 		}
 	}
 	return out

@@ -153,7 +153,7 @@ func NoTransitSpec(t *topology.Topology) []Requirement {
 	var spokes []int
 	for i := range t.Routers {
 		if t.Routers[i].Name != "R1" {
-			spokes = append(spokes, indexOf(t.Routers[i].Name))
+			spokes = append(spokes, RouterIndex(t.Routers[i].Name))
 		}
 	}
 	var all []netcfg.Community
@@ -209,7 +209,9 @@ func IngressPolicyName(i int) string { return fmt.Sprintf("ADD_COMM_R%d", i) }
 // EgressPolicyName is the route map R1 applies on routes toward Ri.
 func EgressPolicyName(i int) string { return fmt.Sprintf("FILTER_COMM_OUT_R%d", i) }
 
-func indexOf(name string) int {
+// RouterIndex reads the index i of a router named Ri, or 0. The star's
+// spec and the modularizer's prompt both number a spoke by it.
+func RouterIndex(name string) int {
 	var i int
 	if _, err := fmt.Sscanf(name, "R%d", &i); err != nil {
 		return 0
@@ -481,7 +483,7 @@ func coverageCompleteStar(t *topology.Topology, reqs []Requirement) error {
 		}
 	}
 	for i := range t.Routers {
-		ri := indexOf(t.Routers[i].Name)
+		ri := RouterIndex(t.Routers[i].Name)
 		if t.Routers[i].Name == "R1" {
 			continue
 		}
@@ -490,7 +492,7 @@ func coverageCompleteStar(t *topology.Topology, reqs []Requirement) error {
 			return fmt.Errorf("no ingress requirement tags routes from R%d with %s", ri, tag)
 		}
 		for j := range t.Routers {
-			rj := indexOf(t.Routers[j].Name)
+			rj := RouterIndex(t.Routers[j].Name)
 			if t.Routers[j].Name == "R1" || ri == rj {
 				continue
 			}

@@ -98,7 +98,7 @@ var errMissingSentence = fmt.Errorf("topology description missing expected sente
 
 func (g *GlobalSynthesizer) parseTopology(content string) error {
 	g.specs = nil
-	for _, m := range reASRouter.findAll(content) {
+	for _, m := range sASRouter.findAll(content) {
 		asn, _ := strconv.ParseUint(m[2], 10, 32)
 		g.specs = append(g.specs, globalRouterSpec{name: m[1], asn: uint32(asn), routerID: m[3]})
 	}
@@ -120,10 +120,10 @@ func (g *GlobalSynthesizer) parseTopology(content string) error {
 		if spec == nil {
 			continue
 		}
-		if m := reIfc.FindStringSubmatch(line); m != nil {
+		if m := sIfc.find(line); m != nil {
 			spec.ifcs = append(spec.ifcs, struct{ name, cidr string }{m[1], m[2]})
 		}
-		if m := reNeighbor.FindStringSubmatch(line); m != nil {
+		if m := sNeighbor.find(line); m != nil {
 			asn, _ := strconv.ParseUint(m[3], 10, 32)
 			ext := strings.Contains(line, "external peer")
 			spec.nbrs = append(spec.nbrs, struct {
@@ -132,7 +132,7 @@ func (g *GlobalSynthesizer) parseTopology(content string) error {
 				ext bool
 			}{m[2], uint32(asn), ext})
 		}
-		if m := reNetworks.FindStringSubmatch(line); m != nil {
+		if m := sNetworks.find(line); m != nil {
 			spec.networks = strings.Split(m[1], ", ")
 		}
 	}

@@ -279,57 +279,15 @@ func (s *Synthesizer) ActiveErrors(router string) []SynthError {
 }
 
 var (
-	reGenerate  = regexp.MustCompile(`Generate the Cisco IOS configuration file for router (\w+)\.`)
-	reASRouter  = promptPattern{regexp.MustCompile(`Router (\w+) has AS number (\d+) and router ID ([\d.]+)\.`), " has AS number "}
-	reIfc       = promptPattern{regexp.MustCompile(`Router \w+ has interface (\S+) with IP address ([\d./]+)\.`), " has interface "}
-	reNeighbor  = promptPattern{regexp.MustCompile(`Router \w+ is connected to (?:router|external peer) (\S+) at IP address ([\d.]+) in AS (\d+)\.`), " is connected to "}
-	reNetworks  = promptPattern{regexp.MustCompile(`Router \w+ announces the networks: (.+)\.`), " announces the networks: "}
-	reIngress   = promptPattern{regexp.MustCompile(`At the ingress from \S+ \(neighbor ([\d.]+)\), apply route-map (\S+) that adds the community (\S+)`), "At the ingress from "}
-	reEgress    = promptPattern{regexp.MustCompile(`At the egress to \S+ \(neighbor ([\d.]+)\), apply route-map (\S+) that denies any route carrying any of the communities ([\d: ]+) and permits`), "At the egress to "}
 	reRouterIn  = regexp.MustCompile(`router (R\d+)`)
 	reAddPolicy = regexp.MustCompile(`Add to router R1 a new route-map (\S+) that adds the community (\S+) additively to every route received from the CUSTOMER neighbor ([\d.]+)`)
 )
-
-// A promptPattern is a regexp over the modularizer's sentences together
-// with a literal, its lead, that every match holds. No pattern can match a
-// newline (none uses \s, (?s) or a class that holds one), so each match
-// lies on one line, and a line without the lead holds none: running the
-// regexp only on the lines that hold the lead finds exactly the matches a
-// scan of the whole prompt finds, in the same order.
-type promptPattern struct {
-	*regexp.Regexp
-	lead string
-}
-
-// findAll returns what FindAllStringSubmatch(content, -1) returns.
-func (p promptPattern) findAll(content string) [][]string {
-	var out [][]string
-	for line := range strings.Lines(content) {
-		if strings.Contains(line, p.lead) {
-			out = append(out, p.FindAllStringSubmatch(line, -1)...)
-		}
-	}
-	return out
-}
-
-// find returns what FindStringSubmatch(content) returns: the leftmost
-// match, which lies on the first line that holds a match.
-func (p promptPattern) find(content string) []string {
-	for line := range strings.Lines(content) {
-		if strings.Contains(line, p.lead) {
-			if m := p.FindStringSubmatch(line); m != nil {
-				return m
-			}
-		}
-	}
-	return nil
-}
 
 // Complete implements Model.
 func (s *Synthesizer) Complete(messages []Message) (string, error) {
 	last := LastMessage(messages)
 	content := last.Content
-	if m := reGenerate.FindStringSubmatch(content); m != nil {
+	if m := sGenerate.find(content); m != nil {
 		return s.generate(messages, content, m[1])
 	}
 	if strings.Contains(content, "no-transit") && len(s.routers) == 0 {
@@ -363,7 +321,7 @@ func (s *Synthesizer) generate(messages []Message, content, router string) (stri
 	}
 	dev := netcfg.NewDevice(router, netcfg.VendorCisco)
 
-	if m := reASRouter.find(content); m != nil {
+	if m := sASRouter.find(content); m != nil {
 		asn, _ := strconv.ParseUint(m[2], 10, 32)
 		b := dev.EnsureBGP(uint32(asn))
 		if id, err := netcfg.ParseIP(m[3]); err == nil {
@@ -372,7 +330,7 @@ func (s *Synthesizer) generate(messages []Message, content, router string) (stri
 	} else {
 		return "", fmt.Errorf("prompt for %s lacks the AS/router-ID sentence", router)
 	}
-	for _, m := range reIfc.findAll(content) {
+	for _, m := range sIfc.findAll(content) {
 		addr, length, err := splitCIDR(m[2])
 		if err != nil {
 			return "", fmt.Errorf("prompt interface %q: %v", m[2], err)
@@ -381,7 +339,7 @@ func (s *Synthesizer) generate(messages []Message, content, router string) (stri
 		ifc.Address = netcfg.Prefix{Addr: addr, Len: length}
 		ifc.HasAddress = true
 	}
-	for _, m := range reNeighbor.findAll(content) {
+	for _, m := range sNeighbor.findAll(content) {
 		ip, err := netcfg.ParseIP(m[2])
 		if err != nil {
 			return "", fmt.Errorf("prompt neighbor %q: %v", m[2], err)
@@ -391,7 +349,7 @@ func (s *Synthesizer) generate(messages []Message, content, router string) (stri
 		nb.RemoteAS = uint32(asn)
 		nb.Description = m[1]
 	}
-	if m := reNetworks.find(content); m != nil {
+	if m := sNetworks.find(content); m != nil {
 		for _, p := range strings.Split(m[1], ", ") {
 			pfx, err := netcfg.ParsePrefix(strings.TrimSpace(p))
 			if err != nil {
@@ -402,7 +360,7 @@ func (s *Synthesizer) generate(messages []Message, content, router string) (stri
 	}
 
 	// Policy instructions (hub only).
-	for _, m := range reIngress.findAll(content) {
+	for _, m := range sIngress.findAll(content) {
 		ip, _ := netcfg.ParseIP(m[1])
 		comm, err := netcfg.ParseCommunity(m[3])
 		if err != nil {
@@ -419,7 +377,7 @@ func (s *Synthesizer) generate(messages []Message, content, router string) (stri
 		s.policyOwner[pol.Name] = router
 		st.ingressPols[strings.TrimPrefix(pol.Name, "ADD_COMM_")] = pol.Name
 	}
-	for _, m := range reEgress.findAll(content) {
+	for _, m := range sEgress.findAll(content) {
 		ip, _ := netcfg.ParseIP(m[1])
 		var comms []netcfg.Community
 		for _, cs := range strings.Fields(m[3]) {

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 
 	"repro/internal/batfish"
@@ -72,118 +73,203 @@ func Tasks(t *topology.Topology) []Task {
 
 // routerPrompt renders the formulaic per-router prompt. The sentences are
 // machine-generated (the paper notes hand-written topology prose is
-// error-prone, §4.1) and deliberately regular.
+// error-prone, §4.1) and deliberately regular. They are appended to one
+// builder, grown once to a bound on the prompt's length.
 func routerPrompt(t *topology.Topology, spec *topology.RouterSpec,
 	star bool, attaches []lightyear.Attachment, comms []string) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Generate the Cisco IOS configuration file for router %s.\n", spec.Name)
-	fmt.Fprintf(&b, "Router %s has AS number %d and router ID %s.\n", spec.Name, spec.ASN, spec.RouterID)
+	var mine []int
+	if !star {
+		for i := range attaches {
+			if attaches[i].Router == spec.Name {
+				mine = append(mine, i)
+			}
+		}
+	}
+	hub := star && spec.Name == "R1"
+	var spokes []int
+	var tags []string
+	if hub {
+		spokes, tags = starSpokes(t)
+	}
+	var p prompt
+	p.Grow(promptBound(spec, attaches, comms, mine, tags))
+	p.add("Generate the Cisco IOS configuration file for router ", spec.Name, ".\n")
+	p.add("Router ", spec.Name, " has AS number ")
+	p.num(int64(spec.ASN))
+	p.add(" and router ID ", spec.RouterID, ".\n")
 	for _, ifc := range spec.Interfaces {
-		fmt.Fprintf(&b, "Router %s has interface %s with IP address %s.\n",
-			spec.Name, ifc.Name, ifc.Address)
+		p.add("Router ", spec.Name, " has interface ", ifc.Name, " with IP address ", ifc.Address, ".\n")
 	}
 	for _, nb := range spec.Neighbors {
 		kind := "router"
 		if nb.External {
 			kind = "external peer"
 		}
-		fmt.Fprintf(&b, "Router %s is connected to %s %s at IP address %s in AS %d.\n",
-			spec.Name, kind, nb.PeerName, nb.PeerIP, nb.PeerAS)
+		p.add("Router ", spec.Name, " is connected to ", kind, " ", nb.PeerName, " at IP address ", nb.PeerIP, " in AS ")
+		p.num(int64(nb.PeerAS))
+		p.add(".\n")
 	}
-	fmt.Fprintf(&b, "Router %s announces the networks: %s.\n",
-		spec.Name, strings.Join(spec.Networks, ", "))
-
-	if star {
-		if spec.Name == "R1" {
-			b.WriteString(policyInstructions(t))
+	p.add("Router ", spec.Name, " announces the networks: ")
+	for i, n := range spec.Networks {
+		if i > 0 {
+			p.add(", ")
 		}
-	} else {
-		b.WriteString(attachmentPolicyInstructions(spec, attaches, comms))
+		p.add(n)
 	}
-	return b.String()
+	p.add(".\n")
+	if hub {
+		p.starPolicy(spokes, tags)
+	} else if !star {
+		p.attachmentPolicy(attaches, comms, mine)
+	}
+	return p.String()
 }
 
-// attachmentPolicyInstructions renders the local no-transit role of an ISP
-// attachment point on a non-star topology: tag at the ISP ingress, filter
-// every other attachment's tag at the ISP egress. Routers without an ISP
-// attachment have no policy role. comms is the pre-formatted community
-// string of each attachment, positionally matched to attaches.
-func attachmentPolicyInstructions(spec *topology.RouterSpec,
-	attaches []lightyear.Attachment, comms []string) string {
-	var mine []int
-	for i := range attaches {
-		if attaches[i].Router == spec.Name {
-			mine = append(mine, i)
-		}
+// A prompt is the builder the sentences are appended to, without fmt.
+type prompt struct{ strings.Builder }
+
+func (p *prompt) add(parts ...string) {
+	for _, s := range parts {
+		p.WriteString(s)
 	}
+}
+
+func (p *prompt) num(n int64) {
+	var d [20]byte
+	p.Write(strconv.AppendInt(d[:0], n, 10))
+}
+
+// Each sentence's literal text is under sentenceText bytes and each
+// number it holds under numText, so promptBound bounds a prompt's length
+// by the lengths of the strings it holds.
+const (
+	sentenceText = 128
+	numText      = 20
+)
+
+func promptBound(spec *topology.RouterSpec, attaches []lightyear.Attachment,
+	comms []string, mine []int, tags []string) int {
+	name := len(spec.Name) + sentenceText + numText
+	n := 3*name + len(spec.RouterID)
+	for _, ifc := range spec.Interfaces {
+		n += name + len(ifc.Name) + len(ifc.Address)
+	}
+	for _, nb := range spec.Neighbors {
+		n += name + len(nb.PeerName) + len(nb.PeerIP)
+	}
+	for _, s := range spec.Networks {
+		n += len(s) + 2
+	}
+	all := 0 // every community tag, each with its separator
+	for _, c := range comms {
+		all += len(c) + 1
+	}
+	for _, i := range mine {
+		a := &attaches[i]
+		n += 2*(sentenceText+len(a.Peer.PeerName)+len(a.Peer.PeerIP)+len("FILTER_COMM_OUT_")+len(a.Peer.PeerName)) + all
+	}
+	all = 0
+	for _, c := range tags {
+		all += len(c) + 1
+	}
+	n += len(tags) * (2*(sentenceText+3*numText) + all)
+	return n
+}
+
+// attachmentPolicy appends the local no-transit role of an ISP attachment
+// point on a non-star topology: tag at the ISP ingress, filter every other
+// attachment's tag at the ISP egress. mine indexes this router's
+// attachments; a router without one has no policy role. comms is the
+// pre-formatted community string of each attachment, positionally matched
+// to attaches.
+func (p *prompt) attachmentPolicy(attaches []lightyear.Attachment, comms []string, mine []int) {
 	if len(mine) == 0 {
-		return ""
+		return
 	}
-	var b strings.Builder
-	b.WriteString("Policy instructions:\n")
+	p.add("Policy instructions:\n")
 	for _, mi := range mine {
-		a := attaches[mi]
-		fmt.Fprintf(&b, "At the ingress from %s (neighbor %s), apply route-map %s "+
-			"that adds the community %s to every incoming route.\n",
-			a.Peer.PeerName, a.Peer.PeerIP, a.IngressPolicy(), comms[mi])
+		a := &attaches[mi]
+		p.add("At the ingress from ", a.Peer.PeerName, " (neighbor ", a.Peer.PeerIP,
+			"), apply route-map ", a.IngressPolicy(), " that adds the community ", comms[mi],
+			" to every incoming route.\n")
 	}
 	for _, mi := range mine {
-		a := attaches[mi]
-		others := make([]string, 0, len(attaches)-1)
+		a := &attaches[mi]
+		first := true
 		for j := range attaches {
 			o := &attaches[j]
 			if o.Router == a.Router && o.Peer.PeerName == a.Peer.PeerName {
 				continue
 			}
-			others = append(others, comms[j])
+			if first {
+				p.add("At the egress to ", a.Peer.PeerName, " (neighbor ", a.Peer.PeerIP,
+					"), apply route-map ", a.EgressPolicy(),
+					" that denies any route carrying any of the communities ")
+				first = false
+			} else {
+				p.add(" ")
+			}
+			p.add(comms[j])
 		}
-		if len(others) == 0 {
-			continue
+		if !first {
+			p.add(" and permits all other routes.\n")
 		}
-		fmt.Fprintf(&b, "At the egress to %s (neighbor %s), apply route-map %s "+
-			"that denies any route carrying any of the communities %s and permits all other routes.\n",
-			a.Peer.PeerName, a.Peer.PeerIP, a.EgressPolicy(), strings.Join(others, " "))
 	}
-	return b.String()
 }
 
-// policyInstructions renders R1's local no-transit role: per-ISP ingress
-// tagging and egress filtering, phrased with the paper's route-map names.
-func policyInstructions(t *topology.Topology) string {
+// starSpokes returns the star's spoke indexes, read from their names as
+// the star's spec reads them, and each spoke's community tag. Each tag
+// appears in every other spoke's egress sentence; it is formatted once
+// instead of once per appearance.
+func starSpokes(t *topology.Topology) ([]int, []string) {
 	var spokes []int
 	for i := range t.Routers {
-		if t.Routers[i].Name == "R1" {
-			continue
+		if t.Routers[i].Name != "R1" {
+			spokes = append(spokes, lightyear.RouterIndex(t.Routers[i].Name))
 		}
-		var n int
-		fmt.Sscanf(t.Routers[i].Name, "R%d", &n)
-		spokes = append(spokes, n)
 	}
-	// Each spoke's community tag appears in every other spoke's egress
-	// sentence; format the tags once instead of once per appearance.
 	tags := make([]string, len(spokes))
 	for k, i := range spokes {
 		tags[k] = netgen.ISPCommunity(i).String()
 	}
-	var b strings.Builder
-	b.WriteString("Policy instructions:\n")
+	return spokes, tags
+}
+
+// starPolicy appends R1's local no-transit role on the star: per-ISP
+// ingress tagging and egress filtering, phrased with the paper's
+// route-map names.
+func (p *prompt) starPolicy(spokes []int, tags []string) {
+	p.add("Policy instructions:\n")
 	for k, i := range spokes {
-		fmt.Fprintf(&b, "At the ingress from R%d (neighbor %d.0.0.2), apply route-map %s "+
-			"that adds the community %s to every incoming route.\n",
-			i, i, lightyear.IngressPolicyName(i), tags[k])
+		p.add("At the ingress from R")
+		p.num(int64(i))
+		p.add(" (neighbor ")
+		p.num(int64(i))
+		p.add(".0.0.2), apply route-map ADD_COMM_R")
+		p.num(int64(i))
+		p.add(" that adds the community ", tags[k], " to every incoming route.\n")
 	}
 	for _, i := range spokes {
-		others := make([]string, 0, len(spokes)-1)
+		p.add("At the egress to R")
+		p.num(int64(i))
+		p.add(" (neighbor ")
+		p.num(int64(i))
+		p.add(".0.0.2), apply route-map FILTER_COMM_OUT_R")
+		p.num(int64(i))
+		p.add(" that denies any route carrying any of the communities ")
+		first := true
 		for j, n := range spokes {
-			if n != i {
-				others = append(others, tags[j])
+			if n == i {
+				continue
 			}
+			if !first {
+				p.add(" ")
+			}
+			first = false
+			p.add(tags[j])
 		}
-		fmt.Fprintf(&b, "At the egress to R%d (neighbor %d.0.0.2), apply route-map %s "+
-			"that denies any route carrying any of the communities %s and permits all other routes.\n",
-			i, i, lightyear.EgressPolicyName(i), strings.Join(others, " "))
+		p.add(" and permits all other routes.\n")
 	}
-	return b.String()
 }
 
 // GlobalPrompt renders the single network-wide prompt used by the paper's

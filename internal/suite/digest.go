@@ -3,6 +3,7 @@ package suite
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"sync"
 )
 
@@ -16,16 +17,31 @@ func TextDigest(text string) string {
 
 // Digests memoizes TextDigest per distinct text, so a configuration
 // revision is hashed once no matter how many check keys and routings
-// consult it. Safe for concurrent use. A nil *Digests is valid everywhere
-// one is accepted and simply computes without memoizing.
+// consult it, and, when built by NewRunDigests, each spec's and
+// requirement's body digest per pointer. Safe for concurrent use. A nil
+// *Digests is valid everywhere one is accepted and simply computes
+// without memoizing.
 type Digests struct {
 	mu sync.RWMutex
 	m  map[string]string
+	// bodies memoizes bodyDigest per *topology.RouterSpec or
+	// *lightyear.Requirement; nil when the memo is not per run.
+	bodies map[any]string
 }
 
-// NewDigests returns an empty memo.
+// NewDigests returns an empty memo of text digests. It memoizes no body
+// digest, so it may outlive the checks it keys: a server that decodes
+// new spec and requirement pointers with every request keeps one.
 func NewDigests() *Digests {
 	return &Digests{m: map[string]string{}}
+}
+
+// NewRunDigests returns an empty memo that also memoizes each spec's and
+// requirement's body digest by pointer. It is for one run, whose stages
+// build their specs and requirements once and never change one a check
+// points to, and it grows with the pointers the run's checks hold.
+func NewRunDigests() *Digests {
+	return &Digests{m: map[string]string{}, bodies: map[any]string{}}
 }
 
 // Of returns the memoized TextDigest of the text.
@@ -44,6 +60,31 @@ func (d *Digests) Of(text string) string {
 	d.m[text] = v
 	d.mu.Unlock()
 	return v
+}
+
+// body returns the digest of a spec or requirement, the hex SHA-256 of
+// its JSON encoding (a stable serialization), memoized per pointer when
+// the memo is per run.
+func (d *Digests) body(ptr any) string {
+	if d == nil || d.bodies == nil {
+		return bodyDigest(ptr)
+	}
+	d.mu.RLock()
+	v, ok := d.bodies[ptr]
+	d.mu.RUnlock()
+	if ok {
+		return v
+	}
+	v = bodyDigest(ptr)
+	d.mu.Lock()
+	d.bodies[ptr] = v
+	d.mu.Unlock()
+	return v
+}
+
+func bodyDigest(ptr any) string {
+	b, _ := json.Marshal(ptr)
+	return TextDigest(string(b))
 }
 
 // Len reports how many distinct texts have been digested.

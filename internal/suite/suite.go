@@ -12,7 +12,6 @@ package suite
 import (
 	"context"
 	"crypto/sha256"
-	"encoding/json"
 	"errors"
 
 	"repro/internal/campion"
@@ -80,19 +79,25 @@ func (r *Result) Validate() error {
 // runs — it is the memoization key of the engine's in-memory cache, the
 // entry name of the shared disk cache, and the identity batfishd shards
 // cache under, and it must stay in lockstep for all three. Local-policy
-// keys hash the full requirement JSON, which includes the per-attachment
-// identity (lightyear.Requirement.Attachment) — two obligations that
-// differ only in which attachment of a dual-homed router they constrain
-// memoize independently, and each attachment is its own unit of
-// incremental re-verification.
+// keys hash the digest of the requirement's JSON, which includes the
+// per-attachment identity (lightyear.Requirement.Attachment) — two
+// obligations that differ only in which attachment of a dual-homed router
+// they constrain memoize independently, and each attachment is its own
+// unit of incremental re-verification.
 func Key(c Check) [sha256.Size]byte { return KeyD(c, nil) }
 
 // KeyD is Key with a digest memo: the configuration bodies enter the hash
 // through their per-revision TextDigest instead of their full text, so a
 // run that derives thousands of check keys against the same few revisions
-// hashes each revision once. The key layout is shared by every client and
-// server in lockstep (they are the same binary); only warm cache entries
-// keyed under an older layout go cold.
+// hashes each revision once, and the spec and requirement through the
+// digest of their JSON, which a per-run memo (NewRunDigests) computes
+// once per spec or requirement. The key is the SHA-256 of the kind, 0,
+// the config's digest, 0, the original's digest, then 0 and the spec's
+// body digest when there is a spec, and 1 and the requirement's when
+// there is one. The layout is shared by every client and server in
+// lockstep (they are the same binary); only warm cache entries keyed
+// under an older layout go cold: those that hashed the spec's or
+// requirement's JSON itself did when the body digests replaced it.
 func KeyD(c Check, d *Digests) [sha256.Size]byte {
 	h := sha256.New()
 	h.Write([]byte(c.Kind))
@@ -101,15 +106,12 @@ func KeyD(c Check, d *Digests) [sha256.Size]byte {
 	h.Write([]byte{0})
 	h.Write([]byte(d.Of(c.Original)))
 	if c.Spec != nil {
-		// The JSON encoding is a stable serialization of the spec.
-		b, _ := json.Marshal(c.Spec)
 		h.Write([]byte{0})
-		h.Write(b)
+		h.Write([]byte(d.body(c.Spec)))
 	}
 	if c.Req != nil {
-		b, _ := json.Marshal(c.Req)
 		h.Write([]byte{1})
-		h.Write(b)
+		h.Write([]byte(d.body(c.Req)))
 	}
 	var key [sha256.Size]byte
 	h.Sum(key[:0])

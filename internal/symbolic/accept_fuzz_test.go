@@ -28,13 +28,14 @@ const maxAcceptFuzzConfig = 16 << 10
 // sampled from these classes, so an equal-but-differently-split result
 // would still change what the verifier reports. The seeds are
 // FuzzSearchPolicy's, a 73-clause egress map, the shape the repair loop
-// gives every ISP attachment of random:75, and mixedGuards.
+// gives every ISP attachment of random:75, mixedGuards and denyRuns.
 func FuzzAcceptRegions(f *testing.F) {
 	f.Add(exampledata.CiscoExample)
 	src, _ := cisco.Parse(exampledata.CiscoExample)
 	f.Add(juniper.Print(translate.Golden(src)))
 	f.Add(egressMapConfig(73))
 	f.Add(mixedGuards)
+	f.Add(denyRuns)
 	seeds, err := fuzz.ParserSeeds()
 	if err != nil {
 		f.Fatal(err)
@@ -112,6 +113,39 @@ route-map MIXED permit 60
 route-map MIXED permit 70
  match community 2
  match source-protocol static
+!
+`
+
+// denyRuns is a route-map whose runs of one-community deny clauses meet
+// a class that requires one of their communities (left by clause 10),
+// a community the run names twice (20, 40), a community-literal guard
+// (30), a run cut by a prefix-list clause (50) and a run after the last
+// permit (80, 90).
+const denyRuns = `hostname R1
+!
+ip prefix-list NETS seq 5 permit 10.0.0.0/8 le 24
+ip community-list 1 permit 100:1
+ip community-list 2 deny 100:1
+ip community-list 2 permit 101:1
+ip community-list 3 permit 102:1
+!
+route-map RUNS deny 10
+ match community 2
+route-map RUNS deny 20
+ match community 1
+route-map RUNS deny 30
+ match community 102:1
+route-map RUNS deny 40
+ match community 1
+route-map RUNS deny 50
+ match ip address prefix-list NETS
+route-map RUNS deny 60
+ match community 3
+route-map RUNS permit 70
+route-map RUNS deny 80
+ match community 3
+route-map RUNS deny 90
+ match community 1
 !
 `
 

@@ -34,20 +34,7 @@ func ForbidComm(c netcfg.Community) CommCond {
 // Consistent reports whether the condition is satisfiable: no community is
 // both required and forbidden. It is one merge-style scan of the two
 // sorted slices.
-func (c CommCond) Consistent() bool {
-	i, j := 0, 0
-	for i < len(c.Req) && j < len(c.Forbid) {
-		switch {
-		case c.Req[i] < c.Forbid[j]:
-			i++
-		case c.Req[i] > c.Forbid[j]:
-			j++
-		default:
-			return false
-		}
-	}
-	return true
-}
+func (c CommCond) Consistent() bool { return !intersects(c.Req, c.Forbid) }
 
 // And conjoins two conditions; ok=false when the result is unsatisfiable.
 func (c CommCond) And(d CommCond) (CommCond, bool) {

@@ -102,20 +102,40 @@ type Region struct {
 //
 // It is the route-map compile behind batfish.SearchRoutePolicies, run once
 // per route-map of a revision. Only a permit clause is intersected with
-// what remains; every clause is subtracted from it. On the egress maps of
-// the repair loop (one deny stanza per other ISP community, then a
-// permit) what remains is one class, and subtracting a community match
-// from it costs a constant number of allocations: the class's forbidden
-// communities are copied once, one longer. The regions are exact, not
-// simplified: witnesses are sampled from them.
+// what remains; every clause is subtracted from it. A run of deny clauses
+// whose guard is one community, over every prefix and every protocol, is
+// folded: subtracting such a guard drops a class that requires the
+// community and otherwise adds it to the class's forbidden list, so the
+// whole run drops the classes requiring any of its communities and merges
+// the run's sorted communities into each other class's list once. On the
+// egress maps of the repair loop (one deny stanza per other ISP
+// community, then a permit) what remains is one class, and the run costs
+// one sort and one merge rather than a copy of the list per clause. The
+// regions are exact, not simplified: witnesses are sampled from them.
 func AcceptRegions(p *netcfg.RoutePolicy, env netcfg.PolicyEnv) []Region {
 	if p == nil {
 		return []Region{{Space: FullSpace(), ClauseSeq: -1}}
 	}
 	remaining := FullSpace()
 	var out []Region
+	var run []netcfg.Community // the communities of the deny run not yet folded
 	for _, cl := range p.Clauses {
 		guard := ClauseGuard(cl, env)
+		if cl.Action == netcfg.Deny {
+			if c, ok := soleCommunity(guard); ok {
+				run = append(run, c)
+				continue
+			}
+		}
+		if run != nil {
+			remaining = remaining.forbid(run)
+			// The folded classes share run's array, so it is never
+			// appended to again.
+			run = nil
+			if remaining.Empty() {
+				break
+			}
+		}
 		if cl.Action == netcfg.Permit {
 			if reached := remaining.Intersect(guard); !reached.Empty() {
 				out = append(out, Region{Space: reached, ClauseSeq: cl.Seq, Sets: cl.Sets})
@@ -126,7 +146,55 @@ func AcceptRegions(p *netcfg.RoutePolicy, env netcfg.PolicyEnv) []Region {
 			break
 		}
 	}
+	// A deny run after the last other clause reaches no permit clause.
 	return out
+}
+
+// soleCommunity reports whether a guard matches exactly the routes
+// carrying one community, whatever their prefix and protocol.
+func soleCommunity(guard Space) (netcfg.Community, bool) {
+	if len(guard) != 1 {
+		return 0, false
+	}
+	g := guard[0]
+	if len(g.Comms.Req) != 1 || len(g.Comms.Forbid) != 0 || g.Protos != MaskAll || !g.Prefixes.full() {
+		return 0, false
+	}
+	return g.Comms.Req[0], true
+}
+
+// forbid returns s minus every route carrying one of the communities:
+// s.Subtract of each community's guard in turn, in one pass. A class
+// requiring one of them is dropped, and every other class forbids them
+// all. comms is sorted here and shared by the classes it is merged into.
+func (s Space) forbid(comms []netcfg.Community) Space {
+	slices.Sort(comms)
+	comms = slices.Compact(comms)
+	out := make(Space, 0, len(s))
+	for _, c := range s {
+		if c.Empty() || intersects(c.Comms.Req, comms) {
+			continue
+		}
+		c.Comms.Forbid = mergeComms(c.Comms.Forbid, comms)
+		out = append(out, c)
+	}
+	return out
+}
+
+// intersects reports whether two sorted slices share an element.
+func intersects(a, b []netcfg.Community) bool {
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] < b[j]:
+			i++
+		case a[i] > b[j]:
+			j++
+		default:
+			return true
+		}
+	}
+	return false
 }
 
 // AcceptSpace returns the union of all accept regions of a policy.

@@ -1,7 +1,10 @@
 package topology
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
+	"strings"
 
 	"repro/internal/netcfg"
 )
@@ -22,6 +25,11 @@ func (f Finding) String() string { return f.Router + ": " + f.Issue }
 // address mismatches, local-AS mismatch, router-ID mismatch, undeclared
 // neighbors, undeclared networks, networks not directly connected, and
 // neighbors that should not exist.
+//
+// Each spec string is parsed once per call, and every membership test, on
+// the spec's side and on the device's, is a binary search of a sorted
+// copy, so a router is checked in O(n log n) of its own spec and
+// configuration. The first of equal keys wins, as in a scan in order.
 func Verify(spec *RouterSpec, dev *netcfg.Device) []Finding {
 	var out []Finding
 	add := func(format string, args ...interface{}) {
@@ -29,19 +37,23 @@ func Verify(spec *RouterSpec, dev *netcfg.Device) []Finding {
 	}
 
 	// 1. Interfaces and addresses.
+	ifcs := slices.Clone(dev.Interfaces)
+	slices.SortStableFunc(ifcs, func(a, b *netcfg.Interface) int { return strings.Compare(a.Name, b.Name) })
 	for _, ifcSpec := range spec.Interfaces {
 		wantAddr, wantLen, err := hostAddr(ifcSpec.Address)
 		if err != nil {
 			add("topology spec for interface %s is invalid: %v", ifcSpec.Name, err)
 			continue
 		}
-		ifc := dev.Interface(ifcSpec.Name)
-		if ifc == nil || !ifc.HasAddress {
+		i, ok := slices.BinarySearchFunc(ifcs, ifcSpec.Name, func(ifc *netcfg.Interface, name string) int {
+			return strings.Compare(ifc.Name, name)
+		})
+		if !ok || !ifcs[i].HasAddress {
 			add("Interface %s with IP address %s not configured", ifcSpec.Name,
 				netcfg.FormatIP(wantAddr))
 			continue
 		}
-		if ifc.Address.Addr != wantAddr || ifc.Address.Len != wantLen {
+		if ifc := ifcs[i]; ifc.Address.Addr != wantAddr || ifc.Address.Len != wantLen {
 			add("Interface %s ip address does not match with given config. Expected %s, found %s",
 				ifcSpec.Name, netcfg.FormatIP(wantAddr), netcfg.FormatIP(ifc.Address.Addr))
 		}
@@ -64,39 +76,50 @@ func Verify(spec *RouterSpec, dev *netcfg.Device) []Finding {
 	}
 
 	// 4. Required neighbors declared.
+	nbrs := slices.Clone(dev.BGP.Neighbors)
+	slices.SortStableFunc(nbrs, func(a, b *netcfg.BGPNeighbor) int { return cmp.Compare(a.Addr, b.Addr) })
+	specNbrs := make([]uint32, 0, len(spec.Neighbors))
 	for _, nb := range spec.Neighbors {
 		peerIP, err := netcfg.ParseIP(nb.PeerIP)
 		if err != nil {
 			add("topology spec for neighbor %s is invalid: %v", nb.PeerName, err)
 			continue
 		}
-		got := dev.BGP.Neighbor(peerIP)
-		if got == nil {
+		specNbrs = append(specNbrs, peerIP)
+		i, ok := slices.BinarySearchFunc(nbrs, peerIP, func(n *netcfg.BGPNeighbor, addr uint32) int {
+			return cmp.Compare(n.Addr, addr)
+		})
+		if !ok {
 			add("Neighbor with IP address %s and AS %d not declared", nb.PeerIP, nb.PeerAS)
 			continue
 		}
-		if got.RemoteAS != nb.PeerAS {
+		if got := nbrs[i]; got.RemoteAS != nb.PeerAS {
 			add("Neighbor with IP address %s has wrong AS. Expected %d, found %d",
 				nb.PeerIP, nb.PeerAS, got.RemoteAS)
 		}
 	}
 
 	// 5. Required networks declared; 6. declared networks must be directly
-	// connected.
-	connected, connErr := spec.ConnectedPrefixes()
+	// connected, or be spec networks.
+	declared := slices.Clone(dev.BGP.Networks)
+	slices.SortFunc(declared, comparePrefix)
+	allowed := make([]netcfg.Prefix, 0, len(spec.Networks)+len(spec.Interfaces))
 	for _, netStr := range spec.Networks {
 		want, err := netcfg.ParsePrefix(netStr)
 		if err != nil {
 			add("topology spec network %q is invalid: %v", netStr, err)
 			continue
 		}
-		if !dev.BGP.HasNetwork(want) {
+		allowed = append(allowed, want)
+		if _, ok := slices.BinarySearchFunc(declared, want, comparePrefix); !ok {
 			add("Network %s not declared", want)
 		}
 	}
-	if connErr == nil {
+	if connected, err := spec.ConnectedPrefixes(); err == nil {
+		allowed = append(allowed, connected...)
+		slices.SortFunc(allowed, comparePrefix)
 		for _, got := range dev.BGP.Networks {
-			if !isSpecNetwork(spec, got) && !isConnected(connected, got) {
+			if _, ok := slices.BinarySearchFunc(allowed, got, comparePrefix); !ok {
 				add("Incorrect network declaration. %s is not directly connected to %s",
 					got, spec.Name)
 			}
@@ -104,13 +127,21 @@ func Verify(spec *RouterSpec, dev *netcfg.Device) []Finding {
 	}
 
 	// 7. Extra neighbors.
+	slices.Sort(specNbrs)
 	for _, got := range dev.BGP.Neighbors {
-		if !isSpecNeighbor(spec, got.Addr) {
+		if _, ok := slices.BinarySearch(specNbrs, got.Addr); !ok {
 			add("Incorrect neighbor declaration. No neighbor with IP address %s AS %d found",
 				netcfg.FormatIP(got.Addr), got.RemoteAS)
 		}
 	}
 	return out
+}
+
+func comparePrefix(a, b netcfg.Prefix) int {
+	if c := cmp.Compare(a.Addr, b.Addr); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Len, b.Len)
 }
 
 // VerifyAll verifies every router of a topology against a set of parsed
@@ -127,31 +158,4 @@ func VerifyAll(t *Topology, devs map[string]*netcfg.Device) []Finding {
 		out = append(out, Verify(spec, dev)...)
 	}
 	return out
-}
-
-func isSpecNetwork(spec *RouterSpec, p netcfg.Prefix) bool {
-	for _, n := range spec.Networks {
-		if want, err := netcfg.ParsePrefix(n); err == nil && want == p {
-			return true
-		}
-	}
-	return false
-}
-
-func isConnected(connected []netcfg.Prefix, p netcfg.Prefix) bool {
-	for _, c := range connected {
-		if c == p {
-			return true
-		}
-	}
-	return false
-}
-
-func isSpecNeighbor(spec *RouterSpec, addr uint32) bool {
-	for _, nb := range spec.Neighbors {
-		if ip, err := netcfg.ParseIP(nb.PeerIP); err == nil && ip == addr {
-			return true
-		}
-	}
-	return false
 }

@@ -109,3 +109,24 @@ func TestGoldenTranslatesGeToRouteFilter(t *testing.T) {
 		t.Errorf("route-filter range = /%d-/%d, want /24-/32", rf.MinLen, rf.MaxLen)
 	}
 }
+
+// TestQuotedASPathRoundTrip follows a Cisco match as-path holding a quote
+// down the whole translation path: cisco.Parse refuses it with a warning,
+// so the translation prints no as-path that the Junos lexer would cut at
+// the quote. Accepted, a"b printed as as-path "a"b"; and read back as a,
+// with two warnings.
+func TestQuotedASPathRoundTrip(t *testing.T) {
+	src, warns := cisco.Parse("router bgp 1\n neighbor 1.2.3.4 remote-as 2\n neighbor 1.2.3.4 route-map M out\n!\n" +
+		"route-map M permit 10\n match as-path a\"b\n!\n")
+	if len(warns) != 1 {
+		t.Fatalf("cisco warnings = %v, want one on the as-path match", warns)
+	}
+	text := juniper.Print(Golden(src))
+	dev, jwarns := juniper.Parse(text)
+	if len(jwarns) != 0 {
+		t.Fatalf("juniper warnings %v reading back:\n%s", jwarns, text)
+	}
+	if again := juniper.Print(dev); again != text {
+		t.Fatalf("not a fixpoint:\nfirst print:\n%s\nsecond print:\n%s", text, again)
+	}
+}
