@@ -34,8 +34,8 @@ type TranslateOptions struct {
 	// CacheDir mounts a durable disk tier under the verification results:
 	// each repair iteration's new results are written as one pack, so they
 	// persist across process restarts, shared by every run — translation
-	// or synthesis — pointed at the same directory. An unusable directory
-	// is an error.
+	// or synthesis — pointed at the same directory, in process or over
+	// batfishd endpoints. An unusable directory is an error.
 	CacheDir string
 	// CheckpointPath turns on crash checkpoints: the repair loop snapshots
 	// its progress to this file (atomically) every iteration. With Resume,
@@ -127,14 +127,6 @@ type SynthesizeOptions struct {
 	// that converge (iteration caps and human give-ups are scoped per
 	// router in parallel, per run sequentially).
 	Parallelism int
-	// SuiteParallelism bounds the worker pool for the independent checks
-	// inside one pipeline iteration (per-router syntax/topology scans and
-	// per-requirement policy checks). The lowest topology-order finding
-	// wins deterministically, so transcripts are byte-identical to the
-	// sequential scan; values <= 1 scan sequentially. This is the lever
-	// that speeds up the star hub, where all repair concentrates on one
-	// router.
-	SuiteParallelism int
 	// ErrorPlan replaces the simulated LLM's default error scenario with
 	// an attachment-keyed injection plan (see internal/fuzz): which error
 	// classes fire at which (router, external-neighbor, direction) site.
@@ -145,9 +137,10 @@ type SynthesizeOptions struct {
 	// CacheDir mounts a durable disk tier under the verification results:
 	// each repair iteration's new results are written as one pack, so they
 	// persist across process restarts, shared by every run pointed at the
-	// same directory (including concurrent cosynth/cofuzz processes and
-	// batfishd shards mounting it with -cache-dir, which see them at their
-	// own next write). An unusable directory is an error.
+	// same directory (concurrent cosynth and cofuzz processes see them at
+	// their own next write). A run over batfishd endpoints asks them only
+	// for the checks the directory lacks. An unusable directory is an
+	// error.
 	CacheDir string
 	// CheckpointPath turns on crash checkpoints: sequential runs snapshot
 	// the repair loop every iteration, parallel runs snapshot after every
@@ -180,13 +173,12 @@ func Synthesize(topo *topology.Topology, opts SynthesizeOptions) (*Result, error
 	}
 	cfg.Plan = opts.ErrorPlan
 	copts := core.SynthOptions{
-		Model:            llm.NewSynthesizer(cfg),
-		Verifier:         opts.Verifier,
-		NoIIP:            opts.DisableIIP,
-		Parallelism:      opts.Parallelism,
-		SuiteParallelism: opts.SuiteParallelism,
-		Metrics:          opts.Metrics,
-		Trace:            opts.Trace,
+		Model:       llm.NewSynthesizer(cfg),
+		Verifier:    opts.Verifier,
+		NoIIP:       opts.DisableIIP,
+		Parallelism: opts.Parallelism,
+		Metrics:     opts.Metrics,
+		Trace:       opts.Trace,
 	}
 	if opts.CacheDir != "" {
 		d, err := durable.Open(opts.CacheDir, durable.Options{})

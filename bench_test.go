@@ -734,7 +734,7 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 	_ = topo
 	var offNS, onNS, scrapedNS int64
 	for i := 0; i < b.N; i++ {
-		base, offD := run(SynthesizeOptions{SuiteParallelism: 8})
+		base, offD := run(SynthesizeOptions{})
 		offNS += int64(offD)
 
 		reg := obs.NewRegistry()
@@ -742,7 +742,7 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		traced, onD := run(SynthesizeOptions{SuiteParallelism: 8, Metrics: reg, Trace: tracer})
+		traced, onD := run(SynthesizeOptions{Metrics: reg, Trace: tracer})
 		if err := tracer.Close(); err != nil {
 			b.Fatal(err)
 		}
@@ -778,7 +778,7 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 				}
 			}
 		}()
-		scraped, scD := run(SynthesizeOptions{SuiteParallelism: 8, Metrics: reg2, Trace: tracer2})
+		scraped, scD := run(SynthesizeOptions{Metrics: reg2, Trace: tracer2})
 		close(stop)
 		<-done
 		msrv.Close()

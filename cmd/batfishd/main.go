@@ -14,7 +14,7 @@
 //	POST /v1/search     SearchRoutePolicies
 //	GET  /v1/health     liveness and the protocol version
 //	GET  /metrics       Prometheus text exposition of the request, batch,
-//	                    parse, and durable-cache counters
+//	                    and parse counters
 //	GET  /debug/vars    the same registry as a JSON snapshot
 //
 // A client on another version is refused with HTTP 400 naming both
@@ -28,10 +28,11 @@
 // "spec_ref" and "req_ref" among them), gets HTTP 400 naming it.
 //
 // Batched checks and no-transit checks parse through one parse cache
-// shared across requests, and -cache-dir mounts a durable result cache
-// beneath the batched checks. A batch's checks are evaluated on
-// GOMAXPROCS workers; set Go's GOMAXPROCS environment variable to change
-// the count.
+// shared across requests; nothing else outlives a request, so a restarted
+// daemon answers exactly as before. A client that keeps results across
+// restarts mounts its own disk tier (cosynth -cache-dir). A batch's
+// checks are evaluated on GOMAXPROCS workers; set Go's GOMAXPROCS
+// environment variable to change the count.
 package main
 
 import (
@@ -43,34 +44,16 @@ import (
 
 	"repro/internal/batfish"
 	"repro/internal/batfish/rest"
-	"repro/internal/durable"
 	"repro/internal/obs"
 )
 
 func main() {
 	addr := flag.String("addr", "localhost:9876", "listen address")
-	cacheDir := flag.String("cache-dir", "",
-		"mount a durable verification-result cache at this directory: batched checks are "+
-			"answered from disk when content-addressed entries exist, and each request's computed "+
-			"results are persisted as one pack, so restarts (and fleets sharing the directory) stay warm")
 	flag.Parse()
 
 	reg := obs.NewRegistry()
 	opts := rest.HandlerOptions{Metrics: reg, Parses: batfish.NewParseCache()}
 	opts.Parses.SetObs(reg, nil)
-	if *cacheDir != "" {
-		d, err := durable.Open(*cacheDir, durable.Options{})
-		if err != nil {
-			// An unusable cache directory (a newer on-disk format, a
-			// permission problem) degrades the daemon to uncached serving:
-			// the cache is an optimization, not a correctness dependency.
-			log.Printf("batfishd: durable cache disabled: %v", err)
-		} else {
-			opts.Durable = d
-			d.SetMetrics(reg)
-			log.Printf("batfishd: durable result cache mounted at %s", d.Dir())
-		}
-	}
 	srv := &http.Server{
 		Addr:              *addr,
 		Handler:           rest.NewHandlerOpts(opts),

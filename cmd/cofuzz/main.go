@@ -123,7 +123,7 @@ func main() {
 		"resume the campaign recorded at -checkpoint, reusing its completed case results and running only the remainder")
 	cacheDir := flag.String("cache-dir", "",
 		"durable verification-cache directory, written one pack per repair iteration and shared across "+
-			"campaign restarts and with cosynth/batfishd runs")
+			"campaign restarts and with cosynth runs")
 	shards := flag.Int("shards", 0, "spawn N in-process shard servers and fan each case's checks over them")
 	var restEndpoints string
 	flag.StringVar(&restEndpoints, "rest", "",
@@ -191,11 +191,9 @@ func main() {
 		}
 	}
 	for i := 0; i < *shards; i++ {
-		// In-process shards mirror cosynth's: a shared parse cache, and no
-		// durable tier. The campaign's engine mounts -cache-dir and answers
-		// every disk-resident check before a request reaches a shard, so a
-		// shard tier on the same cache would write each result a second
-		// time, into another pack.
+		// In-process shards mirror cosynth's: a shared parse cache. The
+		// campaign's engine mounts -cache-dir, so a check found there never
+		// reaches a shard.
 		ln, lerr := net.Listen("tcp", "127.0.0.1:0")
 		if lerr != nil {
 			log.Fatalf("cofuzz: -shards: %v", lerr)

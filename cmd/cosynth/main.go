@@ -6,7 +6,6 @@
 //	cosynth -mode notransit -n 7
 //	cosynth -mode notransit -topo ring -n 8 -parallel 4
 //	cosynth -mode notransit -topo dual-homed:8        # per-attachment specs
-//	cosynth -mode notransit -topo random:20 -suite-parallel 8
 //	cosynth -mode translate -rest http://localhost:9876       # via batfishd
 //	cosynth -mode notransit -rest http://h1:9876,http://h2:9876 -rest http://h3:9876
 //	cosynth -mode notransit -topo fat-tree:4 -shards 3        # in-process shard fleet
@@ -41,11 +40,14 @@
 // endpoint stops answering fails with an error naming it.
 //
 // Verification re-checks the drafts after every prompt, as the paper's
-// loop does. In process each check is evaluated on its revision's parse,
+// loop does, scanning each stage's checks in order up to the first
+// finding. In process each check is evaluated on its revision's parse,
 // which is made once per run, and the closing "cache:" line counts every
 // check as a miss. Over -rest endpoints, or with -cache-dir, results are
 // also memoized by check: the "cache:" line then counts hits, and
-// -cache-dir persists the results across runs ("disk tier: N hits").
+// -cache-dir persists the results across runs ("disk tier: N hits"). A
+// check the directory holds is never sent to an endpoint, so a warm run
+// over restarted batfishd daemons sends them no batch.
 //
 // Observability: -metrics-addr serves the run's metrics registry over
 // HTTP (GET /metrics Prometheus text, GET /debug/vars JSON) for the
@@ -96,7 +98,6 @@ func main() {
 	topoName := flag.String("topo", "star", "topology scenario for -mode notransit, as name[:size] (e.g. dual-homed:8)")
 	n := flag.Int("n", 0, "topology size for -mode notransit (routers, or pod arity for fat-tree); 0 = scenario default; a :size in -topo wins")
 	parallel := flag.Int("parallel", 0, "per-router repair workers for -mode notransit (<=1: sequential)")
-	suiteParallel := flag.Int("suite-parallel", 0, "per-iteration verifier-suite workers (<=1: sequential scan)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	blockProfile := flag.String("blockprofile", "", "write a goroutine blocking profile to this file on exit")
@@ -272,7 +273,7 @@ func main() {
 		}
 		res, err = repro.Synthesize(topo, repro.SynthesizeOptions{
 			Seed: *seed, Verifier: verifier, Parallelism: *parallel,
-			SuiteParallelism: *suiteParallel, ErrorPlan: plan, CacheDir: *cacheDir,
+			ErrorPlan: plan, CacheDir: *cacheDir,
 			CheckpointPath: *checkpointPath, Resume: *resume,
 			Metrics: reg, Trace: tracer})
 	default:

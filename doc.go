@@ -118,17 +118,6 @@
 // loop on random error plans, over REST and on a cold and a warm disk
 // tier).
 //
-// Concurrent suite. Within one pipeline iteration, a stage's per-router
-// and per-requirement checks are independent, so SuiteParallelism fans
-// them onto a bounded worker pool. Selection is deterministic: the lowest
-// topology-order finding wins, exactly what the sequential scan would
-// have reported, so transcripts stay byte-identical. The pool takes the
-// checks in waves of its size and stops after the wave holding the first
-// finding, so which checks run, and so the dispatch counters, repeat
-// from run to run as well. This is the only lever that speeds up the
-// star hub, where every policy concentrates on one router and
-// per-router parallelism has nothing to split.
-//
 // Batch transport. When the verifier is remote (rest.Client against
 // batfishd), each iteration first has every stage list its checks and
 // ships the ones the result tier lacks as a single /v1/batch round-trip
@@ -215,9 +204,8 @@
 // attachments, not O(A²). A check's key hashes its config's digest and
 // the digest of its spec's or requirement's JSON (suite.KeyD); the
 // dispatch layer computes each digest once per run, keyed by the spec or
-// requirement the pipeline's stages hold, while batfishd, whose requests
-// decode new ones every time, computes them per check. Durable entries
-// written under an earlier key layout go cold.
+// requirement the pipeline's stages hold. Durable entries written under
+// an earlier key layout go cold.
 //
 // # Concurrent per-router synthesis
 //
@@ -415,28 +403,27 @@
 // Durable verification cache. internal/durable is a disk tier mounted
 // under the result tier, and mounting it switches that tier on in
 // process. It is content-addressed by the same suite.Key (sha256 over
-// the check's wire form) the memory tier and the batched protocol
-// already use. It stores results in
+// the check's wire form) the memory tier uses. It stores results in
 // immutable packs of many entries, each written atomically (temp file,
 // fsync, rename) and named by the SHA-256 trailer that checksums it. The
 // engine queues the results it computes and flushes them as one pack
 // after every repair iteration's scan (CachedVerifier.Flush, one
-// cache_flush trace span each); batfishd writes one pack per /v1/batch
-// request. Open loads and verifies every pack into memory, so a lookup
-// does no I/O; a damaged pack is quarantined rather than trusted, and
-// whole packs are evicted oldest-first past a size bound that Open and
-// Put both enforce. A crash loses at most the iteration in flight, which
-// the resumed run recomputes. One directory serves every process that
-// touches verification — the engine (Translate/Synthesize options
-// CacheDir, cosynth/cofuzz -cache-dir) and batfishd -cache-dir — so a
-// restarted run answers from disk what its predecessor already proved
-// (CacheStats.DiskHits/DiskWrites). In-process shards (cosynth and
-// cofuzz -shards) mount none. Concurrent processes see each other's
-// results at their own next pack write, so at the writer's iteration
-// boundary, not result by result. An entry is the JSON of suite.Result,
-// whose empty fields are omitted, so a clean result is {}. The tier
-// changes cost, never results: the warm-restart tests re-prove
-// byte-identical transcripts.
+// cache_flush trace span each). Open loads and verifies every pack into
+// memory, so a lookup does no I/O; a damaged pack is quarantined rather
+// than trusted, and whole packs are evicted oldest-first past a size
+// bound that Open and Put both enforce. A crash loses at most the
+// iteration in flight, which the resumed run recomputes. The tier has one
+// mount point, the engine's (Translate/Synthesize options CacheDir,
+// cosynth/cofuzz -cache-dir), so a restarted run answers from disk what
+// its predecessor already proved (CacheStats.DiskHits/DiskWrites), in
+// process or over batfishd endpoints, which it then asks only for what
+// the directory lacks; batfishd and in-process shards keep no results
+// across requests. Concurrent processes see each other's results at
+// their own next pack write, so at the writer's iteration boundary, not
+// result by result. An entry is the JSON of suite.Result, whose empty
+// fields are omitted, so a clean result is {}. The tier changes cost,
+// never results: the warm-restart tests re-prove byte-identical
+// transcripts.
 //
 // Checkpoint and resume. With CheckpointPath set (cosynth -checkpoint),
 // the pipeline snapshots progress atomically after every save point:

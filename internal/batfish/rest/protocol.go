@@ -35,8 +35,8 @@
 // The wire types, the encoder from suite checks and the resolver back to
 // them all live in protocol.go.
 //
-// Every endpoint is stateless apart from caches that never change an
-// answer: the parse cache and the durable result tier.
+// Every endpoint is stateless apart from a cache that never changes an
+// answer: the parse cache.
 package rest
 
 import (

@@ -6,14 +6,12 @@ import (
 	"fmt"
 	"net/http"
 	"runtime"
-	"slices"
 	"strconv"
 	"sync"
 	"time"
 
 	"repro/internal/batfish"
 	"repro/internal/core"
-	"repro/internal/durable"
 	"repro/internal/netcfg"
 	"repro/internal/obs"
 	"repro/internal/suite"
@@ -30,13 +28,6 @@ type HandlerOptions struct {
 	// long-lived servers trade memory for parse time; leave nil to keep
 	// the request-scoped behaviour.
 	Parses *netcfg.ParseCache
-	// Durable, when set, answers batched checks from a disk cache keyed by
-	// suite.Key and persists each request's computed results into it as
-	// one pack — the same content-addressed store the engine's
-	// CachedVerifier mounts, so a restarted shard (or a whole fleet sharing
-	// a directory) comes back warm instead of re-verifying every revision
-	// it had already seen. Per-check errors are never cached.
-	Durable *durable.Cache
 	// Metrics, when set, is the registry behind the handler's
 	// observability surface: GET /metrics (Prometheus text exposition) and
 	// GET /debug/vars (JSON snapshot) are mounted on the handler's mux,
@@ -63,12 +54,7 @@ func NewHandlerOpts(opts HandlerOptions) http.Handler {
 	mux.Handle(obs.VarsPath, obsHandler)
 	mux.HandleFunc(PathHealth, handleHealth)
 	mux.HandleFunc(PathSearch, handleSearch)
-	env := &batchEnv{
-		parses:  opts.Parses,
-		disk:    opts.Durable,
-		digests: suite.NewDigests(),
-		reg:     opts.Metrics,
-	}
+	env := &batchEnv{parses: opts.Parses, reg: opts.Metrics}
 	mux.HandleFunc(PathBatch, func(w http.ResponseWriter, r *http.Request) {
 		handleBatch(w, r, env)
 	})
@@ -90,10 +76,8 @@ func NewHandlerOpts(opts HandlerOptions) http.Handler {
 // batchEnv is the handler state every /v1/batch request is served with;
 // /v1/notransit shares its parse cache.
 type batchEnv struct {
-	parses  *netcfg.ParseCache
-	disk    *durable.Cache
-	digests *suite.Digests
-	reg     *obs.Registry
+	parses *netcfg.ParseCache
+	reg    *obs.Registry
 }
 
 // protocolVersion is BatchProtocolVersion as the header carries it.
@@ -205,42 +189,12 @@ func evalBatchCheck(c suite.Check, parses *netcfg.ParseCache) BatchResult {
 	return BatchResult{Result: res}
 }
 
-// evalBatchCheckDurable answers one batched check through the server's
-// mounted disk cache: a hit (decoded from the content-addressed entry)
-// skips the evaluation entirely, a miss computes and — unless the check
-// itself was malformed — returns the entry to persist beside the result
-// (a zero Entry otherwise). The cache key is suite.Key over the check's
-// resolved form, the same identity the engine's client-side cache uses,
-// so a cosynth run and the shard it talks to can share one directory
-// without double-keying. An entry that fails to decode, or is violated
-// with no violation, falls through to recomputation.
-func evalBatchCheckDurable(c suite.Check, parses *netcfg.ParseCache, d *durable.Cache,
-	digests *suite.Digests) (BatchResult, durable.Entry) {
-	key := suite.KeyD(c, digests)
-	if payload, ok := d.Get(key); ok {
-		var res suite.Result
-		if json.Unmarshal(payload, &res) == nil && res.Validate() == nil {
-			return BatchResult{Result: res}, durable.Entry{}
-		}
-	}
-	res := evalBatchCheck(c, parses)
-	if res.Error == "" {
-		if payload, err := json.Marshal(res.Result); err == nil {
-			return res, durable.Entry{Key: key, Payload: payload}
-		}
-	}
-	return res, durable.Entry{}
-}
-
 // handleBatch evaluates a whole batch of independent checks in one
 // round-trip, fanning them onto a pool of GOMAXPROCS workers. Results are
 // positional; a malformed individual check yields a per-result error
 // without failing the batch, but a body index outside the request's table
 // fails it with a 400. env.parses, when non-nil, replaces the
-// request-scoped parse cache so earlier requests' parses are reused. With
-// a durable cache mounted, the results the batch computed are written as
-// one pack before the response; a write failure is swallowed (a full disk
-// degrades the shard to uncached, it does not fail the batch).
+// request-scoped parse cache so earlier requests' parses are reused.
 func handleBatch(w http.ResponseWriter, r *http.Request, env *batchEnv) {
 	var req BatchRequest
 	if !decode(w, r, &req) {
@@ -263,13 +217,6 @@ func handleBatch(w http.ResponseWriter, r *http.Request, env *batchEnv) {
 	}
 	results := make([]BatchResult, len(checks))
 	eval := func(i int) { results[i] = evalBatchCheck(checks[i], parses) }
-	var fresh []durable.Entry // positional; a zero Entry persists nothing
-	if env.disk != nil {
-		fresh = make([]durable.Entry, len(checks))
-		eval = func(i int) {
-			results[i], fresh[i] = evalBatchCheckDurable(checks[i], parses, env.disk, env.digests)
-		}
-	}
 	workers := runtime.GOMAXPROCS(0)
 	if workers > len(checks) {
 		workers = len(checks)
@@ -295,10 +242,6 @@ func handleBatch(w http.ResponseWriter, r *http.Request, env *batchEnv) {
 		}
 		close(jobs)
 		wg.Wait()
-	}
-	if env.disk != nil {
-		fresh = slices.DeleteFunc(fresh, func(e durable.Entry) bool { return e.Payload == nil })
-		_, _ = env.disk.Put(fresh...)
 	}
 	writeJSON(w, http.StatusOK, BatchResponse{Results: results})
 }

@@ -57,8 +57,7 @@ type CacheStats struct {
 	DiskHits   uint64
 	DiskWrites uint64
 	// RestRetries counts transport retries across every REST endpoint
-	// the run's verifier dispatched to (zero in process). Populated by
-	// MergedStats.
+	// the run's verifier dispatched to (zero in process).
 	RestRetries uint64
 	// FragmentHits, FragmentMisses and FragmentDiskHits are never set.
 	//
@@ -175,7 +174,7 @@ func NewCachedVerifier(v Verifier) *CachedVerifier {
 		v = LocalVerifier{Parses: batfish.NewParseCache()}
 	}
 	c := &CachedVerifier{
-		v: v, local: local, digests: suite.NewRunDigests(),
+		v: v, local: local, digests: suite.NewDigests(),
 		hits: &obs.Counter{}, misses: &obs.Counter{},
 		prefetches: &obs.Counter{}, batchedChecks: &obs.Counter{},
 		diskHits: &obs.Counter{}, diskWrites: &obs.Counter{},
@@ -238,9 +237,10 @@ func (c *CachedVerifier) SetObs(reg *obs.Registry, tr *obs.Tracer, runLabel stri
 	}
 }
 
-// Stats returns the cache counters.
+// Stats returns the counters, with the REST transport retries summed
+// across endpoints when the verifier reports them.
 func (c *CachedVerifier) Stats() CacheStats {
-	return CacheStats{
+	s := CacheStats{
 		Hits:          c.hits.Value(),
 		Misses:        c.misses.Value(),
 		Prefetches:    c.prefetches.Value(),
@@ -248,13 +248,6 @@ func (c *CachedVerifier) Stats() CacheStats {
 		DiskHits:      c.diskHits.Value(),
 		DiskWrites:    c.diskWrites.Value(),
 	}
-}
-
-// MergedStats returns Stats plus the counter no earlier surface rolled up
-// into the top-level result: REST transport retries, summed across
-// endpoints.
-func (c *CachedVerifier) MergedStats() CacheStats {
-	s := c.Stats()
 	if r, ok := c.backend.(interface{ Retries() int64 }); ok {
 		if n := r.Retries(); n > 0 {
 			s.RestRetries = uint64(n)

@@ -389,7 +389,7 @@ func (v *keyCheckingVerifier) Check(c SuiteCheck) (SuiteResult, error) {
 // and requirement's digest by pointer for the run, which holds only while
 // no stage changes a spec or requirement a check points to. On every
 // registry scenario, sequentially and on 4 lanes, every check keyed with
-// a run memo must key as suite.Key computed fresh does.
+// a digest memo must key as suite.Key computed fresh does.
 func TestRunDigestKeysMatchFreshKeys(t *testing.T) {
 	for _, sc := range netgen.Scenarios() {
 		topo, err := sc.Generate(sc.DefaultSize)
@@ -398,7 +398,7 @@ func TestRunDigestKeysMatchFreshKeys(t *testing.T) {
 		}
 		for _, par := range []int{1, 4} {
 			v := &keyCheckingVerifier{LocalVerifier: LocalVerifier{Parses: batfish.NewParseCache()},
-				d: suite.NewRunDigests()}
+				d: suite.NewDigests()}
 			model := llm.NewSynthesizer(llm.DefaultSynthConfig())
 			if _, err := Synthesize(topo, SynthOptions{Model: model, Verifier: v, Parallelism: par}); err != nil {
 				t.Fatalf("%s: %v", sc.Name, err)

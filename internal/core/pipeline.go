@@ -57,10 +57,6 @@ type Pipeline struct {
 	// flushes the iteration's new results to its durable tier as one
 	// pack.
 	Verifier Verifier
-	// Workers bounds the pool that evaluates one stage's checks; values
-	// <= 1 scan them in order. The lowest-index finding wins either way,
-	// so the transcript does not depend on it (see scanFirst).
-	Workers int
 	// MaxAttemptsPerFinding bounds automated prompts per distinct finding
 	// before punting to the human.
 	MaxAttemptsPerFinding int
@@ -164,10 +160,11 @@ func RunPipeline(sess *session, configs map[string]string, p Pipeline) (verified
 	return false, nil
 }
 
-// firstFinding scans the stages in masking order and returns the first
-// outstanding finding, or nil when every stage is clean. Against a
-// batched cache every stage lists its checks up front, the whole
-// iteration is prefetched, and the scan reads those same lists; in
+// firstFinding scans the stages in masking order, each stage's checks in
+// list order, and returns the first outstanding finding, or nil when
+// every stage is clean; no check after the first finding is evaluated.
+// Against a batched cache every stage lists its checks up front, the
+// whole iteration is prefetched, and the scan reads those same lists; in
 // process each stage lists its checks when the scan reaches it.
 func (p *Pipeline) firstFinding(configs map[string]string) (*Finding, error) {
 	var lists [][]SuiteCheck
@@ -189,15 +186,14 @@ func (p *Pipeline) firstFinding(configs map[string]string) (*Finding, error) {
 		} else {
 			checks = st.Checks(configs)
 		}
-		f, err := scanFirst(len(checks), p.Workers, func(j int) (*Finding, error) {
-			res, err := p.Verifier.Check(checks[j])
+		for j, sc := range checks {
+			res, err := p.Verifier.Check(sc)
 			if err != nil {
 				return nil, err
 			}
-			return st.Finding(j, res), nil
-		})
-		if f != nil || err != nil {
-			return f, err
+			if f := st.Finding(j, res); f != nil {
+				return f, nil
+			}
 		}
 	}
 	return nil, nil

@@ -52,14 +52,6 @@ type SynthOptions struct {
 	// custom implementations must be safe for concurrent use (the
 	// built-ins — LocalVerifier, rest.Client, PaperHuman — are stateless).
 	Parallelism int
-	// SuiteParallelism bounds a second worker pool inside each pipeline
-	// iteration: the independent per-router / per-requirement checks of
-	// one stage fan out concurrently, with the lowest topology-order
-	// finding winning deterministically, so transcripts stay byte-identical
-	// to the sequential scan. This is the lever that speeds up the star
-	// hub, where every policy lives on one router and the per-router pool
-	// has nothing to parallelize. Values <= 1 scan sequentially.
-	SuiteParallelism int
 	// DurableCache mounts a disk-backed result tier under the run's
 	// verifier (see CachedVerifier.SetDurable): results persist across
 	// process restarts and are shared with any concurrent run or resumed
@@ -117,7 +109,7 @@ func synthPipeline(v Verifier, topo *topology.Topology, tasks []modularizer.Task
 	// topology order and each task's LocalSpec preserves the derivation's
 	// attachment-major order, so the flattened sequence enumerates every
 	// attachment's obligations in topology order of attachments — the
-	// deterministic order the finding selection (scanFirst) and the
+	// deterministic order the finding selection (firstFinding) and the
 	// batched prefetch both key on. Dual-homed routers therefore
 	// contribute one contiguous block per attachment, not one per router.
 	routers := make([]string, len(tasks))
@@ -139,7 +131,6 @@ func synthPipeline(v Verifier, topo *topology.Topology, tasks []modularizer.Task
 			synthLocalPolicyStage{checks: locals},
 		},
 		Verifier:              v,
-		Workers:               opts.SuiteParallelism,
 		Human:                 opts.Human,
 		MaxAttemptsPerFinding: opts.MaxAttemptsPerFinding,
 		MaxIterations:         opts.MaxIterations,
@@ -261,7 +252,7 @@ func Synthesize(topo *topology.Topology, opts SynthOptions) (*Result, error) {
 		Global:         global,
 	}
 	cache.Flush()
-	stats := cache.MergedStats()
+	stats := cache.Stats()
 	res.CacheStats = &stats
 	opts.Trace.Span(runStart, obs.Event{Stage: obs.StageRun, Run: opts.RunLabel,
 		Iter: res.Iterations, Checks: len(res.Configs)})
@@ -527,11 +518,11 @@ func (s synthTopologyStage) Finding(i int, res SuiteResult) *Finding {
 
 // localCheck is one (router, requirement) pair of the local-policy stage,
 // flattened so the per-requirement checks — several of which pile onto
-// the star hub or onto one dual-homed attachment router — can fan out
-// individually. A requirement is one route-map's obligation at one
-// attachment (an egress route-map's community drops are one
+// the star hub or onto one dual-homed attachment router — fan out across
+// endpoints individually. A requirement is one route-map's obligation at
+// one attachment (an egress route-map's community drops are one
 // requirement), so each check is one attachment-scoped unit of
-// independent work for the concurrency and cache layers.
+// independent work for the fan-out and cache layers.
 type localCheck struct {
 	router string
 	req    lightyear.Requirement

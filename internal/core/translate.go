@@ -148,7 +148,7 @@ func Translate(ciscoConfig string, opts TranslateOptions) (*Result, error) {
 		Iterations:     sess.iterations,
 	}
 	cache.Flush()
-	stats := cache.MergedStats()
+	stats := cache.Stats()
 	res.CacheStats = &stats
 	opts.Trace.Span(runStart, obs.Event{Stage: obs.StageRun, Run: opts.RunLabel,
 		Iter: res.Iterations})

@@ -291,8 +291,8 @@ func packEntries(body []byte) ([]Entry, error) {
 
 // Cache is a disk-backed, content-addressed payload store, safe for
 // concurrent use by goroutines and — thanks to atomic pack writes — by
-// independent processes sharing the directory (cosynth, cofuzz, and
-// batfishd shards mounting one cache all stay warm across restarts).
+// independent processes sharing the directory (cosynth and cofuzz runs
+// mounting one cache all stay warm across restarts).
 // Writers of the same key race benignly: entries are content-addressed,
 // so every copy of a key holds the same result.
 type Cache struct {

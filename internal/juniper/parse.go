@@ -135,15 +135,12 @@ func (in *interp) walkUnit(phys, desc string, unit *Node) {
 			}
 			for _, f := range c.Children {
 				if f.Key(0) == "address" && len(f.Keys) == 2 {
-					p, err := netcfg.ParsePrefix(f.Key(1))
+					p, err := netcfg.ParseHostPrefix(f.Key(1))
 					if err != nil {
 						in.warn(f, "invalid interface address")
 						continue
 					}
-					// Keep the host address: Prefix stores the masked network,
-					// so carry the full address via Addr and Len separately.
-					addr, _ := netcfg.ParseIP(strings.SplitN(f.Key(1), "/", 2)[0])
-					ifc.Address = netcfg.Prefix{Addr: addr, Len: p.Len}
+					ifc.Address = p
 					ifc.HasAddress = true
 				} else {
 					in.warn(f, "unsupported family inet statement")

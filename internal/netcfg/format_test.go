@@ -44,8 +44,9 @@ func refParseCommunity(s string) (Community, error) {
 	return NewCommunity(uint16(high), uint16(low)), nil
 }
 
-// refParsePrefix is ParsePrefix as strconv.Atoi wrote it, less the sign.
-func refParsePrefix(s string) (Prefix, error) {
+// refParseHostPrefix is ParseHostPrefix as strconv.Atoi wrote it, less
+// the sign.
+func refParseHostPrefix(s string) (Prefix, error) {
 	slash := strings.IndexByte(s, '/')
 	if slash < 0 {
 		return Prefix{}, fmt.Errorf("prefix %q missing /len", s)
@@ -58,7 +59,16 @@ func refParsePrefix(s string) (Prefix, error) {
 	if err != nil || length < 0 || length > 32 {
 		return Prefix{}, fmt.Errorf("invalid prefix length in %q", s)
 	}
-	return NewPrefix(addr, length), nil
+	return Prefix{Addr: addr, Len: length}, nil
+}
+
+// refParsePrefix is ParsePrefix as strconv.Atoi wrote it, less the sign.
+func refParsePrefix(s string) (Prefix, error) {
+	p, err := refParseHostPrefix(s)
+	if err != nil {
+		return Prefix{}, err
+	}
+	return NewPrefix(p.Addr, p.Len), nil
 }
 
 // refAtoi is strconv.Atoi refusing a leading sign.
@@ -108,6 +118,9 @@ func checkText(t *testing.T, s string, v uint32, length int) {
 	pfx, err := ParsePrefix(s)
 	refPfx, refErr := refParsePrefix(s)
 	sameResult(t, "ParsePrefix", s, pfx, err, refPfx, refErr)
+	host, err := ParseHostPrefix(s)
+	refHost, refErr := refParseHostPrefix(s)
+	sameResult(t, "ParseHostPrefix", s, host, err, refHost, refErr)
 	checkScan(t, s, math.MaxUint32)
 	checkScan(t, s, v)
 
@@ -151,6 +164,7 @@ var numberSeeds = []string{
 	"1.2.3.4/", "1.2.3.4/008", "1.2.3.4/99999999999999999999", "/8", "1.2.3.4/8/8", " 1.2.3.4/8",
 	"4294967295", "4294967296", "4294967297", "4294967301", "99999999999", "42949672950",
 	"0004294967295x", "429496729", "18446744073709551617",
+	"10.0.0.1/24", "10.0.0.1/ 24", "10.0.0.1/24junk", "10.0.0.1/99", " \r\n10.0.0.1/24",
 }
 
 func TestNumberTextMatchesReference(t *testing.T) {
@@ -159,11 +173,12 @@ func TestNumberTextMatchesReference(t *testing.T) {
 	}
 }
 
-// FuzzNumberText holds ParseIP, ParseCommunity, ParsePrefix and ScanDecimal
-// (under math.MaxUint32 and under v) to the strconv references above on
-// arbitrary text, and FormatIP, Prefix.String and Append, MaskString,
-// WildcardString and Community.String to their fmt forms on arbitrary
-// values, round trips included.
+// FuzzNumberText holds ParseIP, ParseCommunity, ParsePrefix,
+// ParseHostPrefix and ScanDecimal (under math.MaxUint32 and under v) to
+// the strconv references above on arbitrary text, and FormatIP,
+// Prefix.String and Append, MaskString, WildcardString and
+// Community.String to their fmt forms on arbitrary values, round trips
+// included.
 func FuzzNumberText(f *testing.F) {
 	for i, s := range numberSeeds {
 		f.Add(s, uint32(i)*0x9e3779b9, int8(i%40-4))

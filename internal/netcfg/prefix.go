@@ -118,9 +118,20 @@ func FormatIP(v uint32) string {
 	return string(AppendIP(buf[:0], v))
 }
 
-// ParsePrefix parses "a.b.c.d/len" notation; the length is digits only,
-// at most 32.
+// ParsePrefix parses "a.b.c.d/len" notation into a normalized prefix;
+// the length is digits only, at most 32.
 func ParsePrefix(s string) (Prefix, error) {
+	p, err := ParseHostPrefix(s)
+	if err != nil {
+		return Prefix{}, err
+	}
+	return NewPrefix(p.Addr, p.Len), nil
+}
+
+// ParseHostPrefix parses "a.b.c.d/len" as ParsePrefix does, but keeps the
+// host bits: the form of an interface address, a host address with its
+// subnet length (Interface.Address).
+func ParseHostPrefix(s string) (Prefix, error) {
 	slash := strings.IndexByte(s, '/')
 	if slash < 0 {
 		return Prefix{}, fmt.Errorf("prefix %q missing /len", s)
@@ -133,7 +144,7 @@ func ParsePrefix(s string) (Prefix, error) {
 	if !ok || rest != "" {
 		return Prefix{}, fmt.Errorf("invalid prefix length in %q", s)
 	}
-	return NewPrefix(addr, int(length)), nil
+	return Prefix{Addr: addr, Len: int(length)}, nil
 }
 
 // MustPrefix is ParsePrefix that panics on error; intended for tests and

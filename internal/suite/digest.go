@@ -17,30 +17,22 @@ func TextDigest(text string) string {
 
 // Digests memoizes TextDigest per distinct text, so a configuration
 // revision is hashed once no matter how many check keys and routings
-// consult it, and, when built by NewRunDigests, each spec's and
-// requirement's body digest per pointer. Safe for concurrent use. A nil
-// *Digests is valid everywhere one is accepted and simply computes
+// consult it, and each spec's and requirement's body digest per pointer.
+// It is for one run, whose stages build their specs and requirements
+// once and never change one a check points to, and it grows with the
+// texts and pointers the run's checks hold. Safe for concurrent use. A
+// nil *Digests is valid everywhere one is accepted and simply computes
 // without memoizing.
 type Digests struct {
 	mu sync.RWMutex
 	m  map[string]string
 	// bodies memoizes bodyDigest per *topology.RouterSpec or
-	// *lightyear.Requirement; nil when the memo is not per run.
+	// *lightyear.Requirement.
 	bodies map[any]string
 }
 
-// NewDigests returns an empty memo of text digests. It memoizes no body
-// digest, so it may outlive the checks it keys: a server that decodes
-// new spec and requirement pointers with every request keeps one.
+// NewDigests returns an empty memo.
 func NewDigests() *Digests {
-	return &Digests{m: map[string]string{}}
-}
-
-// NewRunDigests returns an empty memo that also memoizes each spec's and
-// requirement's body digest by pointer. It is for one run, whose stages
-// build their specs and requirements once and never change one a check
-// points to, and it grows with the pointers the run's checks hold.
-func NewRunDigests() *Digests {
 	return &Digests{m: map[string]string{}, bodies: map[any]string{}}
 }
 
@@ -63,10 +55,9 @@ func (d *Digests) Of(text string) string {
 }
 
 // body returns the digest of a spec or requirement, the hex SHA-256 of
-// its JSON encoding (a stable serialization), memoized per pointer when
-// the memo is per run.
+// its JSON encoding (a stable serialization), memoized per pointer.
 func (d *Digests) body(ptr any) string {
-	if d == nil || d.bodies == nil {
+	if d == nil {
 		return bodyDigest(ptr)
 	}
 	d.mu.RLock()

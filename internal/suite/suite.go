@@ -76,9 +76,8 @@ func (r *Result) Validate() error {
 // Key derives a Check's content address: a SHA-256 over the kind and every
 // input that determines the result. Results are pure functions of their
 // inputs, so the key identifies the result across processes and across
-// runs — it is the memoization key of the engine's in-memory cache, the
-// entry name of the shared disk cache, and the identity batfishd shards
-// cache under, and it must stay in lockstep for all three. Local-policy
+// runs — it is the memoization key of the engine's in-memory cache and
+// the entry name of the shared disk cache. Local-policy
 // keys hash the digest of the requirement's JSON, which includes the
 // per-attachment identity (lightyear.Requirement.Attachment) — two
 // obligations that differ only in which attachment of a dual-homed router
@@ -90,8 +89,8 @@ func Key(c Check) [sha256.Size]byte { return KeyD(c, nil) }
 // through their per-revision TextDigest instead of their full text, so a
 // run that derives thousands of check keys against the same few revisions
 // hashes each revision once, and the spec and requirement through the
-// digest of their JSON, which a per-run memo (NewRunDigests) computes
-// once per spec or requirement. The key is the SHA-256 of the kind, 0,
+// digest of their JSON, which the memo computes once per spec or
+// requirement. The key is the SHA-256 of the kind, 0,
 // the config's digest, 0, the original's digest, then 0 and the spec's
 // body digest when there is a spec, and 1 and the requirement's when
 // there is one. The layout is shared by every client and server in

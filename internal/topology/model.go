@@ -7,12 +7,7 @@ package topology
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
-	"strconv"
-	"strings"
-	"unicode"
 
 	"repro/internal/netcfg"
 )
@@ -126,7 +121,7 @@ func (r *RouterSpec) Interface(name string) *InterfaceSpec {
 func (r *RouterSpec) ConnectedPrefixes() ([]netcfg.Prefix, error) {
 	var out []netcfg.Prefix
 	for _, ifc := range r.Interfaces {
-		p, err := parseCIDRNetwork(ifc.Address)
+		p, err := netcfg.ParsePrefix(ifc.Address)
 		if err != nil {
 			return nil, fmt.Errorf("router %s interface %s: %w", r.Name, ifc.Name, err)
 		}
@@ -134,60 +129,3 @@ func (r *RouterSpec) ConnectedPrefixes() ([]netcfg.Prefix, error) {
 	}
 	return out, nil
 }
-
-// parseCIDRNetwork parses "a.b.c.d/len" and returns the *network* prefix
-// (host bits cleared).
-func parseCIDRNetwork(s string) (netcfg.Prefix, error) {
-	p, err := netcfg.ParsePrefix(s)
-	if err != nil {
-		return netcfg.Prefix{}, err
-	}
-	return netcfg.NewPrefix(p.Addr, p.Len), nil
-}
-
-// hostAddr parses "a.b.c.d/len" and returns the host address. It accepts
-// what fmt.Sscanf's "%31s" and "%d" verbs accepted when it was written
-// with them: s must hold a word, and the length is an optionally signed
-// run of digits after white space, with anything after it ignored.
-func hostAddr(s string) (uint32, int, error) {
-	if _, err := skipScanSpace(s); err != nil {
-		return 0, 0, err
-	}
-	slash := strings.IndexByte(s, '/')
-	if slash < 0 {
-		return 0, 0, errors.New("address " + strconv.Quote(s) + " missing /len")
-	}
-	addr, err := netcfg.ParseIP(s[:slash])
-	if err != nil {
-		return 0, 0, err
-	}
-	rest, err := skipScanSpace(s[slash+1:])
-	end := 0
-	if err == nil && (rest[0] == '+' || rest[0] == '-') {
-		end = 1
-	}
-	for end < len(rest) && '0' <= rest[end] && rest[end] <= '9' {
-		end++
-	}
-	length, err := strconv.Atoi(rest[:end])
-	if err != nil {
-		return 0, 0, errors.New("address " + strconv.Quote(s) + " has invalid length")
-	}
-	return addr, length, nil
-}
-
-// skipScanSpace skips the white space fmt's scanner skips before a verb,
-// and fails where it fails: at a newline, or at the end of s.
-func skipScanSpace(s string) (string, error) {
-	for i, r := range s {
-		if r == '\n' {
-			return "", errUnexpectedNewline
-		}
-		if !unicode.IsSpace(r) {
-			return s[i:], nil
-		}
-	}
-	return "", io.EOF
-}
-
-var errUnexpectedNewline = errors.New("unexpected newline")

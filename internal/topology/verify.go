@@ -40,7 +40,7 @@ func Verify(spec *RouterSpec, dev *netcfg.Device) []Finding {
 	ifcs := slices.Clone(dev.Interfaces)
 	slices.SortStableFunc(ifcs, func(a, b *netcfg.Interface) int { return strings.Compare(a.Name, b.Name) })
 	for _, ifcSpec := range spec.Interfaces {
-		wantAddr, wantLen, err := hostAddr(ifcSpec.Address)
+		want, err := netcfg.ParseHostPrefix(ifcSpec.Address)
 		if err != nil {
 			add("topology spec for interface %s is invalid: %v", ifcSpec.Name, err)
 			continue
@@ -50,12 +50,12 @@ func Verify(spec *RouterSpec, dev *netcfg.Device) []Finding {
 		})
 		if !ok || !ifcs[i].HasAddress {
 			add("Interface %s with IP address %s not configured", ifcSpec.Name,
-				netcfg.FormatIP(wantAddr))
+				netcfg.FormatIP(want.Addr))
 			continue
 		}
-		if ifc := ifcs[i]; ifc.Address.Addr != wantAddr || ifc.Address.Len != wantLen {
+		if ifc := ifcs[i]; ifc.Address != want {
 			add("Interface %s ip address does not match with given config. Expected %s, found %s",
-				ifcSpec.Name, netcfg.FormatIP(wantAddr), netcfg.FormatIP(ifc.Address.Addr))
+				ifcSpec.Name, netcfg.FormatIP(want.Addr), netcfg.FormatIP(ifc.Address.Addr))
 		}
 	}
 

@@ -19,7 +19,7 @@ func refVerify(spec *RouterSpec, dev *netcfg.Device) []Finding {
 		out = append(out, Finding{Router: spec.Name, Issue: fmt.Sprintf(format, args...)})
 	}
 	for _, ifcSpec := range spec.Interfaces {
-		wantAddr, wantLen, err := hostAddr(ifcSpec.Address)
+		want, err := netcfg.ParseHostPrefix(ifcSpec.Address)
 		if err != nil {
 			add("topology spec for interface %s is invalid: %v", ifcSpec.Name, err)
 			continue
@@ -27,12 +27,12 @@ func refVerify(spec *RouterSpec, dev *netcfg.Device) []Finding {
 		ifc := dev.Interface(ifcSpec.Name)
 		if ifc == nil || !ifc.HasAddress {
 			add("Interface %s with IP address %s not configured", ifcSpec.Name,
-				netcfg.FormatIP(wantAddr))
+				netcfg.FormatIP(want.Addr))
 			continue
 		}
-		if ifc.Address.Addr != wantAddr || ifc.Address.Len != wantLen {
+		if ifc.Address.Addr != want.Addr || ifc.Address.Len != want.Len {
 			add("Interface %s ip address does not match with given config. Expected %s, found %s",
-				ifcSpec.Name, netcfg.FormatIP(wantAddr), netcfg.FormatIP(ifc.Address.Addr))
+				ifcSpec.Name, netcfg.FormatIP(want.Addr), netcfg.FormatIP(ifc.Address.Addr))
 		}
 	}
 	if dev.BGP == nil {

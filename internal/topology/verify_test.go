@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -164,5 +165,49 @@ func TestConnectedPrefixes(t *testing.T) {
 	}
 	if len(ps) != 2 || ps[0].String() != "1.0.0.0/24" || ps[1].String() != "2.0.0.0/24" {
 		t.Fatalf("prefixes = %v", ps)
+	}
+}
+
+// specAddressSeeds are interface addresses at the edges of the spec's
+// "a.b.c.d/len" form: white space, signs, a missing, signed, spaced or
+// trailing length, lengths over 32, and bad addresses. ok marks the ones
+// netcfg's prefix parser takes, all of which name 10.0.0.1/24.
+var specAddressSeeds = []struct {
+	addr string
+	ok   bool
+}{
+	{"10.0.0.1/24", true}, {"", false}, {"   ", false}, {"\t\n", false},
+	{" \r\n10.0.0.1/24", true}, {"\n10.0.0.1/24", true}, {" 10.0.0.1/24", true},
+	{"10.0.0.1", false}, {"10.0.0.1/", false}, {"10.0.0.1/ 24", false}, {"10.0.0.1/\n24", false},
+	{"10.0.0.1/+24", false}, {"10.0.0.1/-3", false}, {"10.0.0.1/33", false},
+	{"10.0.0.1/24 trailing", false}, {"10.0.0.1/24x", false}, {"10.0.0.1/+", false},
+	{"10.0.0.1/99999999999999999999", false}, {"10.0.0.256/24", false}, {"+10.0.0.1/24", false},
+	{"\xff/1", false}, {"1.2.3.4/ 1", false}, {"10.0.0.1/-0", false}, {"10.0.0.1/99", false},
+	{"10.0.0.1/24junk", false},
+}
+
+// TestVerifySpecAddressParse: Verify reads an interface's spec address
+// with netcfg's prefix parser, as ConnectedPrefixes does. A spec address
+// the parser refuses is reported once, as an invalid spec, and nothing
+// else is reported; one it takes matches the device's 10.0.0.1/24, so
+// Verify finds nothing.
+func TestVerifySpecAddressParse(t *testing.T) {
+	dev := netcfg.NewDevice("R1", netcfg.VendorCisco)
+	ifc := dev.EnsureInterface("eth0")
+	ifc.Address, ifc.HasAddress = netcfg.Prefix{Addr: 0x0a000001, Len: 24}, true
+	dev.EnsureBGP(1)
+	for i, c := range specAddressSeeds {
+		t.Run(fmt.Sprintf("seed#%d", i), func(t *testing.T) {
+			spec := &RouterSpec{Name: "R1", ASN: 1,
+				Interfaces: []InterfaceSpec{{Name: "eth0", Address: c.addr}}}
+			got := Verify(spec, dev)
+			switch {
+			case c.ok && len(got) != 0:
+				t.Errorf("%q: findings %v, want none", c.addr, got)
+			case !c.ok && (len(got) != 1 ||
+				!strings.HasPrefix(got[0].Issue, "topology spec for interface eth0 is invalid: ")):
+				t.Errorf("%q: findings %v, want one invalid-spec finding", c.addr, got)
+			}
+		})
 	}
 }

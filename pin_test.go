@@ -126,3 +126,54 @@ func TestTranscriptsPinned(t *testing.T) {
 		}
 	}
 }
+
+// checkCounts pins how many checks the in-process run of each registry
+// scenario at its default size evaluates, sequentially and on 2 lanes.
+// The scan stops at the first finding of every iteration, so a scan that
+// ran past it would keep every transcript and show only here.
+var checkCounts = map[string]uint64{
+	"star:7/lanes-1":           113,
+	"star:7/lanes-2":           51,
+	"ring:8/lanes-1":           139,
+	"ring:8/lanes-2":           56,
+	"full-mesh:6/lanes-1":      111,
+	"full-mesh:6/lanes-2":      46,
+	"fat-tree:4/lanes-1":       271,
+	"fat-tree:4/lanes-2":       80,
+	"dual-homed:6/lanes-1":     138,
+	"dual-homed:6/lanes-2":     61,
+	"multi-customer:6/lanes-1": 96,
+	"multi-customer:6/lanes-2": 43,
+	"random:12/lanes-1":        198,
+	"random:12/lanes-2":        79,
+}
+
+// TestInProcessCheckCountsPinned runs each pinned configuration twice: the
+// counters must repeat from run to run, and the checks evaluated
+// (CacheStats.Misses, since in process there is no result tier) must equal
+// the pinned count.
+func TestInProcessCheckCountsPinned(t *testing.T) {
+	for _, info := range Topologies() {
+		for _, lanes := range []int{1, 2} {
+			key := fmt.Sprintf("%s:%d/lanes-%d", info.Name, info.DefaultSize, lanes)
+			var first *core.CacheStats
+			for run := 0; run < 2; run++ {
+				r, err := Synthesize(mustTopo(t, info.Name, info.DefaultSize),
+					SynthesizeOptions{Parallelism: lanes})
+				if err != nil {
+					t.Fatalf("%s: %v", key, err)
+				}
+				if first == nil {
+					first = r.CacheStats
+					continue
+				}
+				if *r.CacheStats != *first {
+					t.Errorf("%s: run %d: %v, run 0: %v", key, run, *r.CacheStats, *first)
+				}
+			}
+			if got, want := first.Misses, checkCounts[key]; got != want {
+				t.Errorf("%s: %d checks evaluated, pinned %d", key, got, want)
+			}
+		}
+	}
+}

@@ -15,9 +15,12 @@ import (
 // tier answers only over REST and under a disk tier, so this test is what
 // exercises it on varied inputs. Each seed draws a random:16 graph and a
 // fuzz plan of injected errors from the repairable alphabet, and runs the
-// plan in process, over a 2-endpoint fleet, and as a cold then a warm run
-// on one cache directory, sequentially and on 2 lanes. Every run must
-// produce the in-process run's transcript and configurations.
+// plan in process, over a 2-endpoint fleet, as a cold then a warm run on
+// one cache directory, and as a cold run over a fleet on a second cache
+// directory then a warm run over a fresh fleet on it, sequentially and on
+// 2 lanes. Every run must produce the in-process run's transcript and
+// configurations. The restarted fleet must be asked nothing the directory
+// holds: the warm run answers every check from disk and sends no batch.
 func TestResultTierMatchesTierFreeLoop(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		graph := func() *topology.Topology {
@@ -61,6 +64,14 @@ func TestResultTierMatchesTierFreeLoop(t *testing.T) {
 				requireSameRun(t, "warm", base, warm)
 				if cold.CacheStats.DiskWrites == 0 || warm.CacheStats.DiskHits == 0 {
 					t.Errorf("disk tier idle: cold %v, warm %v", cold.CacheStats, warm.CacheStats)
+				}
+				restartDir := t.TempDir()
+				requireSameRun(t, "cold fleet", base,
+					run("cold fleet", SynthesizeOptions{Verifier: fleet(t, 2), CacheDir: restartDir}))
+				restarted := run("restarted fleet", SynthesizeOptions{Verifier: fleet(t, 2), CacheDir: restartDir})
+				requireSameRun(t, "restarted fleet", base, restarted)
+				if st := restarted.CacheStats; st.Prefetches != 0 || st.Misses != 0 || st.DiskHits == 0 {
+					t.Errorf("restarted fleet: %v, want no prefetch and every check from disk", st)
 				}
 			})
 		}
